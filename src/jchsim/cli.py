@@ -28,7 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="flat key = value config file")
     run_p.add_argument("--output-dir", default=".", help="directory for result files")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     run_p.add_argument(
         "--strict-ramp",
         action="store_true",
@@ -69,7 +68,6 @@ def main(argv=None) -> int:
             config,
             output_dir=args.output_dir,
             fmt=args.format,
-            threads=args.threads,
             strict_ramp=args.strict_ramp,
         )
     except ConfigError as exc:

@@ -65,11 +65,16 @@ def _peak_dict(report):
 # experiment runners
 
 
-def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
+def _numeric_spectrum(params: SystemParams, options: dict):
+    """Frequency grid and first-cavity spectrum of the lossy lattice's steady state."""
     grid = default_frequency_grid(params, int(options["n_points"]))
     liouv = standard_liouvillian(params)
     rho_ss = steady_state(liouv)
-    numeric = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), grid, params)
+    return grid, absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), grid, params)
+
+
+def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
+    grid, numeric = _numeric_spectrum(params, options)
     analytic = absorption_spectrum_analytic(params, grid)
     return ExperimentResult(
         columns={"omega": grid, "S_numeric": numeric.values, "S_analytic": analytic.values},
@@ -84,10 +89,7 @@ def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
 
 
 def _run_two_cavity_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
-    grid = default_frequency_grid(params, int(options["n_points"]))
-    liouv = standard_liouvillian(params)
-    rho_ss = steady_state(liouv)
-    numeric = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), grid, params)
+    grid, numeric = _numeric_spectrum(params, options)
     return ExperimentResult(
         columns={"omega": grid, "S_numeric": numeric.values},
         summary={"peaks_numeric": _peak_dict(find_peaks(numeric))},
@@ -158,7 +160,6 @@ def _run_ramp(params: SystemParams, options: dict) -> ExperimentResult:
         time_dependent=bool(options["time_dependent"]),
         strict_pulses=bool(options["strict_ramp"]),
         hold_samples=int(options["hold_samples"]),
-        threads=int(options["threads"]),
     )
     columns = {
         "delta": [p.delta for p in points],
@@ -346,7 +347,6 @@ EXPERIMENTS = {
             "delta_max": 60.0,
             "hold_samples": 241,
             "strict_ramp": False,
-            "threads": 1,
         },
     ),
     "table1": ExperimentSpec(
@@ -413,6 +413,20 @@ def _parse_value(text: str):
     return text
 
 
+# accepted value types by default type (an int given to a float stays an int)
+_OPTION_TYPES = {bool: bool, int: int, float: (int, float), list: (list, int, float), str: str}
+
+
+def _check_option(key: str, value, default):
+    """The option value if it has the type of the option's default."""
+    kind = type(default)
+    # bool is a subclass of int: true/false must not pass as a number
+    wrong_bool = isinstance(value, bool) and kind is not bool
+    if wrong_bool or not isinstance(value, _OPTION_TYPES[kind]):
+        raise ConfigError(f"option {key!r} takes a {kind.__name__} value, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -438,7 +452,7 @@ class ExperimentConfig:
             if key in PARAM_KEYS:
                 param_values[key] = value
             elif key in options:
-                options[key] = value
+                options[key] = _check_option(key, value, options[key])
             else:
                 raise ConfigError(f"unknown key {key!r} for experiment {name!r}")
         try:
@@ -531,13 +545,11 @@ def write_json(path, payload: dict) -> None:
 
 
 def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",
-                   threads: int = 1, strict_ramp: bool = False) -> list:
+                   strict_ramp: bool = False) -> list:
     """Execute one experiment and write its artifacts; returns written paths."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     options = dict(config.options)
-    if "threads" in options and threads != 1:
-        options["threads"] = threads
     if "strict_ramp" in options and strict_ramp:
         options["strict_ramp"] = True
     result = EXPERIMENTS[config.experiment].runner(config.params, options)

@@ -21,6 +21,7 @@ from .hilbert import (
     fock_annihilation,
     atomic_lowering,
     lowering_at,
+    sum_over_sites,
 )
 
 DRIVE_FRAME_TOL = 1e-12
@@ -84,10 +85,7 @@ def build_jc(params: SystemParams) -> Operator:
         + params.omega_c * (a_site.dag() @ a_site)
         + params.g * (a_site.dag() @ sm_site + sm_site.dag() @ a_site)
     )
-    out = embed_site(local, 0, dims)
-    for j in range(1, dims.n_cavities):
-        out = out + embed_site(local, j, dims)
-    return out
+    return sum_over_sites(local, dims)
 
 
 def build_hopping(params: SystemParams) -> Operator:
@@ -130,11 +128,7 @@ def build_jc_polariton(params: SystemParams) -> Operator:
                 polariton.polariton_energy(n, branch, params.g, params.delta, params.omega_c)
             )
     site_diag = np.diag(np.array(energies, dtype=complex))
-    if dims.n_cavities == 1:
-        return Operator(dims, site_diag)
-    eye = np.eye(dims.site_dim, dtype=complex)
-    total = np.kron(site_diag, eye) + np.kron(eye, site_diag)
-    return Operator(dims, total)
+    return sum_over_sites(Operator(dims.site(), site_diag), dims)
 
 
 def build_hopping_polariton(params: SystemParams) -> Operator:
@@ -275,10 +269,7 @@ def stroboscopic_generator(params: SystemParams, m: int = 0) -> Operator:
     a = fock_annihilation(dims)
     sm = atomic_lowering(dims)
     local = ((-1) ** m * 1j * params.g) * (a.dag() @ sm - sm.dag() @ a)
-    out = embed_site(local, 0, dims)
-    for j in range(1, dims.n_cavities):
-        out = out + embed_site(local, j, dims)
-    return out
+    return sum_over_sites(local, dims)
 
 
 def stroboscopic_block(params: SystemParams, m: int, n: int) -> np.ndarray:

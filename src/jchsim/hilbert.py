@@ -184,11 +184,6 @@ class DensityMatrix:
         return self
 
 
-def normalized_ket(dims: HilbertDims, amplitudes: np.ndarray) -> Ket:
-    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    return Ket(dims, amps / np.linalg.norm(amps))
-
-
 def identity(dims: HilbertDims) -> Operator:
     return Operator(dims, np.eye(dims.total_dim, dtype=complex))
 
@@ -230,6 +225,14 @@ def embed_site(op: Operator, site_index: int, dims: HilbertDims) -> Operator:
     return Operator(dims, np.kron(eye, op.data))
 
 
+def sum_over_sites(op: Operator, dims: HilbertDims) -> Operator:
+    """Sum of a site-level operator embedded on every site of ``dims``."""
+    out = embed_site(op, 0, dims)
+    for j in range(1, dims.n_cavities):
+        out = out + embed_site(op, j, dims)
+    return out
+
+
 def annihilation_at(dims: HilbertDims, site_index: int = 0) -> Operator:
     return embed_site(fock_annihilation(dims), site_index, dims)
 
@@ -247,10 +250,7 @@ def excitation_number_at(dims: HilbertDims, site_index: int = 0) -> Operator:
 
 
 def total_excitation(dims: HilbertDims) -> Operator:
-    out = excitation_number_at(dims, 0)
-    for j in range(1, dims.n_cavities):
-        out = out + excitation_number_at(dims, j)
-    return out
+    return sum_over_sites(excitation_number_at(dims.site()), dims)
 
 
 def expectation(op: Operator, rho: DensityMatrix) -> complex:

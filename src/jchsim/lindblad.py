@@ -271,14 +271,20 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid, method: str = "spect
     return traj
 
 
+def _eigh_phases(h: Operator, times: np.ndarray):
+    """Eigenvectors V of H and the phases exp(-i E t), shape (T, D), so that
+    exp(-i H t) = V diag(phases[t]) V^dag."""
+    energies, vectors = np.linalg.eigh(h.data)
+    return vectors, np.exp(-1j * np.outer(times, energies))
+
+
 def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
     """Unitary amplitudes exp(-i H t) psi0 sampled on the grid, shape (T, D)."""
     if h.dims != psi0.dims:
         raise DimensionMismatchError("state dims differ from Hamiltonian dims")
     times = _check_grid(t_grid)
-    energies, vectors = np.linalg.eigh(h.data)
+    vectors, phases = _eigh_phases(h, times - times[0])
     coeff = vectors.conj().T @ psi0.amplitudes
-    phases = np.exp(-1j * np.outer(times - times[0], energies))  # (T, D)
     return (phases * coeff[None, :]) @ vectors.T
 
 
@@ -314,17 +320,6 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     return DensityMatrix(liouv.dims, rho)
 
 
-def _unitary_states(h: Operator, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    energies, vectors = np.linalg.eigh(h.data)
-    rho_eig = vectors.conj().T @ rho0 @ vectors
-    phases = np.exp(-1j * np.outer(times, energies))  # (T, D)
-    out = np.empty((len(times), h.dims.total_dim, h.dims.total_dim), dtype=complex)
-    for i in range(len(times)):
-        u = phases[i]
-        out[i] = vectors @ (u[:, None] * rho_eig * u.conj()[None, :]) @ vectors.conj().T
-    return out
-
-
 def evolve_piecewise(segments, rho0: DensityMatrix, samples_per_segment: int = 2) -> Trajectory:
     """Sequential propagation through (generator, duration) segments.
 
@@ -346,7 +341,10 @@ def evolve_piecewise(segments, rho0: DensityMatrix, samples_per_segment: int = 2
             raise DimensionMismatchError("segment dims differ from state dims")
         local = np.linspace(0.0, duration, samples_per_segment + 1)[1:]
         if isinstance(generator, Operator):
-            seg_states = _unitary_states(generator, states[-1], local)
+            vectors, phases = _eigh_phases(generator, local)
+            rho_eig = vectors.conj().T @ states[-1] @ vectors
+            rotated = phases[:, :, None] * rho_eig * phases.conj()[:, None, :]
+            seg_states = vectors @ rotated @ vectors.conj().T
         else:
             seg_states = _spectral_states(generator, states[-1], local)
         states.extend(seg_states)

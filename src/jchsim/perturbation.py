@@ -14,6 +14,7 @@ and denominator of each contribution can be audited one by one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,13 +28,6 @@ REPORT_LABELS = (GROUND, "1-", "1+", "2-", "2+")
 DEGENERACY_TOL = 1e-6
 # |V|/gap above which two coupled labels join one quasi-degenerate cluster
 CLUSTER_RATIO = 0.05
-
-
-def polariton_labels(n_max: int):
-    out = [GROUND]
-    for n in range(1, n_max + 1):
-        out.extend((label(n, "-"), label(n, "+")))
-    return out
 
 
 def unperturbed_energies(params: SystemParams, n_max: int | None = None):
@@ -86,22 +80,25 @@ def interaction_elements(params: SystemParams):
     return elements
 
 
-def _check_nondegenerate(energies: dict):
-    labels = list(energies)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if abs(energies[a] - energies[b]) < DEGENERACY_TOL:
-                raise NumericalError(
-                    f"unperturbed levels {a} and {b} are degenerate within "
-                    f"{DEGENERACY_TOL:.0e} (gap {abs(energies[a] - energies[b]):.3e})"
-                )
+def _check_nondegenerate(energies: dict, pairs):
+    """Raise if the levels of any (a, b) in ``pairs`` are degenerate."""
+    for a, b in pairs:
+        if abs(energies[a] - energies[b]) < DEGENERACY_TOL:
+            raise NumericalError(
+                f"unperturbed levels {a} and {b} are degenerate within "
+                f"{DEGENERACY_TOL:.0e} (gap {abs(energies[a] - energies[b]):.3e})"
+            )
 
 
 def second_order_energies(params: SystemParams, labels=REPORT_LABELS, terms=None):
-    """Second-order energy shifts sum_l |V_lk|^2 / (E_k - E_l)."""
+    """Second-order energy shifts sum_l |V_lk|^2 / (E_k - E_l).
+
+    Raises if a coupled pair (l, k) with k in ``labels`` is degenerate.
+    """
     energies = unperturbed_energies(params)
-    _check_nondegenerate(energies)
     elements = interaction_elements(params)
+    coupled = [(m, k) for k in labels for m in energies if (m, k) in elements]
+    _check_nondegenerate(energies, coupled)
     out = {}
     for k in labels:
         shift = 0.0
@@ -201,7 +198,7 @@ def corrected_states(
     if params.n_fock < 3:
         raise ValueError("state corrections reference the third manifold; need n_fock >= 3")
     energies = unperturbed_energies(params)
-    _check_nondegenerate(energies)
+    _check_nondegenerate(energies, itertools.combinations(energies, 2))
     elements = interaction_elements(params)
     all_labels = list(energies)
 
@@ -259,16 +256,9 @@ def perturbed_ket(params: SystemParams, lbl: str, order: int, include_top_target
     return vec
 
 
-def exact_eigensystem(params: SystemParams):
-    """Energies and eigenvectors of the driven Hamiltonian, by dense solve."""
-    h = build_driven(params)
-    energies, vectors = np.linalg.eigh(h.data)
-    return energies, vectors
-
-
 def match_exact_energies(params: SystemParams, labels=REPORT_LABELS):
-    """Exact eigenvalues matched to dressed labels by eigenvector overlap."""
-    energies, vectors = exact_eigensystem(params)
+    """Dense-solve eigenvalues of the driven Hamiltonian matched to labels by overlap."""
+    energies, vectors = np.linalg.eigh(build_driven(params).data)
     basis = basis_transform(params.dims, params.g, params.delta)
     out = {}
     for lbl in labels:
@@ -285,8 +275,7 @@ class PerturbationReport:
     ``e1`` holds the diagonal first-order shifts, which vanish.  For a label
     in one of ``clusters``, ``e2`` holds its whole shift from diagonalising
     the cluster's Loewdin effective Hamiltonian; ``max_coupling_ratio`` is
-    the largest |V|/gap over all coupled label pairs.  The state corrections
-    are the Rayleigh-Schroedinger ones for every label.
+    the largest |V|/gap over all coupled label pairs.
     """
 
     params: SystemParams
@@ -294,8 +283,6 @@ class PerturbationReport:
     e0: dict
     e1: dict
     e2: dict
-    first_order: dict
-    second_order: dict
     terms: tuple = field(default=())
     clusters: tuple = field(default=())
     max_coupling_ratio: float = 0.0
@@ -305,6 +292,8 @@ class PerturbationReport:
 
 
 def perturbation_report(params: SystemParams, labels=REPORT_LABELS) -> PerturbationReport:
+    if params.n_fock < 3:
+        raise ValueError("the report needs n_fock >= 3: 2-/2+ couple to the third manifold")
     terms: list = []
     e0 = unperturbed_energies(params)
     elements = interaction_elements(params)
@@ -313,16 +302,12 @@ def perturbation_report(params: SystemParams, labels=REPORT_LABELS) -> Perturbat
     for cluster in clusters:
         clustered.update(_lowdin_energies(cluster, e0, elements, terms=terms))
     e2 = second_order_energies(params, [k for k in labels if k not in clustered], terms=terms)
-    first = corrected_states(params, 1, labels, terms=terms)
-    second = corrected_states(params, 2, labels, terms=terms)
     return PerturbationReport(
         params=params,
         labels=tuple(labels),
         e0={k: e0[k] for k in labels},
         e1={k: 0.0 for k in labels},
         e2={k: clustered[k] - e0[k] if k in clustered else e2[k] for k in labels},
-        first_order=first,
-        second_order=second,
         terms=tuple(terms),
         clusters=clusters,
         max_coupling_ratio=max_ratio,

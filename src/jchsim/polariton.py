@@ -249,14 +249,6 @@ class LadderDecomposition:
             + self.cross_to_minus
         )
 
-    def parts(self):
-        return {
-            "within_plus": self.within_plus,
-            "within_minus": self.within_minus,
-            "cross_to_plus": self.cross_to_plus,
-            "cross_to_minus": self.cross_to_minus,
-        }
-
 
 def _assemble_families(dims: HilbertDims, g: float, delta: float, atomic: bool):
     site = dims.site()

@@ -8,7 +8,6 @@ time-averaged variance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,9 @@ from .hilbert import (
     HilbertDims,
     Ket,
     Operator,
-    embed_site,
     excitation_number_at,
     partial_trace,
+    sum_over_sites,
 )
 from .lindblad import Trajectory, build_liouvillian, evolve, evolve_closed
 from .polariton import (
@@ -40,6 +39,7 @@ from .polariton import (
     product_polariton_ket,
     site_polariton_ket,
 )
+from .spectroscopy import local_maxima, parabolic_refine
 
 MEASUREMENT_STATES = ("1-,1-", "1+,1+", "2-,0", "0,2-", "2+,0", "0,2+")
 
@@ -53,12 +53,8 @@ def find_series_maxima(times, series, relative_prominence: float = 0.1):
     of the series range (filters fast low-amplitude ripple)."""
     y = np.asarray(series, dtype=float)
     span = float(y.max() - y.min())
-    if span == 0.0:
-        return []
     keep = []
-    for i in range(1, len(y) - 1):
-        if not (y[i] >= y[i - 1] and y[i] > y[i + 1]):
-            continue
+    for i in local_maxima(y):
         left = y[:i][::-1]
         higher = np.where(left > y[i])[0]
         left_min = left[: higher[0] + 1].min() if higher.size else left.min(initial=y[i])
@@ -69,18 +65,6 @@ def find_series_maxima(times, series, relative_prominence: float = 0.1):
         if prominence >= relative_prominence * span:
             keep.append(i)
     return keep
-
-
-def _refine_maximum(times, series, i):
-    if i == 0 or i == len(times) - 1:
-        return float(times[i]), float(series[i])
-    denom = series[i - 1] - 2.0 * series[i] + series[i + 1]
-    if denom >= -1e-300:
-        return float(times[i]), float(series[i])
-    shift = 0.5 * (series[i - 1] - series[i + 1]) / denom
-    step = 0.5 * (times[i + 1] - times[i - 1])
-    height = series[i] - 0.25 * (series[i - 1] - series[i + 1]) * shift
-    return float(times[i] + shift * step), float(height)
 
 
 def extract_period(times, series, relative_prominence: float = 0.1):
@@ -94,7 +78,7 @@ def extract_period(times, series, relative_prominence: float = 0.1):
         raise NumericalError(
             f"extract_period: only {len(idx)} prominent maxima in the window"
         )
-    refined = [_refine_maximum(times, series, i) for i in idx]
+    refined = [parabolic_refine(times, series, i) for i in idx]
     t_max = np.array([t for t, _ in refined])
     heights = np.array([h for _, h in refined])
     return float(np.mean(np.diff(t_max))), t_max, heights
@@ -104,16 +88,28 @@ def extract_period(times, series, relative_prominence: float = 0.1):
 # coherence and branch weights
 
 
+def _n1_branch_series(series: np.ndarray, params: SystemParams):
+    """P(1+), P(1-) and 2|rho_+-| along a single-site trajectory given as
+    (T, D) amplitudes or as (T, D, D) density matrices."""
+    up = site_polariton_ket(params.dims, 1, "+", params.g, params.delta).amplitudes
+    lo = site_polariton_ket(params.dims, 1, "-", params.g, params.delta).amplitudes
+    if series.ndim == 2:
+        c_up = series @ up.conj()
+        c_lo = series @ lo.conj()
+        return np.abs(c_up) ** 2, np.abs(c_lo) ** 2, 2.0 * np.abs(c_up * c_lo.conj())
+    p_up = np.einsum("a,tab,b->t", up.conj(), series, up).real
+    p_lo = np.einsum("a,tab,b->t", lo.conj(), series, lo).real
+    coh = 2.0 * np.abs(np.einsum("a,tab,b->t", up.conj(), series, lo))
+    return p_up, p_lo, coh
+
+
 def coherence(rho: DensityMatrix, params: SystemParams) -> float:
     """Magnitude of the n = 1 interbranch coherence, |rho_+-| + |rho_-+|.
 
     Two-cavity states are first reduced to site 0.
     """
     site_rho = partial_trace(rho, 0) if rho.dims.n_cavities == 2 else rho
-    up = site_polariton_ket(site_rho.dims, 1, "+", params.g, params.delta).amplitudes
-    lo = site_polariton_ket(site_rho.dims, 1, "-", params.g, params.delta).amplitudes
-    cross = up.conj() @ site_rho.data @ lo
-    return 2.0 * float(abs(cross))
+    return float(_n1_branch_series(site_rho.data[None], params)[2][0])
 
 
 def _pure_two_site_coherence(amps: np.ndarray, dims: HilbertDims, params: SystemParams) -> np.ndarray:
@@ -134,11 +130,7 @@ def branch_weight_operator(dims: HilbertDims, branch: str, params: SystemParams)
     for n in range(1, site.n_fock + 1):
         ket = site_polariton_ket(site, n, branch, params.g, params.delta).amplitudes
         proj += np.outer(ket, ket.conj())
-    site_op = Operator(site, proj)
-    out = embed_site(site_op, 0, dims)
-    for j in range(1, dims.n_cavities):
-        out = out + embed_site(site_op, j, dims)
-    return out
+    return sum_over_sites(Operator(site, proj), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +191,6 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
         raise DimensionMismatchError("the driven run covers a single cavity")
     dims = params.dims
     h = build_driven(params)
-    up = site_polariton_ket(dims, 1, "+", params.g, params.delta)
     lo = site_polariton_ket(dims, 1, "-", params.g, params.delta)
     ground_idx = dims.site_index(0, 0)
     times = np.linspace(0.0, t_final, samples)
@@ -208,19 +199,12 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
     if channels:
         liouv = build_liouvillian(h, channels)
         traj = evolve(liouv, lo.density_matrix(), times)
-        up_amp, lo_amp = up.amplitudes, lo.amplitudes
-        p_up = np.einsum("a,tab,b->t", up_amp.conj(), traj.states, up_amp).real
-        p_lo = np.einsum("a,tab,b->t", lo_amp.conj(), traj.states, lo_amp).real
+        p_up, p_lo, coh = _n1_branch_series(traj.states, params)
         p_g = traj.states[:, ground_idx, ground_idx].real
-        coh = 2.0 * np.abs(np.einsum("a,tab,b->t", up_amp.conj(), traj.states, lo_amp))
     else:
         amps = evolve_closed(h, lo, times)
-        c_up = amps @ up.amplitudes.conj()
-        c_lo = amps @ lo.amplitudes.conj()
-        p_up = np.abs(c_up) ** 2
-        p_lo = np.abs(c_lo) ** 2
+        p_up, p_lo, coh = _n1_branch_series(amps, params)
         p_g = np.abs(amps[:, ground_idx]) ** 2
-        coh = 2.0 * np.abs(c_up * c_lo.conj())
         states = np.einsum("ti,tj->tij", amps, amps.conj())
         traj = Trajectory(dims, times, states)
     traj.observables.update(
@@ -299,10 +283,7 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
     liouv = build_liouvillian(build_jch(params), decay_channels(params))
     times = np.linspace(0.0, 8.0, 1601)
     traj = evolve(liouv, psi0.density_matrix(), times)
-    up = site_polariton_ket(dims, 1, "+", params.g, params.delta).amplitudes
-    lo = site_polariton_ket(dims, 1, "-", params.g, params.delta).amplitudes
-    p_up = np.einsum("a,tab,b->t", up.conj(), traj.states, up).real
-    coh = 2.0 * np.abs(np.einsum("a,tab,b->t", up.conj(), traj.states, lo))
+    p_up, _, coh = _n1_branch_series(traj.states, params)
     rows.append(
         {
             "mechanism": "relaxation",
@@ -317,21 +298,18 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
 
     # stroboscopic modulation, single cavity, |1->
     params = SystemParams(omega_c=omega_c, n_fock=n_fock)
-    dims = params.dims
-    lo_ket = site_polariton_ket(dims, 1, "-", params.g, params.delta)
-    up = site_polariton_ket(dims, 1, "+", params.g, params.delta).amplitudes
+    lo_ket = site_polariton_ket(params.dims, 1, "-", params.g, params.delta)
     times = np.linspace(0.0, math.pi / params.g, 2001)
     amps = evolve_closed(stroboscopic_generator(params, 0), lo_ket, times)
-    c_up = amps @ up.conj()
-    c_lo = amps @ lo_ket.amplitudes.conj()
+    p_up, _, coh = _n1_branch_series(amps, params)
     rows.append(
         {
             "mechanism": "modulation",
             "control": "detuning locked to pi(2m+1)/2t",
             "n_cavities": 1,
             "initial": "1-",
-            "coherence_max": float((2.0 * np.abs(c_up * c_lo.conj())).max()),
-            "interchange_probability": float((np.abs(c_up) ** 2).max()),
+            "coherence_max": float(coh.max()),
+            "interchange_probability": float(p_up.max()),
             "interchange_state": "1+",
         }
     )
@@ -479,7 +457,6 @@ def ramp_experiment(
     time_dependent: bool = True,
     strict_pulses: bool = False,
     hold_samples: int = 241,
-    threads: int = 1,
 ):
     """Order-parameter sweep over the descending detuning schedule.
 
@@ -501,21 +478,13 @@ def ramp_experiment(
     first = params.with_(delta=float(schedule.delta_values[0]))
     psi = product_polariton_ket(first.dims, parse_state_spec(initial), first.g, first.delta)
 
-    staged = []
+    points = []
     for delta_i in schedule.delta_values:
         p_i = params.with_(delta=float(delta_i))
         if time_dependent:
             psi = _apply_pulse(psi, p_i, schedule, strict_pulses)
-        staged.append((psi, p_i))
-
-    def measure(args):
-        state, p_i = args
-        return _measure_hold(state, p_i, schedule.hold_time, hold_samples)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(measure, staged))
-    return [measure(s) for s in staged]
+        points.append(_measure_hold(psi, p_i, schedule.hold_time, hold_samples))
+    return points
 
 
 # ---------------------------------------------------------------------------

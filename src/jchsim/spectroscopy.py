@@ -18,11 +18,10 @@ import numpy as np
 from .errors import DimensionMismatchError, NumericalError
 from .hamiltonians import SystemParams
 from .hilbert import DensityMatrix, Operator
-from .lindblad import Liouvillian, vectorize
+from .lindblad import ZERO_MODE_TOL, Liouvillian, vectorize
 from .polariton import mixing_angle, polariton_energy
 
 STATIONARITY_TOL = 1e-6
-ZERO_MODE_TOL = 1e-8
 DECAY_TOL = -1e-10
 AMPLITUDE_FLOOR = 1e-12
 
@@ -159,15 +158,24 @@ def absorption_spectrum_analytic(params: SystemParams, freq_grid=None) -> Spectr
     return Spectrum(omega, values, params)
 
 
-def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int):
-    """Vertex of the parabola through three samples around a maximum."""
-    if i == 0 or i == len(x) - 1:
-        return float(x[i]), float(y[i])
+def local_maxima(y) -> list:
+    """Interior indices i with y[i-1] <= y[i] > y[i+1]."""
+    y = np.asarray(y, dtype=float)
+    mid = y[1:-1]
+    return (np.flatnonzero((mid >= y[:-2]) & (mid > y[2:])) + 1).tolist()
+
+
+def parabolic_refine(x, y, i: int):
+    """Vertex (position, height) of the parabola through three samples
+    around the interior local maximum ``i`` of a uniform grid.
+
+    At such a maximum the vertex lies within half a grid step of x[i] and
+    is no lower than y[i]; a flat top returns the sample itself.
+    """
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
     if denom >= -1e-300:
         return float(x[i]), float(y[i])
     shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-    shift = float(np.clip(shift, -1.0, 1.0))
     step = 0.5 * (x[i + 1] - x[i - 1])
     pos = x[i] + shift * step
     height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
@@ -201,14 +209,10 @@ def find_peaks(spectrum: Spectrum, min_height_fraction: float = 0.01) -> PeakRep
     if len(x) < 3:
         raise ValueError("need at least three grid points to find peaks")
     floor = min_height_fraction * y.max()
-    idx = [
-        i
-        for i in range(1, len(x) - 1)
-        if y[i] >= y[i - 1] and y[i] > y[i + 1] and y[i] >= floor
-    ]
+    idx = [i for i in local_maxima(y) if y[i] >= floor]
     if not idx:
         raise NumericalError("find_peaks: no peaks above threshold")
-    refined = [_parabolic_refine(x, y, i) for i in idx]
+    refined = [parabolic_refine(x, y, i) for i in idx]
     positions = np.array([p for p, _ in refined])
     heights = np.array([h for _, h in refined])
     widths = np.array([_half_height_width(x, y, i, h) for i, (_, h) in zip(idx, refined)])

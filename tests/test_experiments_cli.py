@@ -9,6 +9,8 @@ from jchsim.cli import main
 from jchsim.experiments import EXPERIMENTS, _parse_value
 from jchsim.selfcheck import run_selfcheck, selfcheck_report
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
 
 class TestConfigParsing:
     def test_value_types(self):
@@ -46,6 +48,21 @@ class TestConfigParsing:
         path.write_text("# comment\n\nexperiment = spectrum  # trailing\nn_points = 101\n")
         config = ExperimentConfig.from_file(path)
         assert config.options["n_points"] == 101
+
+    def test_option_values_take_the_type_of_their_default(self):
+        config = ExperimentConfig.from_mapping(
+            {"experiment": "ramp", "delta_max": 60, "time_dependent": False}
+        )
+        assert config.options["delta_max"] == 60 and config.options["time_dependent"] is False
+        config = ExperimentConfig.from_mapping({"experiment": "variance_compare", "delta_values": 5})
+        assert config.options["delta_values"] == 5
+        for experiment, key, value in (
+            ("ramp", "delta_max", True),
+            ("ramp", "initial", 1),
+            ("variance_compare", "hopping_values", "a"),
+        ):
+            with pytest.raises(ConfigError, match="takes a"):
+                ExperimentConfig.from_mapping({"experiment": experiment, key: value})
 
     def test_invalid_parameter_value(self):
         with pytest.raises(ConfigError, match="invalid parameters"):
@@ -191,6 +208,14 @@ class TestCli:
         assert main(["run", str(missing)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("line", ["time_dependent = no", "mode = 1.7", "n_points = abc"])
+    def test_option_of_wrong_type_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "ramp.cfg"
+        cfg.write_text(f"experiment = ramp\n{line}\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "config error" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # an undamped configuration has no unique steady state
         cfg = tmp_path / "divergent.cfg"
@@ -217,7 +242,6 @@ class TestCli:
                 "run", str(cfg),
                 "--output-dir", str(tmp_path / "out"),
                 "--format", "json",
-                "--threads", "2",
                 "--strict-ramp",
             ]
         )
@@ -226,7 +250,6 @@ class TestCli:
         payload = json.loads((tmp_path / "out" / "ramp.json").read_text())
         # provenance carries the options actually in effect
         assert payload["provenance"]["options.strict_ramp"] is True
-        assert payload["provenance"]["options.threads"] == 2
         assert len(payload["data"]["delta"]) == 4
 
 
@@ -242,3 +265,10 @@ class TestSelfcheck:
         assert not results["ladder_reconstruction"].passed
         others = [r for name, r in results.items() if name != "ladder_reconstruction"]
         assert all(r.passed for r in others)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config_loads(path):
+    # a removed option key or a badly typed value fails here, not at a prompt
+    config = ExperimentConfig.from_file(path)
+    assert config.experiment in EXPERIMENTS

@@ -139,6 +139,18 @@ class TestQuasiDegenerateClusters:
         assert report.max_coupling_ratio == pytest.approx(0.60, abs=0.01)
         assert any(t.startswith("cluster {1-, 2-, 3-, 4-}:") for t in report.terms)
 
+    def test_exact_crossing_is_left_to_its_cluster(self):
+        # at delta_c = sqrt3 - sqrt2 the levels 2- and 3- coincide; no
+        # Rayleigh-Schroedinger sum divides by their gap, so the report holds
+        p = _params(drive=0.01, delta_c=math.sqrt(3) - math.sqrt(2), n_fock=4)
+        e0 = unperturbed_energies(p)
+        assert abs(e0["2-"] - e0["3-"]) < 1e-12
+        report = perturbation_report(p)
+        assert any({"2-", "3-"} <= set(cluster) for cluster in report.clusters)
+        exact = match_exact_energies(p)
+        residual = max(abs(exact[k][0] - report.perturbative_energy(k)) for k in REPORT_LABELS)
+        assert residual < 1e-5
+
     def test_no_cluster_when_well_separated(self):
         # the Rayleigh-Schroedinger convergence checks below rely on this
         for eps in (0.01, 0.02, 0.04):
@@ -203,6 +215,8 @@ class TestCorrectedStates:
     def test_needs_third_manifold(self):
         with pytest.raises(ValueError):
             corrected_states(_params(n_fock=2), 1)
+        with pytest.raises(ValueError):
+            perturbation_report(_params(n_fock=2))
 
     def test_top_manifold_gating(self):
         p = _params(drive=0.01, delta_c=WELL_SEPARATED)

@@ -343,14 +343,6 @@ class TestRampExperiment:
         diffs = [abs(a.var - b.var) for a, b in zip(frozen, strict)]
         assert max(diffs) < 0.15
 
-    def test_threads_do_not_change_results(self, small_schedule):
-        serial = ramp_experiment(small_schedule, TWO_SITE, "1-,1-", time_dependent=True)
-        threaded = ramp_experiment(
-            small_schedule, TWO_SITE, "1-,1-", time_dependent=True, threads=4
-        )
-        for a, b in zip(serial, threaded):
-            assert a.var == pytest.approx(b.var, abs=1e-12)
-
 
 def test_total_excitation_drift_in_closed_ramp():
     p = TWO_SITE.with_(delta=2.0)

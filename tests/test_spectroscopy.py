@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jchsim import (
     NumericalError,
@@ -19,7 +21,7 @@ from jchsim import (
     standard_liouvillian,
     steady_state,
 )
-from jchsim.spectroscopy import lorentzian_rates
+from jchsim.spectroscopy import local_maxima, lorentzian_rates, parabolic_refine
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,43 @@ class TestFindPeaks:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             find_peaks(Spectrum(np.array([0.0, 1.0]), np.array([1.0, 2.0])))
+
+
+# small integers give plateaus and ties; bounded floats give generic series
+SERIES = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=40),
+    st.lists(st.floats(-1e3, 1e3), max_size=40),
+)
+
+
+class TestPeakPrimitives:
+    @settings(deadline=None)
+    @given(SERIES)
+    def test_local_maxima_are_exactly_the_interior_maxima(self, y):
+        expected = [i for i in range(1, len(y) - 1) if y[i - 1] <= y[i] > y[i + 1]]
+        assert local_maxima(y) == expected
+
+    @settings(deadline=None)
+    @given(SERIES, st.floats(1e-3, 1e3))
+    def test_refine_moves_at_most_half_a_step_and_never_lowers(self, y, step):
+        x = step * np.arange(len(y))
+        y = np.asarray(y, dtype=float)
+        for i in local_maxima(y):
+            pos, height = parabolic_refine(x, y, i)
+            assert abs(pos - x[i]) <= 0.5 * step * (1 + 1e-9)
+            assert height >= y[i]
+
+    @settings(deadline=None)
+    @given(
+        st.floats(-0.5, 0.5), st.floats(-10.0, 10.0), st.floats(0.1, 10.0), st.floats(0.01, 1.0)
+    )
+    def test_sampled_parabola_gives_its_vertex(self, offset, top, curvature, step):
+        x = step * np.arange(-5, 6)
+        vertex = offset * step
+        y = top - curvature * (x - vertex) ** 2
+        pos, height = parabolic_refine(x, y, int(np.argmax(y)))
+        assert pos == pytest.approx(vertex, abs=1e-6 * step)
+        assert height == pytest.approx(top, abs=1e-9)
 
 
 def test_spectrum_rejects_undamped_generator():

@@ -19,6 +19,7 @@ from .hilbert import (
     bare_ket,
     embed_site,
     excitation_number_at,
+    expect_series,
     expectation,
     fock_annihilation,
     lowering_at,

@@ -43,7 +43,7 @@ from .spectroscopy import (
 )
 from .hilbert import annihilation_at
 
-PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
+PARAM_DEFAULTS = {f.name: f.default for f in fields(SystemParams)}
 
 
 @dataclass
@@ -418,12 +418,15 @@ _OPTION_TYPES = {bool: bool, int: int, float: (int, float), list: (list, int, fl
 
 
 def _check_option(key: str, value, default):
-    """The option value if it has the type of the option's default."""
+    """The value of a parameter or option if it has the type of its default
+    and every number in it is finite."""
     kind = type(default)
     # bool is a subclass of int: true/false must not pass as a number
     wrong_bool = isinstance(value, bool) and kind is not bool
     if wrong_bool or not isinstance(value, _OPTION_TYPES[kind]):
-        raise ConfigError(f"option {key!r} takes a {kind.__name__} value, got {value!r}")
+        raise ConfigError(f"{key!r} takes a {kind.__name__} value, got {value!r}")
+    if kind is not str and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{key!r} takes finite numbers, got {value!r}")
     return value
 
 
@@ -449,8 +452,8 @@ class ExperimentConfig:
         for key, value in mapping.items():
             if key == "experiment":
                 continue
-            if key in PARAM_KEYS:
-                param_values[key] = value
+            if key in PARAM_DEFAULTS:
+                param_values[key] = _check_option(key, value, PARAM_DEFAULTS[key])
             elif key in options:
                 options[key] = _check_option(key, value, options[key])
             else:
@@ -461,7 +464,7 @@ class ExperimentConfig:
             raise ConfigError(f"invalid parameters: {exc}") from exc
         resolved = {
             "experiment": name,
-            **{f"params.{k}": getattr(params, k) for k in PARAM_KEYS},
+            **{f"params.{k}": getattr(params, k) for k in PARAM_DEFAULTS},
             **{f"options.{k}": v for k, v in sorted(options.items())},
         }
         return cls(name, params, options, resolved)

@@ -260,6 +260,20 @@ def expectation(op: Operator, rho: DensityMatrix) -> complex:
     return complex(np.trace(op.data @ rho.data))
 
 
+def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
+    """Tr(op rho(t)) along a trajectory given as (T, D) ket amplitudes or as
+    (T, D, D) density matrices; the one place that tells the two apart."""
+    d = op.dims.total_dim
+    if series.ndim == 2 and series.shape[1] == d:
+        return np.einsum("ti,ti->t", series.conj(), series @ op.data.T)
+    if series.ndim == 3 and series.shape[1:] == (d, d):
+        # sum_ij op_ij rho_ji as one matrix-vector product over the samples
+        return series.reshape(len(series), d * d) @ op.data.T.reshape(d * d)
+    raise DimensionMismatchError(
+        f"series shape {series.shape} is neither (T, {d}) nor (T, {d}, {d})"
+    )
+
+
 def real_expectation(op: Operator, rho: DensityMatrix, tol: float = 1e-8) -> float:
     """Expectation of a Hermitian observable; rejects large imaginary residue."""
     value = expectation(op, rho)

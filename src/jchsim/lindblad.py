@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, DimensionMismatchError, NumericalError
-from .hamiltonians import SystemParams, build_jc, build_jch, decay_channels
-from .hilbert import DensityMatrix, HilbertDims, Ket, Operator, embed_site
+from .hamiltonians import SystemParams, build_jch, decay_channels
+from .hilbert import DensityMatrix, HilbertDims, Ket, Operator, embed_site, expect_series
 from . import polariton
 
 ZERO_MODE_TOL = 1e-8
@@ -138,10 +138,9 @@ def build_liouvillian(h: Operator | None, channels=()) -> Liouvillian:
     return out
 
 
-def standard_liouvillian(params: SystemParams, include_hopping: bool = True) -> Liouvillian:
+def standard_liouvillian(params: SystemParams) -> Liouvillian:
     """Generator of the lossy JC(-Hubbard) lattice with per-site decay."""
-    h = build_jch(params) if include_hopping else build_jc(params)
-    return build_liouvillian(h, decay_channels(params))
+    return build_liouvillian(build_jch(params), decay_channels(params))
 
 
 def branch_decoupled_dissipator(params: SystemParams) -> Liouvillian:
@@ -178,7 +177,7 @@ class Trajectory:
     def expect(self, op: Operator) -> np.ndarray:
         if op.dims != self.dims:
             raise DimensionMismatchError("operator dims differ from trajectory dims")
-        return np.einsum("ij,tji->t", op.data, self.states)
+        return expect_series(op, self.states)
 
     def final_state(self) -> DensityMatrix:
         return DensityMatrix(self.dims, self.states[-1])

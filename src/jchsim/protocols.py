@@ -27,8 +27,9 @@ from .hilbert import (
     HilbertDims,
     Ket,
     Operator,
+    embed_site,
     excitation_number_at,
-    partial_trace,
+    expect_series,
     sum_over_sites,
 )
 from .lindblad import Trajectory, build_liouvillian, evolve, evolve_closed
@@ -48,7 +49,7 @@ MEASUREMENT_STATES = ("1-,1-", "1+,1+", "2-,0", "0,2-", "2+,0", "0,2+")
 # generic series utilities
 
 
-def find_series_maxima(times, series, relative_prominence: float = 0.1):
+def find_series_maxima(series, relative_prominence: float = 0.1):
     """Indices of local maxima whose prominence clears the given fraction
     of the series range (filters fast low-amplitude ripple)."""
     y = np.asarray(series, dtype=float)
@@ -73,7 +74,7 @@ def extract_period(times, series, relative_prominence: float = 0.1):
     Returns ``(period, maxima_times, maxima_heights)``; raises when fewer
     than three maxima are found.
     """
-    idx = find_series_maxima(times, series, relative_prominence)
+    idx = find_series_maxima(series, relative_prominence)
     if len(idx) < 3:
         raise NumericalError(
             f"extract_period: only {len(idx)} prominent maxima in the window"
@@ -88,39 +89,30 @@ def extract_period(times, series, relative_prominence: float = 0.1):
 # coherence and branch weights
 
 
+def _n1_branch_operators(params: SystemParams):
+    """|1+><1+|, |1-><1-| and |1-><1+| on site 0 of ``params.dims``; on two
+    cavities they read the reduced state of site 0 without forming it."""
+    dims = params.dims
+    up = site_polariton_ket(dims, 1, "+", params.g, params.delta).amplitudes
+    lo = site_polariton_ket(dims, 1, "-", params.g, params.delta).amplitudes
+
+    def site0(ket, bra):
+        return embed_site(Operator(dims.site(), np.outer(ket, bra.conj())), 0, dims)
+
+    return site0(up, up), site0(lo, lo), site0(lo, up)
+
+
 def _n1_branch_series(series: np.ndarray, params: SystemParams):
-    """P(1+), P(1-) and 2|rho_+-| along a single-site trajectory given as
-    (T, D) amplitudes or as (T, D, D) density matrices."""
-    up = site_polariton_ket(params.dims, 1, "+", params.g, params.delta).amplitudes
-    lo = site_polariton_ket(params.dims, 1, "-", params.g, params.delta).amplitudes
-    if series.ndim == 2:
-        c_up = series @ up.conj()
-        c_lo = series @ lo.conj()
-        return np.abs(c_up) ** 2, np.abs(c_lo) ** 2, 2.0 * np.abs(c_up * c_lo.conj())
-    p_up = np.einsum("a,tab,b->t", up.conj(), series, up).real
-    p_lo = np.einsum("a,tab,b->t", lo.conj(), series, lo).real
-    coh = 2.0 * np.abs(np.einsum("a,tab,b->t", up.conj(), series, lo))
-    return p_up, p_lo, coh
+    """P(1+), P(1-) and the coherence 2|rho_+-| of site 0 along a (T, D) ket
+    or (T, D, D) density-matrix series."""
+    p_up, p_lo, rho_pm = (expect_series(op, series) for op in _n1_branch_operators(params))
+    return p_up.real, p_lo.real, 2.0 * np.abs(rho_pm)
 
 
 def coherence(rho: DensityMatrix, params: SystemParams) -> float:
-    """Magnitude of the n = 1 interbranch coherence, |rho_+-| + |rho_-+|.
-
-    Two-cavity states are first reduced to site 0.
-    """
-    site_rho = partial_trace(rho, 0) if rho.dims.n_cavities == 2 else rho
-    return float(_n1_branch_series(site_rho.data[None], params)[2][0])
-
-
-def _pure_two_site_coherence(amps: np.ndarray, dims: HilbertDims, params: SystemParams) -> np.ndarray:
-    """Coherence series for pure two-site states given as (T, D) amplitudes."""
-    ds = dims.site_dim
-    mats = amps.reshape(len(amps), ds, ds)
-    up = site_polariton_ket(dims, 1, "+", params.g, params.delta).amplitudes
-    lo = site_polariton_ket(dims, 1, "-", params.g, params.delta).amplitudes
-    p = np.einsum("a,tab->tb", up.conj(), mats)
-    q = np.einsum("a,tab->tb", lo.conj(), mats)
-    return 2.0 * np.abs(np.einsum("tb,tb->t", p, q.conj()))
+    """Magnitude of the n = 1 interbranch coherence of site 0,
+    |rho_+-| + |rho_-+|, for one or two cavities."""
+    return float(_n1_branch_series(rho.data[None], params)[2][0])
 
 
 def branch_weight_operator(dims: HilbertDims, branch: str, params: SystemParams) -> Operator:
@@ -197,16 +189,12 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
 
     channels = decay_channels(params)
     if channels:
-        liouv = build_liouvillian(h, channels)
-        traj = evolve(liouv, lo.density_matrix(), times)
-        p_up, p_lo, coh = _n1_branch_series(traj.states, params)
-        p_g = traj.states[:, ground_idx, ground_idx].real
+        traj = evolve(build_liouvillian(h, channels), lo.density_matrix(), times)
     else:
         amps = evolve_closed(h, lo, times)
-        p_up, p_lo, coh = _n1_branch_series(amps, params)
-        p_g = np.abs(amps[:, ground_idx]) ** 2
-        states = np.einsum("ti,tj->tij", amps, amps.conj())
-        traj = Trajectory(dims, times, states)
+        traj = Trajectory(dims, times, np.einsum("ti,tj->tij", amps, amps.conj()))
+    p_up, p_lo, coh = _n1_branch_series(traj.states, params)
+    p_g = traj.states[:, ground_idx, ground_idx].real
     traj.observables.update(
         {"P_1plus": p_up, "P_1minus": p_lo, "P_ground": p_g, "coherence": coh}
     )
@@ -242,7 +230,8 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
     times = np.linspace(0.0, 20.0, 4001)
     amps = evolve_closed(build_jch(params), psi0, times)
     p_target = np.abs(amps @ target.amplitudes.conj()) ** 2
-    coh = _pure_two_site_coherence(amps, dims, params)
+    # only the coherence is read: one (T, D) x (D, D) product, not three
+    coh = 2.0 * np.abs(expect_series(_n1_branch_operators(params)[2], amps))
     rows.append(
         {
             "mechanism": "hopping",
@@ -332,21 +321,17 @@ def order_parameter(traj: Trajectory, tau: float | None = None, min_samples: int
         raise ValueError(f"order parameter needs >= {min_samples} samples, got {len(times)}")
     if tau is not None and times[-1] - times[0] < tau * (1 - 1e-12):
         raise ValueError("trajectory is shorter than the averaging window tau")
-    total = 0.0
-    for site in range(traj.dims.n_cavities):
-        n_op = excitation_number_at(traj.dims, site)
-        mean = traj.expect(n_op).real
-        square = traj.expect(n_op @ n_op).real
-        total += float(np.trapezoid(square - mean**2, times))
-    return total / (times[-1] - times[0])
+    return _number_variance(times, traj.states, traj.dims)
 
 
-def _variance_from_amps(amps: np.ndarray, times: np.ndarray, number_ops) -> float:
+def _number_variance(times: np.ndarray, series: np.ndarray, dims: HilbertDims) -> float:
+    """Trapezoid time average of sum_i Tr[N_i^2 rho] - Tr[N_i rho]^2 over a
+    (T, D) ket or (T, D, D) density-matrix series."""
     total = 0.0
-    for n_op in number_ops:
-        mean = np.einsum("ti,ij,tj->t", amps.conj(), n_op.data, amps).real
-        nsq = n_op.data @ n_op.data
-        square = np.einsum("ti,ij,tj->t", amps.conj(), nsq, amps).real
+    for site in range(dims.n_cavities):
+        n_op = excitation_number_at(dims, site)
+        mean = expect_series(n_op, series).real
+        square = expect_series(n_op @ n_op, series).real
         total += float(np.trapezoid(square - mean**2, times))
     return total / (times[-1] - times[0])
 
@@ -419,8 +404,7 @@ def _measure_hold(psi: Ket, params: SystemParams, hold_time: float, samples: int
     dims = params.dims
     times = np.linspace(0.0, hold_time, samples)
     amps = evolve_closed(build_jch(params), psi, times)
-    number_ops = [excitation_number_at(dims, j) for j in range(dims.n_cavities)]
-    var = _variance_from_amps(amps, times, number_ops)
+    var = _number_variance(times, amps, dims)
 
     def pure_state(spec):
         return product_polariton_ket(dims, parse_state_spec(spec), params.g, params.delta)
@@ -496,29 +480,25 @@ class EffectiveModel:
     """Two-level reduction of the two-excitation dynamics of one branch.
 
     Basis: the unit-filling pair state and the symmetric doubly occupied
-    state of the same branch.  ``diagonal_form`` records which convention
-    fixed the diagonal entries: 'energy' uses the lattice eigenvalues of the
-    two basis states (the form that survives the numeric cross-check), while
-    'doubled' doubles the pair-state entry and is kept only for comparison.
+    state of the same branch.  The diagonal entries are the lattice
+    eigenvalues of the two basis states (2 E_1 and E_2); the doubled form
+    2 E_2 fails the numeric variance cross-check and is not offered.
     """
 
     a: float
     b: float
     c: float
     branch: str
-    diagonal_form: str
 
     @property
     def omega0(self) -> float:
         return math.sqrt(4.0 * self.b**2 + (self.a - self.c) ** 2)
 
 
-def effective_model(params: SystemParams, branch: str, diagonal_form: str = "energy") -> EffectiveModel:
+def effective_model(params: SystemParams, branch: str) -> EffectiveModel:
     """Effective 2x2 Hamiltonian for the |1b,1b> <-> (|2b,0>+|0,2b>)/sqrt(2) pair."""
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    if diagonal_form not in ("energy", "doubled"):
-        raise ValueError("diagonal_form must be 'energy' or 'doubled'")
     co1 = ladder_coefficients_for(1, params.g, params.delta)
     co2 = ladder_coefficients_for(2, params.g, params.delta)
     if branch == "-":
@@ -527,10 +507,8 @@ def effective_model(params: SystemParams, branch: str, diagonal_form: str = "ene
         pair_product = co2.c_plus * co1.c_plus
     e1 = polariton_energy(1, branch, params.g, params.delta, params.omega_c)
     e2 = polariton_energy(2, branch, params.g, params.delta, params.omega_c)
-    a = 2.0 * e1
-    c = e2 if diagonal_form == "energy" else 2.0 * e2
     b = -math.sqrt(2.0) * params.hopping * pair_product
-    return EffectiveModel(a=a, b=b, c=c, branch=branch, diagonal_form=diagonal_form)
+    return EffectiveModel(a=2.0 * e1, b=b, c=e2, branch=branch)
 
 
 def analytic_variance(model: EffectiveModel, hopping: float) -> float:

@@ -27,6 +27,7 @@ from .hilbert import (
     annihilation_at,
     atomic_lowering,
     bare_ket,
+    expect_series,
     fock_annihilation,
     lowering_at,
     partial_trace,
@@ -240,8 +241,7 @@ def run_selfcheck(corruption: str | None = None) -> list:
     psi = product_polariton_ket(sep.dims, [(1, "-"), (1, "-")], sep.g, sep.delta)
     times = np.linspace(0.0, 10.0 / sep.hopping, 201)
     amps = evolve_closed(build_jch(sep), psi, times)
-    up_op = branch_weight_operator(sep.dims, "+", sep).data
-    up_weight = np.einsum("ti,ij,tj->t", amps.conj(), up_op, amps).real
+    up_weight = expect_series(branch_weight_operator(sep.dims, "+", sep), amps).real
     results.append(_result("branch_separability", float(up_weight.max()), 0.1))
 
     return results

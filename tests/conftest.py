@@ -27,6 +27,12 @@ def brute_force_embed(site_matrix: np.ndarray, site_index: int, n_sites: int) ->
     return out
 
 
+def random_kets(dim: int, samples: int, rng) -> np.ndarray:
+    """``samples`` normalised random kets as a (samples, dim) array."""
+    kets = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
 def random_density_matrix(dim: int, rng) -> np.ndarray:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = raw @ raw.conj().T

@@ -208,7 +208,21 @@ class TestCli:
         assert main(["run", str(missing)]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("line", ["time_dependent = no", "mode = 1.7", "n_points = abc"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "time_dependent = no",
+            "mode = 1.7",
+            "n_points = abc",
+            "n_fock = 3.0",
+            "n_cavities = 1.0",
+            "n_fock = 2.5",
+            "delta = true",
+            "hopping = 0.1, 0.2",
+            "omega_c = nan",
+            "delta_max = inf",
+        ],
+    )
     def test_option_of_wrong_type_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "ramp.cfg"
         cfg.write_text(f"experiment = ramp\n{line}\n")

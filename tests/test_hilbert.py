@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jchsim import (
     DensityMatrix,
@@ -12,6 +14,7 @@ from jchsim import (
     bare_ket,
     embed_site,
     excitation_number_at,
+    expect_series,
     expectation,
     fock_annihilation,
     partial_trace,
@@ -20,7 +23,7 @@ from jchsim import (
 )
 from jchsim.hilbert import ATOM_E, ATOM_G
 
-from conftest import brute_force_embed, random_density_matrix
+from conftest import brute_force_embed, random_density_matrix, random_kets
 
 
 def test_dims_validation():
@@ -158,6 +161,28 @@ def test_expectation_examples():
     with pytest.raises(DimensionMismatchError):
         expectation(excitation_number_at(HilbertDims(3), 0), vac)
     assert real_expectation(number, vac) == pytest.approx(0.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 2), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_expect_series_kets_match_density_matrices(n_cavities, samples, seed):
+    rng = np.random.default_rng(seed)
+    dims = HilbertDims(2, n_cavities)
+    d = dims.total_dim
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    op = Operator(dims, raw + raw.conj().T)
+    kets = random_kets(d, samples, rng)
+    rhos = np.einsum("ti,tj->tij", kets, kets.conj())
+    direct = np.array([np.vdot(psi, op.data @ psi) for psi in kets])
+    assert np.max(np.abs(expect_series(op, kets) - direct)) < 1e-11
+    assert np.max(np.abs(expect_series(op, rhos) - direct)) < 1e-11
+
+
+def test_expect_series_rejects_foreign_shapes():
+    op = excitation_number_at(HilbertDims(2), 0)
+    for shape in ((3, 5), (3, 6, 5), (6,), (2, 2, 6, 6)):
+        with pytest.raises(DimensionMismatchError):
+            expect_series(op, np.zeros(shape, dtype=complex))
 
 
 def test_ket_and_density_validation():

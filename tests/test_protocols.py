@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jchsim import (
+    DensityMatrix,
     EffectiveModel,
     NumericalError,
     RampSchedule,
@@ -27,7 +30,9 @@ from jchsim import (
 )
 from jchsim.lindblad import Trajectory, build_liouvillian, evolve, evolve_piecewise
 from jchsim.polariton import parse_state_spec
-from jchsim.protocols import _measure_hold, branch_weight_operator
+from jchsim.protocols import _measure_hold, _n1_branch_series, branch_weight_operator
+
+from conftest import random_kets
 
 TWO_SITE = SystemParams(omega_c=1e4, hopping=0.1, n_fock=3, n_cavities=2)
 
@@ -44,8 +49,6 @@ class TestCoherence:
         kp = site_polariton_ket(p.dims, 1, "+", p.g, p.delta).amplitudes
         psi = (km + kp) / math.sqrt(2.0)
         rho = np.outer(psi, psi.conj())
-        from jchsim import DensityMatrix
-
         assert coherence(DensityMatrix(p.dims, rho), p) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_site_states_are_reduced_first(self):
@@ -54,6 +57,26 @@ class TestCoherence:
         assert coherence(psi.density_matrix(), p) == pytest.approx(0.0, abs=1e-14)
         reduced = partial_trace(psi.density_matrix(), 0)
         assert abs(np.trace(reduced.data) - 1.0) < 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.floats(-2.0, 2.0), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_two_site_branch_series_reads_the_reduced_state(delta, samples, seed):
+    # the site-0 operators against the single-site formula on partial_trace
+    p = SystemParams(delta=delta, omega_c=30.0, n_fock=2, n_cavities=2)
+    kets = random_kets(p.dims.total_dim, samples, np.random.default_rng(seed))
+    rhos = np.einsum("ti,tj->tij", kets, kets.conj())
+    up = site_polariton_ket(p.dims, 1, "+", p.g, p.delta).amplitudes
+    lo = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).amplitudes
+    reduced = [partial_trace(DensityMatrix(p.dims, rho), 0).data for rho in rhos]
+    expected = (
+        [(up.conj() @ r @ up).real for r in reduced],
+        [(lo.conj() @ r @ lo).real for r in reduced],
+        [2.0 * abs(up.conj() @ r @ lo) for r in reduced],
+    )
+    for series in (kets, rhos):
+        for got, want in zip(_n1_branch_series(series, p), expected):
+            assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
 class TestExtractPeriod:
@@ -156,14 +179,6 @@ class TestEffectiveModel:
                 element = sym.conj() @ build_hopping(p).data @ pair.amplitudes
                 assert abs(model.b) == pytest.approx(abs(element), rel=1e-12)
 
-    def test_diagonal_forms(self):
-        p = TWO_SITE.with_(delta=0.0)
-        energy = effective_model(p, "-", "energy")
-        doubled = effective_model(p, "-", "doubled")
-        assert doubled.c == pytest.approx(2.0 * energy.c)
-        with pytest.raises(ValueError):
-            effective_model(p, "-", "halved")
-
     def test_no_hopping_collapses_coupling(self):
         model = effective_model(TWO_SITE.with_(hopping=0.0, delta=0.3), "-")
         assert model.b == 0.0
@@ -179,16 +194,16 @@ class TestAnalyticVariance:
         assert var == pytest.approx(0.1439852975, abs=1e-9)
 
     def test_no_coupling_no_variance(self):
-        model = EffectiveModel(a=1.0, b=0.0, c=2.0, branch="-", diagonal_form="energy")
+        model = EffectiveModel(a=1.0, b=0.0, c=2.0, branch="-")
         assert analytic_variance(model, 0.1) == 0.0
 
     def test_series_limit_small_frequency(self):
-        model = EffectiveModel(a=0.0, b=1e-7, c=0.0, branch="-", diagonal_form="energy")
+        model = EffectiveModel(a=0.0, b=1e-7, c=0.0, branch="-")
         x = model.omega0 / 1.0
         assert analytic_variance(model, 1.0) == pytest.approx(4 * model.b**2 / model.omega0**2 * x * x / 6)
 
     def test_nonpositive_hopping_rejected(self):
-        model = EffectiveModel(a=0.0, b=0.1, c=1.0, branch="-", diagonal_form="energy")
+        model = EffectiveModel(a=0.0, b=0.1, c=1.0, branch="-")
         with pytest.raises(ValueError):
             analytic_variance(model, 0.0)
 

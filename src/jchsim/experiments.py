@@ -1,11 +1,11 @@
 """Configuration-driven experiments with deterministic CSV/JSON output.
 
 A config file is flat ``key = value`` text, one experiment per file; every
-key is either a physical parameter (in units of g) or an option of the named
-experiment, and unknown keys are rejected.  Identical configs produce
-byte-identical result files: data sections carry no run metadata, and the
-provenance comment block holds only the resolved parameter set and the
-engine version.
+key is either a physical parameter (in units of g) that the named experiment
+reads or one of its options, and any other key is rejected.  Identical
+configs produce byte-identical result files: data sections carry no run
+metadata, and the provenance comment block holds only the resolved parameter
+set and the engine version.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .hamiltonians import SystemParams
 from .lindblad import standard_liouvillian, steady_state
 from .perturbation import (
@@ -74,6 +74,9 @@ def _numeric_spectrum(params: SystemParams, options: dict):
 
 
 def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
+    # before the dense generator, which two cavities at n_fock 4 make 10^4 x 10^4
+    if params.n_cavities != 1:
+        raise DimensionMismatchError("the closed-form spectrum covers a single cavity")
     grid, numeric = _numeric_spectrum(params, options)
     analytic = absorption_spectrum_analytic(params, grid)
     return ExperimentResult(
@@ -89,6 +92,8 @@ def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
 
 
 def _run_two_cavity_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
+    if params.n_cavities != 2:
+        raise DimensionMismatchError("the two-cavity spectrum runs on two cavities")
     grid, numeric = _numeric_spectrum(params, options)
     return ExperimentResult(
         columns={"omega": grid, "S_numeric": numeric.values},
@@ -183,18 +188,7 @@ def _run_ramp(params: SystemParams, options: dict) -> ExperimentResult:
 
 def _run_table1(params: SystemParams, options: dict) -> ExperimentResult:
     rows = mechanism_table(n_fock=params.n_fock, omega_c=params.omega_c)
-    columns = {
-        key: [row[key] for row in rows]
-        for key in (
-            "mechanism",
-            "control",
-            "n_cavities",
-            "initial",
-            "coherence_max",
-            "interchange_probability",
-            "interchange_state",
-        )
-    }
+    columns = {key: [row[key] for row in rows] for key in rows[0]}
     return ExperimentResult(columns=columns, summary={"rows": rows})
 
 
@@ -273,6 +267,8 @@ class ExperimentSpec:
     description: str
     param_defaults: dict
     option_defaults: dict
+    # the SystemParams fields the runner reads; a config may set only these
+    reads: tuple
 
 
 EXPERIMENTS = {
@@ -288,6 +284,7 @@ EXPERIMENTS = {
             "n_cavities": 1,
         },
         {"n_points": 2001},
+        ("g", "delta", "omega_c", "cavity_decay", "atom_decay", "n_fock", "n_cavities"),
     ),
     "two_cavity_spectrum": ExperimentSpec(
         _run_two_cavity_spectrum,
@@ -302,6 +299,8 @@ EXPERIMENTS = {
             "n_cavities": 2,
         },
         {"n_points": 2001},
+        ("g", "delta", "omega_c", "hopping", "cavity_decay", "atom_decay", "n_fock",
+         "n_cavities"),
     ),
     "driven_oscillation": ExperimentSpec(
         _run_driven_oscillation,
@@ -316,6 +315,8 @@ EXPERIMENTS = {
             "n_cavities": 1,
         },
         {"t_final": 4.0, "samples": 8001},
+        ("g", "delta", "atom_drive", "cavity_drive", "atom_drive_detuning",
+         "cavity_drive_detuning", "cavity_decay", "atom_decay", "n_fock", "n_cavities"),
     ),
     "rwa_probe": ExperimentSpec(
         _run_rwa_probe,
@@ -328,6 +329,7 @@ EXPERIMENTS = {
             "n_cavities": 2,
         },
         {"samples": 8001},
+        ("g", "delta", "omega_c", "hopping", "n_fock", "n_cavities"),
     ),
     "ramp": ExperimentSpec(
         _run_ramp,
@@ -348,12 +350,14 @@ EXPERIMENTS = {
             "hold_samples": 241,
             "strict_ramp": False,
         },
+        ("g", "omega_c", "hopping", "n_fock", "n_cavities"),
     ),
     "table1": ExperimentSpec(
         _run_table1,
         "coherence and interchange probability of the four control mechanisms",
         {"omega_c": 1e4, "n_fock": 3},
         {},
+        ("omega_c", "n_fock"),
     ),
     "variance_compare": ExperimentSpec(
         _run_variance_compare,
@@ -368,6 +372,7 @@ EXPERIMENTS = {
             "delta_values": [0.0, 1.0, 5.0],
             "hold_samples": 401,
         },
+        ("g", "omega_c", "n_fock", "n_cavities"),
     ),
     "perturbation_report": ExperimentSpec(
         _run_perturbation_report,
@@ -383,6 +388,8 @@ EXPERIMENTS = {
             "n_cavities": 1,
         },
         {},
+        ("g", "delta", "atom_drive", "cavity_drive", "atom_drive_detuning",
+         "cavity_drive_detuning", "n_fock", "n_cavities"),
     ),
 }
 
@@ -452,10 +459,12 @@ class ExperimentConfig:
         for key, value in mapping.items():
             if key == "experiment":
                 continue
-            if key in PARAM_DEFAULTS:
+            if key in spec.reads:
                 param_values[key] = _check_option(key, value, PARAM_DEFAULTS[key])
             elif key in options:
                 options[key] = _check_option(key, value, options[key])
+            elif key in PARAM_DEFAULTS:
+                raise ConfigError(f"experiment {name!r} does not read parameter {key!r}")
             else:
                 raise ConfigError(f"unknown key {key!r} for experiment {name!r}")
         try:
@@ -553,7 +562,9 @@ def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     options = dict(config.options)
-    if "strict_ramp" in options and strict_ramp:
+    if strict_ramp:
+        if "strict_ramp" not in options:
+            raise ConfigError(f"--strict-ramp applies to the ramp, not to {config.experiment!r}")
         options["strict_ramp"] = True
     result = EXPERIMENTS[config.experiment].runner(config.params, options)
 

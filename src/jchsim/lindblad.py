@@ -4,10 +4,10 @@ Vectorization convention (fixed package-wide): matrices are stacked row by
 row, ``vec(rho) = rho.reshape(-1)``, so ``vec(A rho B) = (A kron B^T) vec(rho)``
 and the commutator part of the generator is ``-i (H kron I - I kron H^T)``.
 
-Propagation is exact-exponential by default: the generator is diagonalized
-once and trajectories are synthesized from its spectral decomposition.  A
-fixed-step 4th-order integrator is kept as a fallback for generators whose
-eigenbasis is too ill-conditioned to trust.
+Propagation is exact-exponential by default: the generator, a Hamiltonian or
+a Liouvillian, is diagonalized once and trajectories are synthesized from its
+spectral decomposition.  A fixed-step 4th-order integrator is kept as a
+fallback for Liouvillians whose eigenbasis is too ill-conditioned to trust.
 """
 from __future__ import annotations
 
@@ -238,29 +238,38 @@ def _rk4_states(liouv: Liouvillian, rho0: np.ndarray, times: np.ndarray) -> np.n
     return out
 
 
-def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid, method: str = "spectral") -> Trajectory:
+def evolve(generator, rho0: DensityMatrix, t_grid, method: str = "spectral") -> Trajectory:
     """Propagate a density matrix along ``t_grid`` (grid starts the clock at t_grid[0]).
 
-    ``method='spectral'`` synthesizes every snapshot from the eigen-decomposition
-    of the generator; ``'rk4'`` forces the fixed-step fallback.  Trace and
+    A Hamiltonian :class:`Operator` rotates the state in its eigenbasis.  A
+    :class:`Liouvillian` is synthesized from its eigen-decomposition
+    (``method='spectral'``, with the fixed-step fallback when that eigenbasis
+    is ill-conditioned) or integrated by fixed steps (``'rk4'``).  Trace and
     Hermiticity drifts are checked against package tolerances.
     """
-    if liouv.dims != rho0.dims:
-        raise DimensionMismatchError("initial state dims differ from Liouvillian dims")
+    if generator.dims != rho0.dims:
+        raise DimensionMismatchError("initial state dims differ from generator dims")
     rho0.validate()
     times = _check_grid(t_grid)
     rel = times - times[0]
-    if method == "spectral":
+    if isinstance(generator, Operator):
+        if method != "spectral":
+            raise ValueError(f"a Hamiltonian is propagated in its eigenbasis, not by {method!r}")
+        vectors, phases = _eigh_phases(generator, rel)
+        rho_eig = vectors.conj().T @ rho0.data @ vectors
+        rotated = phases[:, :, None] * rho_eig * phases.conj()[:, None, :]
+        states = vectors @ rotated @ vectors.conj().T
+    elif method == "spectral":
         try:
-            states = _spectral_states(liouv, rho0.data, rel)
+            states = _spectral_states(generator, rho0.data, rel)
         except NumericalError as exc:
             warnings.warn(f"{exc}; falling back to fixed-step integration")
-            states = _rk4_states(liouv, rho0.data, rel)
+            states = _rk4_states(generator, rho0.data, rel)
     elif method == "rk4":
-        states = _rk4_states(liouv, rho0.data, rel)
+        states = _rk4_states(generator, rho0.data, rel)
     else:
         raise ValueError(f"unknown method {method!r}")
-    traj = Trajectory(liouv.dims, times, states)
+    traj = Trajectory(generator.dims, times, states)
     drift = traj.trace_drift()
     if drift > TRACE_DRIFT_TOL:
         raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")
@@ -322,38 +331,29 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
 def evolve_piecewise(segments, rho0: DensityMatrix, samples_per_segment: int = 2) -> Trajectory:
     """Sequential propagation through (generator, duration) segments.
 
-    Generators may be :class:`Operator` Hamiltonians (unitary segments) or
-    :class:`Liouvillian` instances; each segment is propagated by its exact
-    exponential and sampled at ``samples_per_segment`` points (segment end
-    included).  Segment boundaries are recorded on the trajectory.
+    Each segment is propagated by :func:`evolve` under its Hamiltonian
+    :class:`Operator` or :class:`Liouvillian` and sampled at
+    ``samples_per_segment`` points (segment end included).  Segment
+    boundaries are recorded on the trajectory.
     """
     rho0.validate()
     dims = rho0.dims
     times = [0.0]
     states = [rho0.data]
     bounds = []
-    t_now = 0.0
+    rho = rho0
     for generator, duration in segments:
         if duration <= 0:
             raise ValueError("segment durations must be positive")
         if generator.dims != dims:
             raise DimensionMismatchError("segment dims differ from state dims")
-        local = np.linspace(0.0, duration, samples_per_segment + 1)[1:]
-        if isinstance(generator, Operator):
-            vectors, phases = _eigh_phases(generator, local)
-            rho_eig = vectors.conj().T @ states[-1] @ vectors
-            rotated = phases[:, :, None] * rho_eig * phases.conj()[:, None, :]
-            seg_states = vectors @ rotated @ vectors.conj().T
-        else:
-            seg_states = _spectral_states(generator, states[-1], local)
-        states.extend(seg_states)
-        times.extend((t_now + local).tolist())
+        t_now = times[-1]
+        segment = evolve(generator, rho, np.linspace(0.0, duration, samples_per_segment + 1))
+        rho = segment.final_state()
+        states.extend(segment.states[1:])
+        times.extend((t_now + segment.times[1:]).tolist())
         bounds.append((t_now, t_now + duration))
-        t_now += duration
-    traj = Trajectory(dims, np.array(times), np.array(states), segment_bounds=bounds)
-    if traj.trace_drift() > TRACE_DRIFT_TOL:
-        raise NumericalError("piecewise propagation lost trace normalization")
-    return traj
+    return Trajectory(dims, np.array(times), np.array(states), segment_bounds=bounds)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -49,23 +49,35 @@ MEASUREMENT_STATES = ("1-,1-", "1+,1+", "2-,0", "0,2-", "2+,0", "0,2+")
 # generic series utilities
 
 
+def _valley_floors(heights, valleys) -> list:
+    """Per maximum, the lowest valley back to the nearest strictly higher
+    maximum (or the series end); valleys[k] lies just before maximum k."""
+    floors = []
+    stack = []  # (height, floor) of the maxima not yet topped
+    for height, floor in zip(heights, valleys):
+        while stack and stack[-1][0] <= height:
+            floor = min(floor, stack.pop()[1])
+        floors.append(floor)
+        stack.append((height, floor))
+    return floors
+
+
 def find_series_maxima(series, relative_prominence: float = 0.1):
     """Indices of local maxima whose prominence clears the given fraction
     of the series range (filters fast low-amplitude ripple)."""
     y = np.asarray(series, dtype=float)
     span = float(y.max() - y.min())
-    keep = []
-    for i in local_maxima(y):
-        left = y[:i][::-1]
-        higher = np.where(left > y[i])[0]
-        left_min = left[: higher[0] + 1].min() if higher.size else left.min(initial=y[i])
-        right = y[i + 1 :]
-        higher = np.where(right > y[i])[0]
-        right_min = right[: higher[0] + 1].min() if higher.size else right.min(initial=y[i])
-        prominence = y[i] - max(left_min, right_min)
-        if prominence >= relative_prominence * span:
-            keep.append(i)
-    return keep
+    idx = local_maxima(y)
+    # between successive maxima the series falls, then rises: the minimum of
+    # each stretch (series ends included) is all a prominence needs
+    valleys = np.minimum.reduceat(y, [0, *idx]).tolist()
+    heights = y[idx].tolist()
+    left = _valley_floors(heights, valleys[:-1])
+    right = _valley_floors(heights[::-1], valleys[:0:-1])[::-1]
+    return [
+        i for i, h, lo, ro in zip(idx, heights, left, right)
+        if h - max(lo, ro) >= relative_prominence * span
+    ]
 
 
 def extract_period(times, series, relative_prominence: float = 0.1):
@@ -244,64 +256,37 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
         }
     )
 
-    # strong atomic driving, single cavity, |1->
-    params = SystemParams(
-        atom_drive=50.0,
-        atom_drive_detuning=500.0,
-        cavity_drive_detuning=500.0,
-        omega_c=omega_c,
-        n_fock=max(n_fock, 4),
-    )
-    traj, _ = driven_oscillation_run(params, t_final=2.0, samples=4001)
-    rows.append(
-        {
-            "mechanism": "driving",
-            "control": "atom drive = 50 g",
-            "n_cavities": 1,
-            "initial": "1-",
-            "coherence_max": float(traj.observables["coherence"].max()),
-            "interchange_probability": float(traj.observables["P_1plus"].max()),
-            "interchange_state": "1+",
-        }
-    )
-
-    # cavity relaxation, single cavity, |2->
-    params = SystemParams(cavity_decay=1.0, omega_c=omega_c, n_fock=max(n_fock, 4))
-    dims = params.dims
-    psi0 = site_polariton_ket(dims, 2, "-", params.g, params.delta)
-    liouv = build_liouvillian(build_jch(params), decay_channels(params))
-    times = np.linspace(0.0, 8.0, 1601)
-    traj = evolve(liouv, psi0.density_matrix(), times)
-    p_up, _, coh = _n1_branch_series(traj.states, params)
-    rows.append(
-        {
-            "mechanism": "relaxation",
-            "control": "cavity decay = g",
-            "n_cavities": 1,
-            "initial": "2-",
-            "coherence_max": float(coh.max()),
-            "interchange_probability": float(p_up.max()),
-            "interchange_state": "1+",
-        }
-    )
-
-    # stroboscopic modulation, single cavity, |1->
-    params = SystemParams(omega_c=omega_c, n_fock=n_fock)
-    lo_ket = site_polariton_ket(params.dims, 1, "-", params.g, params.delta)
-    times = np.linspace(0.0, math.pi / params.g, 2001)
-    amps = evolve_closed(stroboscopic_generator(params, 0), lo_ket, times)
-    p_up, _, coh = _n1_branch_series(amps, params)
-    rows.append(
-        {
-            "mechanism": "modulation",
-            "control": "detuning locked to pi(2m+1)/2t",
-            "n_cavities": 1,
-            "initial": "1-",
-            "coherence_max": float(coh.max()),
-            "interchange_probability": float(p_up.max()),
-            "interchange_state": "1+",
-        }
-    )
+    # single cavity from the lower branch: strong atomic driving, cavity
+    # relaxation and stroboscopic detuning modulation; the closed rows stay on kets
+    single = SystemParams(omega_c=omega_c, n_fock=max(n_fock, 4))
+    drive = single.with_(atom_drive=50.0, atom_drive_detuning=500.0, cavity_drive_detuning=500.0)
+    lossy = single.with_(cavity_decay=1.0)
+    strobe = SystemParams(omega_c=omega_c, n_fock=n_fock)
+    for mechanism, control, params, n0, generator, t_final, samples in (
+        ("driving", "atom drive = 50 g", drive, 1, build_driven(drive), 2.0, 4001),
+        ("relaxation", "cavity decay = g", lossy, 2,
+         build_liouvillian(build_jch(lossy), decay_channels(lossy)), 8.0, 1601),
+        ("modulation", "detuning locked to pi(2m+1)/2t", strobe, 1,
+         stroboscopic_generator(strobe, 0), math.pi / strobe.g, 2001),
+    ):
+        psi0 = site_polariton_ket(params.dims, n0, "-", params.g, params.delta)
+        times = np.linspace(0.0, t_final, samples)
+        if isinstance(generator, Operator):
+            series = evolve_closed(generator, psi0, times)
+        else:
+            series = evolve(generator, psi0.density_matrix(), times).states
+        p_up, _, coh = _n1_branch_series(series, params)
+        rows.append(
+            {
+                "mechanism": mechanism,
+                "control": control,
+                "n_cavities": 1,
+                "initial": f"{n0}-",
+                "coherence_max": float(coh.max()),
+                "interchange_probability": float(p_up.max()),
+                "interchange_state": "1+",
+            }
+        )
     return rows
 
 
@@ -371,8 +356,9 @@ class RampSchedule:
         )
 
     def validate(self, params: SystemParams):
-        if not isinstance(self.mode, (int, np.integer)):
-            raise ValueError("stroboscopic mode index must be an integer")
+        # delta * t = pi (2 mode + 1) / 2 has positive solutions only for mode >= 0
+        if not isinstance(self.mode, (int, np.integer)) or self.mode < 0:
+            raise ValueError("stroboscopic mode index must be a non-negative integer")
         deltas = np.asarray(self.delta_values, dtype=float)
         if deltas.ndim != 1 or deltas.size == 0:
             raise ValueError("schedule needs a 1d array of detuning values")

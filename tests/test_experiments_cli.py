@@ -6,7 +6,7 @@ import pytest
 
 from jchsim import ConfigError, ExperimentConfig, run_experiment
 from jchsim.cli import main
-from jchsim.experiments import EXPERIMENTS, _parse_value
+from jchsim.experiments import EXPERIMENTS, PARAM_DEFAULTS, _parse_value
 from jchsim.selfcheck import run_selfcheck, selfcheck_report
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
@@ -169,6 +169,10 @@ class TestExperimentRunners:
         for row in csv.reader(io.StringIO("\n".join(data[1:]))):
             assert len(row) == len(header_fields)
 
+    def test_registry_reads_parameter_fields(self):
+        for spec in EXPERIMENTS.values():
+            assert set(spec.reads) <= set(PARAM_DEFAULTS)
+
     def test_every_experiment_has_unique_runner(self):
         runners = {spec.runner for spec in EXPERIMENTS.values()}
         assert len(runners) == len(EXPERIMENTS)
@@ -229,6 +233,46 @@ class TestCli:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, flags, code",
+        [
+            ("experiment = table1\ndelta = 1.0\n", (), 2),
+            ("experiment = table1\nhopping = 3.0\n", (), 2),
+            ("experiment = table1\ncavity_decay = 2.0\n", (), 2),
+            ("experiment = variance_compare\ncavity_decay = 1.0\n", (), 2),
+            ("experiment = perturbation_report\ncavity_decay = 5.0\n", (), 2),
+            ("experiment = perturbation_report\nhopping = 2.0\n", (), 2),
+            ("experiment = ramp\ndelta = 7.0\n", (), 2),
+            ("experiment = spectrum\natom_drive = 3.0\n", (), 2),
+            ("experiment = perturbation_report\n", ("--strict-ramp",), 2),
+            ("experiment = two_cavity_spectrum\nn_cavities = 1\n", (), 3),
+            ("experiment = ramp\nmode = -1\n", (), 3),
+        ],
+        ids=lambda v: v.replace("\n", " ").strip() if isinstance(v, str) else None,
+    )
+    def test_input_the_experiment_cannot_use_is_refused(
+        self, tmp_path, capsys, text, flags, code
+    ):
+        # parameters the runner never reads, --strict-ramp outside the ramp,
+        # one cavity for the two-cavity spectrum and an unsolvable ramp mode
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), *flags]) == code
+        assert not (tmp_path / "out").exists()
+        capsys.readouterr()
+
+    def test_spectrum_refuses_two_cavities_before_building_the_generator(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unexpected(params):
+            raise AssertionError("built a generator the run cannot use")
+
+        monkeypatch.setattr("jchsim.experiments.standard_liouvillian", unexpected)
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("experiment = spectrum\nn_cavities = 2\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+        assert "single cavity" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # an undamped configuration has no unique steady state

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jchsim import (
     DegenerateSteadyStateError,
     DensityMatrix,
     DimensionMismatchError,
     HilbertDims,
+    Ket,
     Liouvillian,
     NumericalError,
+    Operator,
     SystemParams,
     annihilation_at,
     bare_ket,
@@ -18,6 +22,7 @@ from jchsim import (
     decay_channels,
     dissipator,
     evolve,
+    evolve_closed,
     evolve_piecewise,
     site_polariton_ket,
     standard_liouvillian,
@@ -31,7 +36,7 @@ from jchsim.lindblad import (
     zero_superoperator,
 )
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_kets
 
 
 def brute_force_lindblad(h, channels, rho):
@@ -234,6 +239,37 @@ class TestEvolve:
         assert np.max(np.abs(traj.states - rho0.data)) < 1e-12
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_hamiltonian_evolution_matches_mixed_kets(n_cavities, n_kets, seed):
+    # evolve under a Hamiltonian is the mixture of the unitarily evolved kets
+    rng = np.random.default_rng(seed)
+    dims = HilbertDims(2, n_cavities)
+    d = dims.total_dim
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = Operator(dims, raw + raw.conj().T)
+    kets = random_kets(d, n_kets, rng)
+    weights = rng.dirichlet(np.ones(n_kets))
+    rho0 = DensityMatrix(dims, np.einsum("k,ki,kj->ij", weights, kets, kets.conj()))
+    times = np.sort(rng.uniform(0.0, 3.0, 6))
+    mixture = 0.0
+    for weight, ket in zip(weights, kets):
+        amps = evolve_closed(h, Ket(dims, ket), times)
+        mixture = mixture + weight * np.einsum("ti,tj->tij", amps, amps.conj())
+    traj = evolve(h, rho0, times)
+    assert np.max(np.abs(traj.states - mixture)) < 1e-10
+    if n_cavities == 1:
+        superop = evolve(hamiltonian_generator(h), rho0, times)
+        assert np.max(np.abs(traj.states - superop.states)) < 1e-10
+
+
+def test_hamiltonian_takes_no_fixed_step_method():
+    dims = HilbertDims(2)
+    rho0 = bare_ket(dims, [(1, 0)]).density_matrix()
+    with pytest.raises(ValueError, match="eigenbasis"):
+        evolve(build_jc(SystemParams(n_fock=2)), rho0, [0.0, 1.0], method="rk4")
+
+
 class TestSteadyState:
     def test_undriven_decay_reaches_vacuum(self):
         p = SystemParams(delta=0.4, omega_c=9.0, cavity_decay=0.5, atom_decay=0.3, n_fock=3)
@@ -305,3 +341,15 @@ class TestPiecewise:
         traj = evolve_piecewise([(h, 0.7), (liouv, 2.0)], rho0, samples_per_segment=10)
         assert traj.trace_drift() < 1e-8
         assert len(traj.segment_bounds) == 2
+
+    def test_defective_segment_falls_back_with_warning(self):
+        # the nilpotent generator of the evolve fallback test, as a segment
+        dims = HilbertDims(2)
+        d2 = dims.total_dim**2
+        data = np.zeros((d2, d2), dtype=complex)
+        data[1, 2] = 1.0
+        rho0 = bare_ket(dims, [(1, 0)]).density_matrix()
+        with pytest.warns(UserWarning, match="falling back"):
+            traj = evolve_piecewise([(Liouvillian(dims, data), 1.0)], rho0, samples_per_segment=4)
+        assert np.max(np.abs(traj.states - rho0.data)) < 1e-12
+        assert traj.segment_bounds == [(0.0, 1.0)]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jchsim import (
@@ -30,7 +30,13 @@ from jchsim import (
 )
 from jchsim.lindblad import Trajectory, build_liouvillian, evolve, evolve_piecewise
 from jchsim.polariton import parse_state_spec
-from jchsim.protocols import _measure_hold, _n1_branch_series, branch_weight_operator
+from jchsim.protocols import (
+    _measure_hold,
+    _n1_branch_series,
+    branch_weight_operator,
+    find_series_maxima,
+)
+from jchsim.spectroscopy import local_maxima
 
 from conftest import random_kets
 
@@ -77,6 +83,36 @@ def test_two_site_branch_series_reads_the_reduced_state(delta, samples, seed):
     for series in (kets, rhos):
         for got, want in zip(_n1_branch_series(series, p), expected):
             assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+
+def prominent_maxima_by_scan(series, relative_prominence=0.1):
+    """Reference for find_series_maxima: scan the whole series from each
+    local maximum out to the nearest strictly higher sample."""
+    y = np.asarray(series, dtype=float)
+    span = float(y.max() - y.min())
+    keep = []
+    for i in local_maxima(y):
+        left = y[:i][::-1]
+        higher = np.where(left > y[i])[0]
+        left_min = left[: higher[0] + 1].min() if higher.size else left.min(initial=y[i])
+        right = y[i + 1 :]
+        higher = np.where(right > y[i])[0]
+        right_min = right[: higher[0] + 1].min() if higher.size else right.min(initial=y[i])
+        if y[i] - max(left_min, right_min) >= relative_prominence * span:
+            keep.append(i)
+    return keep
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+@example([0, 2, 1, 2, 0])
+def test_series_maxima_match_the_full_scan(levels):
+    # few distinct levels give plateaus and ties between maxima; a scan over
+    # the threshold catches any prominence that differs
+    for relative_prominence in np.linspace(0.0, 1.0, 21):
+        assert find_series_maxima(levels, relative_prominence) == prominent_maxima_by_scan(
+            levels, relative_prominence
+        )
 
 
 class TestExtractPeriod:
@@ -295,6 +331,8 @@ class TestRampSchedule:
             bad_order.validate(TWO_SITE)
         with pytest.raises(ValueError):
             RampSchedule(1.5, good.delta_values, good.pulse_time, good.hold_time).validate(TWO_SITE)
+        with pytest.raises(ValueError, match="non-negative"):
+            RampSchedule(-1, good.delta_values, good.pulse_time, good.hold_time).validate(TWO_SITE)
 
 
 @pytest.fixture(scope="module")

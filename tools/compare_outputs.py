@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Run every shipped config under two source trees and compare the files.
+
+    python3 tools/compare_outputs.py SRC_A SRC_B
+
+Each argument is a checkout or its ``src`` directory.  For each tree, in
+fresh interpreters, the script runs every ``configs/*.cfg`` of this checkout
+in csv and in json, ``ramp_time_dependent.cfg`` with ``--strict-ramp`` and
+``jchsim selfcheck``.  It prints each file that differs, with the count of
+numbers that differ and the largest absolute difference among them.
+
+Exit status: 0 when the outputs agree up to numeric differences, 1 on a
+structural difference (a run whose exit code differs, a file written on one
+side only, or text that differs outside its numbers), 2 on bad arguments.
+OpenBLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+"""
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def source_dir(arg: str) -> Path | None:
+    """The directory holding the ``jchsim`` package, given a checkout or its src."""
+    path = Path(arg).resolve()
+    for candidate in (path / "src", path):
+        if (candidate / "jchsim" / "__init__.py").is_file():
+            return candidate
+    return None
+
+
+def runs():
+    """(name, jchsim arguments) of every run; each run writes into its own directory."""
+    for cfg in sorted(CONFIGS.glob("*.cfg")):
+        for fmt in ("csv", "json"):
+            yield f"{cfg.stem}-{fmt}", ["run", str(cfg), "--format", fmt]
+    yield "ramp_time_dependent-strict", [
+        "run", str(CONFIGS / "ramp_time_dependent.cfg"), "--strict-ramp"]
+    yield "selfcheck", ["selfcheck"]
+
+
+def run_tree(src: Path, out: Path) -> dict:
+    """Exit code of each run under ``src``; the files go to out/<run name>/."""
+    env = {"OPENBLAS_NUM_THREADS": "1", **os.environ, "PYTHONPATH": str(src)}
+    codes = {}
+    for name, args in runs():
+        target = out / name
+        target.mkdir(parents=True)
+        if args[0] == "selfcheck":
+            args = [*args, "--output", str(target / "selfcheck.json")]
+        else:
+            args = [*args, "--output-dir", str(target)]
+        proc = subprocess.run([sys.executable, "-m", "jchsim.cli", *args],
+                              env=env, capture_output=True, text=True)
+        codes[name] = proc.returncode
+        print(f"  {src}: {name} exit {proc.returncode}", file=sys.stderr)
+    return codes
+
+
+def numeric_difference(text_a: str, text_b: str):
+    """(count, largest absolute difference) of the numbers that differ, or
+    None when the texts differ outside their numbers."""
+    if NUMBER.sub("#", text_a) != NUMBER.sub("#", text_b):
+        return None
+    diffs = [abs(float(x) - float(y))
+             for x, y in zip(NUMBER.findall(text_a), NUMBER.findall(text_b)) if x != y]
+    return len(diffs), max(diffs, default=0.0)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sources = [source_dir(arg) for arg in args]
+    for arg, src in zip(args, sources):
+        if src is None:
+            print(f"no jchsim package in {arg} or {arg}/src", file=sys.stderr)
+            return 2
+    structural = identical = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / side for side in ("a", "b")]
+        codes = [run_tree(src, out) for src, out in zip(sources, outs)]
+        for name in codes[0]:
+            if codes[0][name] != codes[1][name]:
+                print(f"STRUCTURE {name}: exit {codes[0][name]} against {codes[1][name]}")
+                structural += 1
+        files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in outs]
+        for rel in sorted(files[0] ^ files[1]):
+            print(f"STRUCTURE {rel}: written on one side only")
+            structural += 1
+        for rel in sorted(files[0] & files[1]):
+            a, b = ((out / rel).read_text() for out in outs)
+            if a == b:
+                identical += 1
+                continue
+            diff = numeric_difference(a, b)
+            if diff is None:
+                print(f"STRUCTURE {rel}: text differs outside its numbers")
+                structural += 1
+            else:
+                print(f"differs {rel}: {diff[0]} numbers, largest |difference| {diff[1]:.3g}")
+    print(f"{identical} files byte-identical, {structural} structural differences")
+    return 1 if structural else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -64,7 +64,6 @@ from .hamiltonians import (
 from .lindblad import (
     Liouvillian,
     Trajectory,
-    branch_decoupled_dissipator,
     build_liouvillian,
     dissipator,
     evolve,

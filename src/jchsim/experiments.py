@@ -306,7 +306,6 @@ EXPERIMENTS = {
         _run_driven_oscillation,
         "branch interchange under strong far-detuned atomic driving",
         {
-            "omega_c": 1e4,
             "delta": 0.0,
             "atom_drive": 50.0,
             "atom_drive_detuning": 500.0,
@@ -378,7 +377,6 @@ EXPERIMENTS = {
         _run_perturbation_report,
         "weak-drive perturbation series against dense diagonalization",
         {
-            "omega_c": 1e4,
             "delta": 0.0,
             "atom_drive": 0.01,
             "cavity_drive": 0.01,

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError, DimensionMismatchError, NumericalError
 from .hamiltonians import SystemParams, build_jch, decay_channels
-from .hilbert import DensityMatrix, HilbertDims, Ket, Operator, embed_site, expect_series
-from . import polariton
+from .hilbert import DensityMatrix, HilbertDims, Ket, Operator
 
 ZERO_MODE_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
@@ -69,27 +68,54 @@ class Liouvillian:
             raise DimensionMismatchError("cannot add Liouvillians with different dims")
         return Liouvillian(self.dims, self.data + other.data)
 
-    def __mul__(self, scalar) -> "Liouvillian":
-        return Liouvillian(self.dims, self.data * complex(scalar))
-
-    __rmul__ = __mul__
-
     def apply(self, mat: np.ndarray) -> np.ndarray:
         """Action on a density-matrix-shaped array, returned in matrix shape."""
         d = self.dims.total_dim
         return unvectorize(self.data @ vectorize(mat), d)
 
     def modes(self) -> LiouvillianModes:
-        """Eigen-decomposition, computed once and cached."""
+        """Eigen-decomposition, computed once and cached, block by block over
+        the weakly connected components of the nonzero pattern (without drive,
+        the coherence orders).  A closed, anti-Hermitian block goes through
+        ``eigh``, so its eigenbasis stays unitary at degenerate eigenvalues;
+        the condition number is that of the block-diagonal eigenbasis."""
         if self._modes is None:
-            w, v = np.linalg.eig(self.data)
-            cond = np.linalg.cond(v)
-            if not np.isfinite(cond) or cond > EIGENBASIS_COND_LIMIT:
-                raise NumericalError(
-                    f"Liouvillian eigenbasis is ill-conditioned (cond {cond:.2e})"
-                )
-            self._modes = LiouvillianModes(w, v, np.linalg.inv(v))
+            w = np.empty(len(self.data), dtype=complex)
+            v, v_inv = np.zeros((2, *self.data.shape), dtype=complex)
+            s_max, s_min = 0.0, np.inf
+            for idx in _connected_blocks(self.data):
+                block = self.data[np.ix_(idx, idx)]
+                if np.array_equal(block, -block.conj().T):
+                    lam, vb = np.linalg.eigh(1j * block)
+                    wb = -1j * lam
+                else:
+                    wb, vb = np.linalg.eig(block)
+                sv = np.linalg.svd(vb, compute_uv=False)
+                s_max, s_min = max(s_max, sv[0]), min(s_min, sv[-1])
+                cond = s_max / s_min if s_min > 0 else np.inf
+                if not np.isfinite(cond) or cond > EIGENBASIS_COND_LIMIT:
+                    raise NumericalError(
+                        f"Liouvillian eigenbasis is ill-conditioned (cond {cond:.2e})"
+                    )
+                w[idx] = wb
+                v[np.ix_(idx, idx)] = vb
+                v_inv[np.ix_(idx, idx)] = np.linalg.inv(vb)
+            self._modes = LiouvillianModes(w, v, v_inv)
         return self._modes
+
+
+def _connected_blocks(data: np.ndarray):
+    """Yield the index arrays of the weakly connected components of the
+    nonzero pattern of ``data``, found by breadth-first search."""
+    linked = (data != 0) | (data != 0).T
+    unseen = np.ones(len(data), dtype=bool)
+    while unseen.any():
+        frontier = members = np.arange(len(data)) == np.argmax(unseen)
+        while frontier.any():
+            unseen &= ~frontier
+            frontier = linked[frontier].any(axis=0) & unseen
+            members = members | frontier
+        yield np.flatnonzero(members)
 
 
 def zero_superoperator(dims: HilbertDims) -> Liouvillian:
@@ -143,24 +169,6 @@ def standard_liouvillian(params: SystemParams) -> Liouvillian:
     return build_liouvillian(build_jch(params), decay_channels(params))
 
 
-def branch_decoupled_dissipator(params: SystemParams) -> Liouvillian:
-    """Cavity-loss dissipator with the two branches decoupled.
-
-    Valid deep in the dispersive regime, where the branch-interchanging parts
-    of the photon operator are negligible: the jump operators are the two
-    branch-preserving polariton lowering families, each at the cavity rate.
-    The caller adds the Hamiltonian part.
-    """
-    dims = params.dims
-    parts = polariton.decompose_creation(dims, params.g, params.delta)
-    out = zero_superoperator(dims)
-    for site in range(dims.n_cavities):
-        for raising in (parts.within_minus, parts.within_plus):
-            jump = embed_site(raising.dag(), site, dims)
-            out = out + dissipator(jump, params.cavity_decay)
-    return out
-
-
 @dataclass
 class Trajectory:
     """Time grid, state snapshots and named observable series."""
@@ -173,11 +181,6 @@ class Trajectory:
 
     def state(self, i: int) -> DensityMatrix:
         return DensityMatrix(self.dims, self.states[i])
-
-    def expect(self, op: Operator) -> np.ndarray:
-        if op.dims != self.dims:
-            raise DimensionMismatchError("operator dims differ from trajectory dims")
-        return expect_series(op, self.states)
 
     def final_state(self) -> DensityMatrix:
         return DensityMatrix(self.dims, self.states[-1])

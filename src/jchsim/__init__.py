@@ -20,12 +20,10 @@ from .hilbert import (
     embed_site,
     excitation_number_at,
     expect_series,
-    expectation,
     fock_annihilation,
     lowering_at,
     partial_trace,
     product_ket,
-    real_expectation,
     total_excitation,
 )
 from .polariton import (
@@ -36,29 +34,24 @@ from .polariton import (
     branch_splitting,
     decompose_atomic_raising,
     decompose_creation,
-    interaction_picture_frequency,
     ladder_coefficients,
     ladder_coefficients_for,
     mixing_angle,
     polariton_energy,
     polariton_ket,
     product_polariton_ket,
-    rwa_report,
     site_polariton_ket,
 )
 from .hamiltonians import (
     SystemParams,
     build_driven,
-    build_driven_polariton,
     build_hopping,
-    build_hopping_polariton,
     build_jc,
     build_jc_polariton,
     build_jch,
     decay_channels,
     drive_amplitudes,
     rabi_frequency,
-    stroboscopic_block,
     stroboscopic_generator,
 )
 from .lindblad import (
@@ -68,7 +61,6 @@ from .lindblad import (
     dissipator,
     evolve,
     evolve_closed,
-    evolve_piecewise,
     hamiltonian_generator,
     standard_liouvillian,
     steady_state,
@@ -79,18 +71,15 @@ from .spectroscopy import (
     Spectrum,
     absorption_spectrum,
     absorption_spectrum_analytic,
-    correlation_function,
     default_frequency_grid,
     find_peaks,
 )
 from .perturbation import (
     DriveCoefficients,
     PerturbationReport,
-    corrected_states,
     drive_coefficients,
     match_exact_energies,
     perturbation_report,
-    perturbed_ket,
     second_order_energies,
     unperturbed_energies,
 )
@@ -99,14 +88,12 @@ from .protocols import (
     OrderParameterPoint,
     RampSchedule,
     analytic_variance,
-    coherence,
     driven_oscillation_run,
     effective_model,
     extract_period,
     hopping_interchange_probe,
     mechanism_table,
     numeric_variance,
-    order_parameter,
     ramp_experiment,
 )
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment

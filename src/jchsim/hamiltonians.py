@@ -17,7 +17,6 @@ from .hilbert import (
     HilbertDims,
     Operator,
     annihilation_at,
-    embed_site,
     fock_annihilation,
     atomic_lowering,
     lowering_at,
@@ -131,24 +130,6 @@ def build_jc_polariton(params: SystemParams) -> Operator:
     return sum_over_sites(Operator(dims.site(), site_diag), dims)
 
 
-def build_hopping_polariton(params: SystemParams) -> Operator:
-    """Hopping assembled from the four polariton ladder families.
-
-    Equivalent to :func:`build_hopping` wherever the ladder decomposition
-    reproduces the photon operator (everywhere below the cutoff manifold).
-    """
-    dims = params.dims
-    if dims.n_cavities != 2:
-        raise DimensionMismatchError("hopping requires two cavities")
-    parts = polariton.decompose_creation(dims, params.g, params.delta)
-    raise_site = parts.total()
-    r0 = embed_site(raise_site, 0, dims)
-    r1 = embed_site(raise_site, 1, dims)
-    j = params.hopping
-    term = j * (r0 @ r1.dag())
-    return term + term.dag()
-
-
 def _require_corotating(params: SystemParams):
     if abs(params.drive_frame_mismatch) > DRIVE_FRAME_TOL:
         raise ValueError(
@@ -202,42 +183,6 @@ def drive_amplitudes(params: SystemParams, n: int):
     )
 
 
-def build_driven_polariton(params: SystemParams) -> Operator:
-    """Driven Hamiltonian assembled directly in the polariton basis.
-
-    Literal ladder-sum form: dressed-frame energies on the diagonal plus the
-    drive distributed over the four families.  The overflow row/column is
-    left empty (the ladder sums stop at the cutoff manifold), so agreement
-    with the transformed :func:`build_driven` holds on the labelled block.
-    """
-    if params.n_cavities != 1:
-        raise DimensionMismatchError("the driven builder covers a single cavity")
-    _require_corotating(params)
-    dims = params.dims
-    basis = polariton.basis_transform(dims, params.g, params.delta)
-    d = dims.site_dim
-    h = np.zeros((d, d), dtype=complex)
-    for n in range(1, params.n_fock + 1):
-        for branch in ("-", "+"):
-            idx = basis.index(polariton.label(n, branch))
-            h[idx, idx] = rotating_frame_energy(params, n, branch)
-    for n in range(1, params.n_fock + 1):
-        beta_p, beta_m, xi_pm, xi_mp = drive_amplitudes(params, n)
-        lower_p = basis.index(polariton.label(n - 1, "+")) if n >= 2 else basis.index(polariton.GROUND)
-        lower_m = basis.index(polariton.label(n - 1, "-")) if n >= 2 else basis.index(polariton.GROUND)
-        up_p = basis.index(polariton.label(n, "+"))
-        up_m = basis.index(polariton.label(n, "-"))
-        for upper, lower, amp in (
-            (up_p, lower_p, beta_p),
-            (up_m, lower_m, beta_m),
-            (up_p, lower_m, xi_pm),
-            (up_m, lower_p, xi_mp),
-        ):
-            h[upper, lower] += amp
-            h[lower, upper] += -amp  # amp is imaginary, so this is Hermitian
-    return Operator(dims, h)
-
-
 def rabi_frequency(params: SystemParams):
     """Effective interchange Rabi frequency under strong, far-detuned atomic drive.
 
@@ -270,14 +215,6 @@ def stroboscopic_generator(params: SystemParams, m: int = 0) -> Operator:
     sm = atomic_lowering(dims)
     local = ((-1) ** m * 1j * params.g) * (a.dag() @ sm - sm.dag() @ a)
     return sum_over_sites(local, dims)
-
-
-def stroboscopic_block(params: SystemParams, m: int, n: int) -> np.ndarray:
-    """2x2 action of the stroboscopic generator in the (|n->, |n+>) pair."""
-    if n < 1:
-        raise ValueError("manifold must be >= 1")
-    v = (-1) ** m * params.g * math.sqrt(n)
-    return np.array([[0.0, 1j * v], [-1j * v, 0.0]], dtype=complex)
 
 
 def decay_channels(params: SystemParams):

@@ -117,16 +117,6 @@ class Operator:
     def __neg__(self) -> "Operator":
         return Operator(self.dims, -self.data)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.data))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.data - self.data.conj().T)) <= tol)
-
 
 @dataclass(frozen=True)
 class Ket:
@@ -182,10 +172,6 @@ class DensityMatrix:
         if lowest < POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lowest:.2e}")
         return self
-
-
-def identity(dims: HilbertDims) -> Operator:
-    return Operator(dims, np.eye(dims.total_dim, dtype=complex))
 
 
 def fock_annihilation(dims: HilbertDims) -> Operator:
@@ -253,13 +239,6 @@ def total_excitation(dims: HilbertDims) -> Operator:
     return sum_over_sites(excitation_number_at(dims.site()), dims)
 
 
-def expectation(op: Operator, rho: DensityMatrix) -> complex:
-    """Tr(op rho)."""
-    if op.dims != rho.dims:
-        raise DimensionMismatchError("operator and state dims differ")
-    return complex(np.trace(op.data @ rho.data))
-
-
 def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
     """Tr(op rho(t)) along a trajectory given as (T, D) ket amplitudes or as
     (T, D, D) density matrices; the one place that tells the two apart."""
@@ -272,14 +251,6 @@ def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
     raise DimensionMismatchError(
         f"series shape {series.shape} is neither (T, {d}) nor (T, {d}, {d})"
     )
-
-
-def real_expectation(op: Operator, rho: DensityMatrix, tol: float = 1e-8) -> float:
-    """Expectation of a Hermitian observable; rejects large imaginary residue."""
-    value = expectation(op, rho)
-    if abs(value.imag) > tol:
-        raise ValueError(f"imaginary residual {value.imag:.2e} exceeds {tol:.0e}")
-    return value.real
 
 
 def partial_trace(rho: DensityMatrix, keep_site: int) -> DensityMatrix:

@@ -4,10 +4,11 @@ Vectorization convention (fixed package-wide): matrices are stacked row by
 row, ``vec(rho) = rho.reshape(-1)``, so ``vec(A rho B) = (A kron B^T) vec(rho)``
 and the commutator part of the generator is ``-i (H kron I - I kron H^T)``.
 
-Propagation is exact-exponential by default: the generator, a Hamiltonian or
-a Liouvillian, is diagonalized once and trajectories are synthesized from its
-spectral decomposition.  A fixed-step 4th-order integrator is kept as a
-fallback for Liouvillians whose eigenbasis is too ill-conditioned to trust.
+Each generator type has one propagator.  :func:`evolve` synthesizes a
+density-matrix trajectory from the spectral decomposition of a Liouvillian,
+with a fixed-step 4th-order integrator as the fallback for a Liouvillian whose
+eigenbasis is too ill-conditioned to trust; :func:`evolve_closed` rotates a
+ket in the eigenbasis of a Hamiltonian.
 """
 from __future__ import annotations
 
@@ -177,13 +178,9 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (T, D, D)
     observables: dict = field(default_factory=dict)
-    segment_bounds: list = field(default_factory=list)
 
     def state(self, i: int) -> DensityMatrix:
         return DensityMatrix(self.dims, self.states[i])
-
-    def final_state(self) -> DensityMatrix:
-        return DensityMatrix(self.dims, self.states[-1])
 
     def trace_drift(self) -> float:
         return float(np.max(np.abs(np.einsum("tii->t", self.states) - 1.0)))
@@ -241,38 +238,31 @@ def _rk4_states(liouv: Liouvillian, rho0: np.ndarray, times: np.ndarray) -> np.n
     return out
 
 
-def evolve(generator, rho0: DensityMatrix, t_grid, method: str = "spectral") -> Trajectory:
+def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid, method: str = "spectral") -> Trajectory:
     """Propagate a density matrix along ``t_grid`` (grid starts the clock at t_grid[0]).
 
-    A Hamiltonian :class:`Operator` rotates the state in its eigenbasis.  A
-    :class:`Liouvillian` is synthesized from its eigen-decomposition
+    The trajectory is synthesized from the Liouvillian's eigen-decomposition
     (``method='spectral'``, with the fixed-step fallback when that eigenbasis
     is ill-conditioned) or integrated by fixed steps (``'rk4'``).  Trace and
-    Hermiticity drifts are checked against package tolerances.
+    Hermiticity drifts are checked against package tolerances.  A closed
+    system's ket goes through :func:`evolve_closed` instead.
     """
-    if generator.dims != rho0.dims:
+    if liouv.dims != rho0.dims:
         raise DimensionMismatchError("initial state dims differ from generator dims")
     rho0.validate()
     times = _check_grid(t_grid)
     rel = times - times[0]
-    if isinstance(generator, Operator):
-        if method != "spectral":
-            raise ValueError(f"a Hamiltonian is propagated in its eigenbasis, not by {method!r}")
-        vectors, phases = _eigh_phases(generator, rel)
-        rho_eig = vectors.conj().T @ rho0.data @ vectors
-        rotated = phases[:, :, None] * rho_eig * phases.conj()[:, None, :]
-        states = vectors @ rotated @ vectors.conj().T
-    elif method == "spectral":
+    if method == "spectral":
         try:
-            states = _spectral_states(generator, rho0.data, rel)
+            states = _spectral_states(liouv, rho0.data, rel)
         except NumericalError as exc:
             warnings.warn(f"{exc}; falling back to fixed-step integration")
-            states = _rk4_states(generator, rho0.data, rel)
+            states = _rk4_states(liouv, rho0.data, rel)
     elif method == "rk4":
-        states = _rk4_states(generator, rho0.data, rel)
+        states = _rk4_states(liouv, rho0.data, rel)
     else:
         raise ValueError(f"unknown method {method!r}")
-    traj = Trajectory(generator.dims, times, states)
+    traj = Trajectory(liouv.dims, times, states)
     drift = traj.trace_drift()
     if drift > TRACE_DRIFT_TOL:
         raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")
@@ -282,19 +272,13 @@ def evolve(generator, rho0: DensityMatrix, t_grid, method: str = "spectral") -> 
     return traj
 
 
-def _eigh_phases(h: Operator, times: np.ndarray):
-    """Eigenvectors V of H and the phases exp(-i E t), shape (T, D), so that
-    exp(-i H t) = V diag(phases[t]) V^dag."""
-    energies, vectors = np.linalg.eigh(h.data)
-    return vectors, np.exp(-1j * np.outer(times, energies))
-
-
 def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
     """Unitary amplitudes exp(-i H t) psi0 sampled on the grid, shape (T, D)."""
     if h.dims != psi0.dims:
         raise DimensionMismatchError("state dims differ from Hamiltonian dims")
     times = _check_grid(t_grid)
-    vectors, phases = _eigh_phases(h, times - times[0])
+    energies, vectors = np.linalg.eigh(h.data)
+    phases = np.exp(-1j * np.outer(times - times[0], energies))
     coeff = vectors.conj().T @ psi0.amplitudes
     return (phases * coeff[None, :]) @ vectors.T
 
@@ -329,34 +313,6 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     if residual > 1e-8:
         raise NumericalError(f"steady_state: residual |L[rho]| = {residual:.3e}")
     return DensityMatrix(liouv.dims, rho)
-
-
-def evolve_piecewise(segments, rho0: DensityMatrix, samples_per_segment: int = 2) -> Trajectory:
-    """Sequential propagation through (generator, duration) segments.
-
-    Each segment is propagated by :func:`evolve` under its Hamiltonian
-    :class:`Operator` or :class:`Liouvillian` and sampled at
-    ``samples_per_segment`` points (segment end included).  Segment
-    boundaries are recorded on the trajectory.
-    """
-    rho0.validate()
-    dims = rho0.dims
-    times = [0.0]
-    states = [rho0.data]
-    bounds = []
-    rho = rho0
-    for generator, duration in segments:
-        if duration <= 0:
-            raise ValueError("segment durations must be positive")
-        if generator.dims != dims:
-            raise DimensionMismatchError("segment dims differ from state dims")
-        t_now = times[-1]
-        segment = evolve(generator, rho, np.linspace(0.0, duration, samples_per_segment + 1))
-        rho = segment.final_state()
-        states.extend(segment.states[1:])
-        times.extend((t_now + segment.times[1:]).tolist())
-        bounds.append((t_now, t_now + duration))
-    return Trajectory(dims, np.array(times), np.array(states), segment_bounds=bounds)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -14,7 +14,6 @@ and denominator of each contribution can be audited one by one.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .hamiltonians import SystemParams, build_driven, drive_amplitudes, rotating_frame_energy
-from .polariton import GROUND, basis_transform, label, parse_label
+from .polariton import GROUND, basis_transform, label
 
 REPORT_LABELS = (GROUND, "1-", "1+", "2-", "2+")
 DEGENERACY_TOL = 1e-6
@@ -30,11 +29,10 @@ DEGENERACY_TOL = 1e-6
 CLUSTER_RATIO = 0.05
 
 
-def unperturbed_energies(params: SystemParams, n_max: int | None = None):
+def unperturbed_energies(params: SystemParams):
     """Dressed-frame energies of the undriven labels (ground at zero)."""
-    n_max = params.n_fock if n_max is None else n_max
     energies = {GROUND: 0.0}
-    for n in range(1, n_max + 1):
+    for n in range(1, params.n_fock + 1):
         for branch in ("-", "+"):
             energies[label(n, branch)] = rotating_frame_energy(params, n, branch)
     return energies
@@ -176,84 +174,6 @@ def _lowdin_energies(cluster, energies: dict, elements: dict, terms=None):
             f"Loewdin H_eff -> {shifts}"
         )
     return out
-
-
-def corrected_states(
-    params: SystemParams,
-    order: int,
-    labels=REPORT_LABELS,
-    include_top_targets: bool = True,
-    terms=None,
-):
-    """State-correction coefficient maps: label -> {target label -> amplitude}.
-
-    ``order`` selects the first- or second-order correction.  Targets in the
-    third manifold sit next to the truncation edge, so ``include_top_targets``
-    lets callers exclude them from comparisons that must not depend on
-    edge amplitudes; all coefficients follow the standard nondegenerate
-    Rayleigh-Schroedinger rules.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if params.n_fock < 3:
-        raise ValueError("state corrections reference the third manifold; need n_fock >= 3")
-    energies = unperturbed_energies(params)
-    _check_nondegenerate(energies, itertools.combinations(energies, 2))
-    elements = interaction_elements(params)
-    all_labels = list(energies)
-
-    def allowed(target):
-        if include_top_targets:
-            return True
-        n, _ = parse_label(target) if target != GROUND else (0, "g")
-        return n < 3
-
-    out = {}
-    for k in labels:
-        coeffs = {}
-        for m in all_labels:
-            if m == k or not allowed(m):
-                continue
-            if order == 1:
-                if (m, k) not in elements:
-                    continue
-                amp = elements[(m, k)] / (energies[k] - energies[m])
-                if terms is not None:
-                    terms.append(f"|{k}>^(1) += V[{m},{k}] / (E0[{k}] - E0[{m}]) |{m}>")
-            else:
-                amp = 0.0
-                for mid in all_labels:
-                    if mid == k:
-                        continue
-                    if (m, mid) not in elements or (mid, k) not in elements:
-                        continue
-                    amp += (
-                        elements[(m, mid)]
-                        * elements[(mid, k)]
-                        / ((energies[k] - energies[m]) * (energies[k] - energies[mid]))
-                    )
-                    if terms is not None:
-                        terms.append(
-                            f"|{k}>^(2) += V[{m},{mid}] V[{mid},{k}] / "
-                            f"((E0[{k}] - E0[{m}])(E0[{k}] - E0[{mid}])) |{m}>"
-                        )
-            if amp != 0.0:
-                coeffs[m] = amp
-        out[k] = coeffs
-    return out
-
-
-def perturbed_ket(params: SystemParams, lbl: str, order: int, include_top_targets=True) -> np.ndarray:
-    """Unnormalized perturbed eigenvector in the bare site basis."""
-    basis = basis_transform(params.dims, params.g, params.delta)
-    vec = basis.column(lbl).astype(complex).copy()
-    for ord_now in range(1, order + 1):
-        corr = corrected_states(
-            params, ord_now, labels=(lbl,), include_top_targets=include_top_targets
-        )[lbl]
-        for target, amp in corr.items():
-            vec = vec + amp * basis.column(target)
-    return vec
 
 
 def match_exact_energies(params: SystemParams, labels=REPORT_LABELS):

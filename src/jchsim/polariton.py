@@ -21,10 +21,6 @@ from .hilbert import ATOM_E, ATOM_G, HilbertDims, Ket, Operator, bare_ket, produ
 GROUND = "G"
 OVERFLOW = "overflow"
 
-#: hopping-product families in the interaction picture (first factor raising
-#: on one site, second factor lowering on the neighbour)
-PRODUCT_FAMILIES = ("++", "--", "+-", "+pm", "+mp")
-
 
 def label(n: int, branch: str) -> str:
     """Canonical text label for a polariton state, e.g. ``'2-'``."""
@@ -153,18 +149,6 @@ def basis_transform(dims: HilbertDims, g: float, delta: float) -> PolaritonBasis
     return PolaritonBasis(site, g, delta, tuple(labels), matrix)
 
 
-def full_basis_matrix(dims: HilbertDims, g: float, delta: float):
-    """Basis matrix and labels for the whole (possibly two-site) space."""
-    site_basis = basis_transform(dims, g, delta)
-    if dims.n_cavities == 1:
-        return site_basis.matrix, tuple((lbl,) for lbl in site_basis.labels)
-    matrix = np.kron(site_basis.matrix, site_basis.matrix)
-    labels = tuple(
-        (l0, l1) for l0 in site_basis.labels for l1 in site_basis.labels
-    )
-    return matrix, labels
-
-
 @dataclass(frozen=True)
 class LadderCoefficients:
     """Weights of the four polariton ladder families in one manifold step.
@@ -286,60 +270,3 @@ def decompose_atomic_raising(dims: HilbertDims, g: float, delta: float) -> Ladde
     """Polariton ladder decomposition of the atomic raising operator."""
     return _assemble_families(dims, g, delta, atomic=True)
 
-
-def interaction_picture_frequency(
-    family: str, n: int, n_prime: int, g: float, delta: float
-) -> float:
-    """Oscillation frequency of a hopping product in the interaction picture.
-
-    The first factor raises manifold n-1 -> n on one site, the second lowers
-    n_prime -> n_prime-1 on the neighbour.  Frequencies follow the
-    branch-splitting differences R_n - R_{n-1} (branch-preserving factors)
-    and sums R_n + R_{n-1} (branch-interchanging factors); a product is a
-    candidate for the rotating-wave approximation only if its frequency is
-    bounded away from zero.
-    """
-    if family not in PRODUCT_FAMILIES:
-        raise ValueError(f"unknown product family {family!r}")
-    if n < 1 or n_prime < 1:
-        raise ValueError("manifold indices must be >= 1")
-    r = lambda k: branch_splitting(k, g, delta)
-    raise_diff = r(n) - r(n - 1)
-    lower_diff = r(n_prime) - r(n_prime - 1)
-    lower_sum = r(n_prime) + r(n_prime - 1)
-    if family == "++":
-        return raise_diff - lower_diff
-    if family == "--":
-        return -raise_diff + lower_diff
-    if family == "+-":
-        return raise_diff + lower_diff
-    if family == "+pm":
-        return raise_diff + lower_sum
-    return raise_diff - lower_sum  # "+mp"
-
-
-def rwa_report(g: float, delta: float, hopping: float, n_max: int):
-    """Eligibility table for dropping hopping products under the RWA.
-
-    A product is flagged eliminable when its oscillation frequency is at
-    least four times the hopping strength; branch-interchanging families
-    carry no weight in the n = 1 manifold because the cross coefficients
-    vanish there.
-    """
-    rows = []
-    for family in PRODUCT_FAMILIES:
-        for n in range(1, n_max + 1):
-            for n_prime in range(1, n_max + 1):
-                freq = interaction_picture_frequency(family, n, n_prime, g, delta)
-                weightless = family in ("+pm", "+mp") and n_prime == 1
-                rows.append(
-                    {
-                        "family": family,
-                        "n": n,
-                        "n_prime": n_prime,
-                        "frequency": freq,
-                        "eliminable": abs(freq) >= 4.0 * abs(hopping),
-                        "vanishes": weightless,
-                    }
-                )
-    return rows

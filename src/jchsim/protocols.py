@@ -23,7 +23,6 @@ from .hamiltonians import (
     stroboscopic_generator,
 )
 from .hilbert import (
-    DensityMatrix,
     HilbertDims,
     Ket,
     Operator,
@@ -119,12 +118,6 @@ def _n1_branch_series(series: np.ndarray, params: SystemParams):
     or (T, D, D) density-matrix series."""
     p_up, p_lo, rho_pm = (expect_series(op, series) for op in _n1_branch_operators(params))
     return p_up.real, p_lo.real, 2.0 * np.abs(rho_pm)
-
-
-def coherence(rho: DensityMatrix, params: SystemParams) -> float:
-    """Magnitude of the n = 1 interbranch coherence of site 0,
-    |rho_+-| + |rho_-+|, for one or two cavities."""
-    return float(_n1_branch_series(rho.data[None], params)[2][0])
 
 
 def branch_weight_operator(dims: HilbertDims, branch: str, params: SystemParams) -> Operator:
@@ -294,21 +287,6 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
 # order parameter and detuning ramp
 
 
-def order_parameter(traj: Trajectory, tau: float | None = None, min_samples: int = 200) -> float:
-    """Time-averaged, site-summed variance of the local excitation number.
-
-    Integrates Tr[N_i^2 rho] - Tr[N_i rho]^2 over the trajectory window by
-    the trapezoid rule; the window must span ``tau`` when given and carry at
-    least ``min_samples`` samples.
-    """
-    times = traj.times
-    if len(times) < min_samples:
-        raise ValueError(f"order parameter needs >= {min_samples} samples, got {len(times)}")
-    if tau is not None and times[-1] - times[0] < tau * (1 - 1e-12):
-        raise ValueError("trajectory is shorter than the averaging window tau")
-    return _number_variance(times, traj.states, traj.dims)
-
-
 def _number_variance(times: np.ndarray, series: np.ndarray, dims: HilbertDims) -> float:
     """Trapezoid time average of sum_i Tr[N_i^2 rho] - Tr[N_i rho]^2 over a
     (T, D) ket or (T, D, D) density-matrix series."""
@@ -370,10 +348,6 @@ class RampSchedule:
             )
         if self.hold_time <= 0:
             raise ValueError("hold time must be positive")
-
-    def stroboscopic_times(self) -> np.ndarray:
-        """Elapsed times at which the ramp reaches each detuning value."""
-        return math.pi * (2 * self.mode + 1) / (2.0 * np.asarray(self.delta_values))
 
 
 @dataclass(frozen=True)

@@ -44,14 +44,9 @@ class CheckResult:
     detail: str
 
 
-def _result(name, value, bound, comparison="<"):
-    if comparison == "<":
-        ok = value < bound
-        detail = f"{value:.3e} {'<' if ok else '>='} {bound:.0e}"
-    else:
-        ok = value > bound
-        detail = f"{value:.3e} {'>' if ok else '<='} {bound:.0e}"
-    return CheckResult(name, bool(ok), detail)
+def _result(name, value, bound):
+    ok = value < bound
+    return CheckResult(name, bool(ok), f"{value:.3e} {'<' if ok else '>='} {bound:.0e}")
 
 
 def _random_density(dims: HilbertDims, rng) -> DensityMatrix:

@@ -76,7 +76,7 @@ def _decaying_modes(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator):
     residual = float(np.max(np.abs(liouv.apply(rho_ss.data))))
     if residual >= STATIONARITY_TOL:
         raise NumericalError(
-            f"correlation_function: state is not stationary (|L[rho]| = {residual:.3e})"
+            f"absorption_spectrum: state is not stationary (|L[rho]| = {residual:.3e})"
         )
     modes = liouv.modes()
     f0 = a_op.dag().data @ rho_ss.data
@@ -87,7 +87,6 @@ def _decaying_modes(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator):
     lam = modes.eigenvalues
 
     is_zero = np.abs(lam) < ZERO_MODE_TOL
-    limit = complex(weights[is_zero].sum())
     scale = max(float(np.abs(weights).max()), 1e-300)
     contributing = (~is_zero) & (np.abs(weights) > AMPLITUDE_FLOOR * max(scale, 1.0))
     bad = contributing & (lam.real >= DECAY_TOL)
@@ -97,20 +96,7 @@ def _decaying_modes(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator):
             "correlation does not decay: contributing mode with "
             f"Re(lambda) = {worst.real:.3e} (generator must be dissipative)"
         )
-    return lam[contributing], weights[contributing], limit
-
-
-def correlation_function(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator, t_grid) -> np.ndarray:
-    """Steady-state fluctuation correlation <<a(tau) a^dag(0)>>_ss.
-
-    The long-time limit (the zero-mode projection of the initial condition)
-    is subtracted, so the returned series decays to zero.
-    """
-    lam, weights, _ = _decaying_modes(liouv, rho_ss, a_op)
-    tau = np.asarray(t_grid, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("correlation lags must be non-negative")
-    return (weights[None, :] * np.exp(np.outer(tau, lam))).sum(axis=1)
+    return lam[contributing], weights[contributing]
 
 
 def absorption_spectrum(
@@ -121,7 +107,7 @@ def absorption_spectrum(
     params: SystemParams | None = None,
 ) -> Spectrum:
     """Absorption spectrum from the exact half-line Fourier integral."""
-    lam, weights, _ = _decaying_modes(liouv, rho_ss, a_op)
+    lam, weights = _decaying_modes(liouv, rho_ss, a_op)
     omega = np.asarray(freq_grid, dtype=float)
     denom = -lam[None, :] - 1j * omega[:, None]
     values = 2.0 * (weights[None, :] / denom).real.sum(axis=1)

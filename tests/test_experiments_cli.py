@@ -1,4 +1,6 @@
+import ast
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ from jchsim.cli import main
 from jchsim.experiments import EXPERIMENTS, PARAM_DEFAULTS, _parse_value
 from jchsim.selfcheck import run_selfcheck, selfcheck_report
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
 
 
 class TestConfigParsing:
@@ -330,3 +333,61 @@ def test_shipped_config_loads(path):
     # a removed option key or a badly typed value fails here, not at a prompt
     config = ExperimentConfig.from_file(path)
     assert config.experiment in EXPERIMENTS
+
+
+def _referenced(nodes) -> set:
+    """Every Name id and Attribute attr under the given syntax nodes."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def _signature_parts(func) -> list:
+    """Decorators and defaults: the parts of a def evaluated where it is defined."""
+    return [*func.decorator_list, *func.args.defaults, *filter(None, func.args.kw_defaults)]
+
+
+def test_every_function_is_reached_from_the_cli():
+    # A function or non-dunder method that neither ``cli.main`` nor the
+    # module-level code (the experiment registry, for one) reaches by name is
+    # dead weight that only tests and exports keep alive.  Matching by bare
+    # name is conservative: a method counts as reached if any attribute of
+    # that name is read anywhere reached.
+    defined = defaultdict(list)  # name -> [(qualified name, def node)]
+    dunders = defaultdict(list)  # class name -> its dunder method nodes
+    roots = []
+    for path in sorted((REPO / "src" / "jchsim").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef):
+                defined[stmt.name].append((f"{path.stem}.{stmt.name}", stmt))
+                roots += _signature_parts(stmt)
+            elif isinstance(stmt, ast.ClassDef):
+                roots += [*stmt.decorator_list, *stmt.bases]
+                for item in stmt.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        roots.append(item)
+                        continue
+                    roots += _signature_parts(item)
+                    if item.name.startswith("__") and item.name.endswith("__"):
+                        dunders[stmt.name].append(item)
+                    else:
+                        qualname = f"{path.stem}.{stmt.name}.{item.name}"
+                        defined[item.name].append((qualname, item))
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                roots.append(stmt)
+    seen = set()
+    pending = {"main"} | _referenced(roots)
+    while pending:
+        name = pending.pop()
+        seen.add(name)
+        bodies = [node for _, node in defined[name]] + dunders[name]
+        pending |= _referenced(bodies) - seen
+    unreached = sorted(q for name, defs in defined.items() if name not in seen for q, _ in defs)
+    assert not unreached, f"reached by no runner or selfcheck: {', '.join(unreached)}"

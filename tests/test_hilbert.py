@@ -15,11 +15,9 @@ from jchsim import (
     embed_site,
     excitation_number_at,
     expect_series,
-    expectation,
     fock_annihilation,
     partial_trace,
     product_ket,
-    real_expectation,
 )
 from jchsim.hilbert import ATOM_E, ATOM_G
 
@@ -156,11 +154,10 @@ def test_expectation_examples():
     vac = bare_ket(dims, [(0, ATOM_G)]).density_matrix()
     number = excitation_number_at(dims, 0)
     identity = Operator(dims, np.eye(dims.total_dim, dtype=complex))
-    assert expectation(identity, vac) == pytest.approx(1.0)
-    assert expectation(number, vac) == pytest.approx(0.0)
+    assert expect_series(identity, vac.data[None])[0] == pytest.approx(1.0)
+    assert expect_series(number, vac.data[None])[0] == pytest.approx(0.0)
     with pytest.raises(DimensionMismatchError):
-        expectation(excitation_number_at(HilbertDims(3), 0), vac)
-    assert real_expectation(number, vac) == pytest.approx(0.0)
+        expect_series(excitation_number_at(HilbertDims(3), 0), vac.data[None])
 
 
 @settings(deadline=None, max_examples=40)

@@ -6,18 +6,14 @@ import pytest
 from jchsim import (
     NumericalError,
     SystemParams,
-    build_driven,
-    corrected_states,
     drive_coefficients,
     match_exact_energies,
     mixing_angle,
     perturbation_report,
-    perturbed_ket,
     second_order_energies,
     unperturbed_energies,
 )
 from jchsim.perturbation import CLUSTER_RATIO, REPORT_LABELS, interaction_elements
-from jchsim import polariton
 
 
 def _params(drive=0.01, delta_c=0.3, delta=0.0, n_fock=4):
@@ -160,70 +156,9 @@ class TestQuasiDegenerateClusters:
             assert not any(t.startswith("cluster") for t in report.terms)
 
 
-class TestCorrectedStates:
-    def test_interbranch_amplitude_only_at_second_order(self):
-        p = _params(drive=0.01, delta_c=WELL_SEPARATED)
-        first = corrected_states(p, 1)
-        second = corrected_states(p, 2)
-        assert "1+" not in first["1-"]
-        assert abs(second["1-"]["1+"]) > 0
-
-    def test_first_order_reaches_adjacent_manifolds(self):
-        # |1->^(1) reaches only the ground state and the second manifold
-        p = _params(drive=0.01, delta_c=WELL_SEPARATED)
-        first = corrected_states(p, 1)
-        assert set(first["1-"]) == {"G", "2-", "2+"}
-        e0 = unperturbed_energies(p)
-        elements = interaction_elements(p)
-        assert first["1-"]["2-"] == pytest.approx(
-            elements[("2-", "1-")] / (e0["1-"] - e0["2-"])
-        )
-
-    def test_second_order_interbranch_formula(self):
-        # cross-check the compact closed-form expression for the |1+> weight
-        # acquired by |1->: three interfering second-order paths
-        p = _params(drive=0.013, delta_c=WELL_SEPARATED)
-        co = drive_coefficients(p)
-        e0 = unperturbed_energies(p)
-        numerator = (
-            -co.beta_minus[1] * co.beta_plus[1] / e0["1-"]
-            - co.beta_minus[2] * co.xi_to_minus[2] / (e0["1-"] - e0["2-"])
-            - co.xi_to_plus[2] * co.beta_plus[2] / (e0["1-"] - e0["2+"])
-        )
-        expected = numerator / (e0["1-"] - e0["1+"])
-        second = corrected_states(p, 2)
-        assert second["1-"]["1+"] == pytest.approx(expected, rel=1e-12)
-
-    def test_weak_driving_keeps_branch_isolated(self):
-        # drives at 0.1 g populate the same-branch ladder, not the other branch
-        p = _params(drive=0.1, delta_c=0.0, n_fock=4)
-        first = corrected_states(p, 1)
-        second = corrected_states(p, 2)
-        same_branch = abs(first["1-"]["2-"])
-        interbranch = abs(second["1-"]["1+"])
-        assert interbranch < 0.05 * same_branch
-
-    def test_perturbed_ket_overlap_with_exact(self):
-        p = _params(drive=0.01, delta_c=WELL_SEPARATED)
-        h = build_driven(p)
-        _, vectors = np.linalg.eigh(h.data)
-        vec = perturbed_ket(p, "1-", 2)
-        vec = vec / np.linalg.norm(vec)
-        overlaps = np.abs(vectors.conj().T @ vec)
-        assert overlaps.max() > 1.0 - 1e-4
-
-    def test_needs_third_manifold(self):
-        with pytest.raises(ValueError):
-            corrected_states(_params(n_fock=2), 1)
-        with pytest.raises(ValueError):
-            perturbation_report(_params(n_fock=2))
-
-    def test_top_manifold_gating(self):
-        p = _params(drive=0.01, delta_c=WELL_SEPARATED)
-        gated = corrected_states(p, 1, include_top_targets=False)
-        assert all(polariton.parse_label(t)[0] < 3 for t in gated["2-"] if t != "G")
-        open_ = corrected_states(p, 1, include_top_targets=True)
-        assert "3-" in open_["2-"]
+def test_needs_third_manifold():
+    with pytest.raises(ValueError):
+        perturbation_report(_params(n_fock=2))
 
 
 class TestConvergenceOrder:

@@ -12,7 +12,6 @@ from jchsim import (
     absorption_spectrum,
     absorption_spectrum_analytic,
     annihilation_at,
-    correlation_function,
     default_frequency_grid,
     find_peaks,
     mixing_angle,
@@ -21,7 +20,12 @@ from jchsim import (
     standard_liouvillian,
     steady_state,
 )
-from jchsim.spectroscopy import local_maxima, lorentzian_rates, parabolic_refine
+from jchsim.spectroscopy import (
+    _decaying_modes,
+    local_maxima,
+    lorentzian_rates,
+    parabolic_refine,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,44 +43,33 @@ def detuned_setup():
 
 
 class TestCorrelationFunction:
-    def test_undamped_generator_rejected(self):
-        p = SystemParams(omega_c=100.0, delta=0.0, n_fock=3)
-        liouv = standard_liouvillian(p)
-        vac = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)  # stationary eigenstate
-        with pytest.raises(NumericalError, match="does not decay"):
-            correlation_function(
-                liouv, vac.density_matrix(), annihilation_at(p.dims, 0), np.linspace(0, 5, 11)
-            )
+    """The steady-state correlation <a(tau) a^dag(0)> behind every spectrum."""
 
     def test_nonstationary_state_rejected(self, resonant_setup):
         params, liouv, _ = resonant_setup
         moving = site_polariton_ket(params.dims, 2, "-", params.g, params.delta)
-        with pytest.raises(NumericalError, match="not stationary"):
-            correlation_function(
+        with pytest.raises(NumericalError, match="absorption_spectrum: state is not stationary"):
+            absorption_spectrum(
                 liouv, moving.density_matrix(), annihilation_at(params.dims, 0),
-                np.linspace(0, 5, 11),
+                default_frequency_grid(params), params,
             )
 
     def test_three_level_double_exponential(self, detuned_setup):
+        # at equal decay rates the correlation is exactly one damped exponential
+        # per n = 1 branch, so its spectrum is the closed two-Lorentzian form
         params, liouv, rho_ss = detuned_setup
-        taus = np.linspace(0.0, 8.0, 161)
-        corr = correlation_function(liouv, rho_ss, annihilation_at(params.dims, 0), taus)
-        theta = mixing_angle(1, params.g, params.delta)
-        g_plus, g_minus = lorentzian_rates(params)
-        e_plus = polariton_energy(1, "+", params.g, params.delta, params.omega_c)
-        e_minus = polariton_energy(1, "-", params.g, params.delta, params.omega_c)
-        model = math.sin(theta) ** 2 * np.exp((-1j * e_plus - g_plus) * taus)
-        model += math.cos(theta) ** 2 * np.exp((-1j * e_minus - g_minus) * taus)
-        assert np.max(np.abs(corr - model)) < 1e-10
+        grid = default_frequency_grid(params)
+        numeric = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), grid, params)
+        analytic = absorption_spectrum_analytic(params, grid)
+        rel = np.max(np.abs(numeric.values - analytic.values)) / analytic.values.max()
+        assert rel < 1e-10
 
     def test_initial_value(self, resonant_setup):
         params, liouv, rho_ss = resonant_setup
-        corr = correlation_function(
-            liouv, rho_ss, annihilation_at(params.dims, 0), np.array([0.0, 1.0])
-        )
-        # <a a^dag>_vacuum = 1 and the long-time limit vanishes
-        assert corr[0].real == pytest.approx(1.0, abs=1e-10)
-        assert abs(corr[0].imag) < 1e-10
+        _, weights = _decaying_modes(liouv, rho_ss, annihilation_at(params.dims, 0))
+        # <a a^dag>_vacuum = 1, carried entirely by the decaying modes
+        assert weights.sum().real == pytest.approx(1.0, abs=1e-10)
+        assert abs(weights.sum().imag) < 1e-10
 
 
 class TestNumericSpectrum:

@@ -13,6 +13,7 @@ from jchsim import (
     build_jc_polariton,
     build_jch,
     drive_amplitudes,
+    embed_site,
     polariton_energy,
     rabi_frequency,
     site_polariton_ket,
@@ -116,6 +117,27 @@ class TestPolaritonForms:
         trace = np.trace(diag.data).real
         assert trace == pytest.approx(doublets + remainder, rel=1e-12)
         assert trace == pytest.approx(np.trace(build_jc(p).data).real, rel=1e-12)
+
+    def test_hopping_polariton_matches_bare_below_cutoff(self):
+        # J (a_0^dag a_1 + h.c.) assembled from the four ladder families of
+        # decompose_creation agrees with build_hopping below the cutoff manifold
+        p = SystemParams(delta=0.5, omega_c=40.0, hopping=0.4, n_fock=3, n_cavities=2)
+        basis = polariton.basis_transform(p.dims, p.g, p.delta)
+        raise_site = polariton.decompose_creation(p.dims, p.g, p.delta).total()
+        r0 = embed_site(raise_site, 0, p.dims).data
+        r1 = embed_site(raise_site, 1, p.dims).data
+        term = p.hopping * (r0 @ r1.conj().T)
+        ladder = term + term.conj().T
+        keep = [
+            i
+            for i, lbl in enumerate(basis.labels)
+            if lbl != polariton.OVERFLOW
+            and (lbl == polariton.GROUND or polariton.parse_label(lbl)[0] < p.n_fock)
+        ]
+        site_proj = basis.matrix[:, keep] @ basis.matrix[:, keep].conj().T
+        proj = np.kron(site_proj, site_proj)
+        diff = build_hopping(p).data - ladder
+        assert np.max(np.abs(proj @ diff @ proj)) < 1e-12
 
 
 class TestDriven:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from jchsim import (
     site_polariton_ket,
     standard_liouvillian,
     steady_state,
+    stroboscopic_generator,
     total_excitation,
     trace_distance,
 )
@@ -332,6 +334,22 @@ def test_hamiltonian_evolution_matches_mixed_kets(n_kets, seed):
     assert np.max(np.abs(traj.states - mixture)) < 1e-10
 
 
+def test_hamiltonian_takes_no_fixed_step_method():
+    # evolve_closed always works in the eigenbasis of H and has no method
+    # switch; the fixed-step route of evolve converges onto it
+    assert "method" not in inspect.signature(evolve_closed).parameters
+    p = SystemParams(delta=0.4, omega_c=9.0, n_fock=2)
+    h = build_jc(p)
+    psi = bare_ket(p.dims, [(1, 0)])
+    times = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(TypeError):
+        evolve_closed(h, psi, times, method="rk4")
+    amps = evolve_closed(h, psi, times)
+    stepped = evolve(hamiltonian_generator(h), psi.density_matrix(), times, method="rk4")
+    mixture = np.einsum("ti,tj->tij", amps, amps.conj())
+    assert np.max(np.abs(stepped.states - mixture)) < 1e-8
+
+
 class TestSteadyState:
     def test_undriven_decay_reaches_vacuum(self):
         p = SystemParams(delta=0.4, omega_c=9.0, cavity_decay=0.5, atom_decay=0.3, n_fock=3)
@@ -364,3 +382,67 @@ class TestSteadyState:
         shifted = Liouvillian(liouv.dims, liouv.data - 0.05 * np.eye(liouv.data.shape[0]))
         with pytest.raises(NumericalError):
             steady_state(shifted)
+
+
+class TestPiecewise:
+    """A schedule of generators is a chain of evolve calls, each segment
+    starting from the last state of the one before on its own clock."""
+
+    def test_semigroup_property(self):
+        p = SystemParams(delta=0.4, omega_c=9.0, n_fock=2)
+        gen = hamiltonian_generator(build_jc(p))
+        rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
+        first = evolve(gen, rho0, [0.0, 1.3])
+        double = evolve(gen, first.state(-1), [1.3, 2.6])
+        single = evolve(gen, rho0, [0.0, 2.6])
+        assert np.max(np.abs(double.states[-1] - single.states[-1])) < 1e-10
+
+    def test_pulse_then_free_evolution_preserves_branch(self):
+        p = SystemParams(delta=0.6, omega_c=9.0, n_fock=3)
+        pulse = hamiltonian_generator(stroboscopic_generator(p, 0))
+        km = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)
+        flipped = evolve(pulse, km.density_matrix(), np.linspace(0.0, math.pi / 2, 31))
+        free = evolve(
+            hamiltonian_generator(build_jc(p)), flipped.state(-1),
+            np.linspace(math.pi / 2, math.pi / 2 + 3.0, 31),
+        )
+        kp = site_polariton_ket(p.dims, 1, "+", p.g, p.delta).amplitudes
+        pop = np.einsum("a,tab,b->t", kp.conj(), free.states, kp).real
+        assert np.max(np.abs(pop - 1.0)) < 1e-10
+        assert free.times[0] == pytest.approx(math.pi / 2)
+
+    def test_dimension_mismatch_across_segments(self):
+        p = SystemParams(delta=0.4, omega_c=9.0, n_fock=2)
+        rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
+        first = evolve(hamiltonian_generator(build_jc(p)), rho0, [0.0, 1.0])
+        other = hamiltonian_generator(build_jc(SystemParams(n_fock=3)))
+        with pytest.raises(DimensionMismatchError):
+            evolve(other, first.state(-1), [1.0, 2.0])
+
+    def test_mixed_unitary_and_dissipative_segments(self):
+        p = SystemParams(delta=0.4, omega_c=9.0, cavity_decay=0.5, n_fock=2)
+        rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
+        unitary = evolve(hamiltonian_generator(build_jc(p)), rho0, np.linspace(0.0, 0.7, 11))
+        lossy = evolve(standard_liouvillian(p), unitary.state(-1), np.linspace(0.7, 2.7, 11))
+        assert unitary.trace_drift() < 1e-8
+        assert lossy.trace_drift() < 1e-8
+        assert np.max(np.abs(lossy.states[0] - unitary.states[-1])) < 1e-10
+        # purity holds through the unitary segment and falls in the lossy one
+        purity = lambda traj: np.einsum("tij,tji->t", traj.states, traj.states).real
+        assert np.max(np.abs(purity(unitary) - 1.0)) < 1e-10
+        assert purity(lossy)[-1] < 1.0 - 1e-3
+
+    def test_defective_segment_falls_back_with_warning(self):
+        # the nilpotent generator of the evolve fallback test, as the second
+        # segment after photon loss has mixed the state; it moves only
+        # coherences, so the diagonal state it inherits stays put
+        dims = HilbertDims(2)
+        d2 = dims.total_dim**2
+        data = np.zeros((d2, d2), dtype=complex)
+        data[1, 2] = 1.0
+        rho0 = bare_ket(dims, [(2, 0)]).density_matrix()
+        loss = evolve(dissipator(annihilation_at(dims, 0), 0.5), rho0, [0.0, 1.0])
+        with pytest.warns(UserWarning, match="falling back"):
+            traj = evolve(Liouvillian(dims, data), loss.state(-1), np.linspace(1.0, 2.0, 5))
+        assert np.max(np.abs(traj.states - loss.states[-1])) < 1e-12
+        assert traj.times[0] == 1.0

@@ -6,6 +6,7 @@ import pytest
 from jchsim import (
     NumericalError,
     SystemParams,
+    build_driven,
     drive_coefficients,
     match_exact_energies,
     mixing_angle,
@@ -14,6 +15,7 @@ from jchsim import (
     unperturbed_energies,
 )
 from jchsim.perturbation import CLUSTER_RATIO, REPORT_LABELS, interaction_elements
+from jchsim import polariton
 
 
 def _params(drive=0.01, delta_c=0.3, delta=0.0, n_fock=4):
@@ -156,9 +158,117 @@ class TestQuasiDegenerateClusters:
             assert not any(t.startswith("cluster") for t in report.terms)
 
 
-def test_needs_third_manifold():
-    with pytest.raises(ValueError):
-        perturbation_report(_params(n_fock=2))
+def _state_corrections(p, k, order):
+    """Rayleigh-Schroedinger amplitudes of |k>^(order) on the other labels,
+    summed from interaction_elements over unperturbed_energies."""
+    e0 = unperturbed_energies(p)
+    v = interaction_elements(p)
+    out = {}
+    for m in e0:
+        if m == k:
+            continue
+        if order == 1:
+            amp = v.get((m, k), 0.0) / (e0[k] - e0[m])
+        else:
+            amp = sum(
+                v[(m, mid)] * v[(mid, k)] / ((e0[k] - e0[m]) * (e0[k] - e0[mid]))
+                for mid in e0
+                if mid != k and (m, mid) in v and (mid, k) in v
+            )
+        if amp != 0.0:
+            out[m] = amp
+    return out
+
+
+def _exact_components(p, k):
+    """Dressed-basis components of the exact driven eigenvector that continues
+    |k>, phased so that its |k> component is real and positive."""
+    basis = polariton.basis_transform(p.dims, p.g, p.delta)
+    _, vectors = np.linalg.eigh(build_driven(p).data)
+    dressed = basis.matrix.conj().T @ vectors
+    col = dressed[:, np.argmax(np.abs(dressed[basis.index(k)]))]
+    col = col * abs(col[basis.index(k)]) / col[basis.index(k)]
+    return {lbl: col[basis.index(lbl)] for lbl in unperturbed_energies(p)}
+
+
+class TestCorrectedStates:
+    """State corrections built from the drive elements, checked against the
+    exact eigenvectors of the driven Hamiltonian."""
+
+    def test_interbranch_amplitude_only_at_second_order(self):
+        p = _params(drive=0.01, delta_c=WELL_SEPARATED)
+        first = _state_corrections(p, "1-", 1)
+        second = _state_corrections(p, "1-", 2)
+        assert "1+" not in first
+        assert abs(second["1+"]) > 0
+        # odd orders cannot return to the first manifold, so the next
+        # correction to this weight is fourth order
+        exact = _exact_components(p, "1-")
+        assert abs(exact["1+"] - second["1+"]) < 1e-3 * abs(second["1+"])
+
+    def test_first_order_reaches_adjacent_manifolds(self):
+        # |1->^(1) reaches only the ground state and the second manifold
+        p = _params(drive=0.01, delta_c=WELL_SEPARATED)
+        first = _state_corrections(p, "1-", 1)
+        assert set(first) == {"G", "2-", "2+"}
+        exact = _exact_components(p, "1-")
+        # the ground amplitude nearly cancels between the two drives, so the
+        # exact check covers the second-manifold targets
+        for target in ("2-", "2+"):
+            assert abs(exact[target] - first[target]) < 1e-3 * abs(first[target])
+
+    def test_second_order_interbranch_formula(self):
+        # cross-check the compact closed-form expression for the |1+> weight
+        # acquired by |1->: three interfering second-order paths
+        p = _params(drive=0.013, delta_c=WELL_SEPARATED)
+        co = drive_coefficients(p)
+        e0 = unperturbed_energies(p)
+        numerator = (
+            -co.beta_minus[1] * co.beta_plus[1] / e0["1-"]
+            - co.beta_minus[2] * co.xi_to_minus[2] / (e0["1-"] - e0["2-"])
+            - co.xi_to_plus[2] * co.beta_plus[2] / (e0["1-"] - e0["2+"])
+        )
+        expected = numerator / (e0["1-"] - e0["1+"])
+        second = _state_corrections(p, "1-", 2)
+        assert second["1+"] == pytest.approx(expected, rel=1e-12)
+
+    def test_weak_driving_keeps_branch_isolated(self):
+        # drives at 0.1 g populate the same-branch ladder, not the other branch
+        p = _params(drive=0.1, delta_c=0.0, n_fock=4)
+        first = _state_corrections(p, "1-", 1)
+        second = _state_corrections(p, "1-", 2)
+        assert abs(second["1+"]) < 0.05 * abs(first["2-"])
+        exact = _exact_components(p, "1-")
+        assert abs(exact["1+"]) < 0.05 * abs(exact["2-"])
+
+    def test_perturbed_ket_overlap_with_exact(self):
+        p = _params(drive=0.01, delta_c=WELL_SEPARATED)
+        basis = polariton.basis_transform(p.dims, p.g, p.delta)
+        vec = basis.column("1-").astype(complex)
+        for order in (1, 2):
+            for target, amp in _state_corrections(p, "1-", order).items():
+                vec = vec + amp * basis.column(target)
+        vec = vec / np.linalg.norm(vec)
+        _, vectors = np.linalg.eigh(build_driven(p).data)
+        overlaps = np.abs(vectors.conj().T @ vec)
+        assert overlaps.max() > 1.0 - 1e-4
+
+    def test_needs_third_manifold(self):
+        with pytest.raises(ValueError, match="third manifold"):
+            perturbation_report(_params(n_fock=2))
+        # below n_fock = 3 the drive has no element out of the second manifold
+        labels = {lbl for pair in interaction_elements(_params(n_fock=2)) for lbl in pair}
+        assert not any(polariton.parse_label(lbl)[0] > 2 for lbl in labels)
+
+    def test_top_manifold_gating(self):
+        # the drive lifts |2-> into the top report-adjacent manifold and the
+        # ladder stops at the cutoff
+        p = _params(drive=0.01, delta_c=WELL_SEPARATED)
+        first = _state_corrections(p, "2-", 1)
+        assert {polariton.parse_label(t)[0] for t in first} == {1, 3}
+        assert "3-" in first
+        labels = {lbl for pair in interaction_elements(p) for lbl in pair}
+        assert max(polariton.parse_label(lbl)[0] for lbl in labels) == p.n_fock
 
 
 class TestConvergenceOrder:

@@ -9,14 +9,18 @@ from jchsim import (
     atomic_lowering,
     basis_transform,
     branch_splitting,
+    build_hopping,
     build_jc,
+    build_jch,
     decompose_atomic_raising,
     decompose_creation,
+    evolve_closed,
     fock_annihilation,
     ladder_coefficients,
     ladder_coefficients_for,
     mixing_angle,
     polariton_energy,
+    product_polariton_ket,
     site_polariton_ket,
 )
 from jchsim import polariton
@@ -245,3 +249,70 @@ class TestBasisInvariants:
         basis = basis_transform(DIMS, 1.0, 1.3)
         gram = basis.matrix @ basis.matrix.conj().T
         assert np.max(np.abs(gram - np.eye(DIMS.site_dim))) < 1e-12
+
+
+def _product(p, spec):
+    return product_polariton_ket(p.dims, polariton.parse_state_spec(spec), p.g, p.delta)
+
+
+def _hopping_link(p, before, after):
+    """Interaction-picture frequency and hopping element of the product that
+    takes the two-site polariton state ``before`` to ``after``."""
+    h0 = build_jc(p).data
+    ket_b, ket_a = _product(p, before).amplitudes, _product(p, after).amplitudes
+    freq = (ket_a.conj() @ h0 @ ket_a - ket_b.conj() @ h0 @ ket_b).real
+    return freq, ket_a.conj() @ build_hopping(p).data @ ket_b
+
+
+class TestInteractionPictureFrequencies:
+    """A hopping product rotates in the interaction picture at the energy
+    difference of the product states it links; the rotating-wave
+    approximation may drop it only when that is large against J."""
+
+    def test_branch_preserving_resonant_product_is_static(self):
+        for delta, branch in ((0.0, "+"), (0.7, "-")):
+            p = SystemParams(delta=delta, omega_c=40.0, hopping=0.1, n_fock=3, n_cavities=2)
+            freq, element = _hopping_link(p, f"0,1{branch}", f"1{branch},0")
+            assert freq == pytest.approx(0.0, abs=1e-10)
+            assert abs(element) > 0.01
+
+    def test_interchanging_product_oscillates_at_twice_splitting(self):
+        # raising into |1+> beside lowering out of |1->: each branch sits half
+        # a splitting off the bare level, so the product turns at twice that
+        delta = 0.9
+        p = SystemParams(delta=delta, omega_c=40.0, hopping=0.1, n_fock=3, n_cavities=2)
+        freq, element = _hopping_link(p, "0,1-", "1+,0")
+        assert freq == pytest.approx(branch_splitting(1, 1.0, delta), rel=1e-12)
+        assert abs(element) > 0.01
+
+    def test_cross_family_weightless_in_first_manifold(self):
+        co = ladder_coefficients_for(1, 1.0, 0.0)
+        assert co.k_pm == 0.0 and co.k_mp == 0.0
+        parts = decompose_creation(DIMS, 1.0, 0.0)
+        basis = basis_transform(DIMS, 1.0, 0.0)
+        ground = basis.column(polariton.GROUND)
+        for cross in (parts.cross_to_plus, parts.cross_to_minus):
+            assert np.max(np.abs(cross.data @ ground)) == 0.0
+        assert np.max(np.abs(parts.cross_to_plus.data)) > 0.1  # weight from n = 2 on
+
+    def test_eliminability_threshold(self):
+        # at J = 0.1 g the branch-interchanging link is detuned by the full
+        # splitting 2 g >= 4 J and stays empty, while the static one transfers
+        p = SystemParams(delta=0.0, omega_c=40.0, hopping=0.1, n_fock=3, n_cavities=2)
+        static, _ = _hopping_link(p, "1-,0", "0,1-")
+        cross, _ = _hopping_link(p, "1-,0", "0,1+")
+        assert abs(static) < 4 * p.hopping <= abs(cross)
+        times = np.linspace(0.0, 2 * math.pi / p.hopping, 2001)
+        amps = evolve_closed(build_jch(p), _product(p, "1-,0"), times)
+        pop = lambda spec: np.abs(amps @ _product(p, spec).amplitudes.conj()) ** 2
+        assert pop("0,1-").max() > 0.99
+        assert pop("0,1+").max() < 0.01
+
+    def test_unknown_family_rejected(self):
+        # products are named by the branch signs of their two factors
+        with pytest.raises(ValueError):
+            polariton.label(1, "x")
+        with pytest.raises(ValueError):
+            polariton.parse_state_spec("1-,1x")
+        with pytest.raises(ValueError):
+            site_polariton_ket(DIMS, 1, "x", 1.0, 0.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jchsim import (
     DensityMatrix,
+    DimensionMismatchError,
     EffectiveModel,
     NumericalError,
     RampSchedule,
@@ -26,6 +27,7 @@ from jchsim import (
     site_polariton_ket,
     total_excitation,
 )
+from jchsim.lindblad import build_liouvillian, evolve
 from jchsim.polariton import parse_state_spec
 from jchsim.protocols import (
     _measure_hold,
@@ -282,6 +284,21 @@ class TestOrderParameter:
         square = (amps[0].conj() @ n0 @ n0 @ amps[0]).real
         assert square - mean**2 == pytest.approx(0.0, abs=1e-12)
         assert point.var > 0  # hopping builds variance over the window
+
+    def test_trajectory_interface_and_guards(self):
+        # the variance reads an evolve Trajectory as well as a ket series;
+        # the ket route guards its lattice and hopping strength
+        p = SystemParams(delta=0.2, omega_c=9.0, cavity_decay=0.3, n_fock=2)
+        liouv = build_liouvillian(build_jch(p), [])
+        rho0 = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).density_matrix()
+        times = np.linspace(0.0, 2.0, 301)
+        traj = evolve(liouv, rho0, times)
+        value = _number_variance(traj.times, traj.states, traj.dims)
+        assert value >= -1e-8
+        with pytest.raises(DimensionMismatchError):
+            numeric_variance(p, "-")
+        with pytest.raises(ValueError):
+            numeric_variance(TWO_SITE.with_(hopping=0.0), "-")
 
     def test_matches_ket_variance_path(self):
         # the variance of the density-matrix series against the direct

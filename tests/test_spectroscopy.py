@@ -45,6 +45,16 @@ def detuned_setup():
 class TestCorrelationFunction:
     """The steady-state correlation <a(tau) a^dag(0)> behind every spectrum."""
 
+    def test_undamped_generator_rejected(self):
+        p = SystemParams(omega_c=100.0, delta=0.0, n_fock=3)
+        liouv = standard_liouvillian(p)
+        vac = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)  # stationary eigenstate
+        with pytest.raises(NumericalError, match="does not decay"):
+            absorption_spectrum(
+                liouv, vac.density_matrix(), annihilation_at(p.dims, 0),
+                default_frequency_grid(p), p,
+            )
+
     def test_nonstationary_state_rejected(self, resonant_setup):
         params, liouv, _ = resonant_setup
         moving = site_polariton_ket(params.dims, 2, "-", params.g, params.delta)

@@ -7,12 +7,14 @@ Basis conventions, fixed once for the whole package:
   the photon index major: ``|0,g>, |0,e>, |1,g>, |1,e>, ...``;
 * for two sites, site 0 is the leftmost (slowest varying) tensor factor.
 
-All carriers are immutable after construction; every function here is pure,
-so operators and states can be shared freely between threads.
+All carriers are immutable after construction (their arrays write-locked) and
+every function here is pure, so operators and states can be shared freely
+between threads, and each builder that reads only dims caches what it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 
 import numpy as np
 
@@ -174,6 +176,7 @@ class DensityMatrix:
         return self
 
 
+@cache
 def fock_annihilation(dims: HilbertDims) -> Operator:
     """Photon lowering operator on a single site: <n-1|a|n> = sqrt(n).
 
@@ -185,6 +188,7 @@ def fock_annihilation(dims: HilbertDims) -> Operator:
     return Operator(site, np.kron(a_phot, np.eye(2, dtype=complex)))
 
 
+@cache
 def atomic_lowering(dims: HilbertDims) -> Operator:
     """Atomic lowering |g><e| on a single site, identity on the photon factor."""
     site = dims.site()
@@ -203,12 +207,9 @@ def embed_site(op: Operator, site_index: int, dims: HilbertDims) -> Operator:
         )
     if op.dims.site_dim != dims.site_dim:
         raise DimensionMismatchError("operator does not act on one site of dims")
-    if dims.n_cavities == 1:
-        return Operator(dims, op.data)
-    eye = np.eye(dims.site_dim, dtype=complex)
-    if site_index == 0:
-        return Operator(dims, np.kron(op.data, eye))
-    return Operator(dims, np.kron(eye, op.data))
+    factors = [np.eye(dims.site_dim, dtype=complex)] * dims.n_cavities
+    factors[site_index] = op.data
+    return Operator(dims, reduce(np.kron, factors))
 
 
 def sum_over_sites(op: Operator, dims: HilbertDims) -> Operator:
@@ -219,14 +220,17 @@ def sum_over_sites(op: Operator, dims: HilbertDims) -> Operator:
     return out
 
 
+@cache
 def annihilation_at(dims: HilbertDims, site_index: int = 0) -> Operator:
     return embed_site(fock_annihilation(dims), site_index, dims)
 
 
+@cache
 def lowering_at(dims: HilbertDims, site_index: int = 0) -> Operator:
     return embed_site(atomic_lowering(dims), site_index, dims)
 
 
+@cache
 def excitation_number_at(dims: HilbertDims, site_index: int = 0) -> Operator:
     """Local excitation counter a^dag a + sigma^+ sigma^- at one site."""
     a = fock_annihilation(dims)

@@ -8,7 +8,7 @@ Each generator type has one propagator.  :func:`evolve` synthesizes a
 density-matrix trajectory from the spectral decomposition of a Liouvillian,
 with a fixed-step 4th-order integrator as the fallback for a Liouvillian whose
 eigenbasis is too ill-conditioned to trust; :func:`evolve_closed` rotates a
-ket in the eigenbasis of a Hamiltonian.
+ket in the eigenbasis of the Hamiltonian block that the ket's support reaches.
 """
 from __future__ import annotations
 
@@ -105,17 +105,23 @@ class Liouvillian:
         return self._modes
 
 
+def _reachable(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Mask of what the ``seed`` mask reaches in ``linked``, by breadth-first search."""
+    members = frontier = seed
+    while frontier.any():
+        frontier = linked[frontier].any(axis=0) & ~members
+        members = members | frontier
+    return members
+
+
 def _connected_blocks(data: np.ndarray):
     """Yield the index arrays of the weakly connected components of the
-    nonzero pattern of ``data``, found by breadth-first search."""
+    nonzero pattern of ``data``, lowest first index first."""
     linked = (data != 0) | (data != 0).T
     unseen = np.ones(len(data), dtype=bool)
     while unseen.any():
-        frontier = members = np.arange(len(data)) == np.argmax(unseen)
-        while frontier.any():
-            unseen &= ~frontier
-            frontier = linked[frontier].any(axis=0) & unseen
-            members = members | frontier
+        members = _reachable(linked, np.arange(len(data)) == np.argmax(unseen))
+        unseen &= ~members
         yield np.flatnonzero(members)
 
 
@@ -273,14 +279,19 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid, method: str = "spect
 
 
 def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
-    """Unitary amplitudes exp(-i H t) psi0 sampled on the grid, shape (T, D)."""
+    """Unitary amplitudes exp(-i H t) psi0 sampled on the grid, shape (T, D), from
+    the block of H that the support of psi0 reaches; exactly 0 outside it."""
     if h.dims != psi0.dims:
         raise DimensionMismatchError("state dims differ from Hamiltonian dims")
     times = _check_grid(t_grid)
-    energies, vectors = np.linalg.eigh(h.data)
+    linked = (h.data != 0) | (h.data != 0).T
+    idx = np.flatnonzero(_reachable(linked, psi0.amplitudes != 0))
+    energies, vectors = np.linalg.eigh(h.data[np.ix_(idx, idx)])
     phases = np.exp(-1j * np.outer(times - times[0], energies))
-    coeff = vectors.conj().T @ psi0.amplitudes
-    return (phases * coeff[None, :]) @ vectors.T
+    coeff = vectors.conj().T @ psi0.amplitudes[idx]
+    out = np.zeros((len(times), h.dims.total_dim), dtype=complex)
+    out[:, idx] = (phases * coeff[None, :]) @ vectors.T
+    return out
 
 
 def steady_state(liouv: Liouvillian) -> DensityMatrix:

@@ -16,6 +16,7 @@ from jchsim import (
     excitation_number_at,
     expect_series,
     fock_annihilation,
+    lowering_at,
     partial_trace,
     product_ket,
 )
@@ -203,3 +204,25 @@ def test_product_ket_matches_bare():
         product_ket(dims, [left, right]).amplitudes,
         bare_ket(dims, [(1, ATOM_G), (0, ATOM_E)]).amplitudes,
     )
+
+
+CACHED_BUILDERS = [fock_annihilation, atomic_lowering, annihilation_at, lowering_at,
+                   excitation_number_at]
+
+
+@pytest.mark.parametrize("builder", CACHED_BUILDERS, ids=lambda f: f.__name__)
+def test_cached_builders_share_one_locked_operator(builder):
+    # equal dims give the very same operator, so its data must refuse writes;
+    # other dims (and, for the site builders, other sites) give other ones
+    op = builder(HilbertDims(3, 2))
+    assert builder(HilbertDims(3, 2)) is op
+    with pytest.raises(ValueError):
+        op.data[0, 0] = 1.0
+    other = builder(HilbertDims(2, 2))
+    assert other.dims != op.dims and other.data.shape != op.data.shape
+    if builder in (fock_annihilation, atomic_lowering):
+        return
+    assert not np.array_equal(builder(HilbertDims(3, 2), 1).data, op.data)
+    for _ in range(2):
+        with pytest.raises(DimensionMismatchError):
+            builder(HilbertDims(3, 2), 2)

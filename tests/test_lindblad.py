@@ -350,6 +350,50 @@ def test_hamiltonian_takes_no_fixed_step_method():
     assert np.max(np.abs(stepped.states - mixture)) < 1e-8
 
 
+@st.composite
+def block_hamiltonians(draw):
+    """(dims, H, ket, mask of the indices the ket reaches) for a random
+    Hermitian H that is block-diagonal in a randomly relabeled basis, every
+    block dense; a single block is a dense H.  One-wide blocks fill the width
+    up to a one-site ``total_dim``.  The ket occupies a random nonempty subset
+    of the blocks, and a random nonempty part of each one it occupies."""
+    sizes = draw(st.one_of(st.just([8]), st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    dims = HilbertDims(max(2, (sum(sizes) + 1) // 2 - 1))
+    sizes = sizes + [1] * (dims.total_dim - sum(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupied = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)).filter(any))
+    h = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    amps = np.zeros(sum(sizes), dtype=complex)
+    reach = np.zeros(sum(sizes), dtype=bool)
+    start = 0
+    for size, occupy in zip(sizes, occupied):
+        span = slice(start, start + size)
+        raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        h[span, span] = raw + raw.conj().T
+        if occupy:
+            part = draw(st.lists(st.booleans(), min_size=size, max_size=size).filter(any))
+            amps[span] = np.where(part, rng.standard_normal(size) + 1j * rng.standard_normal(size), 0)
+            reach[span] = True
+        start += size
+    order = np.array(draw(st.permutations(range(len(amps)))))
+    return dims, h[np.ix_(order, order)], amps[order] / np.linalg.norm(amps), reach[order]
+
+
+@settings(deadline=None, max_examples=200)
+@given(block_hamiltonians(), st.floats(0.1, 10.0))
+def test_evolve_closed_block_route_matches_dense(generator, t_max):
+    # the reachable-block route against the dense eigh rotation of the whole
+    # space; the largest error seen in three runs of 2000 examples was
+    # 3.6e-14 (entries of H of order 1, t <= 10), so 1e-12 leaves a margin of 28
+    dims, h, amps, reach = generator
+    times = np.linspace(0.0, t_max, 7)
+    block = evolve_closed(Operator(dims, h), Ket(dims, amps), times)
+    energies, vectors = np.linalg.eigh(h)
+    dense = (np.exp(-1j * np.outer(times, energies)) * (vectors.conj().T @ amps)) @ vectors.T
+    assert np.abs(block - dense).max() < 1e-12
+    assert np.all(block[:, ~reach] == 0)
+
+
 class TestSteadyState:
     def test_undriven_decay_reaches_vacuum(self):
         p = SystemParams(delta=0.4, omega_c=9.0, cavity_decay=0.5, atom_decay=0.3, n_fock=3)

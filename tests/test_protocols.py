@@ -312,6 +312,18 @@ class TestOrderParameter:
         via_kets = numeric_variance(p, "-", hold_samples=241)
         assert via_trajectory == pytest.approx(via_kets, rel=1e-9)
 
+    @pytest.mark.parametrize("hopping, delta", [(0.02, 0.0), (0.05, 1.0), (0.1, 5.0), (0.02, 5.0)])
+    def test_variance_at_large_omega_c_matches_shifted_frame(self, hopping, delta):
+        # N_tot commutes with H, so H - omega_c N_tot leaves every sector
+        # observable as it is but drops the 2e4-sized diagonal that sets the
+        # roundoff at omega_c = 1e4; the differences measured at most 1.4e-10
+        p = TWO_SITE.with_(hopping=hopping, delta=delta)
+        psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
+        times = np.linspace(0.0, 1.0 / hopping, 401)
+        shifted = build_jch(p) - p.omega_c * total_excitation(p.dims)
+        oracle = _number_variance(times, evolve_closed(shifted, psi, times), p.dims)
+        assert abs(numeric_variance(p, "-", hold_samples=401) - oracle) < 1e-9
+
 
 class TestRampSchedule:
     def test_default_shape(self):

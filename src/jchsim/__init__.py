@@ -58,10 +58,8 @@ from .lindblad import (
     Liouvillian,
     Trajectory,
     build_liouvillian,
-    dissipator,
     evolve,
     evolve_closed,
-    hamiltonian_generator,
     standard_liouvillian,
     steady_state,
     trace_distance,

@@ -1,6 +1,6 @@
 """Command-line entry point: run configured experiments, list them, selfcheck.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -53,8 +53,12 @@ def main(argv=None) -> int:
         report = selfcheck_report()
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"output error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
         print(text)
         return EXIT_OK if report["passed"] else 1
 
@@ -72,6 +76,9 @@ def main(argv=None) -> int:
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (JchsimError, ValueError) as exc:
         print(f"numerical failure in {config.experiment}: {exc}", file=sys.stderr)

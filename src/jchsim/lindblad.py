@@ -1,8 +1,9 @@
 """Lindblad master-equation engine on dense, vectorized density matrices.
 
 Vectorization convention (fixed package-wide): matrices are stacked row by
-row, ``vec(rho) = rho.reshape(-1)``, so ``vec(A rho B) = (A kron B^T) vec(rho)``
-and the commutator part of the generator is ``-i (H kron I - I kron H^T)``.
+row, ``vec(rho) = rho.reshape(-1)``, so ``vec(A rho B) = (A kron B^T) vec(rho)``.
+:func:`build_liouvillian` is the one place a generator is assembled, from the
+no-jump Hamiltonian H_eff (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).
 
 Each generator type has one propagator.  :func:`evolve` synthesizes a
 density-matrix trajectory from the spectral decomposition of a Liouvillian,
@@ -64,11 +65,6 @@ class Liouvillian:
             )
         self.data = data
 
-    def __add__(self, other: "Liouvillian") -> "Liouvillian":
-        if self.dims != other.dims:
-            raise DimensionMismatchError("cannot add Liouvillians with different dims")
-        return Liouvillian(self.dims, self.data + other.data)
-
     def apply(self, mat: np.ndarray) -> np.ndarray:
         """Action on a density-matrix-shaped array, returned in matrix shape."""
         d = self.dims.total_dim
@@ -125,50 +121,22 @@ def _connected_blocks(data: np.ndarray):
         yield np.flatnonzero(members)
 
 
-def zero_superoperator(dims: HilbertDims) -> Liouvillian:
-    d2 = dims.total_dim**2
-    return Liouvillian(dims, np.zeros((d2, d2), dtype=complex))
-
-
-def hamiltonian_generator(h: Operator) -> Liouvillian:
-    """The unitary part -i[H, .] as a superoperator."""
-    d = h.dims.total_dim
-    eye = np.eye(d, dtype=complex)
-    data = -1j * (np.kron(h.data, eye) - np.kron(eye, h.data.T))
-    return Liouvillian(h.dims, data)
-
-
-def dissipator(jump: Operator, rate: float) -> Liouvillian:
-    """Lindblad channel (rate/2) (2 L rho L^dag - {L^dag L, rho})."""
-    if rate < 0:
-        raise ValueError("dissipation rate must be non-negative")
-    d = jump.dims.total_dim
-    eye = np.eye(d, dtype=complex)
-    ldl = jump.data.conj().T @ jump.data
-    data = 0.5 * rate * (
-        2.0 * np.kron(jump.data, jump.data.conj())
-        - np.kron(ldl, eye)
-        - np.kron(eye, ldl.T)
-    )
-    return Liouvillian(jump.dims, data)
-
-
-def build_liouvillian(h: Operator | None, channels=()) -> Liouvillian:
-    """Full generator -i[H, .] plus the given (jump, rate) channels."""
-    dims = None
-    if h is not None:
-        dims = h.dims
-    for jump, _ in channels:
-        if dims is None:
-            dims = jump.dims
-        elif jump.dims != dims:
-            raise DimensionMismatchError("channel dims differ from Hamiltonian dims")
-    if dims is None:
-        raise ValueError("need a Hamiltonian or at least one channel")
-    out = hamiltonian_generator(h) if h is not None else zero_superoperator(dims)
+def build_liouvillian(h: Operator, channels=()) -> Liouvillian:
+    """Generator -i (H_eff kron I - I kron H_eff^*) + sum_k rate_k L_k kron L_k^* of
+    the (jump, rate) channels, H_eff = H - (i/2) sum_k rate_k L_k^dag L_k.  With no
+    channels H_eff is H, so the generator is exactly anti-Hermitian."""
+    h_eff = h.data
     for jump, rate in channels:
-        out = out + dissipator(jump, rate)
-    return out
+        if jump.dims != h.dims:
+            raise DimensionMismatchError("channel dims differ from Hamiltonian dims")
+        if rate < 0:
+            raise ValueError("dissipation rate must be non-negative")
+        h_eff = h_eff - 0.5j * rate * (jump.data.conj().T @ jump.data)
+    eye = np.eye(h.dims.total_dim, dtype=complex)
+    data = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    for jump, rate in channels:
+        data += rate * np.kron(jump.data, jump.data.conj())
+    return Liouvillian(h.dims, data)
 
 
 def standard_liouvillian(params: SystemParams) -> Liouvillian:

@@ -31,7 +31,7 @@ from .hilbert import (
     expect_series,
     sum_over_sites,
 )
-from .lindblad import Trajectory, build_liouvillian, evolve, evolve_closed
+from .lindblad import Trajectory, build_liouvillian, evolve, evolve_closed, standard_liouvillian
 from .polariton import (
     ladder_coefficients_for,
     parse_state_spec,
@@ -257,8 +257,7 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
     strobe = SystemParams(omega_c=omega_c, n_fock=n_fock)
     for mechanism, control, params, n0, generator, t_final, samples in (
         ("driving", "atom drive = 50 g", drive, 1, build_driven(drive), 2.0, 4001),
-        ("relaxation", "cavity decay = g", lossy, 2,
-         build_liouvillian(build_jch(lossy), decay_channels(lossy)), 8.0, 1601),
+        ("relaxation", "cavity decay = g", lossy, 2, standard_liouvillian(lossy), 8.0, 1601),
         ("modulation", "detuning locked to pi(2m+1)/2t", strobe, 1,
          stroboscopic_generator(strobe, 0), math.pi / strobe.g, 2001),
     ):

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 from collections import defaultdict
 from pathlib import Path
@@ -293,6 +294,21 @@ class TestCli:
         assert report["passed"] is True
         capsys.readouterr()
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a path that cannot be written is the caller's error (2): neither an
+        # invariant failure (1) nor a traceback
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("experiment = spectrum\nn_points = 101\n")
+        existing_file = tmp_path / "taken"
+        existing_file.write_text("")
+        assert main(["run", str(cfg), "--output-dir", str(existing_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        monkeypatch.setattr("jchsim.cli.selfcheck_report", lambda: {"passed": True})
+        assert main(["selfcheck", "--output", str(tmp_path / "missing" / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+
     def test_ramp_flags_are_plumbed(self, tmp_path, capsys):
         cfg = tmp_path / "ramp.cfg"
         cfg.write_text(
@@ -391,3 +407,28 @@ def test_every_function_is_reached_from_the_cli():
         pending |= _referenced(bodies) - seen
     unreached = sorted(q for name, defs in defined.items() if name not in seen for q, _ in defs)
     assert not unreached, f"reached by no runner or selfcheck: {', '.join(unreached)}"
+
+
+def _load_perfbench(name: str):
+    path = REPO / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_layer_metric_is_measured():
+    # ``perfbench/run.py --trace 1`` raises on a per-layer metric of
+    # BENCHMARK.json that names neither a traced public function nor a tracer
+    # counter, so deleting or renaming a function a metric names breaks every
+    # traced benchmark run; perfbench's own tests are not in tier-1
+    run, tracing = _load_perfbench("run"), _load_perfbench("tracer")
+    known = tracing.Tracer().span_names()
+    counters = set(tracing.COUNTERS) | {f"{layer}.errors" for layer in tracing.LAYERS}
+    unmeasured = []
+    for metric in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]:
+        try:
+            run.layer_value(metric["name"], [{"layers": {}}], 0.0, known, counters)
+        except ValueError:
+            unmeasured.append(metric["name"])
+    assert not unmeasured, f"per-layer metrics no tracer span measures: {', '.join(unmeasured)}"

@@ -24,7 +24,6 @@ from jchsim import (
     build_jch,
     build_liouvillian,
     decay_channels,
-    dissipator,
     evolve,
     evolve_closed,
     site_polariton_ket,
@@ -34,12 +33,7 @@ from jchsim import (
     total_excitation,
     trace_distance,
 )
-from jchsim.lindblad import (
-    LiouvillianModes,
-    _connected_blocks,
-    hamiltonian_generator,
-    zero_superoperator,
-)
+from jchsim.lindblad import LiouvillianModes, _connected_blocks
 
 from conftest import random_density_matrix, random_kets
 
@@ -53,15 +47,21 @@ def brute_force_lindblad(h, channels, rho):
     return out
 
 
+def zero_hamiltonian(dims):
+    """H = 0, for a generator made of loss channels only (or of nothing)."""
+    return Operator(dims, np.zeros((dims.total_dim,) * 2))
+
+
 class TestDissipator:
     def test_zero_rate(self):
         dims = HilbertDims(2)
-        d = dissipator(annihilation_at(dims, 0), 0.0)
+        d = build_liouvillian(zero_hamiltonian(dims), [(annihilation_at(dims, 0), 0.0)])
         assert np.max(np.abs(d.data)) == 0.0
 
     def test_negative_rate_rejected(self):
+        dims = HilbertDims(2)
         with pytest.raises(ValueError):
-            dissipator(annihilation_at(HilbertDims(2), 0), -0.5)
+            build_liouvillian(zero_hamiltonian(dims), [(annihilation_at(dims, 0), -0.5)])
 
     def test_two_level_exponential_decay(self):
         # excited-atom population decays as exp(-rate t)
@@ -76,7 +76,7 @@ class TestDissipator:
     def test_action_matches_brute_force(self, rng):
         dims = HilbertDims(2)
         jump = annihilation_at(dims, 0)
-        d = dissipator(jump, 0.7)
+        d = build_liouvillian(zero_hamiltonian(dims), [(jump, 0.7)])
         rho = random_density_matrix(dims.total_dim, rng)
         direct = brute_force_lindblad(None, [(jump.data, 0.7)], rho)
         assert np.max(np.abs(d.apply(rho) - direct)) < 1e-13
@@ -88,14 +88,29 @@ class TestLiouvillian:
         liouv = build_liouvillian(build_jc(p), [])
         assert np.max(np.abs(liouv.modes().eigenvalues.real)) < 1e-10
 
-    def test_full_action_matches_brute_force(self, rng):
-        p = SystemParams(delta=0.4, omega_c=8.0, cavity_decay=0.5, atom_decay=0.5, n_fock=2)
-        h = build_jc(p)
-        channels = decay_channels(p)
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from([2, 3]), st.lists(st.floats(0.0, 2.0), max_size=3),
+           st.integers(0, 2**32 - 1))
+    def test_full_action_matches_brute_force(self, n_fock, rates, seed):
+        # random Hermitian H and dense complex jumps, so L^dag L is not
+        # diagonal; the largest error seen in three runs of 2000 examples was
+        # 1.8e-14 (entries of H and L of order 1, D = 6 or 8), so 1e-12 leaves a
+        # margin of 55
+        rng = np.random.default_rng(seed)
+        dims = HilbertDims(n_fock)
+        d = dims.total_dim
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = Operator(dims, (raw + raw.conj().T) / 2)
+        shape = (len(rates), d, d)
+        jumps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        channels = [(Operator(dims, jump), rate) for jump, rate in zip(jumps, rates)]
         liouv = build_liouvillian(h, channels)
-        rho = random_density_matrix(p.dims.total_dim, rng)
-        direct = brute_force_lindblad(h.data, [(j.data, r) for j, r in channels], rho)
+        rho = random_density_matrix(d, rng)
+        direct = brute_force_lindblad(h.data, list(zip(jumps, rates)), rho)
         assert np.max(np.abs(liouv.apply(rho) - direct)) < 1e-12
+        if not channels:
+            # exactly anti-Hermitian, so modes() sends it through eigh
+            assert np.array_equal(liouv.data, -liouv.data.conj().T)
 
     def test_zero_mode_and_stability(self):
         p = SystemParams(delta=0.0, omega_c=8.0, cavity_decay=0.5, atom_decay=0.5, n_fock=3)
@@ -229,7 +244,7 @@ class TestEvolve:
     def test_zero_generator_constant(self, rng):
         dims = HilbertDims(2)
         rho0 = DensityMatrix(dims, random_density_matrix(dims.total_dim, rng))
-        traj = evolve(zero_superoperator(dims), rho0, np.linspace(0.0, 2.0, 11))
+        traj = evolve(build_liouvillian(zero_hamiltonian(dims)), rho0, np.linspace(0.0, 2.0, 11))
         assert np.max(np.abs(traj.states - rho0.data)) < 1e-12
 
     def test_vacuum_rabi_period(self):
@@ -287,15 +302,15 @@ class TestEvolve:
         dims = HilbertDims(2)
         rho0 = bare_ket(dims, [(0, 0)]).density_matrix()
         with pytest.raises(ValueError):
-            evolve(zero_superoperator(dims), rho0, [0.0, 0.0, 1.0])
+            evolve(build_liouvillian(zero_hamiltonian(dims)), rho0, [0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
-            evolve(zero_superoperator(dims), rho0, [0.0])
+            evolve(build_liouvillian(zero_hamiltonian(dims)), rho0, [0.0])
 
     def test_invalid_initial_state_rejected(self):
         dims = HilbertDims(2)
         bad = np.eye(dims.total_dim, dtype=complex)  # trace != 1
         with pytest.raises(ValueError):
-            evolve(zero_superoperator(dims), DensityMatrix(dims, bad), [0.0, 1.0])
+            evolve(build_liouvillian(zero_hamiltonian(dims)), DensityMatrix(dims, bad), [0.0, 1.0])
 
     def test_defective_generator_falls_back_with_warning(self):
         # a nilpotent Jordan block has no eigenbasis; the spectral route must
@@ -330,7 +345,7 @@ def test_hamiltonian_evolution_matches_mixed_kets(n_kets, seed):
     for weight, ket in zip(weights, kets):
         amps = evolve_closed(h, Ket(dims, ket), times)
         mixture = mixture + weight * np.einsum("ti,tj->tij", amps, amps.conj())
-    traj = evolve(hamiltonian_generator(h), rho0, times)
+    traj = evolve(build_liouvillian(h), rho0, times)
     assert np.max(np.abs(traj.states - mixture)) < 1e-10
 
 
@@ -345,7 +360,7 @@ def test_hamiltonian_takes_no_fixed_step_method():
     with pytest.raises(TypeError):
         evolve_closed(h, psi, times, method="rk4")
     amps = evolve_closed(h, psi, times)
-    stepped = evolve(hamiltonian_generator(h), psi.density_matrix(), times, method="rk4")
+    stepped = evolve(build_liouvillian(h), psi.density_matrix(), times, method="rk4")
     mixture = np.einsum("ti,tj->tij", amps, amps.conj())
     assert np.max(np.abs(stepped.states - mixture)) < 1e-8
 
@@ -434,7 +449,7 @@ class TestPiecewise:
 
     def test_semigroup_property(self):
         p = SystemParams(delta=0.4, omega_c=9.0, n_fock=2)
-        gen = hamiltonian_generator(build_jc(p))
+        gen = build_liouvillian(build_jc(p))
         rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
         first = evolve(gen, rho0, [0.0, 1.3])
         double = evolve(gen, first.state(-1), [1.3, 2.6])
@@ -443,11 +458,11 @@ class TestPiecewise:
 
     def test_pulse_then_free_evolution_preserves_branch(self):
         p = SystemParams(delta=0.6, omega_c=9.0, n_fock=3)
-        pulse = hamiltonian_generator(stroboscopic_generator(p, 0))
+        pulse = build_liouvillian(stroboscopic_generator(p, 0))
         km = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)
         flipped = evolve(pulse, km.density_matrix(), np.linspace(0.0, math.pi / 2, 31))
         free = evolve(
-            hamiltonian_generator(build_jc(p)), flipped.state(-1),
+            build_liouvillian(build_jc(p)), flipped.state(-1),
             np.linspace(math.pi / 2, math.pi / 2 + 3.0, 31),
         )
         kp = site_polariton_ket(p.dims, 1, "+", p.g, p.delta).amplitudes
@@ -458,15 +473,15 @@ class TestPiecewise:
     def test_dimension_mismatch_across_segments(self):
         p = SystemParams(delta=0.4, omega_c=9.0, n_fock=2)
         rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
-        first = evolve(hamiltonian_generator(build_jc(p)), rho0, [0.0, 1.0])
-        other = hamiltonian_generator(build_jc(SystemParams(n_fock=3)))
+        first = evolve(build_liouvillian(build_jc(p)), rho0, [0.0, 1.0])
+        other = build_liouvillian(build_jc(SystemParams(n_fock=3)))
         with pytest.raises(DimensionMismatchError):
             evolve(other, first.state(-1), [1.0, 2.0])
 
     def test_mixed_unitary_and_dissipative_segments(self):
         p = SystemParams(delta=0.4, omega_c=9.0, cavity_decay=0.5, n_fock=2)
         rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
-        unitary = evolve(hamiltonian_generator(build_jc(p)), rho0, np.linspace(0.0, 0.7, 11))
+        unitary = evolve(build_liouvillian(build_jc(p)), rho0, np.linspace(0.0, 0.7, 11))
         lossy = evolve(standard_liouvillian(p), unitary.state(-1), np.linspace(0.7, 2.7, 11))
         assert unitary.trace_drift() < 1e-8
         assert lossy.trace_drift() < 1e-8
@@ -485,7 +500,8 @@ class TestPiecewise:
         data = np.zeros((d2, d2), dtype=complex)
         data[1, 2] = 1.0
         rho0 = bare_ket(dims, [(2, 0)]).density_matrix()
-        loss = evolve(dissipator(annihilation_at(dims, 0), 0.5), rho0, [0.0, 1.0])
+        loss = evolve(build_liouvillian(zero_hamiltonian(dims), [(annihilation_at(dims, 0), 0.5)]),
+                      rho0, [0.0, 1.0])
         with pytest.warns(UserWarning, match="falling back"):
             traj = evolve(Liouvillian(dims, data), loss.state(-1), np.linspace(1.0, 2.0, 5))
         assert np.max(np.abs(traj.states - loss.states[-1])) < 1e-12

@@ -47,10 +47,8 @@ from .hamiltonians import (
     build_driven,
     build_hopping,
     build_jc,
-    build_jc_polariton,
     build_jch,
     decay_channels,
-    drive_amplitudes,
     rabi_frequency,
     stroboscopic_generator,
 )
@@ -73,12 +71,9 @@ from .spectroscopy import (
     find_peaks,
 )
 from .perturbation import (
-    DriveCoefficients,
     PerturbationReport,
-    drive_coefficients,
     match_exact_energies,
     perturbation_report,
-    second_order_energies,
     unperturbed_energies,
 )
 from .protocols import (

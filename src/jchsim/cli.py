@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, JchsimError
@@ -50,6 +51,9 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "selfcheck":
+        if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+            print(f"output error: no directory to hold {args.output!r}", file=sys.stderr)
+            return EXIT_CONFIG
         report = selfcheck_report()
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.output:

@@ -9,7 +9,9 @@ set and the engine version.
 """
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -236,7 +238,7 @@ def _run_variance_compare(params: SystemParams, options: dict) -> ExperimentResu
 
 def _run_perturbation_report(params: SystemParams, options: dict) -> ExperimentResult:
     report = perturbation_report(params)
-    exact = match_exact_energies(params, REPORT_LABELS)
+    exact = match_exact_energies(params)
     columns = {
         "label": list(REPORT_LABELS),
         "e0": [report.e0[k] for k in REPORT_LABELS],
@@ -556,7 +558,12 @@ def write_json(path, payload: dict) -> None:
 
 def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",
                    strict_ramp: bool = False) -> list:
-    """Execute one experiment and write its artifacts; returns written paths."""
+    """Execute one experiment and write its artifacts; returns written paths.
+
+    An ``output_dir`` whose nearest existing ancestor is not a directory
+    raises ``OSError`` before the experiment runs; nothing is created until
+    the experiment has succeeded.
+    """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     options = dict(config.options)
@@ -564,9 +571,12 @@ def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",
         if "strict_ramp" not in options:
             raise ConfigError(f"--strict-ramp applies to the ramp, not to {config.experiment!r}")
         options["strict_ramp"] = True
+    out_dir = Path(output_dir)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
     result = EXPERIMENTS[config.experiment].runner(config.params, options)
 
-    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the provenance block records the options actually in effect, so files
     # produced with different CLI overrides are distinguishable

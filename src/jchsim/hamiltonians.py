@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
-from . import polariton
 from .hilbert import (
     HilbertDims,
     Operator,
@@ -106,30 +105,6 @@ def build_jch(params: SystemParams) -> Operator:
     return h
 
 
-def build_jc_polariton(params: SystemParams) -> Operator:
-    """JC Hamiltonian as a diagonal matrix in the polariton-ordered basis.
-
-    The diagonal carries the dressed energies (ground entry 0); the overflow
-    state keeps its bare energy so the matrix is exactly the similarity
-    transform of :func:`build_jc`.
-    """
-    dims = params.dims
-    site_basis = polariton.basis_transform(dims, params.g, params.delta)
-    energies = []
-    for lbl in site_basis.labels:
-        if lbl == polariton.GROUND:
-            energies.append(0.0)
-        elif lbl == polariton.OVERFLOW:
-            energies.append(params.omega_a + params.n_fock * params.omega_c)
-        else:
-            n, branch = polariton.parse_label(lbl)
-            energies.append(
-                polariton.polariton_energy(n, branch, params.g, params.delta, params.omega_c)
-            )
-    site_diag = np.diag(np.array(energies, dtype=complex))
-    return sum_over_sites(Operator(dims.site(), site_diag), dims)
-
-
 def _require_corotating(params: SystemParams):
     if abs(params.drive_frame_mismatch) > DRIVE_FRAME_TOL:
         raise ValueError(
@@ -152,34 +127,6 @@ def build_driven(params: SystemParams) -> Operator:
         + params.g * (a.dag() @ sm + sm.dag() @ a)
         + 1j * params.atom_drive * (sm.dag() - sm)
         + 1j * params.cavity_drive * (a.dag() - a)
-    )
-
-
-def rotating_frame_energy(params: SystemParams, n: int, branch: str) -> float:
-    """Unperturbed dressed energy in the co-rotating drive frame."""
-    if n == 0:
-        return 0.0
-    sign = {"+": 1.0, "-": -1.0}[branch]
-    return (
-        params.cavity_drive_detuning * n
-        + 0.5 * params.delta
-        + 0.5 * sign * polariton.branch_splitting(n, params.g, params.delta)
-    )
-
-
-def drive_amplitudes(params: SystemParams, n: int):
-    """Complex drive weights multiplying the four ladder families at step n.
-
-    Returns (beta_plus, beta_minus, xi_to_plus, xi_to_minus); each is purely
-    imaginary for real drive amplitudes.
-    """
-    co = polariton.ladder_coefficients_for(n, params.g, params.delta)
-    om, al = params.atom_drive, params.cavity_drive
-    return (
-        1j * (om * co.a_c_plus + al * co.c_plus),
-        1j * (om * co.a_c_minus + al * co.c_minus),
-        1j * (om * co.a_k_pm + al * co.k_pm),
-        1j * (om * co.a_k_mp + al * co.k_mp),
     )
 
 

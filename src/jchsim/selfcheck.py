@@ -17,7 +17,6 @@ from .hamiltonians import (
     build_driven,
     build_hopping,
     build_jc,
-    build_jc_polariton,
     build_jch,
     stroboscopic_generator,
 )
@@ -160,7 +159,7 @@ def run_selfcheck(corruption: str | None = None) -> list:
     results.append(_result("coefficient_detuning_symmetry", sym_err, 1e-12))
 
     # --- Hamiltonians -----------------------------------------------------
-    builders = [build_jc(pair), build_hopping(pair), build_jch(pair), build_jc_polariton(pair)]
+    builders = [build_jc(pair), build_hopping(pair), build_jch(pair)]
     drive = single.with_(
         atom_drive=0.3, cavity_drive=0.1, atom_drive_detuning=0.9, cavity_drive_detuning=0.5
     )

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -297,14 +298,21 @@ class TestCli:
     def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
         # a path that cannot be written is the caller's error (2): neither an
         # invariant failure (1) nor a traceback
+        # and it is found before any computation is paid for
+        def never(*args):
+            raise AssertionError("computed before the output path was checked")
+
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("experiment = spectrum\nn_points = 101\n")
+        monkeypatch.setitem(EXPERIMENTS, "spectrum", replace(EXPERIMENTS["spectrum"], runner=never))
         existing_file = tmp_path / "taken"
         existing_file.write_text("")
-        assert main(["run", str(cfg), "--output-dir", str(existing_file)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("output error: ") and err.count("\n") == 1
-        monkeypatch.setattr("jchsim.cli.selfcheck_report", lambda: {"passed": True})
+        for target in (existing_file, existing_file / "sub"):
+            assert main(["run", str(cfg), "--output-dir", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("output error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg", "taken"]
+        monkeypatch.setattr("jchsim.cli.selfcheck_report", never)
         assert main(["selfcheck", "--output", str(tmp_path / "missing" / "x.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1

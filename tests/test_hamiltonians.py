@@ -10,9 +10,7 @@ from jchsim import (
     build_driven,
     build_hopping,
     build_jc,
-    build_jc_polariton,
     build_jch,
-    drive_amplitudes,
     embed_site,
     polariton_energy,
     rabi_frequency,
@@ -92,21 +90,36 @@ class TestBareBuilders:
             assert np.max(np.abs(h.data - h.data.conj().T)) <= 1e-12
 
 
+def dressed_diagonal(p):
+    """Levels of one site in the order of its polariton basis: ground 0, the
+    dressed doublets, and the cutoff remainder |n_fock, e> last."""
+    site = polariton.basis_transform(p.dims, p.g, p.delta)
+    levels = [0.0]
+    for lbl in site.labels[1:-1]:
+        n, branch = polariton.parse_label(lbl)
+        levels.append(polariton_energy(n, branch, p.g, p.delta, p.omega_c))
+    levels.append(p.omega_a + p.n_fock * p.omega_c)
+    return site, np.array(levels)
+
+
 class TestPolaritonForms:
     @pytest.mark.parametrize("n_cavities,n_fock", [(1, 4), (2, 2)])
     def test_diagonal_form_is_similarity_transform(self, n_cavities, n_fock):
+        # B (B (x) B for two cavities) diagonalises build_jc; two sites without
+        # hopping carry every sum of two site levels
         p = SystemParams(delta=0.9, omega_c=40.0, n_fock=n_fock, n_cavities=n_cavities)
-        matrix = polariton.basis_transform(p.dims, p.g, p.delta).matrix
+        site, levels = dressed_diagonal(p)
+        matrix, diagonal = site.matrix, levels
         if n_cavities == 2:
-            matrix = np.kron(matrix, matrix)
+            matrix, diagonal = np.kron(matrix, matrix), np.add.outer(levels, levels).ravel()
         transformed = matrix.conj().T @ build_jc(p).data @ matrix
-        assert np.max(np.abs(transformed - build_jc_polariton(p).data)) < 1e-10
+        assert np.max(np.abs(transformed - np.diag(diagonal))) < 1e-10
 
     def test_ground_entry_zero_and_trace(self):
         p = SystemParams(delta=0.3, omega_c=25.0, n_fock=3)
-        diag = build_jc_polariton(p)
-        basis = polariton.basis_transform(p.dims, p.g, p.delta)
-        assert diag.data[basis.index(polariton.GROUND), basis.index(polariton.GROUND)] == 0
+        basis, levels = dressed_diagonal(p)
+        diag = basis.matrix.conj().T @ build_jc(p).data @ basis.matrix
+        assert diag[basis.index(polariton.GROUND), basis.index(polariton.GROUND)] == 0
         # trace = sum of dressed doublets plus the cutoff remainder energy
         doublets = sum(
             polariton_energy(n, b, p.g, p.delta, p.omega_c)
@@ -114,8 +127,9 @@ class TestPolaritonForms:
             for b in ("-", "+")
         )
         remainder = p.omega_a + p.n_fock * p.omega_c
-        trace = np.trace(diag.data).real
+        trace = np.trace(diag).real
         assert trace == pytest.approx(doublets + remainder, rel=1e-12)
+        assert np.sum(levels) == pytest.approx(doublets + remainder, rel=1e-12)
         assert trace == pytest.approx(np.trace(build_jc(p).data).real, rel=1e-12)
 
     def test_hopping_polariton_matches_bare_below_cutoff(self):
@@ -191,9 +205,10 @@ class TestDriven:
             delta=0.2, atom_drive=0.4, cavity_drive=0.3,
             atom_drive_detuning=0.9, cavity_drive_detuning=0.7,
         )
-        for n in (1, 2, 3):
-            for amp in drive_amplitudes(p, n):
-                assert amp.real == 0.0
+        elements = interaction_elements(p)
+        assert {polariton.parse_label(upper)[0] for upper, _ in elements} >= {1, 2, 3}
+        for amp in elements.values():
+            assert amp.real == 0.0
 
 
 class TestRabiFrequency:

@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jchsim import (
-    NumericalError,
     SystemParams,
     build_driven,
-    drive_coefficients,
     match_exact_energies,
     mixing_angle,
     perturbation_report,
-    second_order_energies,
     unperturbed_energies,
 )
 from jchsim.perturbation import CLUSTER_RATIO, REPORT_LABELS, interaction_elements
@@ -53,15 +52,13 @@ class TestUnperturbedEnergies:
             crossings.append(abs(e0["1-"] - e0["G"]))
         assert np.min(crossings) == pytest.approx(0.0, abs=1e-12)
         assert np.linspace(0.5, 1.5, 101)[int(np.argmin(crossings))] == pytest.approx(1.0)
-        with pytest.raises(NumericalError, match="degenerate"):
-            second_order_energies(_params(delta_c=1.0))
 
 
 class TestDriveCoefficients:
+    """The drive elements read from the ladder coefficients."""
+
     def test_all_zero_without_drives(self):
-        co = drive_coefficients(_params(drive=0.0))
-        assert all(v == 0 for v in co.beta_plus.values())
-        assert all(v == 0 for v in co.beta_minus.values())
+        assert all(v == 0 for v in interaction_elements(_params(drive=0.0)).values())
 
     def test_atomic_only_first_manifold(self):
         p = SystemParams(
@@ -69,20 +66,29 @@ class TestDriveCoefficients:
             atom_drive_detuning=0.4 + 0.45, cavity_drive_detuning=0.45, n_fock=4,
         )
         theta = mixing_angle(1, p.g, p.delta)
-        co = drive_coefficients(p)
-        assert co.beta_minus[1] == pytest.approx(-1j * 0.05 * math.sin(theta))
+        v = interaction_elements(p)
+        assert v[("1-", "G")] == pytest.approx(-1j * 0.05 * math.sin(theta))
 
     def test_no_cross_terms_in_first_manifold(self):
-        co = drive_coefficients(_params())
-        assert 1 not in co.xi_to_plus and 1 not in co.xi_to_minus
+        # the ground state has no branch: each n = 1 element is its
+        # branch-keeping family alone
+        p = _params()
+        v = interaction_elements(p)
+        co = polariton.ladder_coefficients_for(1, p.g, p.delta)
+        assert {pair for pair in v if "G" in pair} == {
+            ("1-", "G"), ("G", "1-"), ("1+", "G"), ("G", "1+")
+        }
+        assert v[("1+", "G")] == 1j * (p.atom_drive * co.a_c_plus + p.cavity_drive * co.c_plus)
+        assert v[("1-", "G")] == 1j * (p.atom_drive * co.a_c_minus + p.cavity_drive * co.c_minus)
 
     def test_purely_imaginary(self):
-        co = drive_coefficients(_params(drive=0.03))
-        for group in (co.beta_plus, co.beta_minus, co.xi_to_plus, co.xi_to_minus):
-            assert all(v.real == 0.0 for v in group.values())
+        v = interaction_elements(_params(drive=0.03))
+        assert all(amp.real == 0.0 for amp in v.values())
 
 
 class TestSecondOrderEnergies:
+    """Lone labels (no cluster at WELL_SEPARATED) against the textbook sum."""
+
     def test_matches_generic_matrix_formula(self):
         # independent oracle: assemble the full drive matrix in the dressed
         # basis and evaluate the textbook second-order sum directly
@@ -94,7 +100,8 @@ class TestSecondOrderEnergies:
         for (m, k), amp in elements.items():
             v[labels.index(m), labels.index(k)] = amp
         assert np.max(np.abs(v - v.conj().T)) < 1e-15  # Hermitian drive
-        e2 = second_order_energies(p)
+        report = perturbation_report(p)
+        assert report.clusters == ()
         for k in REPORT_LABELS:
             ki = labels.index(k)
             direct = sum(
@@ -102,11 +109,12 @@ class TestSecondOrderEnergies:
                 for li in range(len(labels))
                 if li != ki and v[li, ki] != 0
             )
-            assert e2[k] == pytest.approx(direct, rel=1e-12)
+            assert report.e2[k] == pytest.approx(direct, rel=1e-12)
 
     def test_first_order_vanishes(self):
-        report = perturbation_report(_params(delta_c=WELL_SEPARATED))
-        assert all(value == 0.0 for value in report.e1.values())
+        # the drive has no diagonal element in the dressed basis
+        p = _params(delta_c=WELL_SEPARATED)
+        assert not any((k, k) in interaction_elements(p) for k in unperturbed_energies(p))
 
     def test_quadratic_scaling_in_drive(self):
         p1 = SystemParams(
@@ -114,8 +122,8 @@ class TestSecondOrderEnergies:
             cavity_drive_detuning=WELL_SEPARATED, n_fock=4,
         )
         p2 = p1.with_(atom_drive=0.02)
-        e2_small = second_order_energies(p1)
-        e2_large = second_order_energies(p2)
+        e2_small = perturbation_report(p1).e2
+        e2_large = perturbation_report(p2).e2
         for k in REPORT_LABELS:
             assert e2_large[k] == pytest.approx(4.0 * e2_small[k], rel=1e-12)
 
@@ -221,12 +229,16 @@ class TestCorrectedStates:
         # cross-check the compact closed-form expression for the |1+> weight
         # acquired by |1->: three interfering second-order paths
         p = _params(drive=0.013, delta_c=WELL_SEPARATED)
-        co = drive_coefficients(p)
+        v = interaction_elements(p)
         e0 = unperturbed_energies(p)
+        # beta: branch-keeping steps; xi: branch-interchanging steps
+        beta_minus_1, beta_plus_1 = v[("1-", "G")], v[("1+", "G")]
+        beta_minus_2, beta_plus_2 = v[("2-", "1-")], v[("2+", "1+")]
+        xi_to_minus_2, xi_to_plus_2 = v[("2-", "1+")], v[("2+", "1-")]
         numerator = (
-            -co.beta_minus[1] * co.beta_plus[1] / e0["1-"]
-            - co.beta_minus[2] * co.xi_to_minus[2] / (e0["1-"] - e0["2-"])
-            - co.xi_to_plus[2] * co.beta_plus[2] / (e0["1-"] - e0["2+"])
+            -beta_minus_1 * beta_plus_1 / e0["1-"]
+            - beta_minus_2 * xi_to_minus_2 / (e0["1-"] - e0["2-"])
+            - xi_to_plus_2 * beta_plus_2 / (e0["1-"] - e0["2+"])
         )
         expected = numerator / (e0["1-"] - e0["1+"])
         second = _state_corrections(p, "1-", 2)
@@ -288,3 +300,45 @@ class TestConvergenceOrder:
         # vanish identically and the residual scales as the fourth power
         assert np.all(slopes > 3.5)
         assert np.mean(slopes) == pytest.approx(4.0, abs=0.4)
+
+
+# exact level crossings at delta = 0: 1- meets the ground level at delta_c = g,
+# and 2- meets 3- at delta_c = (sqrt3 - sqrt2) g
+CROSSINGS = (1.0, math.sqrt(3) - math.sqrt(2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([3, 4, 5]),
+    st.floats(-1.5, 1.5),
+    st.floats(-1.0, 3.0),
+    st.floats(0.0, 0.03),
+    st.floats(0.0, 0.03),
+)
+@example(4, 0.0, CROSSINGS[0], 0.01, 0.01)
+@example(4, 0.0, CROSSINGS[1], 0.01, 0.01)
+def test_report_keeps_every_coupling_between_clusters_small(
+    n_fock, delta, delta_c, atom_drive, cavity_drive
+):
+    p = SystemParams(
+        delta=delta, omega_c=1e4, atom_drive=atom_drive, cavity_drive=cavity_drive,
+        atom_drive_detuning=delta + delta_c, cavity_drive_detuning=delta_c, n_fock=n_fock,
+    )
+    report = perturbation_report(p)
+    e0, v = unperturbed_energies(p), interaction_elements(p)
+    assert all(math.isfinite(shift) for shift in report.e2.values())
+    cluster_of = {k: cluster for cluster in report.clusters for k in cluster}
+    for (a, b), amp in v.items():
+        if cluster_of.get(a, a) != cluster_of.get(b, b):
+            assert abs(e0[a] - e0[b]) >= abs(amp) / CLUSTER_RATIO
+    lone = [k for k in REPORT_LABELS if k not in cluster_of]
+    coupled = {k: [m for m in e0 if (m, k) in v] for k in lone}
+    assert len(report.terms) == len(report.clusters) + sum(map(len, coupled.values()))
+    if not report.clusters:
+        for k in REPORT_LABELS:
+            terms = [abs(v[(m, k)]) ** 2 / (e0[k] - e0[m]) for m in coupled[k] if v[(m, k)]]
+            assert abs(report.e2[k] - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+    if delta == 0.0 and delta_c in CROSSINGS:
+        exact = match_exact_energies(p)
+        for k in REPORT_LABELS:
+            assert abs(exact[k][0] - report.perturbative_energy(k)) < 1e-5

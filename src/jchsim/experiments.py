@@ -526,14 +526,17 @@ def _csv_escape(cell: str) -> str:
     return cell
 
 
+def _format_column(values) -> list:
+    """The cells of one column; a float array is formatted from ``tolist()``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return [format(v, ".15g") for v in values.tolist()]
+    return [_csv_escape(_format_cell(v)) for v in values]
+
+
 def write_csv(path, columns: dict, header_lines) -> None:
     names = list(columns)
-    length = len(next(iter(columns.values())))
-    rows = []
-    for i in range(length):
-        rows.append(
-            ",".join(_csv_escape(_format_cell(columns[name][i])) for name in names)
-        )
+    cells = [_format_column(columns[name]) for name in names]
+    rows = [",".join(row) for row in zip(*cells, strict=True)]
     text = "\n".join([*header_lines, ",".join(names), *rows]) + "\n"
     Path(path).write_text(text)
 
@@ -541,6 +544,8 @@ def write_csv(path, columns: dict, header_lines) -> None:
 def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        return value.tolist()
     if isinstance(value, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (bool, np.bool_)):

@@ -3,7 +3,11 @@
 Vectorization convention (fixed package-wide): matrices are stacked row by
 row, ``vec(rho) = rho.reshape(-1)``, so ``vec(A rho B) = (A kron B^T) vec(rho)``.
 :func:`build_liouvillian` is the one place a generator is assembled, from the
-no-jump Hamiltonian H_eff (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).
+no-jump Hamiltonian H_eff (Dalibard, Castin & Molmer, PRL 68, 580 (1992)),
+filled entry by entry into a zeroed array.  :meth:`Liouvillian.modes` given a
+seed matrix decomposes only the blocks its support reaches: :func:`steady_state`
+seeds with vec(I), and any other block B holds no zero mode when
+sigma_min(B) >= ZERO_MODE_TOL, since |lambda| >= sigma_min(B).
 
 Each generator type has one propagator.  :func:`evolve` synthesizes a
 density-matrix trajectory from the spectral decomposition of a Liouvillian,
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,14 +43,16 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass
 class LiouvillianModes:
-    """Spectral decomposition of a Liouvillian: L = V diag(w) V^{-1}."""
+    """Spectral decomposition L = V diag(w) V^{-1} of the Liouvillian restricted
+    to the superoperator indices ``index`` (sorted) that its rows and columns span."""
 
     eigenvalues: np.ndarray
     right: np.ndarray
     right_inv: np.ndarray
+    index: np.ndarray
 
     def coefficients(self, mat: np.ndarray) -> np.ndarray:
-        return self.right_inv @ vectorize(mat)
+        return self.right_inv @ vectorize(mat)[self.index]
 
 
 @dataclass
@@ -54,7 +61,8 @@ class Liouvillian:
 
     dims: HilbertDims
     data: np.ndarray
-    _modes: LiouvillianModes | None = field(default=None, repr=False, compare=False)
+    _block_eigs: dict = field(default_factory=dict, repr=False, compare=False)
+    _modes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         d2 = self.dims.total_dim**2
@@ -70,35 +78,53 @@ class Liouvillian:
         d = self.dims.total_dim
         return unvectorize(self.data @ vectorize(mat), d)
 
-    def modes(self) -> LiouvillianModes:
-        """Eigen-decomposition, computed once and cached, block by block over
-        the weakly connected components of the nonzero pattern (without drive,
-        the coherence orders).  A closed, anti-Hermitian block goes through
-        ``eigh``, so its eigenbasis stays unitary at degenerate eigenvalues;
-        the condition number is that of the block-diagonal eigenbasis."""
-        if self._modes is None:
-            w = np.empty(len(self.data), dtype=complex)
-            v, v_inv = np.zeros((2, *self.data.shape), dtype=complex)
+    @cached_property
+    def _blocks(self) -> list:
+        return list(_connected_blocks(self.data))
+
+    def modes(self, seed: np.ndarray | None = None) -> LiouvillianModes:
+        """Eigen-decomposition over the weakly connected components of the
+        nonzero pattern (without drive, the coherence orders) that the support
+        of the matrix ``seed`` reaches; without a seed, over all of them, so
+        ``index`` is every superoperator index.  A block is decomposed the
+        first time a call reaches it, and the result of each set of blocks is
+        cached.  A closed, anti-Hermitian block goes through ``eigh``, so its
+        eigenbasis stays unitary at degenerate eigenvalues; the condition
+        number is that of the block-diagonal eigenbasis of the blocks reached."""
+        support = np.ones(len(self.data), bool) if seed is None else vectorize(seed) != 0
+        reached = tuple(b for b, idx in enumerate(self._blocks) if support[idx].any())
+        if reached not in self._modes:
+            mask = np.zeros(len(self.data), dtype=bool)
             s_max, s_min = 0.0, np.inf
-            for idx in _connected_blocks(self.data):
-                block = self.data[np.ix_(idx, idx)]
-                if np.array_equal(block, -block.conj().T):
-                    lam, vb = np.linalg.eigh(1j * block)
-                    wb = -1j * lam
-                else:
-                    wb, vb = np.linalg.eig(block)
-                sv = np.linalg.svd(vb, compute_uv=False)
+            for b in reached:
+                idx = self._blocks[b]
+                mask[idx] = True
+                if b not in self._block_eigs:
+                    block = self.data[np.ix_(idx, idx)]
+                    if np.array_equal(block, -block.conj().T):
+                        lam, vb = np.linalg.eigh(1j * block)
+                        wb = -1j * lam
+                    else:
+                        wb, vb = np.linalg.eig(block)
+                    self._block_eigs[b] = wb, vb, np.linalg.svd(vb, compute_uv=False)
+                sv = self._block_eigs[b][2]
                 s_max, s_min = max(s_max, sv[0]), min(s_min, sv[-1])
                 cond = s_max / s_min if s_min > 0 else np.inf
                 if not np.isfinite(cond) or cond > EIGENBASIS_COND_LIMIT:
                     raise NumericalError(
                         f"Liouvillian eigenbasis is ill-conditioned (cond {cond:.2e})"
                     )
-                w[idx] = wb
-                v[np.ix_(idx, idx)] = vb
-                v_inv[np.ix_(idx, idx)] = np.linalg.inv(vb)
-            self._modes = LiouvillianModes(w, v, v_inv)
-        return self._modes
+            index = np.flatnonzero(mask)
+            w = np.empty(len(index), dtype=complex)
+            v, v_inv = np.zeros((2, len(index), len(index)), dtype=complex)
+            for b in reached:
+                wb, vb, _ = self._block_eigs[b]
+                pos = np.searchsorted(index, self._blocks[b])
+                w[pos] = wb
+                v[np.ix_(pos, pos)] = vb
+                v_inv[np.ix_(pos, pos)] = np.linalg.inv(vb)
+            self._modes[reached] = LiouvillianModes(w, v, v_inv, index)
+        return self._modes[reached]
 
 
 def _reachable(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -132,11 +158,16 @@ def build_liouvillian(h: Operator, channels=()) -> Liouvillian:
         if rate < 0:
             raise ValueError("dissipation rate must be non-negative")
         h_eff = h_eff - 0.5j * rate * (jump.data.conj().T @ jump.data)
-    eye = np.eye(h.dims.total_dim, dtype=complex)
-    data = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    d = h.dims.total_dim
+    k = np.arange(d)
+    data = np.zeros((d, d, d, d), dtype=complex)  # [row i1, row i2, column j1, column j2]
+    data[:, k, :, k] = -1j * h_eff
+    data[k, :, k, :] += 1j * h_eff.conj()
     for jump, rate in channels:
-        data += rate * np.kron(jump.data, jump.data.conj())
-    return Liouvillian(h.dims, data)
+        rows, cols = np.nonzero(jump.data)
+        vals = jump.data[rows, cols]
+        data[rows[:, None], rows, cols[:, None], cols] += rate * (vals[:, None] * vals.conj())
+    return Liouvillian(h.dims, data.reshape(d * d, d * d))
 
 
 def standard_liouvillian(params: SystemParams) -> Liouvillian:
@@ -263,12 +294,15 @@ def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
 
 
 def steady_state(liouv: Liouvillian) -> DensityMatrix:
-    """Stationary state from the zero mode of the generator.
+    """Stationary state from the zero mode of the blocks that vec(I) reaches.
 
-    Raises if no eigenvalue sits within tolerance of zero or if the zero
-    eigenspace is degenerate.
+    Raises if no eigenvalue there sits within tolerance of zero or if the
+    generator's zero eigenspace is degenerate.  Any other block B has no zero
+    mode if sigma_min(B) >= ZERO_MODE_TOL, since |lambda| >= sigma_min(B);
+    only a block below that bound has its eigenvalues computed.
     """
-    modes = liouv.modes()
+    d = liouv.dims.total_dim
+    modes = liouv.modes(np.eye(d))
     zero_idx = np.where(np.abs(modes.eigenvalues) < ZERO_MODE_TOL)[0]
     if zero_idx.size == 0:
         raise NumericalError(
@@ -276,13 +310,20 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
             f"{ZERO_MODE_TOL:.0e} (closest |eigenvalue| "
             f"{np.abs(modes.eigenvalues).min():.3e})"
         )
-    if zero_idx.size > 1:
-        vals = ", ".join(f"{modes.eigenvalues[i]:.3e}" for i in zero_idx)
+    zeros = list(modes.eigenvalues[zero_idx])
+    others = (liouv.data[np.ix_(idx, idx)] for idx in liouv._blocks if idx[0] not in modes.index)
+    for block in others:
+        if np.linalg.svd(block, compute_uv=False)[-1] < ZERO_MODE_TOL:
+            lam = np.linalg.eigvals(block)
+            zeros.extend(lam[np.abs(lam) < ZERO_MODE_TOL])
+    if len(zeros) > 1:
+        vals = ", ".join(f"{z:.3e}" for z in zeros)
         raise DegenerateSteadyStateError(
-            f"steady_state: zero eigenspace has dimension {zero_idx.size} ({vals})"
+            f"steady_state: zero eigenspace has dimension {len(zeros)} ({vals})"
         )
-    d = liouv.dims.total_dim
-    rho = unvectorize(modes.right[:, zero_idx[0]], d)
+    vec = np.zeros(d * d, dtype=complex)
+    vec[modes.index] = modes.right[:, zero_idx[0]]
+    rho = unvectorize(vec, d)
     rho = (rho + rho.conj().T) / 2.0
     trace = np.trace(rho)
     if abs(trace) < 1e-14:

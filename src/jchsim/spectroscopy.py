@@ -78,11 +78,11 @@ def _decaying_modes(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator):
         raise NumericalError(
             f"absorption_spectrum: state is not stationary (|L[rho]| = {residual:.3e})"
         )
-    modes = liouv.modes()
     f0 = a_op.dag().data @ rho_ss.data
+    modes = liouv.modes(f0)
     coeff = modes.coefficients(f0)
     # Tr[a M] = vec(a^T) . vec(M) in the row-stacked convention
-    trace_row = vectorize(a_op.data.T)
+    trace_row = vectorize(a_op.data.T)[modes.index]
     weights = (trace_row @ modes.right) * coeff
     lam = modes.eigenvalues
 

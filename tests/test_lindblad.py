@@ -210,6 +210,7 @@ def assert_blocked_modes_match_dense(closed, liouv, a_op):
     nearest_error = np.abs(w[:, None] - w_ref[None, :]).min(axis=1).max()
     rebuild_error = np.abs(modes.right @ np.diag(w) @ modes.right_inv - liouv.data).max()
     assert max(sorted_error, nearest_error, rebuild_error) < tol
+    assert np.array_equal(modes.index, np.arange(len(w)))
     if closed:
         unitarity_error = np.abs(modes.right.conj().T @ modes.right - np.eye(len(w))).max()
         assert unitarity_error < 1e-12
@@ -219,7 +220,8 @@ def assert_blocked_modes_match_dense(closed, liouv, a_op):
     except NumericalError:
         return
     dense = Liouvillian(liouv.dims, liouv.data)
-    dense._modes = LiouvillianModes(w_ref, v_ref, np.linalg.inv(v_ref))
+    dense_modes = LiouvillianModes(w_ref, v_ref, np.linalg.inv(v_ref), np.arange(len(w_ref)))
+    dense.modes = lambda seed=None: dense_modes
     grid = np.linspace(-15.0, 15.0, 121)
     blocked = absorption_spectrum(liouv, rho_ss, a_op, grid).values
     reference = absorption_spectrum(dense, rho_ss, a_op, grid).values
@@ -238,6 +240,105 @@ def test_blocked_modes_match_dense_one_cavity(generator):
 @given(small_generators(n_cavities=2))
 def test_blocked_modes_match_dense_two_cavities(generator):
     assert_blocked_modes_match_dense(*generator)
+
+
+def kron_liouvillian(h, channels) -> np.ndarray:
+    """The generator assembled from Kronecker products, H_eff accumulated
+    channel by channel in the same order as ``build_liouvillian`` does."""
+    h_eff = h.data
+    for jump, rate in channels:
+        h_eff = h_eff - 0.5j * rate * (jump.data.conj().T @ jump.data)
+    eye = np.eye(h.dims.total_dim, dtype=complex)
+    data = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    for jump, rate in channels:
+        data += rate * np.kron(jump.data, jump.data.conj())
+    return data
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(2, 3), _offsets, _rates, _rates, st.booleans(),
+       st.lists(_rates, max_size=2), st.integers(0, 2**32 - 1))
+def test_in_place_build_equals_kron_assembly(n_fock, delta, cavity_decay, atom_decay, driven,
+                                             extra_rates, seed):
+    # the loss channels of a lossy or driven cavity plus random sparse jumps
+    # whose diagonal is filled, so that jump terms overlap the H_eff terms
+    p = SystemParams(delta=delta, omega_c=10.0, n_fock=n_fock,
+                     cavity_decay=cavity_decay, atom_decay=atom_decay)
+    rng = np.random.default_rng(seed)
+    if driven:
+        p = p.with_(atom_drive=rng.uniform(0.1, 2.0), cavity_drive=rng.uniform(0.0, 2.0),
+                    cavity_drive_detuning=delta, atom_drive_detuning=2 * delta)
+    h = build_driven(p) if driven else build_jch(p)
+    d = p.dims.total_dim
+    channels = decay_channels(p)
+    for rate in extra_rates:
+        mask = rng.random((d, d)) < 0.3
+        np.fill_diagonal(mask, True)
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        channels.append((Operator(p.dims, np.where(mask, raw, 0)), rate))
+    assert np.array_equal(build_liouvillian(h, channels).data, kron_liouvillian(h, channels))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_generators(n_cavities=1), st.integers(0, 2**32 - 1))
+def test_seeded_modes_are_blocks_of_the_unseeded_modes(generator, seed):
+    # a seed decomposes exactly the blocks its support reaches, bit for bit
+    # as the unseeded call does, and a repeated set of blocks is served
+    # from the cache
+    _, liouv, _ = generator
+    d = liouv.dims.total_dim
+    rng = np.random.default_rng(seed)
+    support = rng.random((d, d)) < 0.1
+    support.flat[rng.integers(d * d)] = True
+    try:
+        full = Liouvillian(liouv.dims, liouv.data).modes()
+    except NumericalError:
+        return
+    modes = liouv.modes(np.where(support, 1.0 + 0.5j, 0.0))
+    reached = [b for b in _connected_blocks(liouv.data) if support.reshape(-1)[b].any()]
+    index = modes.index
+    assert np.array_equal(index, np.sort(np.concatenate(reached)))
+    assert np.array_equal(modes.eigenvalues, full.eigenvalues[index])
+    assert np.array_equal(modes.right, full.right[np.ix_(index, index)])
+    assert np.array_equal(modes.right_inv, full.right_inv[np.ix_(index, index)])
+    outside = np.setdiff1d(np.arange(d * d), index)
+    assert not full.right[np.ix_(index, outside)].any()
+    assert liouv.modes(support.astype(float)) is modes
+    assert np.array_equal(liouv.modes().right, full.right)
+
+
+def test_unseeded_modes_keep_the_dense_layout():
+    # perfbench's tracer sizes a generator by data.shape[0] and multiplies a
+    # length-D^2 vector by the unseeded modes().right, so both stay D^2-wide
+    # in natural order, also after a seeded call has filled the caches
+    p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, atom_decay=0.2, n_fock=2)
+    liouv = standard_liouvillian(p)
+    steady_state(liouv)
+    d2 = p.dims.total_dim**2
+    assert liouv.data.shape == (d2, d2)
+    modes = liouv.modes()
+    assert np.array_equal(modes.index, np.arange(d2))
+    assert modes.eigenvalues.shape == (d2,)
+    assert modes.right.shape == modes.right_inv.shape == (d2, d2)
+
+
+def test_ill_conditioned_block_is_refused_only_where_reached():
+    # the nilpotent block {1, 2} has no eigenbasis; a seed that reaches only
+    # the population |0><0| never decomposes it
+    dims = HilbertDims(2)
+    d = dims.total_dim
+    data = np.zeros((d * d, d * d), dtype=complex)
+    data[1, 2] = 1.0
+    defective = Liouvillian(dims, data)
+    ground = np.zeros((d, d))
+    ground[0, 0] = 1.0
+    modes = defective.modes(ground)
+    assert np.array_equal(modes.index, [0]) and np.array_equal(modes.eigenvalues, [0])
+    coherence = np.zeros((d, d))
+    coherence[0, 1] = 1.0
+    for seed in (coherence, None):
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            defective.modes(seed)
 
 
 class TestEvolve:
@@ -434,6 +535,30 @@ class TestSteadyState:
         p = SystemParams(delta=0.3, omega_c=9.0, n_fock=2)
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(build_liouvillian(build_jc(p), []))
+
+    def test_zero_mode_outside_the_population_blocks_is_found(self, monkeypatch):
+        # shifting one coherence block (k != 0) by minus one of its
+        # eigenvalues keeps the block pattern and gives that block a zero
+        # mode; vec(I) never reaches it, so only the sigma_min certificate
+        # and its eigvals fallback can find it
+        p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, atom_decay=0.2, n_fock=2)
+        liouv = standard_liouvillian(p)
+        d = p.dims.total_dim
+        populations = np.arange(d) * (d + 1)
+        blocks = list(_connected_blocks(liouv.data))
+        target = next(b for b in blocks if not np.isin(b, populations).any())
+        data = liouv.data.copy()
+        data[target, target] -= np.linalg.eigvals(liouv.data[np.ix_(target, target)])[0]
+        shifted = Liouvillian(liouv.dims, data)
+        assert [len(b) for b in _connected_blocks(data)] == [len(b) for b in blocks]
+        eigvals = np.linalg.eigvals
+        widths = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: widths.append(len(a)) or eigvals(a))
+        steady_state(liouv)
+        assert widths == []
+        with pytest.raises(DegenerateSteadyStateError, match="dimension 2"):
+            steady_state(shifted)
+        assert widths == [len(target)]
 
     def test_missing_zero_mode_rejected(self):
         p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, n_fock=2)

@@ -107,20 +107,10 @@ def _run_driven_oscillation(params: SystemParams, options: dict) -> ExperimentRe
     traj, summary = driven_oscillation_run(
         params, t_final=float(options["t_final"]), samples=int(options["samples"])
     )
+    kept = ("period_extracted", "period_analytic", "rabi_frequency_analytic", "maxima_times")
     return ExperimentResult(
-        columns={
-            "t": traj.times,
-            "P_1plus": traj.observables["P_1plus"],
-            "P_1minus": traj.observables["P_1minus"],
-            "P_ground": traj.observables["P_ground"],
-            "coherence": traj.observables["coherence"],
-        },
-        summary={
-            "period_extracted": summary["period_extracted"],
-            "period_analytic": summary["period_analytic"],
-            "rabi_frequency_analytic": summary["rabi_frequency_analytic"],
-            "maxima_times": [float(t) for t in summary["maxima_times"]],
-        },
+        columns={"t": traj.times, **traj.observables},
+        summary={key: summary[key] for key in kept},
     )
 
 
@@ -140,16 +130,6 @@ def _run_rwa_probe(params: SystemParams, options: dict) -> ExperimentResult:
             "targets": {"1-,0": first["target"], "2-,0": second["target"]},
         },
     )
-
-
-_STATE_COLUMN = {
-    "1-,1-": "p_1m_1m",
-    "1+,1+": "p_1p_1p",
-    "2-,0": "p_2m_0",
-    "0,2-": "p_0_2m",
-    "2+,0": "p_2p_0",
-    "0,2+": "p_0_2p",
-}
 
 
 def _run_ramp(params: SystemParams, options: dict) -> ExperimentResult:
@@ -174,8 +154,9 @@ def _run_ramp(params: SystemParams, options: dict) -> ExperimentResult:
         "p_lp": [p.branch_populations["lp"] for p in points],
         "p_up": [p.branch_populations["up"] for p in points],
     }
-    for spec in MEASUREMENT_STATES:
-        columns[_STATE_COLUMN[spec]] = [p.state_probabilities[spec] for p in points]
+    for spec in MEASUREMENT_STATES:  # "2-,0" is the column p_2m_0
+        name = "p_" + spec.replace("-", "m").replace("+", "p").replace(",", "_")
+        columns[name] = [p.state_probabilities[spec] for p in points]
     return ExperimentResult(
         columns=columns,
         summary={
@@ -197,15 +178,8 @@ def _run_table1(params: SystemParams, options: dict) -> ExperimentResult:
 def _run_variance_compare(params: SystemParams, options: dict) -> ExperimentResult:
     hoppings = [float(j) for j in np.atleast_1d(options["hopping_values"])]
     deltas = [float(d) for d in np.atleast_1d(options["delta_values"])]
-    columns = {
-        "hopping": [],
-        "delta": [],
-        "branch": [],
-        "var_numeric": [],
-        "var_analytic": [],
-        "abs_error": [],
-        "rel_error": [],
-    }
+    names = ("hopping", "delta", "branch", "var_numeric", "var_analytic", "abs_error", "rel_error")
+    columns = {name: [] for name in names}
     for j in hoppings:
         for delta in deltas:
             for branch in ("-", "+"):
@@ -213,13 +187,9 @@ def _run_variance_compare(params: SystemParams, options: dict) -> ExperimentResu
                 numeric = numeric_variance(p, branch, int(options["hold_samples"]))
                 analytic = analytic_variance(effective_model(p, branch), j)
                 err = abs(numeric - analytic)
-                columns["hopping"].append(j)
-                columns["delta"].append(delta)
-                columns["branch"].append(branch)
-                columns["var_numeric"].append(numeric)
-                columns["var_analytic"].append(analytic)
-                columns["abs_error"].append(err)
-                columns["rel_error"].append(err / numeric if numeric > 0 else 0.0)
+                rel = err / numeric if numeric > 0 else 0.0
+                for name, value in zip(names, (j, delta, branch, numeric, analytic, err, rel)):
+                    columns[name].append(value)
     return ExperimentResult(
         columns=columns,
         summary={
@@ -557,8 +527,25 @@ def _jsonable(value):
     return value
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at the indent ``pad``,
+    each list of numbers encoded by the C encoder, which ``indent`` would bypass."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, list) and value:
+        text = json.dumps(value)
+        if '"' in text or "{" in text or "[" in text[1:]:  # not a list of numbers
+            body = (",\n" + inner).join(_json_text(v, inner) for v in value)
+        else:
+            body = text[1:-1].replace(", ", ",\n" + inner)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_json_text(_jsonable(payload)) + "\n")
 
 
 def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",

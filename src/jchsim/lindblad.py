@@ -9,15 +9,13 @@ seed matrix decomposes only the blocks its support reaches: :func:`steady_state`
 seeds with vec(I), and any other block B holds no zero mode when
 sigma_min(B) >= ZERO_MODE_TOL, since |lambda| >= sigma_min(B).
 
-Each generator type has one propagator.  :func:`evolve` synthesizes a
-density-matrix trajectory from the spectral decomposition of a Liouvillian,
-with a fixed-step 4th-order integrator as the fallback for a Liouvillian whose
-eigenbasis is too ill-conditioned to trust; :func:`evolve_closed` rotates a
-ket in the eigenbasis of the Hamiltonian block that the ket's support reaches.
+Each generator type has one propagator.  :func:`evolve` steps a density
+matrix along a uniform grid by the exact exp(L dt) of each block it reaches,
+formed by scaling and squaring, with no eigenbasis; :func:`evolve_closed`
+rotates a ket in the eigenbasis of the Hamiltonian block its support reaches.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +29,7 @@ ZERO_MODE_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
 HERMITICITY_DRIFT_TOL = 1e-9
 EIGENBASIS_COND_LIMIT = 1e12
+GRID_UNIFORMITY_TOL = 1e-9
 
 
 def vectorize(mat: np.ndarray) -> np.ndarray:
@@ -181,7 +180,7 @@ class Trajectory:
 
     dims: HilbertDims
     times: np.ndarray
-    states: np.ndarray  # shape (T, D, D)
+    states: np.ndarray  # shape (T, D, D); (T, D) ket amplitudes from a closed run
     observables: dict = field(default_factory=dict)
 
     def state(self, i: int) -> DensityMatrix:
@@ -208,66 +207,63 @@ def _check_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _spectral_states(liouv: Liouvillian, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    modes = liouv.modes()
-    coeff = modes.coefficients(rho0)
-    phases = np.exp(np.outer(modes.eigenvalues, times))  # (D^2, T)
-    stacked = modes.right @ (phases * coeff[:, None])
-    d = liouv.dims.total_dim
-    return stacked.T.reshape(len(times), d, d)
-
-
-def _rk4_states(liouv: Liouvillian, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    data = liouv.data
-    fastest = float(np.abs(data).sum(axis=1).max())  # upper bound on |eigenvalues|
-    # 40 steps per fastest cycle keep the stiffest driven configuration
-    # within 1e-6 trace distance of the exact-exponential route
-    dt_cap = min(1e-3, (2 * np.pi / fastest) / 40.0) if fastest > 0 else 1e-3
-    d = liouv.dims.total_dim
-    out = np.empty((len(times), d, d), dtype=complex)
-    vec = vectorize(rho0)
-    t_now = times[0]
-    out[0] = unvectorize(vec, d)
-    for i, t_next in enumerate(times[1:], start=1):
-        span = t_next - t_now
-        steps = max(1, int(np.ceil(span / dt_cap)))
-        dt = span / steps
-        for _ in range(steps):
-            k1 = data @ vec
-            k2 = data @ (vec + 0.5 * dt * k1)
-            k3 = data @ (vec + 0.5 * dt * k2)
-            k4 = data @ (vec + dt * k3)
-            vec = vec + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = unvectorize(vec, d)
-        t_now = t_next
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)): the degree-14 Taylor sum of a / 2^s, |a / 2^s|_1 <= 1/2, is off by
+    less than 2^-15 e^(1/2) / 15! < 4e-17, and is then squared s times."""
+    squarings = int(np.ceil(np.log2(max(2.0 * np.abs(a).sum(axis=0).max(), 1.0))))
+    x = a / 2.0**squarings
+    out = eye = np.eye(len(a), dtype=complex)
+    for k in range(14, 0, -1):  # Horner's rule
+        out = eye + (x @ out) / k
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 
-def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid, method: str = "spectral") -> Trajectory:
-    """Propagate a density matrix along ``t_grid`` (grid starts the clock at t_grid[0]).
+def _doubling(prop: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
+    """Rows x0 (P^T)^n for n < count: rows [n, 2n) are rows [0, n) times
+    (P^n)^T, then P^n is squared, so about log2(count) matrix products."""
+    out = np.empty((count, len(x0)), dtype=complex)
+    out[0], filled = x0, 1
+    while filled < count:
+        fill = min(filled, count - filled)
+        np.matmul(out[:fill], prop.T, out=out[filled:filled + fill])
+        filled += fill
+        if filled < count:
+            prop = prop @ prop
+    return out
 
-    The trajectory is synthesized from the Liouvillian's eigen-decomposition
-    (``method='spectral'``, with the fixed-step fallback when that eigenbasis
-    is ill-conditioned) or integrated by fixed steps (``'rk4'``).  Trace and
-    Hermiticity drifts are checked against package tolerances.  A closed
-    system's ket goes through :func:`evolve_closed` instead.
+
+def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
+    """Propagate a density matrix along the uniform grid ``t_grid`` (the clock
+    starts at t_grid[0]); a grid that strays from uniform by more than
+    ``GRID_UNIFORMITY_TOL`` of its step raises ``ValueError``.
+
+    On each block of the generator that vec(rho0) reaches, P = exp(L dt) is
+    formed once by :func:`_expm` and the samples follow by doubling, exactly 0
+    outside those blocks; no eigenbasis is needed, so a defective generator is
+    no special case.  Trace and Hermiticity drifts are checked against package
+    tolerances.  A closed system's ket goes through :func:`evolve_closed`.
     """
     if liouv.dims != rho0.dims:
         raise DimensionMismatchError("initial state dims differ from generator dims")
     rho0.validate()
     times = _check_grid(t_grid)
-    rel = times - times[0]
-    if method == "spectral":
-        try:
-            states = _spectral_states(liouv, rho0.data, rel)
-        except NumericalError as exc:
-            warnings.warn(f"{exc}; falling back to fixed-step integration")
-            states = _rk4_states(liouv, rho0.data, rel)
-    elif method == "rk4":
-        states = _rk4_states(liouv, rho0.data, rel)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    traj = Trajectory(liouv.dims, times, states)
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    if np.abs(times - times[0] - step * np.arange(len(times))).max() > GRID_UNIFORMITY_TOL * step:
+        raise ValueError(f"time grid is not uniform within {GRID_UNIFORMITY_TOL:.0e} of its step")
+    d = liouv.dims.total_dim
+    vec = vectorize(rho0.data)
+    states = np.zeros((len(times), d * d), dtype=complex)
+    for idx in liouv._blocks:
+        if vec[idx].any():
+            series = _doubling(_expm(step * liouv.data[np.ix_(idx, idx)]), vec[idx], len(times))
+            if len(idx) == d * d:  # one block spans every index: no scatter needed
+                states = series
+            else:
+                states[:, idx] = series
+    traj = Trajectory(liouv.dims, times, states.reshape(len(times), d, d))
     drift = traj.trace_drift()
     if drift > TRACE_DRIFT_TOL:
         raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")
@@ -299,7 +295,10 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     Raises if no eigenvalue there sits within tolerance of zero or if the
     generator's zero eigenspace is degenerate.  Any other block B has no zero
     mode if sigma_min(B) >= ZERO_MODE_TOL, since |lambda| >= sigma_min(B);
-    only a block below that bound has its eigenvalues computed.
+    only a block below that bound has its eigenvalues computed.  L[rho^dag] =
+    L[rho]^dag makes block -k the complex conjugate of block +k on the
+    transposed indices (i, j) -> (j, i); a block found to be that mirror of a
+    certified one shares its singular values and is not decomposed again.
     """
     d = liouv.dims.total_dim
     modes = liouv.modes(np.eye(d))
@@ -311,9 +310,14 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
             f"{np.abs(modes.eigenvalues).min():.3e})"
         )
     zeros = list(modes.eigenvalues[zero_idx])
-    others = (liouv.data[np.ix_(idx, idx)] for idx in liouv._blocks if idx[0] not in modes.index)
-    for block in others:
-        if np.linalg.svd(block, compute_uv=False)[-1] < ZERO_MODE_TOL:
+    s_mins = {}
+    for idx in (idx for idx in liouv._blocks if idx[0] not in modes.index):
+        block = liouv.data[np.ix_(idx, idx)]
+        mirror = idx % d * d + idx // d
+        s_min = s_mins.get(np.sort(mirror).tobytes())
+        if s_min is None or not np.array_equal(liouv.data[np.ix_(mirror, mirror)], block.conj()):
+            s_min = s_mins[idx.tobytes()] = np.linalg.svd(block, compute_uv=False)[-1]
+        if s_min < ZERO_MODE_TOL:
             lam = np.linalg.eigvals(block)
             zeros.extend(lam[np.abs(lam) < ZERO_MODE_TOL])
     if len(zeros) > 1:

@@ -182,7 +182,8 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
 
     Returns ``(trajectory, summary)``; the trajectory carries the series
     P_1plus, P_1minus, P_ground and coherence, the summary the extracted and
-    closed-form oscillation periods.
+    closed-form oscillation periods.  Without loss the trajectory's states
+    are the (T, D) ket amplitudes, which the series are read from directly.
     """
     if params.n_cavities != 1:
         raise DimensionMismatchError("the driven run covers a single cavity")
@@ -195,11 +196,11 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
     channels = decay_channels(params)
     if channels:
         traj = evolve(build_liouvillian(h, channels), lo.density_matrix(), times)
+        p_g = traj.states[:, ground_idx, ground_idx].real
     else:
-        amps = evolve_closed(h, lo, times)
-        traj = Trajectory(dims, times, np.einsum("ti,tj->tij", amps, amps.conj()))
+        traj = Trajectory(dims, times, evolve_closed(h, lo, times))
+        p_g = (traj.states[:, ground_idx].conj() * traj.states[:, ground_idx]).real
     p_up, p_lo, coh = _n1_branch_series(traj.states, params)
-    p_g = traj.states[:, ground_idx, ground_idx].real
     traj.observables.update(
         {"P_1plus": p_up, "P_1minus": p_lo, "P_ground": p_g, "coherence": coh}
     )

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jchsim import ConfigError, ExperimentConfig, run_experiment
 from jchsim.cli import main
-from jchsim.experiments import EXPERIMENTS, PARAM_DEFAULTS, _parse_value
+from jchsim.experiments import EXPERIMENTS, PARAM_DEFAULTS, _json_text, _parse_value
 from jchsim.selfcheck import run_selfcheck, selfcheck_report
 
 REPO = Path(__file__).resolve().parents[1]
@@ -108,6 +110,18 @@ class TestOutputs:
         assert set(payload) == {"provenance", "summary", "data"}
         assert len(payload["data"]["omega"]) == 51
         assert payload["provenance"]["params.cavity_decay"] == 0.5
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+        lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(st.floats(), max_size=6),
+                                st.dictionaries(st.text(max_size=6), inner, max_size=6)),
+        max_leaves=40,
+    ))
+    def test_json_writer_matches_indented_dumps(self, value):
+        # nested dicts and lists of floats (NaN and +-inf included), ints,
+        # bools, None, strings with escapes and empty containers
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_unknown_format_rejected(self, tmp_path):
         config = ExperimentConfig.from_mapping({"experiment": "spectrum", "n_points": 51})

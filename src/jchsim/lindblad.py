@@ -5,9 +5,11 @@ row, ``vec(rho) = rho.reshape(-1)``, so ``vec(A rho B) = (A kron B^T) vec(rho)``
 :func:`build_liouvillian` is the one place a generator is assembled, from the
 no-jump Hamiltonian H_eff (Dalibard, Castin & Molmer, PRL 68, 580 (1992)),
 filled entry by entry into a zeroed array.  :meth:`Liouvillian.modes` given a
-seed matrix decomposes only the blocks its support reaches: :func:`steady_state`
-seeds with vec(I), and any other block B holds no zero mode when
-sigma_min(B) >= ZERO_MODE_TOL, since |lambda| >= sigma_min(B).
+seed matrix decomposes only the blocks its support reaches, as the spectrum
+does from a^dag rho_ss.  :func:`steady_state` needs no eigenbasis: the
+rank-revealing SVD of each block gives the dimension of its kernel and its
+null vector (Golub & Van Loan, Matrix Computations, 4th ed., secs. 2.4 and
+5.4), and the steady state is unique when the kernel is one-dimensional.
 
 Each generator type has one propagator.  :func:`evolve` steps a density
 matrix along a uniform grid by the exact exp(L dt) of each block it reaches,
@@ -60,8 +62,6 @@ class Liouvillian:
 
     dims: HilbertDims
     data: np.ndarray
-    _block_eigs: dict = field(default_factory=dict, repr=False, compare=False)
-    _modes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         d2 = self.dims.total_dim**2
@@ -85,45 +85,34 @@ class Liouvillian:
         """Eigen-decomposition over the weakly connected components of the
         nonzero pattern (without drive, the coherence orders) that the support
         of the matrix ``seed`` reaches; without a seed, over all of them, so
-        ``index`` is every superoperator index.  A block is decomposed the
-        first time a call reaches it, and the result of each set of blocks is
-        cached.  A closed, anti-Hermitian block goes through ``eigh``, so its
-        eigenbasis stays unitary at degenerate eigenvalues; the condition
-        number is that of the block-diagonal eigenbasis of the blocks reached."""
+        ``index`` is every superoperator index.  Each call decomposes the
+        blocks it reaches.  A closed, anti-Hermitian block goes through
+        ``eigh``, so its eigenbasis stays unitary at degenerate eigenvalues;
+        the condition number is that of the block-diagonal eigenbasis of the
+        blocks reached."""
         support = np.ones(len(self.data), bool) if seed is None else vectorize(seed) != 0
-        reached = tuple(b for b, idx in enumerate(self._blocks) if support[idx].any())
-        if reached not in self._modes:
-            mask = np.zeros(len(self.data), dtype=bool)
-            s_max, s_min = 0.0, np.inf
-            for b in reached:
-                idx = self._blocks[b]
-                mask[idx] = True
-                if b not in self._block_eigs:
-                    block = self.data[np.ix_(idx, idx)]
-                    if np.array_equal(block, -block.conj().T):
-                        lam, vb = np.linalg.eigh(1j * block)
-                        wb = -1j * lam
-                    else:
-                        wb, vb = np.linalg.eig(block)
-                    self._block_eigs[b] = wb, vb, np.linalg.svd(vb, compute_uv=False)
-                sv = self._block_eigs[b][2]
-                s_max, s_min = max(s_max, sv[0]), min(s_min, sv[-1])
-                cond = s_max / s_min if s_min > 0 else np.inf
-                if not np.isfinite(cond) or cond > EIGENBASIS_COND_LIMIT:
-                    raise NumericalError(
-                        f"Liouvillian eigenbasis is ill-conditioned (cond {cond:.2e})"
-                    )
-            index = np.flatnonzero(mask)
-            w = np.empty(len(index), dtype=complex)
-            v, v_inv = np.zeros((2, len(index), len(index)), dtype=complex)
-            for b in reached:
-                wb, vb, _ = self._block_eigs[b]
-                pos = np.searchsorted(index, self._blocks[b])
-                w[pos] = wb
-                v[np.ix_(pos, pos)] = vb
-                v_inv[np.ix_(pos, pos)] = np.linalg.inv(vb)
-            self._modes[reached] = LiouvillianModes(w, v, v_inv, index)
-        return self._modes[reached]
+        reached = [idx for idx in self._blocks if support[idx].any()]
+        index = np.sort(np.concatenate(reached or [np.empty(0, int)]))
+        w = np.empty(len(index), dtype=complex)
+        v, v_inv = np.zeros((2, len(index), len(index)), dtype=complex)
+        s_max, s_min = 0.0, np.inf
+        for idx in reached:
+            block = self.data[np.ix_(idx, idx)]
+            if np.array_equal(block, -block.conj().T):
+                lam, vb = np.linalg.eigh(1j * block)
+                wb = -1j * lam
+            else:
+                wb, vb = np.linalg.eig(block)
+            sv = np.linalg.svd(vb, compute_uv=False)
+            s_max, s_min = max(s_max, sv[0]), min(s_min, sv[-1])
+            cond = s_max / s_min if s_min > 0 else np.inf
+            if not np.isfinite(cond) or cond > EIGENBASIS_COND_LIMIT:
+                raise NumericalError(f"Liouvillian eigenbasis is ill-conditioned (cond {cond:.2e})")
+            pos = np.searchsorted(index, idx)
+            w[pos] = wb
+            v[np.ix_(pos, pos)] = vb
+            v_inv[np.ix_(pos, pos)] = np.linalg.inv(vb)
+        return LiouvillianModes(w, v, v_inv, index)
 
 
 def _reachable(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -290,43 +279,37 @@ def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
 
 
 def steady_state(liouv: Liouvillian) -> DensityMatrix:
-    """Stationary state from the zero mode of the blocks that vec(I) reaches.
+    """Stationary state from the null space of the generator, block by block.
 
-    Raises if no eigenvalue there sits within tolerance of zero or if the
-    generator's zero eigenspace is degenerate.  Any other block B has no zero
-    mode if sigma_min(B) >= ZERO_MODE_TOL, since |lambda| >= sigma_min(B);
-    only a block below that bound has its eigenvalues computed.  L[rho^dag] =
-    L[rho]^dag makes block -k the complex conjugate of block +k on the
-    transposed indices (i, j) -> (j, i); a block found to be that mirror of a
-    certified one shares its singular values and is not decomposed again.
+    One SVD per block counts its singular values below ``ZERO_MODE_TOL`` as
+    zero modes, the dimension of its kernel; raises if the generator has none
+    or more than one.  The right singular vector of the single zero mode is the
+    state, up to its trace.  L[rho^dag] = L[rho]^dag makes block -k the complex
+    conjugate of block +k on the transposed indices (i, j) -> (j, i); a block
+    found to be that mirror of a decomposed one shares its singular values and
+    is not decomposed again.
     """
     d = liouv.dims.total_dim
-    modes = liouv.modes(np.eye(d))
-    zero_idx = np.where(np.abs(modes.eigenvalues) < ZERO_MODE_TOL)[0]
-    if zero_idx.size == 0:
-        raise NumericalError(
-            "steady_state: no zero mode within "
-            f"{ZERO_MODE_TOL:.0e} (closest |eigenvalue| "
-            f"{np.abs(modes.eigenvalues).min():.3e})"
-        )
-    zeros = list(modes.eigenvalues[zero_idx])
-    s_mins = {}
-    for idx in (idx for idx in liouv._blocks if idx[0] not in modes.index):
+    vec = np.zeros(d * d, dtype=complex)
+    svals, zeros = {}, 0
+    for idx in liouv._blocks:
         block = liouv.data[np.ix_(idx, idx)]
         mirror = idx % d * d + idx // d
-        s_min = s_mins.get(np.sort(mirror).tobytes())
-        if s_min is None or not np.array_equal(liouv.data[np.ix_(mirror, mirror)], block.conj()):
-            s_min = s_mins[idx.tobytes()] = np.linalg.svd(block, compute_uv=False)[-1]
-        if s_min < ZERO_MODE_TOL:
-            lam = np.linalg.eigvals(block)
-            zeros.extend(lam[np.abs(lam) < ZERO_MODE_TOL])
-    if len(zeros) > 1:
-        vals = ", ".join(f"{z:.3e}" for z in zeros)
-        raise DegenerateSteadyStateError(
-            f"steady_state: zero eigenspace has dimension {len(zeros)} ({vals})"
+        sv = svals.get(np.sort(mirror).tobytes())
+        if sv is None or not np.array_equal(liouv.data[np.ix_(mirror, mirror)], block.conj()):
+            _, sv, vh = np.linalg.svd(block)
+            svals[idx.tobytes()] = sv
+            if sv[-1] < ZERO_MODE_TOL:
+                vec[idx] = vh[-1].conj()
+        zeros += np.count_nonzero(sv < ZERO_MODE_TOL)
+    if zeros == 0:
+        s_min = min(sv[-1] for sv in svals.values())
+        raise NumericalError(
+            f"steady_state: no zero mode within {ZERO_MODE_TOL:.0e} "
+            f"(smallest singular value {s_min:.3e})"
         )
-    vec = np.zeros(d * d, dtype=complex)
-    vec[modes.index] = modes.right[:, zero_idx[0]]
+    if zeros > 1:
+        raise DegenerateSteadyStateError(f"steady_state: zero eigenspace has dimension {zeros}")
     rho = unvectorize(vec, d)
     rho = (rho + rho.conj().T) / 2.0
     trace = np.trace(rho)

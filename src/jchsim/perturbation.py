@@ -88,6 +88,18 @@ def _clusters(energies: dict, elements: dict):
     return tuple(clusters), worst
 
 
+def _pair_by_weight(weights: np.ndarray):
+    """(row, column) pairs taken greedily by decreasing weight, each row and
+    each column at most once; ties go to the lower flat index."""
+    rows, cols = set(), set()
+    for flat in np.argsort(-weights, axis=None, kind="stable"):
+        i, j = divmod(int(flat), weights.shape[1])
+        if i not in rows and j not in cols:
+            rows.add(i)
+            cols.add(j)
+            yield i, j
+
+
 def _lowdin_shifts(cluster, energies: dict, elements: dict, terms: list):
     """Second-order shifts of the labels in ``cluster`` from its Loewdin H_eff.
 
@@ -95,11 +107,10 @@ def _lowdin_shifts(cluster, energies: dict, elements: dict, terms: list):
     (E0[m] - E0[l]) + V[m, l] V[l, m'] / (E0[m'] - E0[l])), with l outside the
     cluster.  It is diagonalised with E0 of the first label taken off its
     diagonal, so a lone label's shift is the plain sum of its
-    Rayleigh-Schroedinger terms, with no rounding of E0 mixed in.  Each
-    eigenvalue goes to the label with the largest weight in its eigenvector,
-    assigned greedily so that labels and eigenvalues pair one to one.  The
-    cluster rule leaves no coupling across a zero gap, so a zero amplitude
-    is the only term whose gap may vanish.
+    Rayleigh-Schroedinger terms, with no rounding of E0 mixed in.  Labels and
+    eigenvalues pair one to one by :func:`_pair_by_weight` on the weights of
+    the eigenvectors.  The cluster rule leaves no coupling across a zero gap,
+    so a zero amplitude is the only term whose gap may vanish.
     """
     ref = energies[cluster[0]]
     h = np.diag([complex(energies[m] - ref) for m in cluster])
@@ -114,13 +125,10 @@ def _lowdin_shifts(cluster, energies: dict, elements: dict, terms: list):
                     amp / (energies[m] - energies[other]) + amp / (energies[mp] - energies[other])
                 )
     values, vectors = np.linalg.eigh(h)
-    weights = np.abs(vectors) ** 2
-    shifts, used = {}, set()
-    for flat in np.argsort(-weights, axis=None, kind="stable"):
-        i, j = divmod(int(flat), len(cluster))
-        if cluster[i] not in shifts and j not in used:
-            shifts[cluster[i]] = float(values[j]) + (ref - energies[cluster[i]])
-            used.add(j)
+    shifts = {
+        cluster[i]: float(values[j]) + (ref - energies[cluster[i]])
+        for i, j in _pair_by_weight(np.abs(vectors) ** 2)
+    }
     if len(cluster) > 1:
         listed = ", ".join(f"E2[{m}] = {shifts[m]:+.6e}" for m in cluster)
         terms.append(
@@ -138,15 +146,15 @@ def _lowdin_shifts(cluster, energies: dict, elements: dict, terms: list):
 
 
 def match_exact_energies(params: SystemParams):
-    """Dense-solve eigenvalues of the driven Hamiltonian matched to the report labels by overlap."""
+    """Dense-solve eigenvalues of the driven Hamiltonian paired one to one with
+    the report labels by overlap, so that no exact level serves two labels."""
     energies, vectors = np.linalg.eigh(build_driven(params).data)
     basis = basis_transform(params.dims, params.g, params.delta)
-    out = {}
-    for lbl in REPORT_LABELS:
-        overlaps = np.abs(vectors.conj().T @ basis.column(lbl))
-        idx = int(np.argmax(overlaps))
-        out[lbl] = (float(energies[idx]), float(overlaps[idx]))
-    return out
+    overlaps = np.stack([np.abs(vectors.conj().T @ basis.column(lbl)) for lbl in REPORT_LABELS])
+    return {
+        REPORT_LABELS[i]: (float(energies[j]), float(overlaps[i, j]))
+        for i, j in sorted(_pair_by_weight(overlaps))
+    }
 
 
 @dataclass(frozen=True)

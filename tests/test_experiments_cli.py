@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jchsim import ConfigError, ExperimentConfig, run_experiment
+from jchsim import (
+    ConfigError,
+    ExperimentConfig,
+    annihilation_at,
+    bare_ket,
+    build_jch,
+    decay_channels,
+    run_experiment,
+)
 from jchsim.cli import main
 from jchsim.experiments import EXPERIMENTS, PARAM_DEFAULTS, _json_text, _parse_value
 from jchsim.selfcheck import run_selfcheck, selfcheck_report
@@ -301,6 +309,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert not (tmp_path / "out").exists()
+
+    def test_spectrum_of_a_defective_generator_matches_the_resolvent(self, tmp_path):
+        # resonant atom decay at g = 1, rate 1, no cavity loss: a generator
+        # with a Jordan block, whose steady state needs no eigenbasis; the
+        # spectrum of the vacuum is 2 Im <1,g| (H_eff - omega)^-1 |1,g>
+        cfg = tmp_path / "defective.cfg"
+        cfg.write_text("experiment = spectrum\nn_fock = 2\ndelta = 0\n"
+                       "cavity_decay = 0\natom_decay = 1.0\nn_points = 201\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("#")]
+        assert rows[0] == "omega,S_numeric,S_analytic"
+        omega, s_numeric, _ = np.array([row.split(",") for row in rows[1:]], dtype=float).T
+        p = ExperimentConfig.from_file(cfg).params
+        h_eff = build_jch(p).data.astype(complex)
+        for jump, rate in decay_channels(p):
+            h_eff -= 0.5j * rate * jump.data.conj().T @ jump.data
+        vacuum = bare_ket(p.dims, [(0, 0)]).amplitudes
+        excited = annihilation_at(p.dims, 0).dag().data @ vacuum
+        eye = np.eye(len(vacuum))
+        resolvent = np.array([excited.conj() @ np.linalg.solve(h_eff - w * eye, excited)
+                              for w in omega])
+        s_resolvent = 2.0 * resolvent.imag
+        assert np.abs(s_numeric - s_resolvent).max() < 1e-10 * s_resolvent.max()
 
     def test_selfcheck_command(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

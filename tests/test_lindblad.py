@@ -34,7 +34,13 @@ from jchsim import (
     total_excitation,
     trace_distance,
 )
-from jchsim.lindblad import GRID_UNIFORMITY_TOL, LiouvillianModes, _connected_blocks, vectorize
+from jchsim.lindblad import (
+    GRID_UNIFORMITY_TOL,
+    ZERO_MODE_TOL,
+    LiouvillianModes,
+    _connected_blocks,
+    vectorize,
+)
 
 from conftest import random_density_matrix, random_kets
 
@@ -243,6 +249,22 @@ def test_blocked_modes_match_dense_two_cavities(generator):
     assert_blocked_modes_match_dense(*generator)
 
 
+@settings(deadline=None, max_examples=60)
+@given(small_generators(n_cavities=1))
+def test_steady_state_matches_the_dense_zero_mode(generator):
+    # wherever one dense eig finds a single zero mode in a well-conditioned
+    # eigenbasis, the null space of the blocks holds the same state
+    _, liouv, _ = generator
+    w, v = np.linalg.eig(liouv.data)
+    zero = np.flatnonzero(np.abs(w) < ZERO_MODE_TOL)
+    assume(len(zero) == 1 and np.linalg.cond(v) < 1e8)
+    d = liouv.dims.total_dim
+    rho = v[:, zero[0]].reshape(d, d)
+    rho = (rho + rho.conj().T) / 2.0
+    reference = DensityMatrix(liouv.dims, rho / np.trace(rho))
+    assert trace_distance(steady_state(liouv), reference) < 1e-9
+
+
 def kron_liouvillian(h, channels) -> np.ndarray:
     """The generator assembled from Kronecker products, H_eff accumulated
     channel by channel in the same order as ``build_liouvillian`` does."""
@@ -284,8 +306,7 @@ def test_in_place_build_equals_kron_assembly(n_fock, delta, cavity_decay, atom_d
 @given(small_generators(n_cavities=1), st.integers(0, 2**32 - 1))
 def test_seeded_modes_are_blocks_of_the_unseeded_modes(generator, seed):
     # a seed decomposes exactly the blocks its support reaches, bit for bit
-    # as the unseeded call does, and a repeated set of blocks is served
-    # from the cache
+    # as the unseeded call does
     _, liouv, _ = generator
     d = liouv.dims.total_dim
     rng = np.random.default_rng(seed)
@@ -304,14 +325,13 @@ def test_seeded_modes_are_blocks_of_the_unseeded_modes(generator, seed):
     assert np.array_equal(modes.right_inv, full.right_inv[np.ix_(index, index)])
     outside = np.setdiff1d(np.arange(d * d), index)
     assert not full.right[np.ix_(index, outside)].any()
-    assert liouv.modes(support.astype(float)) is modes
     assert np.array_equal(liouv.modes().right, full.right)
 
 
 def test_unseeded_modes_keep_the_dense_layout():
     # perfbench's tracer sizes a generator by data.shape[0] and multiplies a
     # length-D^2 vector by the unseeded modes().right, so both stay D^2-wide
-    # in natural order, also after a seeded call has filled the caches
+    # in natural order, also after a steady-state solve
     p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, atom_decay=0.2, n_fock=2)
     liouv = standard_liouvillian(p)
     steady_state(liouv)
@@ -605,8 +625,8 @@ class TestSteadyState:
     def test_zero_mode_outside_the_population_blocks_is_found(self, monkeypatch):
         # shifting one coherence block (k != 0) by minus one of its
         # eigenvalues keeps the block pattern and gives that block a zero
-        # mode; vec(I) never reaches it, so only the sigma_min certificate
-        # and its eigvals fallback can find it
+        # mode, which vec(I) never reaches; the SVD of that block counts it,
+        # with no eigenvalue computed
         p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, atom_decay=0.2, n_fock=2)
         liouv = standard_liouvillian(p)
         d = p.dims.total_dim
@@ -617,49 +637,67 @@ class TestSteadyState:
         data[target, target] -= np.linalg.eigvals(liouv.data[np.ix_(target, target)])[0]
         shifted = Liouvillian(liouv.dims, data)
         assert [len(b) for b in _connected_blocks(data)] == [len(b) for b in blocks]
-        eigvals = np.linalg.eigvals
-        widths = []
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: widths.append(len(a)) or eigvals(a))
+        calls = []
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **kw: calls.append(name))
         steady_state(liouv)
-        assert widths == []
         with pytest.raises(DegenerateSteadyStateError, match="dimension 2"):
             steady_state(shifted)
-        assert widths == [len(target)]
+        assert calls == []
 
     def test_each_block_is_certified_directly_or_through_its_mirror(self, monkeypatch):
-        # the 12 coherence blocks of a lossy two-cavity generator that vec(I)
-        # does not reach are 6 pairs (+k, -k), each the complex conjugate of
-        # the other on the transposed indices, so 6 singular-value
-        # decompositions certify all 12; a block that is no longer the mirror
-        # of its partner is decomposed on its own, and its zero mode found
+        # the 12 coherence blocks of a lossy two-cavity generator are 6 pairs
+        # (+k, -k), each the complex conjugate of the other on the
+        # transposed indices, and the population block is its own mirror, so
+        # 7 singular-value decompositions cover all 13 blocks; a block that
+        # is no longer the mirror of its partner is decomposed on its own,
+        # and its zero mode found
         p = SystemParams(
             delta=0.2, omega_c=9.0, hopping=0.4, cavity_decay=0.5, atom_decay=0.3,
             n_fock=2, n_cavities=2,
         )
         liouv = standard_liouvillian(p)
         d = p.dims.total_dim
-        liouv.modes(np.eye(d))  # the reached block, decomposed before counting
         blocks = list(_connected_blocks(liouv.data))
-        unreached = [b for b in blocks if not np.isin(b, np.arange(d) * (d + 1)).any()]
+        population, *coherences = blocks  # index 0 is the population |0><0|
+        assert not any(np.isin(b, np.arange(d) * (d + 1)).any() for b in coherences)
         first_of_pair = []
-        for b in unreached:
+        for b in coherences:
             mirror = b % d * d + b // d
             assert np.array_equal(liouv.data[np.ix_(mirror, mirror)], liouv.data[np.ix_(b, b)].conj())
             if b[0] < mirror.min():
                 first_of_pair.append(b)
-        assert (len(unreached), len(first_of_pair)) == (12, 6)
+        assert (len(coherences), len(first_of_pair)) == (12, 6)
         svd = np.linalg.svd
         widths = []
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: widths.append(len(a)) or svd(a, **kw))
         steady_state(liouv)
-        assert widths == [len(b) for b in first_of_pair]
+        assert widths == [len(b) for b in [population, *first_of_pair]]
         # shift the second block of the first pair so that it holds a zero mode
-        second = next(b for b in unreached if b[0] > first_of_pair[0][0]
+        second = next(b for b in coherences if b[0] > first_of_pair[0][0]
                       and np.array_equal(np.sort(b % d * d + b // d), first_of_pair[0]))
         data = liouv.data.copy()
         data[second, second] -= np.linalg.eigvals(liouv.data[np.ix_(second, second)])[0]
         with pytest.raises(DegenerateSteadyStateError, match="dimension 2"):
             steady_state(Liouvillian(liouv.dims, data))
+
+    def test_defective_generator_is_solved_in_any_basis_order(self):
+        # resonant atom decay at g = 1, rate 1, no cavity loss: a Jordan
+        # block, whose eigenbasis is singular up to a roundoff that depends on
+        # the basis order; its kernel is one-dimensional in every order
+        p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=1.0, n_fock=2)
+        vacuum = bare_ket(p.dims, [(0, 0)]).density_matrix().data
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            order = rng.permutation(p.dims.total_dim)
+
+            def relabel(op):
+                return Operator(p.dims, op.data[np.ix_(order, order)])
+
+            liouv = build_liouvillian(relabel(build_jch(p)),
+                                      [(relabel(jump), rate) for jump, rate in decay_channels(p)])
+            expected = DensityMatrix(p.dims, vacuum[np.ix_(order, order)])
+            assert trace_distance(steady_state(liouv), expected) < 1e-12
 
     def test_missing_zero_mode_rejected(self):
         p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, n_fock=2)

@@ -13,7 +13,7 @@ from jchsim import (
     perturbation_report,
     unperturbed_energies,
 )
-from jchsim.perturbation import CLUSTER_RATIO, REPORT_LABELS, interaction_elements
+from jchsim.perturbation import CLUSTER_RATIO, REPORT_LABELS, _pair_by_weight, interaction_elements
 from jchsim import polariton
 
 
@@ -164,6 +164,49 @@ class TestQuasiDegenerateClusters:
             assert report.clusters == ()
             assert 0 < report.max_coupling_ratio < CLUSTER_RATIO
             assert not any(t.startswith("cluster") for t in report.terms)
+
+
+class TestOneToOneOracle:
+    def test_labels_with_one_best_level_take_distinct_levels(self):
+        # here 1- and 2- have their largest overlaps on the same exact level;
+        # paired one to one they take distinct levels, and each agrees with
+        # the series
+        p = _params(drive=0.0247, delta_c=0.368, delta=1.4)
+        energies, vectors = np.linalg.eigh(build_driven(p).data)
+        basis = polariton.basis_transform(p.dims, p.g, p.delta)
+        best = [np.argmax(np.abs(vectors.conj().T @ basis.column(k))) for k in ("1-", "2-")]
+        assert best[0] == best[1]
+        exact = match_exact_energies(p)
+        assert exact["1-"][0] != exact["2-"][0]
+        report = perturbation_report(p)
+        assert max(abs(exact[k][0] - report.perturbative_energy(k)) for k in REPORT_LABELS) < 1e-5
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(-1.5, 1.5), st.floats(-1.0, 3.0), st.floats(0.0, 0.03), st.floats(0.0, 0.03))
+    @example(1.4, 0.368, 0.0247, 0.0247)
+    def test_no_exact_level_is_claimed_by_two_labels(self, delta, delta_c, atom_drive,
+                                                     cavity_drive):
+        p = _params(delta_c=delta_c, delta=delta).with_(atom_drive=atom_drive,
+                                                         cavity_drive=cavity_drive)
+        energies, vectors = np.linalg.eigh(build_driven(p).data)
+        basis = polariton.basis_transform(p.dims, p.g, p.delta)
+        claimed = []
+        for k, (energy, overlap) in match_exact_energies(p).items():
+            overlaps = np.abs(vectors.conj().T @ basis.column(k))
+            (level,) = np.flatnonzero((energies == energy) & (overlaps == overlap))
+            claimed.append(level)
+        assert len(set(claimed)) == len(REPORT_LABELS)
+
+    @given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=6))
+    def test_pairing_is_one_to_one_and_greedy(self, rows):
+        weights = np.array(rows, dtype=float)
+        pairs = list(_pair_by_weight(weights))
+        assert len(pairs) == min(weights.shape)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        free = np.ones(weights.shape, dtype=bool)
+        for i, j in pairs:
+            assert weights[i, j] == weights[free].max()
+            free[i, :] = free[:, j] = False
 
 
 def _state_corrections(p, k, order):

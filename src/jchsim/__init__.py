@@ -28,12 +28,9 @@ from .hilbert import (
 )
 from .polariton import (
     LadderCoefficients,
-    LadderDecomposition,
     PolaritonBasis,
     basis_transform,
     branch_splitting,
-    decompose_atomic_raising,
-    decompose_creation,
     ladder_coefficients,
     ladder_coefficients_for,
     mixing_angle,

@@ -137,10 +137,6 @@ class Ket:
             raise ValueError("ket is not normalized")
         object.__setattr__(self, "amplitudes", amps)
 
-    def overlap(self, other: "Ket") -> complex:
-        _check_same_dims(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def density_matrix(self) -> "DensityMatrix":
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix(self.dims, rho)

@@ -22,17 +22,11 @@ from .hamiltonians import (
     rabi_frequency,
     stroboscopic_generator,
 )
-from .hilbert import (
-    HilbertDims,
-    Ket,
-    Operator,
-    embed_site,
-    excitation_number_at,
-    expect_series,
-    sum_over_sites,
-)
+from .hilbert import Ket, Operator, embed_site, expect_series
 from .lindblad import Trajectory, build_liouvillian, evolve, evolve_closed, standard_liouvillian
 from .polariton import (
+    basis_transform,
+    label,
     ladder_coefficients_for,
     parse_state_spec,
     polariton_energy,
@@ -42,6 +36,9 @@ from .polariton import (
 from .spectroscopy import local_maxima, parabolic_refine
 
 MEASUREMENT_STATES = ("1-,1-", "1+,1+", "2-,0", "0,2-", "2+,0", "0,2+")
+# fraction of the series range a maximum must rise above its valleys to
+# count as an oscillation peak in extract_period
+PERIOD_PROMINENCE = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +58,7 @@ def _valley_floors(heights, valleys) -> list:
     return floors
 
 
-def find_series_maxima(series, relative_prominence: float = 0.1):
+def find_series_maxima(series, relative_prominence: float):
     """Indices of local maxima whose prominence clears the given fraction
     of the series range (filters fast low-amplitude ripple)."""
     y = np.asarray(series, dtype=float)
@@ -79,13 +76,14 @@ def find_series_maxima(series, relative_prominence: float = 0.1):
     ]
 
 
-def extract_period(times, series, relative_prominence: float = 0.1):
-    """Mean spacing of successive prominent maxima, parabola-refined.
+def extract_period(times, series):
+    """Mean spacing of successive maxima of prominence ``PERIOD_PROMINENCE``,
+    parabola-refined.
 
     Returns ``(period, maxima_times, maxima_heights)``; raises when fewer
     than three maxima are found.
     """
-    idx = find_series_maxima(series, relative_prominence)
+    idx = find_series_maxima(series, PERIOD_PROMINENCE)
     if len(idx) < 3:
         raise NumericalError(
             f"extract_period: only {len(idx)} prominent maxima in the window"
@@ -104,8 +102,8 @@ def _n1_branch_operators(params: SystemParams):
     """|1+><1+|, |1-><1-| and |1-><1+| on site 0 of ``params.dims``; on two
     cavities they read the reduced state of site 0 without forming it."""
     dims = params.dims
-    up = site_polariton_ket(dims, 1, "+", params.g, params.delta).amplitudes
-    lo = site_polariton_ket(dims, 1, "-", params.g, params.delta).amplitudes
+    basis = basis_transform(dims, params.g, params.delta)
+    up, lo = basis.column("1+"), basis.column("1-")
 
     def site0(ket, bra):
         return embed_site(Operator(dims.site(), np.outer(ket, bra.conj())), 0, dims)
@@ -118,16 +116,6 @@ def _n1_branch_series(series: np.ndarray, params: SystemParams):
     or (T, D, D) density-matrix series."""
     p_up, p_lo, rho_pm = (expect_series(op, series) for op in _n1_branch_operators(params))
     return p_up.real, p_lo.real, 2.0 * np.abs(rho_pm)
-
-
-def branch_weight_operator(dims: HilbertDims, branch: str, params: SystemParams) -> Operator:
-    """Sum over sites of the projector onto the chosen branch manifolds."""
-    site = dims.site()
-    proj = np.zeros((site.site_dim, site.site_dim), dtype=complex)
-    for n in range(1, site.n_fock + 1):
-        ket = site_polariton_ket(site, n, branch, params.g, params.delta).amplitudes
-        proj += np.outer(ket, ket.conj())
-    return sum_over_sites(Operator(site, proj), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +218,14 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
 
     # hopping, two cavities, |1-,1->
     params = SystemParams(hopping=1.0, omega_c=omega_c, n_fock=n_fock, n_cavities=2)
-    dims = params.dims
-    psi0 = product_polariton_ket(dims, parse_state_spec("1-,1-"), params.g, params.delta)
-    target = product_polariton_ket(dims, parse_state_spec("1+,1-"), params.g, params.delta)
+    psi0 = product_polariton_ket(params.dims, parse_state_spec("1-,1-"), params.g, params.delta)
     times = np.linspace(0.0, 20.0, 4001)
-    amps = evolve_closed(build_jch(params), psi0, times)
-    p_target = np.abs(amps @ target.amplitudes.conj()) ** 2
-    # only the coherence is read: one (T, D) x (D, D) product, not three
-    coh = 2.0 * np.abs(expect_series(_n1_branch_operators(params)[2], amps))
+    basis = basis_transform(params.dims, params.g, params.delta)
+    amps = basis.pair_amplitudes(evolve_closed(build_jch(params), psi0, times))
+    lo, up = basis.index("1-"), basis.index("1+")
+    p_target = np.abs(amps[:, up, lo]) ** 2
+    # 2 |rho_0(1-, 1+)|, site 0's reduced state summed over site 1's labels
+    coh = 2.0 * np.abs(np.einsum("tj,tj->t", amps[:, lo], amps[:, up].conj()))
     rows.append(
         {
             "mechanism": "hopping",
@@ -287,15 +275,21 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
 # order parameter and detuning ramp
 
 
-def _number_variance(times: np.ndarray, series: np.ndarray, dims: HilbertDims) -> float:
-    """Trapezoid time average of sum_i Tr[N_i^2 rho] - Tr[N_i rho]^2 over a
-    (T, D) ket or (T, D, D) density-matrix series."""
+def _number_variance(times: np.ndarray, pops: np.ndarray) -> float:
+    """Trapezoid time average of sum_i Var(N_i) from the (T, ds[, ds])
+    populations of the product of site dressed bases, one axis per site.
+
+    N_i = a_i^dag a_i + sigma_i^+ sigma_i^- is diagonal there: it counts n on
+    |n+-> and n_fock + 1 on the overflow state, and ``basis_transform``'s label
+    order G, 1-, 1+, ..., overflow puts label k in manifold (k + 1) // 2.
+    """
+    counts = (np.arange(pops.shape[1]) + 1) // 2
+    sites = range(1, pops.ndim)
     total = 0.0
-    for site in range(dims.n_cavities):
-        n_op = excitation_number_at(dims, site)
-        mean = expect_series(n_op, series).real
-        square = expect_series(n_op @ n_op, series).real
-        total += float(np.trapezoid(square - mean**2, times))
+    for site in sites:
+        marginal = pops.sum(axis=tuple(other for other in sites if other != site))
+        mean = marginal @ counts
+        total += float(np.trapezoid(marginal @ counts**2 - mean**2, times))
     return total / (times[-1] - times[0])
 
 
@@ -361,37 +355,29 @@ class OrderParameterPoint:
 
 
 def _measure_hold(psi: Ket, params: SystemParams, hold_time: float, samples: int) -> OrderParameterPoint:
-    dims = params.dims
+    """Every hold observable from the populations of the hold's amplitudes in
+    the product of site dressed bases, rotated there once."""
     times = np.linspace(0.0, hold_time, samples)
-    amps = evolve_closed(build_jch(params), psi, times)
-    var = _number_variance(times, amps, dims)
+    basis = basis_transform(params.dims, params.g, params.delta)
+    pops = np.abs(basis.pair_amplitudes(evolve_closed(build_jch(params), psi, times))) ** 2
 
-    def pure_state(spec):
-        return product_polariton_ket(dims, parse_state_spec(spec), params.g, params.delta)
+    def population(spec):
+        i, j = (basis.index(label(*site)) for site in parse_state_spec(spec))
+        return pops[:, i, j]
 
-    branch_pops = {
-        "lp": float(abs(psi.overlap(pure_state("1-,1-"))) ** 2),
-        "up": float(abs(psi.overlap(pure_state("1+,1+"))) ** 2),
-    }
-    probabilities = {}
-    for spec in MEASUREMENT_STATES:
-        target = pure_state(spec).amplitudes
-        series = np.abs(amps @ target.conj()) ** 2
-        probabilities[spec] = float(np.trapezoid(series, times) / (times[-1] - times[0]))
+    span = times[-1] - times[0]
     return OrderParameterPoint(
         delta=params.delta,
-        var=var,
-        branch_populations=branch_pops,
-        state_probabilities=probabilities,
+        var=_number_variance(times, pops),
+        branch_populations={
+            "lp": float(population("1-,1-")[0]),
+            "up": float(population("1+,1+")[0]),
+        },
+        state_probabilities={
+            spec: float(np.trapezoid(population(spec), times) / span)
+            for spec in MEASUREMENT_STATES
+        },
     )
-
-
-def _apply_pulse(psi: Ket, params: SystemParams, schedule: RampSchedule, strict: bool) -> Ket:
-    generator = stroboscopic_generator(params, schedule.mode)
-    if strict:
-        generator = generator + build_hopping(params)
-    amps = evolve_closed(generator, psi, np.array([0.0, schedule.pulse_time]))[-1]
-    return Ket(params.dims, amps / np.linalg.norm(amps))
 
 
 def ramp_experiment(
@@ -421,12 +407,19 @@ def ramp_experiment(
 
     first = params.with_(delta=float(schedule.delta_values[0]))
     psi = product_polariton_ket(first.dims, parse_state_spec(initial), first.g, first.delta)
+    # neither pulse generator depends on the detuning: build it once
+    pulse = None
+    if time_dependent:
+        pulse = stroboscopic_generator(params, schedule.mode)
+        if strict_pulses:
+            pulse = pulse + build_hopping(params)
 
     points = []
     for delta_i in schedule.delta_values:
         p_i = params.with_(delta=float(delta_i))
-        if time_dependent:
-            psi = _apply_pulse(psi, p_i, schedule, strict_pulses)
+        if pulse is not None:
+            amps = evolve_closed(pulse, psi, np.array([0.0, schedule.pulse_time]))[-1]
+            psi = Ket(params.dims, amps / np.linalg.norm(amps))
         points.append(_measure_hold(psi, p_i, schedule.hold_time, hold_samples))
     return points
 

@@ -26,14 +26,13 @@ from .hilbert import (
     annihilation_at,
     atomic_lowering,
     bare_ket,
-    expect_series,
     fock_annihilation,
     lowering_at,
     partial_trace,
     total_excitation,
 )
 from .lindblad import evolve, evolve_closed, standard_liouvillian, steady_state, trace_distance
-from .protocols import branch_weight_operator, product_polariton_ket
+from .perturbation import interaction_elements, unperturbed_energies
 
 
 @dataclass(frozen=True)
@@ -127,28 +126,26 @@ def run_selfcheck(corruption: str | None = None) -> list:
     results.append(_result("polariton_diagonalization", worst_diag, 1e-10))
     results.append(_result("polariton_completeness", worst_complete, 1e-12))
 
+    # the driven Hamiltonian in the dressed basis is the perturbation report's
+    # E0 on the diagonal plus its drive elements, read from the ladder weights
     worst_rebuild = 0.0
     for delta in (0.0, 1.3):
-        p = single.with_(delta=delta)
-        parts = polariton.decompose_creation(p.dims, p.g, delta)
-        rebuilt = parts.total().data
-        if corruption == "ladder-coefficients":
-            rebuilt = rebuilt + 0.01 * np.eye(p.dims.site_dim)
-        atom_parts = polariton.decompose_atomic_raising(p.dims, p.g, delta)
-        labelled = polariton.basis_transform(p.dims, p.g, delta)
-        keep = [
-            i for i, lbl in enumerate(labelled.labels)
-            if lbl != polariton.OVERFLOW
-            and (lbl == polariton.GROUND or polariton.parse_label(lbl)[0] < p.n_fock)
-        ]
-        proj = labelled.matrix[:, keep] @ labelled.matrix[:, keep].conj().T
-        a_dag_full = fock_annihilation(p.dims).dag().data
-        sp_full = atomic_lowering(p.dims).dag().data
-        worst_rebuild = max(
-            worst_rebuild,
-            float(np.max(np.abs((rebuilt - a_dag_full) @ proj))),
-            float(np.max(np.abs((atom_parts.total().data - sp_full) @ proj))),
+        p = single.with_(
+            delta=delta, atom_drive=0.3, cavity_drive=0.1,
+            atom_drive_detuning=delta + 0.5, cavity_drive_detuning=0.5,
         )
+        basis = polariton.basis_transform(p.dims, p.g, delta)
+        dressed = basis.matrix.conj().T @ build_driven(p).data @ basis.matrix
+        expected = np.zeros_like(dressed)
+        for lbl, energy in unperturbed_energies(p).items():
+            expected[basis.index(lbl), basis.index(lbl)] = energy
+        for (upper, lower), amp in interaction_elements(p).items():
+            expected[basis.index(upper), basis.index(lower)] = amp
+        if corruption == "ladder-coefficients":
+            expected = expected + 0.01 * np.eye(len(basis.labels))
+        keep = [i for i, lbl in enumerate(basis.labels) if lbl != polariton.OVERFLOW]
+        block = np.ix_(keep, keep)
+        worst_rebuild = max(worst_rebuild, float(np.max(np.abs(dressed[block] - expected[block]))))
     results.append(_result("ladder_reconstruction", worst_rebuild, 1e-10))
 
     sym_err = 0.0
@@ -229,10 +226,13 @@ def run_selfcheck(corruption: str | None = None) -> list:
 
     # --- branch separability (closed lattice, weak hopping) ----------------
     sep = pair.with_(cavity_decay=0.0, atom_decay=0.0, hopping=0.1, delta=0.5)
-    psi = product_polariton_ket(sep.dims, [(1, "-"), (1, "-")], sep.g, sep.delta)
+    psi = polariton.product_polariton_ket(sep.dims, [(1, "-"), (1, "-")], sep.g, sep.delta)
     times = np.linspace(0.0, 10.0 / sep.hopping, 201)
-    amps = evolve_closed(build_jch(sep), psi, times)
-    up_weight = expect_series(branch_weight_operator(sep.dims, "+", sep), amps).real
+    basis = polariton.basis_transform(sep.dims, sep.g, sep.delta)
+    pops = np.abs(basis.pair_amplitudes(evolve_closed(build_jch(sep), psi, times))) ** 2
+    # the upper-branch weight summed over both sites
+    plus = [i for i, lbl in enumerate(basis.labels) if lbl.endswith("+")]
+    up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))
     results.append(_result("branch_separability", float(up_weight.max()), 0.1))
 
     return results

@@ -24,6 +24,8 @@ from .polariton import mixing_angle, polariton_energy
 STATIONARITY_TOL = 1e-6
 DECAY_TOL = -1e-10
 AMPLITUDE_FLOOR = 1e-12
+# fraction of the global maximum below which find_peaks ignores a local maximum
+PEAK_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,8 @@ def _half_height_width(x: np.ndarray, y: np.ndarray, i: int, height: float) -> f
     return float(right - left)
 
 
-def find_peaks(spectrum: Spectrum, min_height_fraction: float = 0.01) -> PeakReport:
-    """Local maxima above a fraction of the global maximum, with FWHM.
+def find_peaks(spectrum: Spectrum) -> PeakReport:
+    """Local maxima above ``PEAK_FLOOR`` times the global maximum, with FWHM.
 
     Positions are refined by parabolic interpolation; widths come from
     linear interpolation of the half-height crossings.
@@ -194,7 +196,7 @@ def find_peaks(spectrum: Spectrum, min_height_fraction: float = 0.01) -> PeakRep
     x, y = spectrum.frequencies, spectrum.values
     if len(x) < 3:
         raise ValueError("need at least three grid points to find peaks")
-    floor = min_height_fraction * y.max()
+    floor = PEAK_FLOOR * y.max()
     idx = [i for i in local_maxima(y) if y[i] >= floor]
     if not idx:
         raise NumericalError("find_peaks: no peaks above threshold")

@@ -37,3 +37,24 @@ def random_density_matrix(dim: int, rng) -> np.ndarray:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = raw @ raw.conj().T
     return rho / np.trace(rho)
+
+
+def ladder_matrix(basis, atomic: bool = False) -> np.ndarray:
+    """a^dag (sigma^+ when ``atomic``) in the dressed basis as the ladder
+    weights place it: <n b|op|n-1 b'> is the weight of the step from branch
+    b' to b, and every other element, the overflow label's included, is 0."""
+    from jchsim.polariton import label, ladder_coefficients_for
+
+    out = np.zeros((len(basis.labels),) * 2)
+    for n in range(1, basis.dims.n_fock + 1):
+        co = ladder_coefficients_for(n, basis.g, basis.delta)
+        if atomic:
+            weights = {("+", "+"): co.a_c_plus, ("-", "-"): co.a_c_minus,
+                       ("+", "-"): co.a_k_pm, ("-", "+"): co.a_k_mp}
+        else:
+            weights = {("+", "+"): co.c_plus, ("-", "-"): co.c_minus,
+                       ("+", "-"): co.k_pm, ("-", "+"): co.k_mp}
+        # at n = 1 both lower labels are the ground state and the cross weights are 0
+        for (upper, lower), weight in weights.items():
+            out[basis.index(label(n, upper)), basis.index(label(n - 1, lower))] += weight
+    return out

@@ -12,8 +12,6 @@ from jchsim import (
     build_hopping,
     build_jc,
     build_jch,
-    decompose_atomic_raising,
-    decompose_creation,
     evolve_closed,
     fock_annihilation,
     ladder_coefficients,
@@ -25,7 +23,25 @@ from jchsim import (
 )
 from jchsim import polariton
 
+from conftest import ladder_matrix
+
 DIMS = HilbertDims(4)
+
+
+def dressed(op: np.ndarray, delta: float) -> np.ndarray:
+    """A site operator in the dressed basis of ``DIMS`` at g = 1."""
+    basis = basis_transform(DIMS, 1.0, delta)
+    return basis.matrix.conj().T @ op @ basis.matrix
+
+
+def below_cutoff(basis) -> list:
+    """Labels that a raising operator does not push past the cutoff."""
+    return [
+        i
+        for i, lbl in enumerate(basis.labels)
+        if lbl != polariton.OVERFLOW
+        and (lbl == polariton.GROUND or polariton.parse_label(lbl)[0] < basis.dims.n_fock)
+    ]
 
 
 class TestMixingAngle:
@@ -72,7 +88,7 @@ class TestPolaritonStates:
         for delta in (-3.0, 0.0, 1.7, 12.0):
             km = site_polariton_ket(DIMS, 1, "-", 1.0, delta)
             kp = site_polariton_ket(DIMS, 1, "+", 1.0, delta)
-            assert abs(km.overlap(kp)) < 1e-14
+            assert abs(np.vdot(km.amplitudes, kp.amplitudes)) < 1e-14
 
     def test_manifold_above_cutoff(self):
         with pytest.raises(ValueError):
@@ -173,56 +189,50 @@ class TestLadderCoefficients:
 
 
 class TestDecompositions:
+    """a^dag and sigma^+ in the dressed basis against the ladder weights."""
+
     @pytest.mark.parametrize("delta", [0.0, 0.8, -1.5, 25.0])
     def test_creation_reconstruction(self, delta):
-        parts = decompose_creation(DIMS, 1.0, delta)
         basis = basis_transform(DIMS, 1.0, delta)
-        keep = [
-            i
-            for i, lbl in enumerate(basis.labels)
-            if lbl != polariton.OVERFLOW
-            and (lbl == polariton.GROUND or polariton.parse_label(lbl)[0] < DIMS.n_fock)
-        ]
-        proj = basis.matrix[:, keep] @ basis.matrix[:, keep].conj().T
-        target = fock_annihilation(DIMS).dag().data
-        assert np.max(np.abs((parts.total().data - target) @ proj)) < 1e-10
+        keep = below_cutoff(basis)
+        got = dressed(fock_annihilation(DIMS).dag().data, delta)
+        assert np.max(np.abs(got[:, keep] - ladder_matrix(basis)[:, keep])) < 1e-10
 
     @pytest.mark.parametrize("delta", [0.0, 0.8, -1.5, 25.0])
     def test_atomic_reconstruction(self, delta):
-        parts = decompose_atomic_raising(DIMS, 1.0, delta)
         basis = basis_transform(DIMS, 1.0, delta)
-        keep = [
-            i
-            for i, lbl in enumerate(basis.labels)
-            if lbl != polariton.OVERFLOW
-            and (lbl == polariton.GROUND or polariton.parse_label(lbl)[0] < DIMS.n_fock)
-        ]
-        proj = basis.matrix[:, keep] @ basis.matrix[:, keep].conj().T
-        target = atomic_lowering(DIMS).dag().data
-        assert np.max(np.abs((parts.total().data - target) @ proj)) < 1e-10
+        keep = below_cutoff(basis)
+        got = dressed(atomic_lowering(DIMS).dag().data, delta)
+        assert np.max(np.abs(got[:, keep] - ladder_matrix(basis, atomic=True)[:, keep])) < 1e-10
 
     def test_cross_family_single_term(self):
+        # a^dag |1-> has weight k_pm on |2+>
         delta = 0.9
-        parts = decompose_creation(DIMS, 1.0, delta)
-        km = site_polariton_ket(DIMS, 1, "-", 1.0, delta)
-        out = parts.cross_to_plus.data @ km.amplitudes
-        kp2 = site_polariton_ket(DIMS, 2, "+", 1.0, delta).amplitudes
+        basis = basis_transform(DIMS, 1.0, delta)
+        a_dag = dressed(fock_annihilation(DIMS).dag().data, delta)
         k_pm = ladder_coefficients_for(2, 1.0, delta).k_pm
-        assert np.max(np.abs(out - k_pm * kp2)) < 1e-13
+        assert abs(a_dag[basis.index("2+"), basis.index("1-")] - k_pm) < 1e-13
 
     def test_dispersive_suppression_of_cross_families(self):
-        parts = decompose_creation(DIMS, 1.0, 40.0)
-        cross = np.linalg.norm(parts.cross_to_plus.data) + np.linalg.norm(parts.cross_to_minus.data)
-        keep = np.linalg.norm(parts.within_plus.data)
-        assert cross < 0.05 * keep
+        basis = basis_transform(DIMS, 1.0, 40.0)
+        a_dag = dressed(fock_annihilation(DIMS).dag().data, 40.0)
+
+        def family(upper, lower, n_first):
+            """Norm of the a^dag elements from branch ``lower`` to ``upper``."""
+            steps = range(n_first, DIMS.n_fock + 1)
+            rows = [basis.index(polariton.label(n, upper)) for n in steps]
+            cols = [basis.index(polariton.label(n - 1, lower)) for n in steps]
+            return np.linalg.norm(a_dag[rows, cols])
+
+        cross = family("+", "-", 2) + family("-", "+", 2)
+        assert cross < 0.05 * family("+", "+", 1)
 
     def test_atomic_sign_carried(self):
         delta = 1.1
         theta = mixing_angle(1, 1.0, delta)
-        parts = decompose_atomic_raising(DIMS, 1.0, delta)
-        ground = polariton.ground_ket(DIMS).amplitudes
-        km = site_polariton_ket(DIMS, 1, "-", 1.0, delta).amplitudes
-        amp = km.conj() @ parts.within_minus.data @ ground
+        basis = basis_transform(DIMS, 1.0, delta)
+        s_plus = dressed(atomic_lowering(DIMS).dag().data, delta)
+        amp = s_plus[basis.index("1-"), basis.index(polariton.GROUND)]
         assert amp.real == pytest.approx(-math.sin(theta), abs=1e-12)
 
     def test_resonant_atomic_cross_weight(self):
@@ -288,12 +298,16 @@ class TestInteractionPictureFrequencies:
     def test_cross_family_weightless_in_first_manifold(self):
         co = ladder_coefficients_for(1, 1.0, 0.0)
         assert co.k_pm == 0.0 and co.k_mp == 0.0
-        parts = decompose_creation(DIMS, 1.0, 0.0)
+        # a^dag takes the ground state to 1- and 1+ only, with the branch-keeping
+        # weights; the interchanging families carry weight from n = 2 on
         basis = basis_transform(DIMS, 1.0, 0.0)
-        ground = basis.column(polariton.GROUND)
-        for cross in (parts.cross_to_plus, parts.cross_to_minus):
-            assert np.max(np.abs(cross.data @ ground)) == 0.0
-        assert np.max(np.abs(parts.cross_to_plus.data)) > 0.1  # weight from n = 2 on
+        a_dag = dressed(fock_annihilation(DIMS).dag().data, 0.0)
+        from_ground = a_dag[:, basis.index(polariton.GROUND)]
+        lo, up = basis.index("1-"), basis.index("1+")
+        assert from_ground[lo] == pytest.approx(co.c_minus, abs=1e-15)
+        assert from_ground[up] == pytest.approx(co.c_plus, abs=1e-15)
+        assert np.max(np.abs(np.delete(from_ground, [lo, up]))) == 0.0
+        assert abs(a_dag[basis.index("2+"), lo]) > 0.1
 
     def test_eliminability_threshold(self):
         # at J = 0.1 g the branch-interchanging link is detuned by the full

@@ -13,11 +13,14 @@ from jchsim import (
     RampSchedule,
     SystemParams,
     analytic_variance,
+    basis_transform,
     build_hopping,
     build_jch,
     driven_oscillation_run,
     effective_model,
     evolve_closed,
+    excitation_number_at,
+    expect_series,
     extract_period,
     hopping_interchange_probe,
     numeric_variance,
@@ -30,10 +33,10 @@ from jchsim import (
 from jchsim.lindblad import build_liouvillian, evolve
 from jchsim.polariton import parse_state_spec
 from jchsim.protocols import (
+    MEASUREMENT_STATES,
     _measure_hold,
     _n1_branch_series,
     _number_variance,
-    branch_weight_operator,
     find_series_maxima,
 )
 from jchsim.spectroscopy import local_maxima
@@ -269,6 +272,64 @@ class TestAnalyticVariance:
         assert min(values) >= 0.0
 
 
+def operator_variance(times, series, dims) -> float:
+    """Oracle for the order parameter: trapezoid time average of
+    sum_i <N_i^2> - <N_i>^2 with the dense counters N_i over a (T, D) ket or
+    (T, D, D) density-matrix series."""
+    total = 0.0
+    for site in range(dims.n_cavities):
+        n_op = excitation_number_at(dims, site)
+        mean = expect_series(n_op, series).real
+        square = expect_series(n_op @ n_op, series).real
+        total += float(np.trapezoid(square - mean**2, times))
+    return total / (times[-1] - times[0])
+
+
+def dressed_populations(rhos: np.ndarray, p: SystemParams) -> np.ndarray:
+    """Populations of (T, D, D) density matrices in the product of site
+    dressed bases, shaped (T, ds) on one cavity and (T, ds, ds) on two."""
+    site = basis_transform(p.dims, p.g, p.delta).matrix
+    u = site if p.n_cavities == 1 else np.kron(site, site)
+    pops = np.einsum("ai,tab,bi->ti", u.conj(), rhos, u).real
+    return pops.reshape(len(rhos), *[len(site)] * p.n_cavities)
+
+
+def overlap_hold(psi, amps: np.ndarray, times: np.ndarray, p: SystemParams):
+    """Oracle for _measure_hold on the hold's (T, D) amplitudes: overlaps with
+    the rebuilt product kets of the measured states and the operator variance."""
+
+    def pure(spec):
+        return product_polariton_ket(p.dims, parse_state_spec(spec), p.g, p.delta).amplitudes
+
+    branch = {"lp": abs(psi.amplitudes.conj() @ pure("1-,1-")) ** 2,
+              "up": abs(psi.amplitudes.conj() @ pure("1+,1+")) ** 2}
+    probabilities = {
+        spec: np.trapezoid(np.abs(amps @ pure(spec).conj()) ** 2, times) / times[-1]
+        for spec in MEASUREMENT_STATES
+    }
+    return operator_variance(times, amps, p.dims), branch, probabilities
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.floats(0.05, 80.0), st.floats(0.02, 0.2), st.sampled_from(MEASUREMENT_STATES))
+@example(0.05, 0.2, "1+,1+")
+def test_hold_measurement_matches_overlap_oracle(delta, hopping, initial):
+    p = TWO_SITE.with_(delta=delta, hopping=hopping)
+    psi = product_polariton_ket(p.dims, parse_state_spec(initial), p.g, p.delta)
+    times = np.linspace(0.0, 1.0 / hopping, 61)
+    amps = evolve_closed(build_jch(p), psi, times)
+    point = _measure_hold(psi, p, times[-1], len(times))
+    var, branch, probabilities = overlap_hold(psi, amps, times, p)
+    assert abs(point.var - var) < 1e-12
+    for key, value in branch.items():
+        assert abs(point.branch_populations[key] - value) < 1e-12
+    for spec, value in probabilities.items():
+        assert abs(point.state_probabilities[spec] - value) < 1e-12
+    # the dressed pair basis is complete: every sample's populations sum to 1
+    pops = np.abs(basis_transform(p.dims, p.g, p.delta).pair_amplitudes(amps)) ** 2
+    assert np.max(np.abs(pops.sum(axis=(1, 2)) - 1.0)) < 1e-12
+
+
 class TestOrderParameter:
     def test_number_eigenstate_has_zero_instant_variance(self):
         p = TWO_SITE
@@ -286,15 +347,18 @@ class TestOrderParameter:
         assert point.var > 0  # hopping builds variance over the window
 
     def test_trajectory_interface_and_guards(self):
-        # the variance reads an evolve Trajectory as well as a ket series;
-        # the ket route guards its lattice and hopping strength
+        # the variance reads the dressed populations of an evolve Trajectory
+        # as well as of a ket series; the ket route guards its lattice and
+        # hopping strength
         p = SystemParams(delta=0.2, omega_c=9.0, cavity_decay=0.3, n_fock=2)
         liouv = build_liouvillian(build_jch(p), [])
         rho0 = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).density_matrix()
         times = np.linspace(0.0, 2.0, 301)
         traj = evolve(liouv, rho0, times)
-        value = _number_variance(traj.times, traj.states, traj.dims)
+        value = _number_variance(traj.times, dressed_populations(traj.states, p))
         assert value >= -1e-8
+        oracle = operator_variance(traj.times, traj.states, traj.dims)
+        assert value == pytest.approx(oracle, abs=1e-12)
         with pytest.raises(DimensionMismatchError):
             numeric_variance(p, "-")
         with pytest.raises(ValueError):
@@ -308,7 +372,7 @@ class TestOrderParameter:
         times = np.linspace(0.0, 1.0 / p.hopping, 241)
         amps = evolve_closed(build_jch(p), psi, times)
         rhos = np.einsum("ti,tj->tij", amps, amps.conj())
-        via_trajectory = _number_variance(times, rhos, p.dims)
+        via_trajectory = _number_variance(times, dressed_populations(rhos, p))
         via_kets = numeric_variance(p, "-", hold_samples=241)
         assert via_trajectory == pytest.approx(via_kets, rel=1e-9)
 
@@ -321,7 +385,7 @@ class TestOrderParameter:
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
         times = np.linspace(0.0, 1.0 / hopping, 401)
         shifted = build_jch(p) - p.omega_c * total_excitation(p.dims)
-        oracle = _number_variance(times, evolve_closed(shifted, psi, times), p.dims)
+        oracle = operator_variance(times, evolve_closed(shifted, psi, times), p.dims)
         assert abs(numeric_variance(p, "-", hold_samples=401) - oracle) < 1e-9
 
 
@@ -392,10 +456,11 @@ class TestRampExperiment:
         p = TWO_SITE.with_(delta=0.5)
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
         times = np.linspace(0.0, 10.0 / p.hopping, 401)
-        amps = evolve_closed(build_jch(p), psi, times)
-        up_weight = np.einsum(
-            "ti,ij,tj->t", amps.conj(), branch_weight_operator(p.dims, "+", p).data, amps
-        ).real
+        basis = basis_transform(p.dims, p.g, p.delta)
+        pops = np.abs(basis.pair_amplitudes(evolve_closed(build_jch(p), psi, times))) ** 2
+        # the upper-branch weight summed over both sites
+        plus = [i for i, lbl in enumerate(basis.labels) if lbl.endswith("+")]
+        up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))
         assert up_weight.max() < 0.1
 
     def test_open_system_rejected(self, small_schedule):

@@ -4,17 +4,24 @@ Vectorization convention (fixed package-wide): matrices are stacked row by
 row, ``vec(rho) = rho.reshape(-1)``, so ``vec(A rho B) = (A kron B^T) vec(rho)``.
 :func:`build_liouvillian` is the one place a generator is assembled, from the
 no-jump Hamiltonian H_eff (Dalibard, Castin & Molmer, PRL 68, 580 (1992)),
-filled entry by entry into a zeroed array.  :meth:`Liouvillian.modes` given a
-seed matrix decomposes only the blocks its support reaches, as the spectrum
-does from a^dag rho_ss.  :func:`steady_state` needs no eigenbasis: the
-rank-revealing SVD of each block gives the dimension of its kernel and its
-null vector (Golub & Van Loan, Matrix Computations, 4th ed., secs. 2.4 and
-5.4), and the steady state is unique when the kernel is one-dimensional.
+filled entry by entry into a zeroed array.
+
+Its nonzero pattern is read once per generator: pairs of excitation
+manifolds (without drive) cut it into pair blocks in which the generator is
+block lower triangular (:attr:`Liouvillian._pairs`).  :func:`steady_state`
+needs no eigenbasis: values-only SVDs of the pair blocks find the singular
+ones, and the rank-revealing SVD of the generator on what they reach gives
+the dimension of the kernel and its null vector (Golub & Van Loan, Matrix
+Computations, 4th ed., secs. 2.4 and 5.4); the steady state is unique when
+the kernel is one-dimensional.  :meth:`Liouvillian.modes` given a seed matrix
+decomposes only what its support reaches along nonzero entries, which from
+a^dag |0><0| is the (one excitation, vacuum) pair block.
 
 Each generator type has one propagator.  :func:`evolve` steps a density
-matrix along a uniform grid by the exact exp(L dt) of each block it reaches,
-formed by scaling and squaring, with no eigenbasis; :func:`evolve_closed`
-rotates a ket in the eigenbasis of the Hamiltonian block its support reaches.
+matrix along a uniform grid by the exact exp(L dt) on what vec(rho0) reaches
+in each weak block, formed by scaling and squaring, with no eigenbasis;
+:func:`evolve_closed` rotates a ket in the eigenbasis of the Hamiltonian
+block its support reaches.
 """
 from __future__ import annotations
 
@@ -78,21 +85,69 @@ class Liouvillian:
         return unvectorize(self.data @ vectorize(mat), d)
 
     @cached_property
+    def _entries(self) -> tuple:
+        """(rows, cols) of the nonzero entries: each leads from index cols[e] to rows[e]."""
+        return np.divmod(np.flatnonzero(self.data != 0), len(self.data))
+
+    @cached_property
+    def _pairs(self) -> tuple:
+        """(label, members, links) of the pair blocks in an order by reach.
+
+        The one-sided graph links Hilbert index k to k' when a nonzero entry
+        maps |k><.| to |k'><.| or |.><k| to |.><k'|; its strongly connected
+        components, numbered upstream first, make pair block (a, b) of the
+        indices |i><j| with i in component a and j in component b.  Every
+        entry leads downstream on both sides, so from a block to itself or to
+        a later one: the generator is block lower triangular.  ``label[k]`` is
+        the block of superoperator index k, ``members[p]`` the sorted indices
+        of block p, and ``links[p, q]`` whether an entry leads from p to q."""
+        d = self.dims.total_dim
+        rows, cols = self._entries
+        one_sided = np.zeros((d, d), dtype=bool)  # [from, to]
+        one_sided[cols // d, rows // d] = True
+        one_sided[cols % d, rows % d] = True
+        reach = _transitive(one_sided)
+        first = (reach & reach.T).argmax(axis=1)  # lowest index of each component
+        heads = np.unique(first)
+        # a component reaches strictly more indices than any it leads to
+        rank = np.empty(d, dtype=int)
+        rank[heads[np.lexsort((heads, -reach[heads].sum(axis=1)))]] = np.arange(len(heads))
+        comp = rank[first]
+        label = (comp[:, None] * len(heads) + comp).reshape(-1)
+        n_pairs = len(heads) ** 2
+        links = np.zeros((n_pairs, n_pairs), dtype=bool)
+        links[label[cols], label[rows]] = True
+        return label, _groups(label), links
+
+    @cached_property
     def _blocks(self) -> list:
-        return list(_connected_blocks(self.data))
+        """Sorted index arrays of the weakly connected components of the
+        links between pair blocks (without drive, the coherence orders), in
+        the order of their first pair block."""
+        label, _, links = self._pairs
+        return _groups(_transitive(links | links.T).argmax(axis=1)[label])
+
+    def _reached(self, vec: np.ndarray | None) -> tuple:
+        """(index, pieces): the closure of the support of ``vec`` along
+        nonzero entries (without a vector, every index) and its parts in the
+        weak blocks it meets."""
+        if vec is None:
+            return np.arange(len(self.data)), self._blocks
+        inside = _reachable(*self._entries, vec != 0)
+        pieces = [idx[inside[idx]] for idx in self._blocks if inside[idx].any()]
+        return np.flatnonzero(inside), pieces
 
     def modes(self, seed: np.ndarray | None = None) -> LiouvillianModes:
-        """Eigen-decomposition over the weakly connected components of the
-        nonzero pattern (without drive, the coherence orders) that the support
-        of the matrix ``seed`` reaches; without a seed, over all of them, so
-        ``index`` is every superoperator index.  Each call decomposes the
-        blocks it reaches.  A closed, anti-Hermitian block goes through
-        ``eigh``, so its eigenbasis stays unitary at degenerate eigenvalues;
-        the condition number is that of the block-diagonal eigenbasis of the
-        blocks reached."""
-        support = np.ones(len(self.data), bool) if seed is None else vectorize(seed) != 0
-        reached = [idx for idx in self._blocks if support[idx].any()]
-        index = np.sort(np.concatenate(reached or [np.empty(0, int)]))
+        """Eigen-decomposition of the generator restricted to what the
+        support of the matrix ``seed`` reaches along nonzero entries, one
+        weak block (:attr:`_blocks`) at a time; without a seed, of every weak
+        block, so ``index`` is every superoperator index.  A seed reaches a
+        set that no entry leaves, so its modes are modes of the generator.
+        Each call decomposes what it reaches.  A closed, anti-Hermitian
+        piece goes through ``eigh``, so its eigenbasis stays unitary at
+        degenerate eigenvalues; the condition number is that of the
+        block-diagonal eigenbasis of the pieces reached."""
+        index, reached = self._reached(None if seed is None else vectorize(seed))
         w = np.empty(len(index), dtype=complex)
         v, v_inv = np.zeros((2, len(index), len(index)), dtype=complex)
         s_max, s_min = 0.0, np.inf
@@ -115,24 +170,33 @@ class Liouvillian:
         return LiouvillianModes(w, v, v_inv, index)
 
 
-def _reachable(linked: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Mask of what the ``seed`` mask reaches in ``linked``, by breadth-first search."""
-    members = frontier = seed
-    while frontier.any():
-        frontier = linked[frontier].any(axis=0) & ~members
-        members = members | frontier
-    return members
+def _groups(key: np.ndarray) -> list:
+    """Sorted index arrays of the equal entries of the integer array ``key``,
+    in increasing order of their value."""
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
-def _connected_blocks(data: np.ndarray):
-    """Yield the index arrays of the weakly connected components of the
-    nonzero pattern of ``data``, lowest first index first."""
-    linked = (data != 0) | (data != 0).T
-    unseen = np.ones(len(data), dtype=bool)
-    while unseen.any():
-        members = _reachable(linked, np.arange(len(data)) == np.argmax(unseen))
-        unseen &= ~members
-        yield np.flatnonzero(members)
+def _transitive(linked: np.ndarray) -> np.ndarray:
+    """Reflexive transitive closure of a square boolean adjacency, by squaring."""
+    reach = linked | np.eye(len(linked), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
+def _reachable(rows: np.ndarray, cols: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Mask of what the ``seed`` mask reaches along the links cols[e] -> rows[e],
+    one step of every link at a time."""
+    reached = seed
+    while True:
+        grown = reached.copy()
+        grown[rows[reached[cols]]] = True
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown
 
 
 def build_liouvillian(h: Operator, channels=()) -> Liouvillian:
@@ -229,11 +293,12 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     starts at t_grid[0]); a grid that strays from uniform by more than
     ``GRID_UNIFORMITY_TOL`` of its step raises ``ValueError``.
 
-    On each block of the generator that vec(rho0) reaches, P = exp(L dt) is
-    formed once by :func:`_expm` and the samples follow by doubling, exactly 0
-    outside those blocks; no eigenbasis is needed, so a defective generator is
-    no special case.  Trace and Hermiticity drifts are checked against package
-    tolerances.  A closed system's ket goes through :func:`evolve_closed`.
+    On the indices that vec(rho0) reaches along nonzero entries, one weak
+    block at a time, P = exp(L dt) is formed once by :func:`_expm` and the
+    samples follow by doubling, exactly 0 everywhere else; no eigenbasis is
+    needed, so a defective generator is no special case.  Trace and
+    Hermiticity drifts are checked against package tolerances.  A closed
+    system's ket goes through :func:`evolve_closed`.
     """
     if liouv.dims != rho0.dims:
         raise DimensionMismatchError("initial state dims differ from generator dims")
@@ -245,13 +310,12 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     d = liouv.dims.total_dim
     vec = vectorize(rho0.data)
     states = np.zeros((len(times), d * d), dtype=complex)
-    for idx in liouv._blocks:
-        if vec[idx].any():
-            series = _doubling(_expm(step * liouv.data[np.ix_(idx, idx)]), vec[idx], len(times))
-            if len(idx) == d * d:  # one block spans every index: no scatter needed
-                states = series
-            else:
-                states[:, idx] = series
+    for idx in liouv._reached(vec)[1]:
+        series = _doubling(_expm(step * liouv.data[np.ix_(idx, idx)]), vec[idx], len(times))
+        if len(idx) == d * d:  # one block spans every index: no scatter needed
+            states = series
+        else:
+            states[:, idx] = series
     traj = Trajectory(liouv.dims, times, states.reshape(len(times), d, d))
     drift = traj.trace_drift()
     if drift > TRACE_DRIFT_TOL:
@@ -268,8 +332,9 @@ def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
     if h.dims != psi0.dims:
         raise DimensionMismatchError("state dims differ from Hamiltonian dims")
     times = _check_grid(t_grid)
-    linked = (h.data != 0) | (h.data != 0).T
-    idx = np.flatnonzero(_reachable(linked, psi0.amplitudes != 0))
+    rows, cols = np.nonzero(h.data != 0)
+    both = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    idx = np.flatnonzero(_reachable(*both, psi0.amplitudes != 0))
     energies, vectors = np.linalg.eigh(h.data[np.ix_(idx, idx)])
     phases = np.exp(-1j * np.outer(times - times[0], energies))
     coeff = vectors.conj().T @ psi0.amplitudes[idx]
@@ -279,31 +344,34 @@ def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
 
 
 def steady_state(liouv: Liouvillian) -> DensityMatrix:
-    """Stationary state from the null space of the generator, block by block.
+    """Stationary state from the null space of the generator.
 
-    One SVD per block counts its singular values below ``ZERO_MODE_TOL`` as
-    zero modes, the dimension of its kernel; raises if the generator has none
-    or more than one.  The right singular vector of the single zero mode is the
-    state, up to its trace.  L[rho^dag] = L[rho]^dag makes block -k the complex
-    conjugate of block +k on the transposed indices (i, j) -> (j, i); a block
-    found to be that mirror of a decomposed one shares its singular values and
-    is not decomposed again.
+    The generator is block lower triangular in its pair blocks, so its kernel
+    lies in the closure of the singular ones: the indices that nonzero entries
+    lead to from them.  Values-only SVDs of the pair blocks, batched by size,
+    find the blocks with a singular value below ``ZERO_MODE_TOL``; the SVD of
+    the generator restricted to their closure counts its zero modes, the
+    dimension of the kernel, and raises if there is none or more than one.
+    The right singular vector of the single zero mode is the state, up to its
+    trace.  For the undriven lossy lattice that closure is the vacuum alone.
     """
     d = liouv.dims.total_dim
+    _, members, _ = liouv._pairs
+    sizes = np.array([len(idx) for idx in members])
+    singular = np.zeros(d * d, dtype=bool)
+    s_min, zeros = np.inf, 0
+    for size in np.unique(sizes):
+        group = np.stack([members[p] for p in np.flatnonzero(sizes == size)])
+        sv = np.linalg.svd(liouv.data[group[:, :, None], group[:, None, :]], compute_uv=False)
+        s_min = min(s_min, sv[:, -1].min())
+        singular[group[sv[:, -1] < ZERO_MODE_TOL]] = True
     vec = np.zeros(d * d, dtype=complex)
-    svals, zeros = {}, 0
-    for idx in liouv._blocks:
-        block = liouv.data[np.ix_(idx, idx)]
-        mirror = idx % d * d + idx // d
-        sv = svals.get(np.sort(mirror).tobytes())
-        if sv is None or not np.array_equal(liouv.data[np.ix_(mirror, mirror)], block.conj()):
-            _, sv, vh = np.linalg.svd(block)
-            svals[idx.tobytes()] = sv
-            if sv[-1] < ZERO_MODE_TOL:
-                vec[idx] = vh[-1].conj()
-        zeros += np.count_nonzero(sv < ZERO_MODE_TOL)
+    if singular.any():
+        index = np.flatnonzero(_reachable(*liouv._entries, singular))
+        _, sv, vh = np.linalg.svd(liouv.data[np.ix_(index, index)])
+        s_min, zeros = sv[-1], np.count_nonzero(sv < ZERO_MODE_TOL)
+        vec[index] = vh[-1].conj()
     if zeros == 0:
-        s_min = min(sv[-1] for sv in svals.values())
         raise NumericalError(
             f"steady_state: no zero mode within {ZERO_MODE_TOL:.0e} "
             f"(smallest singular value {s_min:.3e})"
@@ -311,11 +379,11 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     if zeros > 1:
         raise DegenerateSteadyStateError(f"steady_state: zero eigenspace has dimension {zeros}")
     rho = unvectorize(vec, d)
-    rho = (rho + rho.conj().T) / 2.0
     trace = np.trace(rho)
     if abs(trace) < 1e-14:
         raise NumericalError("steady_state: zero-mode candidate is traceless")
-    rho = rho / trace
+    rho = rho / trace  # before Hermitizing, so the SVD's phase cannot cancel it
+    rho = (rho + rho.conj().T) / 2.0
     residual = float(np.max(np.abs(liouv.apply(rho))))
     if residual > 1e-8:
         raise NumericalError(f"steady_state: residual |L[rho]| = {residual:.3e}")

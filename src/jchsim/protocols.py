@@ -282,15 +282,16 @@ def _number_variance(times: np.ndarray, pops: np.ndarray) -> float:
     N_i = a_i^dag a_i + sigma_i^+ sigma_i^- is diagonal there: it counts n on
     |n+-> and n_fock + 1 on the overflow state, and ``basis_transform``'s label
     order G, 1-, 1+, ..., overflow puts label k in manifold (k + 1) // 2.
+    Var(N_i) is the centred sum sum_k p_k (n_k - <N_i>)^2: <N_i^2> - <N_i>^2
+    cancels to about 1e-9 of a variance of 5e-6.
     """
     counts = (np.arange(pops.shape[1]) + 1) // 2
     sites = range(1, pops.ndim)
-    total = 0.0
-    for site in sites:
-        marginal = pops.sum(axis=tuple(other for other in sites if other != site))
-        mean = marginal @ counts
-        total += float(np.trapezoid(marginal @ counts**2 - mean**2, times))
-    return total / (times[-1] - times[0])
+    marginals = np.stack([pops.sum(axis=tuple(other for other in sites if other != site))
+                          for site in sites])
+    spread = counts - (marginals @ counts)[..., None]
+    variance = np.einsum("stk,stk->t", marginals, spread**2)
+    return float(np.trapezoid(variance, times)) / (times[-1] - times[0])
 
 
 @dataclass(frozen=True)

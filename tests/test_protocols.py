@@ -376,6 +376,27 @@ class TestOrderParameter:
         via_kets = numeric_variance(p, "-", hold_samples=241)
         assert via_trajectory == pytest.approx(via_kets, rel=1e-9)
 
+    def test_small_variance_is_a_centred_sum(self):
+        # variance_compare's smallest order parameter (J = 0.02, delta = 5,
+        # branch "+", about 4.7e-6) against a long-double centred sum over the
+        # same populations; <N^2> - <N>^2 in float64 is off by about 1e-9 of it
+        p = SystemParams(delta=5.0, hopping=0.02, omega_c=1e4, n_fock=3, n_cavities=2)
+        psi = product_polariton_ket(p.dims, parse_state_spec("1+,1+"), p.g, p.delta)
+        times = np.linspace(0.0, 1.0 / p.hopping, 401)
+        basis = basis_transform(p.dims, p.g, p.delta)
+        pops = np.abs(basis.pair_amplitudes(evolve_closed(build_jch(p), psi, times))) ** 2
+        counts = ((np.arange(pops.shape[1]) + 1) // 2).astype(np.longdouble)
+        wide = pops.astype(np.longdouble)
+        reference = np.longdouble(0)
+        for marginal in (wide.sum(axis=2), wide.sum(axis=1)):
+            spread = counts - (marginal @ counts)[:, None]
+            reference += np.trapezoid((marginal * spread**2).sum(axis=1), times)
+        reference /= times[-1] - times[0]
+        value = _number_variance(times, pops)
+        assert 1e-6 < value < 1e-5
+        assert abs(value - reference) < 1e-12 * reference
+        assert numeric_variance(p, "+", hold_samples=401) == value
+
     @pytest.mark.parametrize("hopping, delta", [(0.02, 0.0), (0.05, 1.0), (0.1, 5.0), (0.02, 5.0)])
     def test_variance_at_large_omega_c_matches_shifted_frame(self, hopping, delta):
         # N_tot commutes with H, so H - omega_c N_tot leaves every sector

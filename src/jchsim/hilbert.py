@@ -240,17 +240,12 @@ def total_excitation(dims: HilbertDims) -> Operator:
 
 
 def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
-    """Tr(op rho(t)) along a trajectory given as (T, D) ket amplitudes or as
-    (T, D, D) density matrices; the one place that tells the two apart."""
+    """<psi(t)| op |psi(t)> along (T, D) ket amplitudes; a run of density
+    matrices reads its expectations through ``Trajectory.expect``."""
     d = op.dims.total_dim
-    if series.ndim == 2 and series.shape[1] == d:
-        return np.einsum("ti,ti->t", series.conj(), series @ op.data.T)
-    if series.ndim == 3 and series.shape[1:] == (d, d):
-        # sum_ij op_ij rho_ji as one matrix-vector product over the samples
-        return series.reshape(len(series), d * d) @ op.data.T.reshape(d * d)
-    raise DimensionMismatchError(
-        f"series shape {series.shape} is neither (T, {d}) nor (T, {d}, {d})"
-    )
+    if series.ndim != 2 or series.shape[1] != d:
+        raise DimensionMismatchError(f"series shape {series.shape} is not (T, {d})")
+    return np.einsum("ti,ti->t", series.conj(), series @ op.data.T)
 
 
 def partial_trace(rho: DensityMatrix, keep_site: int) -> DensityMatrix:

@@ -19,9 +19,10 @@ a^dag |0><0| is the (one excitation, vacuum) pair block.
 
 Each generator type has one propagator.  :func:`evolve` steps a density
 matrix along a uniform grid by the exact exp(L dt) on what vec(rho0) reaches
-in each weak block, formed by scaling and squaring, with no eigenbasis;
-:func:`evolve_closed` rotates a ket in the eigenbasis of the Hamiltonian
-block its support reaches.
+in each weak block and its mirror, formed by scaling and squaring in real
+coordinates on a Hermitian basis, where the generator is a real matrix
+(Alicki & Lendi, Lect. Notes Phys. 286 (1987)); :func:`evolve_closed`
+rotates a ket in the eigenbasis of the Hamiltonian block its support reaches.
 """
 from __future__ import annotations
 
@@ -43,10 +44,6 @@ GRID_UNIFORMITY_TOL = 1e-9
 
 def vectorize(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat, dtype=complex).reshape(-1)
-
-
-def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(vec, dtype=complex).reshape(dim, dim)
 
 
 @dataclass
@@ -81,8 +78,10 @@ class Liouvillian:
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
         """Action on a density-matrix-shaped array, returned in matrix shape."""
-        d = self.dims.total_dim
-        return unvectorize(self.data @ vectorize(mat), d)
+        rows, cols = self._entries
+        out = np.zeros(len(self.data), dtype=complex)
+        np.add.at(out, rows, self.data[rows, cols] * vectorize(mat).reshape(len(out))[cols])
+        return out.reshape(self.dims.total_dim, -1)
 
     @cached_property
     def _entries(self) -> tuple:
@@ -227,28 +226,47 @@ def standard_liouvillian(params: SystemParams) -> Liouvillian:
     return build_liouvillian(build_jch(params), decay_channels(params))
 
 
+def _hermitian_frame(d: int) -> tuple:
+    """(mirror, alpha): the unitary T maps vec(rho) to coordinates on |k><k|,
+    (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 (i < j), kept at (k, k),
+    (i, j) and (j, i); row n holds alpha[n] and conj(alpha[n]) at columns n and
+    mirror[n], the index of (j, i) for n = (i, j)."""
+    i, j = np.divmod(np.arange(d * d), d)
+    return j * d + i, np.select([i < j, i > j], [np.sqrt(0.5), 1j * np.sqrt(0.5)], 0.5)
+
+
 @dataclass
 class Trajectory:
-    """Time grid, state snapshots and named observable series."""
+    """Time grid, (T, D^2) state coordinates from :func:`_hermitian_frame` and series."""
 
     dims: HilbertDims
     times: np.ndarray
-    states: np.ndarray  # shape (T, D, D); (T, D) ket amplitudes from a closed run
+    coords: np.ndarray | None  # None for a closed run, which keeps only its series
     observables: dict = field(default_factory=dict)
+
+    @property
+    def states(self) -> np.ndarray:
+        """(T, D, D) density matrices T^dag coords, Hermitian to the last bit."""
+        mirror, alpha = _hermitian_frame(self.dims.total_dim)
+        flat = self.coords * alpha.conj() + self.coords[:, mirror] * alpha[mirror]
+        return flat.reshape(len(flat), *[self.dims.total_dim] * 2)
 
     def state(self, i: int) -> DensityMatrix:
         return DensityMatrix(self.dims, self.states[i])
 
-    def trace_drift(self) -> float:
-        return float(np.max(np.abs(np.einsum("tii->t", self.states) - 1.0)))
+    def expect(self, op: Operator) -> np.ndarray:
+        """Tr(op rho(t)) as real dot products: conj(T) vec(op^T) is real for
+        the Hermitian part of op and imaginary for the rest."""
+        alpha = _hermitian_frame(self.dims.total_dim)[1]
+        u = alpha.conj() * vectorize(op.data.T) + alpha * vectorize(op.data)
+        return self.coords @ u.real + 1j * (self.coords @ u.imag)
 
-    def hermiticity_drift(self) -> float:
-        return float(np.max(np.abs(self.states - self.states.conj().transpose(0, 2, 1))))
+    def trace_drift(self) -> float:
+        return float(np.max(np.abs(self.coords[:, :: self.dims.total_dim + 1].sum(axis=1) - 1)))
 
     def min_eigenvalue(self) -> float:
         """Most negative snapshot eigenvalue (complete-positivity proxy)."""
-        sym = (self.states + self.states.conj().transpose(0, 2, 1)) / 2
-        return float(min(np.linalg.eigvalsh(s).min() for s in sym))
+        return float(np.linalg.eigvalsh(self.states).min())
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -266,7 +284,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     less than 2^-15 e^(1/2) / 15! < 4e-17, and is then squared s times."""
     squarings = int(np.ceil(np.log2(max(2.0 * np.abs(a).sum(axis=0).max(), 1.0))))
     x = a / 2.0**squarings
-    out = eye = np.eye(len(a), dtype=complex)
+    out = eye = np.eye(len(a), dtype=a.dtype)
     for k in range(14, 0, -1):  # Horner's rule
         out = eye + (x @ out) / k
     for _ in range(squarings):
@@ -277,7 +295,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def _doubling(prop: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
     """Rows x0 (P^T)^n for n < count: rows [n, 2n) are rows [0, n) times
     (P^n)^T, then P^n is squared, so about log2(count) matrix products."""
-    out = np.empty((count, len(x0)), dtype=complex)
+    out = np.empty((count, len(x0)), dtype=prop.dtype)
     out[0], filled = x0, 1
     while filled < count:
         fill = min(filled, count - filled)
@@ -293,12 +311,12 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     starts at t_grid[0]); a grid that strays from uniform by more than
     ``GRID_UNIFORMITY_TOL`` of its step raises ``ValueError``.
 
-    On the indices that vec(rho0) reaches along nonzero entries, one weak
-    block at a time, P = exp(L dt) is formed once by :func:`_expm` and the
-    samples follow by doubling, exactly 0 everywhere else; no eigenbasis is
-    needed, so a defective generator is no special case.  Trace and
-    Hermiticity drifts are checked against package tolerances.  A closed
-    system's ket goes through :func:`evolve_closed`.
+    What vec(rho0) reaches along nonzero entries, and its mirror, go by index
+    gathers into the coordinates of :func:`_hermitian_frame`, one weak block
+    joined with its mirror at a time.  There T L T^dag must be real to
+    ``HERMITICITY_DRIFT_TOL`` of max|L| (else ``NumericalError``); P = exp(L dt)
+    by :func:`_expm` and doubling give the samples, with no eigenbasis, exactly
+    0 elsewhere.  Trace drift is checked; a ket goes through :func:`evolve_closed`.
     """
     if liouv.dims != rho0.dims:
         raise DimensionMismatchError("initial state dims differ from generator dims")
@@ -308,21 +326,31 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     if np.abs(times - times[0] - step * np.arange(len(times))).max() > GRID_UNIFORMITY_TOL * step:
         raise ValueError(f"time grid is not uniform within {GRID_UNIFORMITY_TOL:.0e} of its step")
     d = liouv.dims.total_dim
+    mirror, alpha = _hermitian_frame(d)
     vec = vectorize(rho0.data)
-    states = np.zeros((len(times), d * d), dtype=complex)
-    for idx in liouv._reached(vec)[1]:
-        series = _doubling(_expm(step * liouv.data[np.ix_(idx, idx)]), vec[idx], len(times))
+    inside = _reachable(*liouv._entries, vec != 0)
+    index = np.flatnonzero(inside | inside[mirror])
+    label, _, links = liouv._pairs
+    joined = links | links.T
+    joined[label, label[mirror]] = True  # pair block (a, b) with its mirror (b, a)
+    coords = np.zeros((len(times), d * d))
+    for idx in (index[g] for g in _groups(_transitive(joined).argmax(axis=1)[label[index]])):
+        a, m = alpha[idx], np.searchsorted(idx, mirror[idx])
+        sub = liouv.data[np.ix_(idx, idx)]
+        half = sub * a.conj() + sub[:, m] * a  # L T^dag, then T L T^dag
+        real = a[:, None] * half + a.conj()[:, None] * half[m]
+        if np.abs(real.imag).max() > HERMITICITY_DRIFT_TOL * np.abs(sub).max():
+            raise NumericalError("generator does not map Hermitian matrices to Hermitian ones")
+        x0 = (a * vec[idx] + a.conj() * vec[mirror[idx]]).real
+        series = _doubling(_expm(step * real.real), x0, len(times))
         if len(idx) == d * d:  # one block spans every index: no scatter needed
-            states = series
+            coords = series
         else:
-            states[:, idx] = series
-    traj = Trajectory(liouv.dims, times, states.reshape(len(times), d, d))
+            coords[:, idx] = series
+    traj = Trajectory(liouv.dims, times, coords)
     drift = traj.trace_drift()
     if drift > TRACE_DRIFT_TOL:
         raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")
-    herm = traj.hermiticity_drift()
-    if herm > HERMITICITY_DRIFT_TOL:
-        raise NumericalError(f"hermiticity drift {herm:.3e} exceeds {HERMITICITY_DRIFT_TOL:.0e}")
     return traj
 
 
@@ -378,7 +406,7 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
         )
     if zeros > 1:
         raise DegenerateSteadyStateError(f"steady_state: zero eigenspace has dimension {zeros}")
-    rho = unvectorize(vec, d)
+    rho = vec.reshape(d, d)
     trace = np.trace(rho)
     if abs(trace) < 1e-14:
         raise NumericalError("steady_state: zero-mode candidate is traceless")

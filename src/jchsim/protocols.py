@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .hamiltonians import (
     rabi_frequency,
     stroboscopic_generator,
 )
-from .hilbert import Ket, Operator, embed_site, expect_series
+from .hilbert import Ket, Operator, expect_series
 from .lindblad import Trajectory, build_liouvillian, evolve, evolve_closed, standard_liouvillian
 from .polariton import (
     basis_transform,
@@ -99,22 +100,16 @@ def extract_period(times, series):
 
 
 def _n1_branch_operators(params: SystemParams):
-    """|1+><1+|, |1-><1-| and |1-><1+| on site 0 of ``params.dims``; on two
-    cavities they read the reduced state of site 0 without forming it."""
-    dims = params.dims
-    basis = basis_transform(dims, params.g, params.delta)
+    """|1+><1+|, |1-><1-| and |1-><1+| of one cavity."""
+    basis = basis_transform(params.dims, params.g, params.delta)
     up, lo = basis.column("1+"), basis.column("1-")
-
-    def site0(ket, bra):
-        return embed_site(Operator(dims.site(), np.outer(ket, bra.conj())), 0, dims)
-
-    return site0(up, up), site0(lo, lo), site0(lo, up)
+    return [Operator(params.dims, np.outer(k, b.conj())) for k, b in ((up, up), (lo, lo), (lo, up))]
 
 
-def _n1_branch_series(series: np.ndarray, params: SystemParams):
-    """P(1+), P(1-) and the coherence 2|rho_+-| of site 0 along a (T, D) ket
-    or (T, D, D) density-matrix series."""
-    p_up, p_lo, rho_pm = (expect_series(op, series) for op in _n1_branch_operators(params))
+def _n1_branch_series(expect, params: SystemParams):
+    """P(1+), P(1-) and the coherence 2|rho_+-| of one cavity, where
+    ``expect`` maps an operator to its expectation series along a run."""
+    p_up, p_lo, rho_pm = (expect(op) for op in _n1_branch_operators(params))
     return p_up.real, p_lo.real, 2.0 * np.abs(rho_pm)
 
 
@@ -170,8 +165,8 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
 
     Returns ``(trajectory, summary)``; the trajectory carries the series
     P_1plus, P_1minus, P_ground and coherence, the summary the extracted and
-    closed-form oscillation periods.  Without loss the trajectory's states
-    are the (T, D) ket amplitudes, which the series are read from directly.
+    closed-form oscillation periods.  Without loss the run is a ket, which
+    the trajectory does not keep.
     """
     if params.n_cavities != 1:
         raise DimensionMismatchError("the driven run covers a single cavity")
@@ -184,11 +179,13 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
     channels = decay_channels(params)
     if channels:
         traj = evolve(build_liouvillian(h, channels), lo.density_matrix(), times)
-        p_g = traj.states[:, ground_idx, ground_idx].real
+        expect = traj.expect
+        p_g = expect(Operator(dims, np.diag(np.arange(dims.total_dim) == ground_idx))).real
     else:
-        traj = Trajectory(dims, times, evolve_closed(h, lo, times))
-        p_g = (traj.states[:, ground_idx].conj() * traj.states[:, ground_idx]).real
-    p_up, p_lo, coh = _n1_branch_series(traj.states, params)
+        amps = evolve_closed(h, lo, times)
+        traj, expect = Trajectory(dims, times, None), partial(expect_series, series=amps)
+        p_g = (amps[:, ground_idx].conj() * amps[:, ground_idx]).real
+    p_up, p_lo, coh = _n1_branch_series(expect, params)
     traj.observables.update(
         {"P_1plus": p_up, "P_1minus": p_lo, "P_ground": p_g, "coherence": coh}
     )
@@ -253,10 +250,10 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
         psi0 = site_polariton_ket(params.dims, n0, "-", params.g, params.delta)
         times = np.linspace(0.0, t_final, samples)
         if isinstance(generator, Operator):
-            series = evolve_closed(generator, psi0, times)
+            expect = partial(expect_series, series=evolve_closed(generator, psi0, times))
         else:
-            series = evolve(generator, psi0.density_matrix(), times).states
-        p_up, _, coh = _n1_branch_series(series, params)
+            expect = evolve(generator, psi0.density_matrix(), times).expect
+        p_up, _, coh = _n1_branch_series(expect, params)
         rows.append(
             {
                 "mechanism": mechanism,

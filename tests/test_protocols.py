@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,8 +48,19 @@ TWO_SITE = SystemParams(omega_c=1e4, hopping=0.1, n_fock=3, n_cavities=2)
 
 
 def coherence(rho: np.ndarray, p: SystemParams) -> float:
-    """The n = 1 interbranch coherence 2|rho_+-| of site 0 in one state."""
-    return float(_n1_branch_series(rho[None], p)[2][0])
+    """The n = 1 interbranch coherence 2|rho_+-| of one cavity in one state."""
+    return float(_n1_branch_series(lambda op: np.trace(op.data @ rho)[None], p)[2][0])
+
+
+def site0_branch_series(kets: np.ndarray, p: SystemParams):
+    """P(1+), P(1-) and 2|rho_+-| of site 0 along two-site (T, D) kets, read
+    as the hopping row of mechanism_table does: summed over site 1's labels
+    of the dressed pair amplitudes."""
+    basis = basis_transform(p.dims, p.g, p.delta)
+    amps = basis.pair_amplitudes(kets)
+    up, lo = amps[:, basis.index("1+")], amps[:, basis.index("1-")]
+    return ((np.abs(up) ** 2).sum(axis=1), (np.abs(lo) ** 2).sum(axis=1),
+            2.0 * np.abs(np.einsum("tj,tj->t", lo, up.conj())))
 
 
 class TestCoherence:
@@ -68,7 +80,9 @@ class TestCoherence:
     def test_two_site_states_are_reduced_first(self):
         p = TWO_SITE
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
-        assert coherence(psi.density_matrix().data, p) == pytest.approx(0.0, abs=1e-14)
+        p_up, p_lo, coh = site0_branch_series(psi.amplitudes[None], p)
+        assert coh[0] == pytest.approx(0.0, abs=1e-14)
+        assert p_up[0] == pytest.approx(0.0, abs=1e-14) and p_lo[0] == pytest.approx(1.0)
         reduced = partial_trace(psi.density_matrix(), 0)
         assert abs(np.trace(reduced.data) - 1.0) < 1e-12
 
@@ -76,21 +90,26 @@ class TestCoherence:
 @settings(deadline=None, max_examples=25)
 @given(st.floats(-2.0, 2.0), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_two_site_branch_series_reads_the_reduced_state(delta, samples, seed):
-    # the site-0 operators against the single-site formula on partial_trace
+    # the dressed pair amplitudes summed over site 1 against the single-site
+    # formula on partial_trace, and the one-cavity branch operators against
+    # the same formula on the reduced state itself
     p = SystemParams(delta=delta, omega_c=30.0, n_fock=2, n_cavities=2)
     kets = random_kets(p.dims.total_dim, samples, np.random.default_rng(seed))
     rhos = np.einsum("ti,tj->tij", kets, kets.conj())
     up = site_polariton_ket(p.dims, 1, "+", p.g, p.delta).amplitudes
     lo = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).amplitudes
-    reduced = [partial_trace(DensityMatrix(p.dims, rho), 0).data for rho in rhos]
+    reduced = np.array([partial_trace(DensityMatrix(p.dims, rho), 0).data for rho in rhos])
     expected = (
         [(up.conj() @ r @ up).real for r in reduced],
         [(lo.conj() @ r @ lo).real for r in reduced],
         [2.0 * abs(up.conj() @ r @ lo) for r in reduced],
     )
-    for series in (kets, rhos):
-        for got, want in zip(_n1_branch_series(series, p), expected):
-            assert np.max(np.abs(got - np.array(want))) < 1e-12
+    site = SystemParams(delta=delta, omega_c=30.0, n_fock=2)
+    on_site = _n1_branch_series(lambda op: np.einsum("ij,tji->t", op.data, reduced), site)
+    for got, want in zip(site0_branch_series(kets, p), expected):
+        assert np.max(np.abs(got - np.array(want))) < 1e-12
+    for got, want in zip(on_site, expected):
+        assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
 def prominent_maxima_by_scan(series, relative_prominence=0.1):
@@ -272,15 +291,15 @@ class TestAnalyticVariance:
         assert min(values) >= 0.0
 
 
-def operator_variance(times, series, dims) -> float:
+def operator_variance(times, expect, dims) -> float:
     """Oracle for the order parameter: trapezoid time average of
-    sum_i <N_i^2> - <N_i>^2 with the dense counters N_i over a (T, D) ket or
-    (T, D, D) density-matrix series."""
+    sum_i <N_i^2> - <N_i>^2 with the dense counters N_i, where ``expect``
+    maps an operator to its expectation series along the run."""
     total = 0.0
     for site in range(dims.n_cavities):
         n_op = excitation_number_at(dims, site)
-        mean = expect_series(n_op, series).real
-        square = expect_series(n_op @ n_op, series).real
+        mean = expect(n_op).real
+        square = expect(n_op @ n_op).real
         total += float(np.trapezoid(square - mean**2, times))
     return total / (times[-1] - times[0])
 
@@ -307,7 +326,8 @@ def overlap_hold(psi, amps: np.ndarray, times: np.ndarray, p: SystemParams):
         spec: np.trapezoid(np.abs(amps @ pure(spec).conj()) ** 2, times) / times[-1]
         for spec in MEASUREMENT_STATES
     }
-    return operator_variance(times, amps, p.dims), branch, probabilities
+    var = operator_variance(times, partial(expect_series, series=amps), p.dims)
+    return var, branch, probabilities
 
 
 @settings(deadline=None, max_examples=30)
@@ -357,7 +377,7 @@ class TestOrderParameter:
         traj = evolve(liouv, rho0, times)
         value = _number_variance(traj.times, dressed_populations(traj.states, p))
         assert value >= -1e-8
-        oracle = operator_variance(traj.times, traj.states, traj.dims)
+        oracle = operator_variance(traj.times, traj.expect, traj.dims)
         assert value == pytest.approx(oracle, abs=1e-12)
         with pytest.raises(DimensionMismatchError):
             numeric_variance(p, "-")
@@ -406,7 +426,8 @@ class TestOrderParameter:
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
         times = np.linspace(0.0, 1.0 / hopping, 401)
         shifted = build_jch(p) - p.omega_c * total_excitation(p.dims)
-        oracle = operator_variance(times, evolve_closed(shifted, psi, times), p.dims)
+        amps = evolve_closed(shifted, psi, times)
+        oracle = operator_variance(times, partial(expect_series, series=amps), p.dims)
         assert abs(numeric_variance(p, "-", hold_samples=401) - oracle) < 1e-9
 
 

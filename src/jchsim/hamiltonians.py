@@ -105,6 +105,23 @@ def build_jch(params: SystemParams) -> Operator:
     return h
 
 
+def _jch_over_detunings(params: SystemParams, deltas) -> np.ndarray:
+    """(K, D, D) stack of ``build_jch(params.with_(delta=delta_k)).data``, bit for bit.
+    Only the diagonal depends on delta, through omega_a; it is written in the order
+    of :func:`build_jc`: per site omega_a sigma^+ sigma^- + omega_c a^dag a, then site sums."""
+    h = build_jch(params).data
+    a, sm = fock_annihilation(params.dims), atomic_lowering(params.dims)
+    excited, photons = (sm.dag() @ sm).data.diagonal(), (a.dag() @ a).data.diagonal()
+    omega_a = params.omega_c + np.asarray(deltas, dtype=float)
+    local = excited * omega_a[:, None].astype(complex) + photons * complex(params.omega_c)
+    diagonal = local
+    for _ in range(1, params.n_cavities):
+        diagonal = (diagonal[:, :, None] + local[:, None, :]).reshape(len(local), -1)
+    out = np.repeat(h[None], len(local), axis=0)
+    out[:, np.arange(len(h)), np.arange(len(h))] = diagonal
+    return out
+
+
 def _require_corotating(params: SystemParams):
     if abs(params.drive_frame_mismatch) > DRIVE_FRAME_TOL:
         raise ValueError(

@@ -354,20 +354,29 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     return traj
 
 
+def _closed_amplitudes(hs: np.ndarray, psis: np.ndarray, t_grid) -> tuple:
+    """(index, amps): exp(-i H_k t) psi_k for the K Hamiltonians ``hs`` (K, D, D)
+    and kets ``psis`` (K, D) on the grid, shape (K, T, m), on the m indices that
+    the union of the supports reaches along the nonzero entries of any H_k;
+    exactly 0 elsewhere.  One stacked ``eigh`` of the (K, m, m) reached blocks."""
+    times = _check_grid(t_grid)
+    rows, cols = np.nonzero((hs != 0).any(axis=0))
+    both = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    idx = np.flatnonzero(_reachable(*both, (psis != 0).any(axis=0)))
+    energies, vectors = np.linalg.eigh(hs[:, idx[:, None], idx])
+    phases = np.exp(-1j * ((times - times[0])[:, None] * energies[:, None, :]))
+    coeff = vectors.conj().mT @ psis[:, idx, None]
+    return idx, (phases * coeff.mT) @ vectors.mT
+
+
 def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
     """Unitary amplitudes exp(-i H t) psi0 sampled on the grid, shape (T, D), from
     the block of H that the support of psi0 reaches; exactly 0 outside it."""
     if h.dims != psi0.dims:
         raise DimensionMismatchError("state dims differ from Hamiltonian dims")
-    times = _check_grid(t_grid)
-    rows, cols = np.nonzero(h.data != 0)
-    both = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    idx = np.flatnonzero(_reachable(*both, psi0.amplitudes != 0))
-    energies, vectors = np.linalg.eigh(h.data[np.ix_(idx, idx)])
-    phases = np.exp(-1j * np.outer(times - times[0], energies))
-    coeff = vectors.conj().T @ psi0.amplitudes[idx]
-    out = np.zeros((len(times), h.dims.total_dim), dtype=complex)
-    out[:, idx] = (phases * coeff[None, :]) @ vectors.T
+    idx, amps = _closed_amplitudes(h.data[None], psi0.amplitudes[None], t_grid)
+    out = np.zeros((amps.shape[1], h.dims.total_dim), dtype=complex)
+    out[:, idx] = amps[0]
     return out
 
 

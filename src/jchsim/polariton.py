@@ -143,23 +143,29 @@ class PolaritonBasis:
         return (kets @ np.kron(self.matrix, self.matrix).conj()).reshape(-1, ds, ds)
 
 
+def _dressed_matrices(dims: HilbertDims, g: float, deltas) -> tuple:
+    """(labels, matrices): the site dressed bases at each detuning, (K, ds, ds),
+    columns in :class:`PolaritonBasis` order; column (n, -) holds cos(theta_n)
+    at |n,g> and -sin(theta_n) at |n-1,e>, column (n, +) sin and cos."""
+    site = dims.site()
+    out = np.zeros((len(deltas), site.site_dim, site.site_dim), dtype=complex)
+    out[:, site.site_index(0, ATOM_G), 0] = 1.0
+    for n in range(1, site.n_fock + 1):
+        rows = [site.site_index(n, ATOM_G), site.site_index(n - 1, ATOM_E)]
+        theta = [mixing_angle(n, g, delta) for delta in deltas]
+        cos, sin = np.array([(math.cos(t), math.sin(t)) for t in theta]).T
+        out[:, rows, 2 * n - 1] = np.column_stack([cos, -sin])
+        out[:, rows, 2 * n] = np.column_stack([sin, cos])
+    out[:, site.site_index(site.n_fock, ATOM_E), -1] = 1.0
+    labels = (GROUND, *(label(n, b) for n in range(1, site.n_fock + 1) for b in "-+"), OVERFLOW)
+    return labels, out
+
+
 def basis_transform(dims: HilbertDims, g: float, delta: float) -> PolaritonBasis:
     """Site-level polariton basis matrix (columns are the dressed kets)."""
-    site = dims.site()
-    labels = [GROUND]
-    columns = [ground_ket(site).amplitudes]
-    for n in range(1, site.n_fock + 1):
-        theta = mixing_angle(n, g, delta)
-        for branch in ("-", "+"):
-            labels.append(label(n, branch))
-            columns.append(polariton_ket(site, n, branch, theta).amplitudes)
-    overflow = np.zeros(site.site_dim, dtype=complex)
-    overflow[site.site_index(site.n_fock, ATOM_E)] = 1.0
-    labels.append(OVERFLOW)
-    columns.append(overflow)
-    matrix = np.column_stack(columns)
+    labels, (matrix,) = _dressed_matrices(dims, g, [delta])
     matrix.setflags(write=False)
-    return PolaritonBasis(site, g, delta, tuple(labels), matrix)
+    return PolaritonBasis(dims.site(), g, delta, labels, matrix)
 
 
 @dataclass(frozen=True)

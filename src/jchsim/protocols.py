@@ -3,7 +3,9 @@
 Covers the hopping interchange probes, the strongly driven interchange
 oscillation, the coherence/interchange mechanism matrix, the detuning-ramp
 order-parameter sweeps and the effective two-level model with its closed-form
-time-averaged variance.
+time-averaged variance.  A ramp measures all of its holds in one pass: one
+stacked eigensolve of the reached Hamiltonian blocks, then every observable from
+the populations of the dressed pairs they touch, along the time axis of all holds.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NumericalError
 from .hamiltonians import (
     SystemParams,
+    _jch_over_detunings,
     build_driven,
     build_hopping,
     build_jch,
@@ -23,9 +26,11 @@ from .hamiltonians import (
     rabi_frequency,
     stroboscopic_generator,
 )
-from .hilbert import Ket, Operator, expect_series
-from .lindblad import Trajectory, build_liouvillian, evolve, evolve_closed, standard_liouvillian
+from .hilbert import Operator, expect_series
+from .lindblad import (Trajectory, _closed_amplitudes, build_liouvillian, evolve, evolve_closed,
+                       standard_liouvillian)
 from .polariton import (
+    _dressed_matrices,
     basis_transform,
     label,
     ladder_coefficients_for,
@@ -272,9 +277,10 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
 # order parameter and detuning ramp
 
 
-def _number_variance(times: np.ndarray, pops: np.ndarray) -> float:
-    """Trapezoid time average of sum_i Var(N_i) from the (T, ds[, ds])
-    populations of the product of site dressed bases, one axis per site.
+def _number_variance(times: np.ndarray, marginals: np.ndarray) -> np.ndarray:
+    """Trapezoid time average of sum_i Var(N_i) from the per-site populations
+    of the dressed labels, (S, ..., T, ds): one row per site, then any hold
+    axes, then time; one average per hold.
 
     N_i = a_i^dag a_i + sigma_i^+ sigma_i^- is diagonal there: it counts n on
     |n+-> and n_fock + 1 on the overflow state, and ``basis_transform``'s label
@@ -282,13 +288,10 @@ def _number_variance(times: np.ndarray, pops: np.ndarray) -> float:
     Var(N_i) is the centred sum sum_k p_k (n_k - <N_i>)^2: <N_i^2> - <N_i>^2
     cancels to about 1e-9 of a variance of 5e-6.
     """
-    counts = (np.arange(pops.shape[1]) + 1) // 2
-    sites = range(1, pops.ndim)
-    marginals = np.stack([pops.sum(axis=tuple(other for other in sites if other != site))
-                          for site in sites])
+    counts = (np.arange(marginals.shape[-1]) + 1) // 2
     spread = counts - (marginals @ counts)[..., None]
-    variance = np.einsum("stk,stk->t", marginals, spread**2)
-    return float(np.trapezoid(variance, times)) / (times[-1] - times[0])
+    variance = (marginals * spread**2).sum(axis=-1).sum(axis=0)
+    return np.trapezoid(variance, times) / (times[-1] - times[0])
 
 
 @dataclass(frozen=True)
@@ -352,30 +355,39 @@ class OrderParameterPoint:
     state_probabilities: dict
 
 
-def _measure_hold(psi: Ket, params: SystemParams, hold_time: float, samples: int) -> OrderParameterPoint:
-    """Every hold observable from the populations of the hold's amplitudes in
-    the product of site dressed bases, rotated there once."""
+def _hold_populations(psis, params: SystemParams, deltas, hold_time: float, samples: int) -> tuple:
+    """(times, labels, pairs, pops) of K two-site holds, one per detuning, from
+    the kets ``psis`` (K, D): ``pops[k, t, c]`` is the population of the product
+    of site dressed states labels[pairs[0][c]], labels[pairs[1][c]].  Only the
+    pairs that the reached amplitudes touch are kept; the others are 0."""
     times = np.linspace(0.0, hold_time, samples)
-    basis = basis_transform(params.dims, params.g, params.delta)
-    pops = np.abs(basis.pair_amplitudes(evolve_closed(build_jch(params), psi, times))) ** 2
+    idx, amps = _closed_amplitudes(_jch_over_detunings(params, deltas), psis, times)
+    labels, site = _dressed_matrices(params.dims, params.g, deltas)
+    rows = np.divmod(idx, len(labels))  # the two site labels of each reached index
+    nonzero = (site != 0).any(axis=0).astype(int)
+    pairs = np.nonzero(nonzero[rows[0]].T @ nonzero[rows[1]])
+    # <i, j|psi> = sum over reached (a, b) of conj(U[a, i] U[b, j]) psi[a, b]
+    overlaps = (site[:, rows[0][:, None], pairs[0]] * site[:, rows[1][:, None], pairs[1]]).conj()
+    return times, labels, pairs, np.abs(amps @ overlaps) ** 2
 
-    def population(spec):
-        i, j = (basis.index(label(*site)) for site in parse_state_spec(spec))
-        return pops[:, i, j]
 
-    span = times[-1] - times[0]
-    return OrderParameterPoint(
-        delta=params.delta,
-        var=_number_variance(times, pops),
-        branch_populations={
-            "lp": float(population("1-,1-")[0]),
-            "up": float(population("1+,1+")[0]),
-        },
-        state_probabilities={
-            spec: float(np.trapezoid(population(spec), times) / span)
-            for spec in MEASUREMENT_STATES
-        },
-    )
+def _measure_holds(psis, params: SystemParams, deltas, hold_time: float, samples: int) -> list:
+    """Every observable of K holds from their populations in the product of
+    site dressed bases, read along the time axis for all holds at once."""
+    times, labels, pairs, pops = _hold_populations(psis, params, deltas, hold_time, samples)
+    column = {(labels[i], labels[j]): c for c, (i, j) in enumerate(zip(*pairs))}
+    keys = [tuple(label(*site) for site in parse_state_spec(spec)) for spec in MEASUREMENT_STATES]
+    untouched = np.zeros(pops.shape[:2])  # a pair no reached amplitude touches
+    measured = np.stack([pops[:, :, column[k]] if k in column else untouched for k in keys], axis=1)
+    probabilities = np.trapezoid(measured, times) / (times[-1] - times[0])
+    marginals = np.stack([pops @ (side[:, None] == np.arange(len(labels))) for side in pairs])
+    variances = _number_variance(times, marginals)
+    branches = measured[:, [MEASUREMENT_STATES.index(s) for s in ("1-,1-", "1+,1+")], 0]
+    return [
+        OrderParameterPoint(float(delta), float(var), dict(zip(("lp", "up"), branch.tolist())),
+                            dict(zip(MEASUREMENT_STATES, averages.tolist())))
+        for delta, var, branch, averages in zip(deltas, variances, branches, probabilities)
+    ]
 
 
 def ramp_experiment(
@@ -403,23 +415,18 @@ def ramp_experiment(
         raise ValueError("the ramp is a closed-system protocol")
     schedule.validate(params)
 
-    first = params.with_(delta=float(schedule.delta_values[0]))
-    psi = product_polariton_ket(first.dims, parse_state_spec(initial), first.g, first.delta)
-    # neither pulse generator depends on the detuning: build it once
-    pulse = None
+    deltas = np.asarray(schedule.delta_values, dtype=float)
+    psi = product_polariton_ket(params.dims, parse_state_spec(initial), params.g, deltas[0])
+    psis = np.repeat(psi.amplitudes[None], len(deltas), axis=0)
     if time_dependent:
+        # neither pulse generator depends on the detuning, so the pulsed chain
+        # is one grid: hold k starts after k + 1 pulses
         pulse = stroboscopic_generator(params, schedule.mode)
         if strict_pulses:
             pulse = pulse + build_hopping(params)
-
-    points = []
-    for delta_i in schedule.delta_values:
-        p_i = params.with_(delta=float(delta_i))
-        if pulse is not None:
-            amps = evolve_closed(pulse, psi, np.array([0.0, schedule.pulse_time]))[-1]
-            psi = Ket(params.dims, amps / np.linalg.norm(amps))
-        points.append(_measure_hold(psi, p_i, schedule.hold_time, hold_samples))
-    return points
+        amps = evolve_closed(pulse, psi, schedule.pulse_time * np.arange(len(deltas) + 1))[1:]
+        psis = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    return _measure_holds(psis, params, deltas, schedule.hold_time, hold_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -486,4 +493,5 @@ def numeric_variance(params: SystemParams, branch: str, hold_samples: int = 401)
         raise ValueError("hopping must be positive")
     spec = "1-,1-" if branch == "-" else "1+,1+"
     psi = product_polariton_ket(params.dims, parse_state_spec(spec), params.g, params.delta)
-    return _measure_hold(psi, params, 1.0 / params.hopping, hold_samples).var
+    return _measure_holds(psi.amplitudes[None], params, [params.delta], 1.0 / params.hopping,
+                          hold_samples)[0].var

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jchsim import (
     DimensionMismatchError,
@@ -18,6 +20,7 @@ from jchsim import (
     total_excitation,
 )
 from jchsim import polariton
+from jchsim.hamiltonians import _jch_over_detunings
 from jchsim.perturbation import interaction_elements, unperturbed_energies
 from jchsim.lindblad import evolve_closed
 
@@ -89,6 +92,19 @@ class TestBareBuilders:
         )
         for h in (build_jc(p), build_hopping(p), build_driven(d), stroboscopic_generator(p, 0)):
             assert np.max(np.abs(h.data - h.data.conj().T)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.05, 5.0), st.floats(0.1, 3e4), st.floats(0.0, 2.0), st.integers(2, 4),
+       st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
+def test_detuning_stack_matches_per_detuning_builds(g, omega_c, hopping, n_fock, deltas):
+    # H(0) + delta sum_i sigma_i^+ sigma_i^- is off by ~1e-11 at omega_c = 1e4;
+    # the stack writes each diagonal as build_jc does and must match bit for bit
+    p = SystemParams(g=g, omega_c=omega_c, hopping=hopping, n_fock=n_fock, n_cavities=2)
+    stack = _jch_over_detunings(p, deltas)
+    assert stack.shape == (len(deltas), p.dims.total_dim, p.dims.total_dim)
+    for delta, h in zip(deltas, stack):
+        assert np.array_equal(h, build_jch(p.with_(delta=delta)).data)
 
 
 def dressed_diagonal(p):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jchsim import (
     HilbertDims,
@@ -22,6 +24,7 @@ from jchsim import (
     site_polariton_ket,
 )
 from jchsim import polariton
+from jchsim.hilbert import ATOM_E
 
 from conftest import ladder_matrix
 
@@ -259,6 +262,35 @@ class TestBasisInvariants:
         basis = basis_transform(DIMS, 1.0, 1.3)
         gram = basis.matrix @ basis.matrix.conj().T
         assert np.max(np.abs(gram - np.eye(DIMS.site_dim))) < 1e-12
+
+
+def per_column_basis(dims, g: float, delta: float) -> np.ndarray:
+    """The site dressed basis column by column: the ground ket, the
+    ``polariton_ket`` of each branch of each manifold, and the overflow state."""
+    site = dims.site()
+    columns = [polariton.ground_ket(site).amplitudes]
+    for n in range(1, site.n_fock + 1):
+        theta = mixing_angle(n, g, delta)
+        columns += [polariton.polariton_ket(site, n, b, theta).amplitudes for b in "-+"]
+    overflow = np.zeros(site.site_dim, dtype=complex)
+    overflow[site.site_index(site.n_fock, ATOM_E)] = 1.0
+    return np.column_stack([*columns, overflow])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 5), st.floats(0.05, 5.0),
+       st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=6))
+def test_stacked_dressed_bases_match_per_column_kets(n_fock, g, deltas):
+    # the ramp's (K, ds, ds) writer and basis_transform, its K = 1 case, give
+    # the per-column construction bit for bit at every detuning
+    dims = HilbertDims(n_fock, 2)
+    labels, stack = polariton._dressed_matrices(dims, g, deltas)
+    for delta, matrix in zip(deltas, stack):
+        basis = basis_transform(dims, g, delta)
+        expected = per_column_basis(dims, g, delta)
+        assert np.array_equal(matrix, expected)
+        assert np.array_equal(basis.matrix, expected)
+        assert basis.labels == labels
 
 
 def _product(p, spec):

@@ -10,6 +10,7 @@ from jchsim import (
     DensityMatrix,
     DimensionMismatchError,
     EffectiveModel,
+    Ket,
     NumericalError,
     RampSchedule,
     SystemParams,
@@ -29,13 +30,15 @@ from jchsim import (
     product_polariton_ket,
     ramp_experiment,
     site_polariton_ket,
+    stroboscopic_generator,
     total_excitation,
 )
 from jchsim.lindblad import build_liouvillian, evolve
 from jchsim.polariton import parse_state_spec
 from jchsim.protocols import (
     MEASUREMENT_STATES,
-    _measure_hold,
+    _hold_populations,
+    _measure_holds,
     _n1_branch_series,
     _number_variance,
     find_series_maxima,
@@ -313,8 +316,21 @@ def dressed_populations(rhos: np.ndarray, p: SystemParams) -> np.ndarray:
     return pops.reshape(len(rhos), *[len(site)] * p.n_cavities)
 
 
+def site_marginals(pops: np.ndarray) -> np.ndarray:
+    """(S, T, ds) populations of each site's dressed labels from the (T, ds)
+    or (T, ds, ds) product populations, the input of _number_variance."""
+    if pops.ndim == 2:
+        return pops[None]
+    return np.stack([pops.sum(axis=2), pops.sum(axis=1)])
+
+
+def hold_point(psi, p: SystemParams, hold_time: float, samples: int):
+    """_measure_holds on the one ket ``psi`` at p.delta."""
+    return _measure_holds(psi.amplitudes[None], p, [p.delta], hold_time, samples)[0]
+
+
 def overlap_hold(psi, amps: np.ndarray, times: np.ndarray, p: SystemParams):
-    """Oracle for _measure_hold on the hold's (T, D) amplitudes: overlaps with
+    """Oracle for _measure_holds on one hold's (T, D) amplitudes: overlaps with
     the rebuilt product kets of the measured states and the operator variance."""
 
     def pure(spec):
@@ -338,7 +354,7 @@ def test_hold_measurement_matches_overlap_oracle(delta, hopping, initial):
     psi = product_polariton_ket(p.dims, parse_state_spec(initial), p.g, p.delta)
     times = np.linspace(0.0, 1.0 / hopping, 61)
     amps = evolve_closed(build_jch(p), psi, times)
-    point = _measure_hold(psi, p, times[-1], len(times))
+    point = hold_point(psi, p, times[-1], len(times))
     var, branch, probabilities = overlap_hold(psi, amps, times, p)
     assert abs(point.var - var) < 1e-12
     for key, value in branch.items():
@@ -350,11 +366,82 @@ def test_hold_measurement_matches_overlap_oracle(delta, hopping, initial):
     assert np.max(np.abs(pops.sum(axis=(1, 2)) - 1.0)) < 1e-12
 
 
+def stepwise_chain(psi, pulse, pulse_time: float, count: int) -> np.ndarray:
+    """(count, D) carried states of a pulsed ramp built one two-point pulse
+    at a time, renormalised after each."""
+    states = [psi.amplitudes]
+    for _ in range(count):
+        amps = evolve_closed(pulse, Ket(psi.dims, states[-1]), np.array([0.0, pulse_time]))[-1]
+        states.append(amps / np.linalg.norm(amps))
+    return np.array(states[1:])
+
+
+def ramp_pulse(p: SystemParams, mode: int, strict: bool):
+    """The ramp's pulse generator: hopping frozen unless ``strict``."""
+    pulse = stroboscopic_generator(p, mode)
+    return pulse + build_hopping(p) if strict else pulse
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.floats(0.05, 80.0), min_size=1, max_size=5), st.floats(0.02, 0.2),
+       st.sampled_from(MEASUREMENT_STATES), st.sampled_from(("static", "frozen", "strict")))
+@example([60.0, 0.1], 0.1, "1-,1-", "strict")
+def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
+    # K holds in one pass against K overlap oracles, each from its own
+    # build_jch, evolve_closed and pair_amplitudes; the carried states are
+    # fresh (static) or pulsed with the hopping frozen or kept (strict)
+    p = TWO_SITE.with_(hopping=hopping, delta=deltas[0])
+    psi = product_polariton_ket(p.dims, parse_state_spec(initial), p.g, p.delta)
+    if chain == "static":
+        psis = np.repeat(psi.amplitudes[None], len(deltas), axis=0)
+    else:
+        pulse = ramp_pulse(p, 1, chain == "strict")
+        psis = stepwise_chain(psi, pulse, math.pi / (2.0 * p.g), len(deltas))
+    times = np.linspace(0.0, 1.0 / hopping, 61)
+    points = _measure_holds(psis, p, deltas, times[-1], len(times))
+    _, _, pairs, pops = _hold_populations(psis, p, deltas, times[-1], len(times))
+    for delta, start, point, reached in zip(deltas, psis, points, pops):
+        pk = p.with_(delta=delta)
+        ket = Ket(pk.dims, start)
+        amps = evolve_closed(build_jch(pk), ket, times)
+        var, branch, probabilities = overlap_hold(ket, amps, times, pk)
+        assert point.delta == delta
+        assert abs(point.var - var) < 1e-12
+        for key, value in branch.items():
+            assert abs(point.branch_populations[key] - value) < 1e-12
+        for spec, value in probabilities.items():
+            assert abs(point.state_probabilities[spec] - value) < 1e-12
+        # the kept dressed pairs carry every population of the dense rotation
+        dense = np.abs(basis_transform(pk.dims, pk.g, delta).pair_amplitudes(amps)) ** 2
+        assert np.max(np.abs(dense[:, pairs[0], pairs[1]] - reached)) < 1e-12
+        dense[:, pairs[0], pairs[1]] = 0.0
+        assert np.max(dense) < 1e-12
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_one_grid_pulse_chain_matches_stepwise_pulses(small_schedule, strict):
+    # the ramp carries its state over one grid of K + 1 pulse times; holds
+    # measured from the stepwise chain of two-point pulses agree with it
+    p, schedule = TWO_SITE, small_schedule
+    deltas = schedule.delta_values
+    psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, deltas[0])
+    pulse = ramp_pulse(p, schedule.mode, strict)
+    psis = stepwise_chain(psi, pulse, schedule.pulse_time, len(deltas))
+    expected = _measure_holds(psis, p, deltas, schedule.hold_time, 241)
+    points = ramp_experiment(schedule, p, "1-,1-", time_dependent=True, strict_pulses=strict)
+    for got, want in zip(points, expected, strict=True):
+        assert abs(got.var - want.var) < 1e-12
+        for key, value in want.branch_populations.items():
+            assert abs(got.branch_populations[key] - value) < 1e-12
+        for spec, value in want.state_probabilities.items():
+            assert abs(got.state_probabilities[spec] - value) < 1e-12
+
+
 class TestOrderParameter:
     def test_number_eigenstate_has_zero_instant_variance(self):
         p = TWO_SITE
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
-        point = _measure_hold(psi, p, 1.0 / p.hopping, 241)
+        point = hold_point(psi, p, 1.0 / p.hopping, 241)
         # the pair state is an exact eigenstate of each local counter at t=0
         times = np.array([0.0, 1e-6])
         amps = evolve_closed(build_jch(p), psi, times)
@@ -375,7 +462,7 @@ class TestOrderParameter:
         rho0 = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).density_matrix()
         times = np.linspace(0.0, 2.0, 301)
         traj = evolve(liouv, rho0, times)
-        value = _number_variance(traj.times, dressed_populations(traj.states, p))
+        value = _number_variance(traj.times, site_marginals(dressed_populations(traj.states, p)))
         assert value >= -1e-8
         oracle = operator_variance(traj.times, traj.expect, traj.dims)
         assert value == pytest.approx(oracle, abs=1e-12)
@@ -392,7 +479,7 @@ class TestOrderParameter:
         times = np.linspace(0.0, 1.0 / p.hopping, 241)
         amps = evolve_closed(build_jch(p), psi, times)
         rhos = np.einsum("ti,tj->tij", amps, amps.conj())
-        via_trajectory = _number_variance(times, dressed_populations(rhos, p))
+        via_trajectory = _number_variance(times, site_marginals(dressed_populations(rhos, p)))
         via_kets = numeric_variance(p, "-", hold_samples=241)
         assert via_trajectory == pytest.approx(via_kets, rel=1e-9)
 
@@ -402,9 +489,11 @@ class TestOrderParameter:
         # same populations; <N^2> - <N>^2 in float64 is off by about 1e-9 of it
         p = SystemParams(delta=5.0, hopping=0.02, omega_c=1e4, n_fock=3, n_cavities=2)
         psi = product_polariton_ket(p.dims, parse_state_spec("1+,1+"), p.g, p.delta)
-        times = np.linspace(0.0, 1.0 / p.hopping, 401)
-        basis = basis_transform(p.dims, p.g, p.delta)
-        pops = np.abs(basis.pair_amplitudes(evolve_closed(build_jch(p), psi, times))) ** 2
+        # the populations the hold kernel reads, scattered into (T, ds, ds)
+        times, labels, pairs, reached = _hold_populations(
+            psi.amplitudes[None], p, [p.delta], 1.0 / p.hopping, 401)
+        pops = np.zeros((len(times), len(labels), len(labels)))
+        pops[:, pairs[0], pairs[1]] = reached[0]
         counts = ((np.arange(pops.shape[1]) + 1) // 2).astype(np.longdouble)
         wide = pops.astype(np.longdouble)
         reference = np.longdouble(0)
@@ -412,7 +501,7 @@ class TestOrderParameter:
             spread = counts - (marginal @ counts)[:, None]
             reference += np.trapezoid((marginal * spread**2).sum(axis=1), times)
         reference /= times[-1] - times[0]
-        value = _number_variance(times, pops)
+        value = _number_variance(times, site_marginals(pops))
         assert 1e-6 < value < 1e-5
         assert abs(value - reference) < 1e-12 * reference
         assert numeric_variance(p, "+", hold_samples=401) == value
@@ -486,8 +575,6 @@ class TestRampExperiment:
     def test_full_cycle_returns_branch(self):
         # two quarter-rotation pulses form half a cycle: |1-> -> -|1->
         p = TWO_SITE
-        from jchsim import stroboscopic_generator
-
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
         gen = stroboscopic_generator(p, 0)
         amps = evolve_closed(gen, psi, np.array([0.0, math.pi]))[-1]

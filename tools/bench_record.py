@@ -14,10 +14,13 @@ thread, the script
   environment (python, numpy, BLAS, BLAS threads, nproc) and every job's
   largest Hilbert dimension D and superoperator dimension D^2;
 - times ``jchsim run`` of every ``configs/*.cfg`` of TREE and ``jchsim
-  selfcheck`` in process, REPEATS times each in one fresh interpreter, and
-  keeps the median of each in seconds (``wall_s``) and as a ratio to the
-  benchmark's reference kernel timed before and after it (``wall_rel``),
-  which cancels most of the host's drift in speed.
+  selfcheck`` in process, in one fresh interpreter, over REPEATS
+  round-robin passes of every config, with the benchmark's reference kernel
+  timed before each run and after the last; keeps the median of each in
+  seconds (``wall_s``) and as a ratio to the mean of the reference times
+  nearest it, across passes, as ``add_ratios`` of ``perfbench/run.py``
+  does (``wall_rel``).  A slow spell of the host then moves the reference
+  times of every config around it, not of one config alone.
 
 It writes ``BENCH_<label>.json`` in the root of this checkout and exits 1 if
 any benchmark run was not correct.  Uses the standard library plus numpy.
@@ -32,11 +35,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import add_ratios  # noqa: E402
+
 SEED = 1
 REPEATS = 3
-# times each config and selfcheck in one interpreter, with the benchmark's
-# reference kernel before and after each run: argv = src, perfbench dir,
-# out dir, repeats, config paths; prints {name: [[seconds, ref seconds], ...]}
+# times every config and selfcheck in one interpreter, round robin: each pass
+# runs every job once, with the benchmark's reference kernel before each job
+# and after the last; argv = src, perfbench dir, out dir, repeats, config
+# paths; prints {"names": [...], "passes": [{"job_s", "ref_s", "wall_s"}, ...]}
 TIMER = """
 import json, sys, time
 from pathlib import Path
@@ -46,18 +53,18 @@ from reference import seconds as reference
 out, repeats = Path(sys.argv[3]), int(sys.argv[4])
 jobs = {Path(c).stem: ["run", c, "--output-dir", str(out / Path(c).stem)] for c in sys.argv[5:]}
 jobs["selfcheck"] = ["selfcheck", "--output", str(out / "selfcheck.json")]
-times = {}
-for name, argv in jobs.items():
-    times[name] = []
-    for _ in range(repeats):
-        before = reference()
+passes = []
+for _ in range(repeats):
+    job_s, ref_s = [], [reference()]
+    for name, argv in jobs.items():
         start = time.perf_counter()
         code = main(argv)
-        elapsed = time.perf_counter() - start
-        times[name].append([elapsed, (before + reference()) / 2])
+        job_s.append(time.perf_counter() - start)
+        ref_s.append(reference())
         if code != 0:
             sys.exit(f"{name} exited {code}")
-print(json.dumps(times))
+    passes.append({"job_s": job_s, "ref_s": ref_s, "wall_s": sum(job_s)})
+print(json.dumps({"names": list(jobs), "passes": passes}))
 """
 
 
@@ -89,7 +96,7 @@ def perfbench(tree: Path, workload: str, trace: int) -> dict:
 
 def config_times(tree: Path) -> dict:
     """Median in-process wall time of every shipped config and of selfcheck,
-    in seconds and as a ratio to the reference kernel timed around it."""
+    in seconds and as a ratio to the reference times nearest it."""
     configs = sorted(str(p) for p in (tree / "configs").glob("*.cfg"))
     out = tree / ".perfbench_out" / "bench_record"
     proc = subprocess.run(
@@ -98,10 +105,12 @@ def config_times(tree: Path) -> dict:
         env=blas_env(), capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"timing the configs failed:\n{proc.stderr[-2000:]}")
-    times = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {name: {"wall_s": statistics.median(t for t, _ in runs),
-                   "wall_rel": statistics.median(t / ref for t, ref in runs)}
-            for name, runs in times.items()}
+    timed = json.loads(proc.stdout.strip().splitlines()[-1])
+    passes = timed["passes"]
+    add_ratios(passes)
+    return {name: {"wall_s": statistics.median(p["job_s"][i] for p in passes),
+                   "wall_rel": statistics.median(p["job_rel"][i] for p in passes)}
+            for i, name in enumerate(timed["names"])}
 
 
 def main(argv=None) -> int:

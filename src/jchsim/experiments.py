@@ -176,20 +176,18 @@ def _run_table1(params: SystemParams, options: dict) -> ExperimentResult:
 
 
 def _run_variance_compare(params: SystemParams, options: dict) -> ExperimentResult:
-    hoppings = [float(j) for j in np.atleast_1d(options["hopping_values"])]
-    deltas = [float(d) for d in np.atleast_1d(options["delta_values"])]
+    grid = [(float(j), float(delta), branch) for j in np.atleast_1d(options["hopping_values"])
+            for delta in np.atleast_1d(options["delta_values"]) for branch in ("-", "+")]
+    points = [params.with_(hopping=j, delta=delta) for j, delta, _ in grid]
+    numerics = numeric_variance(points, [b for *_, b in grid], int(options["hold_samples"]))
     names = ("hopping", "delta", "branch", "var_numeric", "var_analytic", "abs_error", "rel_error")
     columns = {name: [] for name in names}
-    for j in hoppings:
-        for delta in deltas:
-            for branch in ("-", "+"):
-                p = params.with_(hopping=j, delta=delta)
-                numeric = numeric_variance(p, branch, int(options["hold_samples"]))
-                analytic = analytic_variance(effective_model(p, branch), j)
-                err = abs(numeric - analytic)
-                rel = err / numeric if numeric > 0 else 0.0
-                for name, value in zip(names, (j, delta, branch, numeric, analytic, err, rel)):
-                    columns[name].append(value)
+    for (j, delta, branch), p, numeric in zip(grid, points, numerics):
+        analytic = analytic_variance(effective_model(p, branch), j)
+        err = abs(numeric - analytic)
+        rel = err / numeric if numeric > 0 else 0.0
+        for name, value in zip(names, (j, delta, branch, numeric, analytic, err, rel)):
+            columns[name].append(value)
     return ExperimentResult(
         columns=columns,
         summary={
@@ -535,12 +533,10 @@ def _json_text(value, pad: str = "") -> str:
         items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(value, list) and value:
-        text = json.dumps(value)
+        text = json.dumps(value, separators=(",\n" + inner, ": "))
         if '"' in text or "{" in text or "[" in text[1:]:  # not a list of numbers
-            body = (",\n" + inner).join(_json_text(v, inner) for v in value)
-        else:
-            body = text[1:-1].replace(", ", ",\n" + inner)
-        return "[\n" + inner + body + "\n" + pad + "]"
+            text = "[" + (",\n" + inner).join(_json_text(v, inner) for v in value) + "]"
+        return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
     return json.dumps(value)
 
 

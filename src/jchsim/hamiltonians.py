@@ -105,11 +105,11 @@ def build_jch(params: SystemParams) -> Operator:
     return h
 
 
-def _jch_over_detunings(params: SystemParams, deltas) -> np.ndarray:
-    """(K, D, D) stack of ``build_jch(params.with_(delta=delta_k)).data``, bit for bit.
-    Only the diagonal depends on delta, through omega_a; it is written in the order
+def _jch_over_detunings(params: SystemParams, h: np.ndarray, idx, deltas, hoppings) -> np.ndarray:
+    """(K, m, m) blocks ``build_jch(params.with_(delta=d_k, hopping=J_k)).data[np.ix_(idx, idx)]``
+    bit for bit, from ``h`` built at unit hopping.  A hopping entry changes both site labels,
+    a JC entry one: it is J_k times its value in ``h``.  The diagonal is written in the order
     of :func:`build_jc`: per site omega_a sigma^+ sigma^- + omega_c a^dag a, then site sums."""
-    h = build_jch(params).data
     a, sm = fock_annihilation(params.dims), atomic_lowering(params.dims)
     excited, photons = (sm.dag() @ sm).data.diagonal(), (a.dag() @ a).data.diagonal()
     omega_a = params.omega_c + np.asarray(deltas, dtype=float)
@@ -117,8 +117,9 @@ def _jch_over_detunings(params: SystemParams, deltas) -> np.ndarray:
     diagonal = local
     for _ in range(1, params.n_cavities):
         diagonal = (diagonal[:, :, None] + local[:, None, :]).reshape(len(local), -1)
-    out = np.repeat(h[None], len(local), axis=0)
-    out[:, np.arange(len(h)), np.arange(len(h))] = diagonal
+    moved = np.all([x[:, None] != x for x in np.divmod(idx, params.dims.site_dim)], axis=0)
+    out = h[np.ix_(idx, idx)] * np.where(moved, np.reshape(hoppings, (-1, 1, 1)), 1.0)
+    out[:, np.arange(len(idx)), np.arange(len(idx))] = diagonal[:, idx]
     return out
 
 

@@ -354,19 +354,20 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     return traj
 
 
-def _closed_amplitudes(hs: np.ndarray, psis: np.ndarray, t_grid) -> tuple:
-    """(index, amps): exp(-i H_k t) psi_k for the K Hamiltonians ``hs`` (K, D, D)
-    and kets ``psis`` (K, D) on the grid, shape (K, T, m), on the m indices that
-    the union of the supports reaches along the nonzero entries of any H_k;
-    exactly 0 elsewhere.  One stacked ``eigh`` of the (K, m, m) reached blocks."""
-    times = _check_grid(t_grid)
-    rows, cols = np.nonzero((hs != 0).any(axis=0))
-    both = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    idx = np.flatnonzero(_reachable(*both, (psis != 0).any(axis=0)))
-    energies, vectors = np.linalg.eigh(hs[:, idx[:, None], idx])
-    phases = np.exp(-1j * ((times - times[0])[:, None] * energies[:, None, :]))
-    coeff = vectors.conj().mT @ psis[:, idx, None]
-    return idx, (phases * coeff.mT) @ vectors.mT
+def _ket_reach(h: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Sorted indices that the union of the supports of the kets ``psis`` (K, D)
+    reaches along the nonzero entries of ``h`` (D, D), taken both ways."""
+    linked = (h != 0) | (h != 0).T
+    return np.flatnonzero(_reachable(*np.nonzero(linked), (psis != 0).any(axis=0)))
+
+
+def _closed_amplitudes(hs: np.ndarray, psis: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H_k (t - t_k0)) psi_k, shape (K, T, m), for Hermitian blocks ``hs``
+    (K, m, m), kets ``psis`` (K, m) and grids ``times`` (K, T): one stacked ``eigh``."""
+    energies, vectors = np.linalg.eigh(hs)
+    phases = np.exp(-1j * ((times - times[:, :1])[:, :, None] * energies[:, None, :]))
+    phases *= (vectors.conj().mT @ psis[:, :, None]).mT  # in place: one (K, T, m) array fewer
+    return phases @ vectors.mT
 
 
 def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
@@ -374,9 +375,11 @@ def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
     the block of H that the support of psi0 reaches; exactly 0 outside it."""
     if h.dims != psi0.dims:
         raise DimensionMismatchError("state dims differ from Hamiltonian dims")
-    idx, amps = _closed_amplitudes(h.data[None], psi0.amplitudes[None], t_grid)
-    out = np.zeros((amps.shape[1], h.dims.total_dim), dtype=complex)
-    out[:, idx] = amps[0]
+    times = _check_grid(t_grid)
+    idx = _ket_reach(h.data, psi0.amplitudes[None])
+    out = np.zeros((len(times), h.dims.total_dim), dtype=complex)
+    out[:, idx] = _closed_amplitudes(h.data[np.ix_(idx, idx)][None], psi0.amplitudes[None, idx],
+                                     times[None])[0]
     return out
 
 

@@ -3,9 +3,10 @@
 Covers the hopping interchange probes, the strongly driven interchange
 oscillation, the coherence/interchange mechanism matrix, the detuning-ramp
 order-parameter sweeps and the effective two-level model with its closed-form
-time-averaged variance.  A ramp measures all of its holds in one pass: one
-stacked eigensolve of the reached Hamiltonian blocks, then every observable from
-the populations of the dressed pairs they touch, along the time axis of all holds.
+time-averaged variance.  A ramp, or a variance grid over hopping and detuning,
+measures all of its holds in one pass: one stacked eigensolve of the reached
+Hamiltonian blocks, then every observable from the populations of the dressed
+pairs they touch, along each hold's own time grid.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from .hamiltonians import (
     stroboscopic_generator,
 )
 from .hilbert import Operator, expect_series
-from .lindblad import (Trajectory, _closed_amplitudes, build_liouvillian, evolve, evolve_closed,
-                       standard_liouvillian)
+from .lindblad import (Trajectory, _check_grid, _closed_amplitudes, _ket_reach, build_liouvillian,
+                       evolve, evolve_closed, standard_liouvillian)
 from .polariton import (
     _dressed_matrices,
     basis_transform,
@@ -138,10 +139,8 @@ def hopping_interchange_probe(
         raise DimensionMismatchError("the interchange probe runs on two cavities")
     if params.cavity_decay or params.atom_decay:
         raise ValueError("the interchange probe is a closed-system experiment")
-    if params.hopping == 0:
-        t_final = t_final or 20.0
-    else:
-        t_final = t_final or max(10.0 / abs(params.hopping), 20.0)
+    if t_final is None:
+        t_final = max(10.0 / abs(params.hopping), 20.0) if params.hopping else 20.0
     dims = params.dims
     psi0 = product_polariton_ket(dims, parse_state_spec(initial), params.g, params.delta)
     target = product_polariton_ket(
@@ -280,7 +279,7 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
 def _number_variance(times: np.ndarray, marginals: np.ndarray) -> np.ndarray:
     """Trapezoid time average of sum_i Var(N_i) from the per-site populations
     of the dressed labels, (S, ..., T, ds): one row per site, then any hold
-    axes, then time; one average per hold.
+    axes, then time; one average per hold, over one grid or one per hold.
 
     N_i = a_i^dag a_i + sigma_i^+ sigma_i^- is diagonal there: it counts n on
     |n+-> and n_fock + 1 on the overflow state, and ``basis_transform``'s label
@@ -291,7 +290,7 @@ def _number_variance(times: np.ndarray, marginals: np.ndarray) -> np.ndarray:
     counts = (np.arange(marginals.shape[-1]) + 1) // 2
     spread = counts - (marginals @ counts)[..., None]
     variance = (marginals * spread**2).sum(axis=-1).sum(axis=0)
-    return np.trapezoid(variance, times) / (times[-1] - times[0])
+    return np.trapezoid(variance, times) / (times[..., -1] - times[..., 0])
 
 
 @dataclass(frozen=True)
@@ -355,14 +354,24 @@ class OrderParameterPoint:
     state_probabilities: dict
 
 
-def _hold_populations(psis, params: SystemParams, deltas, hold_time: float, samples: int) -> tuple:
-    """(times, labels, pairs, pops) of K two-site holds, one per detuning, from
-    the kets ``psis`` (K, D): ``pops[k, t, c]`` is the population of the product
-    of site dressed states labels[pairs[0][c]], labels[pairs[1][c]].  Only the
-    pairs that the reached amplitudes touch are kept; the others are 0."""
-    times = np.linspace(0.0, hold_time, samples)
-    idx, amps = _closed_amplitudes(_jch_over_detunings(params, deltas), psis, times)
+def _hold_populations(psis, params: SystemParams, deltas, hoppings, hold_times, samples: int):
+    """(times, labels, pairs, pops) of K two-site holds: hold k runs at deltas[k] and
+    hoppings[k] > 0 from the ket psis[k] (K, D), or from the product of dressed states
+    that the spec psis[k] names at deltas[k], on times[k] = linspace(0, hold_times[k],
+    samples); a scalar is shared.  ``pops[k, t, c]`` is the population of the pair of
+    site dressed states labels[pairs[0][c]], labels[pairs[1][c]], kept where reached."""
     labels, site = _dressed_matrices(params.dims, params.g, deltas)
+    if isinstance(psis[0], str):  # the kron of each hold's two named site columns
+        cols = np.array([[labels.index(label(*s)) for s in parse_state_spec(x)] for x in psis]).T
+        k = np.arange(len(psis))
+        psis = (site[k, :, cols[0], None] * site[k, None, :, cols[1]]).reshape(len(k), -1)
+    hoppings, hold_times = (np.broadcast_to(x, len(deltas)) for x in (hoppings, hold_times))
+    times = np.linspace(0.0, hold_times, samples, axis=-1)
+    _check_grid(times[np.argmin(hold_times)])  # the shortest hold has the finest steps
+    h = build_jch(params.with_(hopping=1.0)).data  # unit hopping: the pattern of every J > 0
+    idx = _ket_reach(h, psis)
+    amps = _closed_amplitudes(_jch_over_detunings(params, h, idx, deltas, hoppings),
+                              psis[:, idx], times)
     rows = np.divmod(idx, len(labels))  # the two site labels of each reached index
     nonzero = (site != 0).any(axis=0).astype(int)
     pairs = np.nonzero(nonzero[rows[0]].T @ nonzero[rows[1]])
@@ -371,15 +380,16 @@ def _hold_populations(psis, params: SystemParams, deltas, hold_time: float, samp
     return times, labels, pairs, np.abs(amps @ overlaps) ** 2
 
 
-def _measure_holds(psis, params: SystemParams, deltas, hold_time: float, samples: int) -> list:
-    """Every observable of K holds from their populations in the product of
-    site dressed bases, read along the time axis for all holds at once."""
-    times, labels, pairs, pops = _hold_populations(psis, params, deltas, hold_time, samples)
+def _measure_holds(psis, params: SystemParams, deltas, hoppings, hold_times, samples: int):
+    """Every observable of the K holds of :func:`_hold_populations` from their
+    populations in the product of site dressed bases, for all holds at once."""
+    times, labels, pairs, pops = _hold_populations(psis, params, deltas, hoppings, hold_times,
+                                                   samples)
     column = {(labels[i], labels[j]): c for c, (i, j) in enumerate(zip(*pairs))}
     keys = [tuple(label(*site) for site in parse_state_spec(spec)) for spec in MEASUREMENT_STATES]
     untouched = np.zeros(pops.shape[:2])  # a pair no reached amplitude touches
     measured = np.stack([pops[:, :, column[k]] if k in column else untouched for k in keys], axis=1)
-    probabilities = np.trapezoid(measured, times) / (times[-1] - times[0])
+    probabilities = np.trapezoid(measured, times[:, None]) / (times[:, -1:] - times[:, :1])
     marginals = np.stack([pops @ (side[:, None] == np.arange(len(labels))) for side in pairs])
     variances = _number_variance(times, marginals)
     branches = measured[:, [MEASUREMENT_STATES.index(s) for s in ("1-,1-", "1+,1+")], 0]
@@ -426,7 +436,7 @@ def ramp_experiment(
             pulse = pulse + build_hopping(params)
         amps = evolve_closed(pulse, psi, schedule.pulse_time * np.arange(len(deltas) + 1))[1:]
         psis = amps / np.linalg.norm(amps, axis=1, keepdims=True)
-    return _measure_holds(psis, params, deltas, schedule.hold_time, hold_samples)
+    return _measure_holds(psis, params, deltas, params.hopping, schedule.hold_time, hold_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +495,23 @@ def analytic_variance(model: EffectiveModel, hopping: float) -> float:
     return 4.0 * model.b**2 / omega0**2 * bracket
 
 
-def numeric_variance(params: SystemParams, branch: str, hold_samples: int = 401) -> float:
-    """Full-lattice order parameter from the fresh branch-pure pair state."""
-    if params.n_cavities != 2:
+def numeric_variance(params, branch, hold_samples: int = 401):
+    """Full-lattice order parameter from the fresh pair state |1b,1b> held for 1/J.  Given
+    matching sequences of parameters, which may differ only in hopping and detuning, and
+    of branches, it measures every hold in one stacked solve and returns their list."""
+    if isinstance(params, SystemParams):
+        return numeric_variance([params], [branch], hold_samples)[0]
+    if not params:
+        return []
+    base = params[0]
+    if base.n_cavities != 2:
         raise DimensionMismatchError("the variance runs on the two-site lattice")
-    if params.hopping <= 0:
+    if any(p.hopping <= 0 for p in params):
         raise ValueError("hopping must be positive")
-    spec = "1-,1-" if branch == "-" else "1+,1+"
-    psi = product_polariton_ket(params.dims, parse_state_spec(spec), params.g, params.delta)
-    return _measure_holds(psi.amplitudes[None], params, [params.delta], 1.0 / params.hopping,
-                          hold_samples)[0].var
+    if any(p.with_(hopping=base.hopping, delta=base.delta) != base for p in params):
+        raise ValueError("the holds may differ only in hopping and detuning")
+    specs = [f"1{b},1{b}" for _, b in zip(params, branch, strict=True)]
+    hoppings = np.array([p.hopping for p in params])
+    holds = _measure_holds(specs, base, [p.delta for p in params], hoppings, 1.0 / hoppings,
+                           hold_samples)
+    return [hold.var for hold in holds]

@@ -301,6 +301,19 @@ class TestCli:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
         assert "single cavity" in capsys.readouterr().err
 
+    def test_variance_grid_refuses_zero_hopping_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unexpected(*args):
+            raise AssertionError("solved a hold of a grid the run cannot use")
+
+        monkeypatch.setattr("jchsim.protocols._measure_holds", unexpected)
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("experiment = variance_compare\nhopping_values = 0, 0.05\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+        assert "hopping must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # an undamped configuration has no unique steady state
         cfg = tmp_path / "divergent.cfg"

@@ -95,16 +95,24 @@ class TestBareBuilders:
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.floats(0.05, 5.0), st.floats(0.1, 3e4), st.floats(0.0, 2.0), st.integers(2, 4),
-       st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
-def test_detuning_stack_matches_per_detuning_builds(g, omega_c, hopping, n_fock, deltas):
+@given(st.floats(0.05, 5.0), st.floats(0.1, 3e4), st.integers(2, 4),
+       st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(0.0, 2.0)), min_size=1, max_size=8),
+       st.data())
+def test_detuning_stack_matches_per_detuning_builds(g, omega_c, n_fock, holds, data):
     # H(0) + delta sum_i sigma_i^+ sigma_i^- is off by ~1e-11 at omega_c = 1e4;
-    # the stack writes each diagonal as build_jc does and must match bit for bit
-    p = SystemParams(g=g, omega_c=omega_c, hopping=hopping, n_fock=n_fock, n_cavities=2)
-    stack = _jch_over_detunings(p, deltas)
-    assert stack.shape == (len(deltas), p.dims.total_dim, p.dims.total_dim)
-    for delta, h in zip(deltas, stack):
-        assert np.array_equal(h, build_jch(p.with_(delta=delta)).data)
+    # the stack writes each diagonal as build_jc does and each hopping entry as
+    # J_k times its value at unit hopping, and must match bit for bit on the
+    # whole space and on a random block
+    p = SystemParams(g=g, omega_c=omega_c, n_fock=n_fock, n_cavities=2)
+    unit = build_jch(p.with_(hopping=1.0)).data
+    deltas, hoppings = zip(*holds)
+    block = np.array(sorted(data.draw(st.sets(st.integers(0, len(unit) - 1), min_size=1))))
+    for idx in (np.arange(len(unit)), block):
+        stack = _jch_over_detunings(p, unit, idx, deltas, hoppings)
+        assert stack.shape == (len(holds), len(idx), len(idx))
+        for (delta, hopping), h in zip(holds, stack):
+            full = build_jch(p.with_(delta=delta, hopping=hopping)).data
+            assert np.array_equal(h, full[np.ix_(idx, idx)])
 
 
 def dressed_diagonal(p):

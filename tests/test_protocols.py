@@ -180,6 +180,12 @@ class TestHoppingProbe:
         with pytest.raises(ValueError):
             hopping_interchange_probe(TWO_SITE.with_(cavity_decay=0.1), "1-,0")
 
+    @pytest.mark.parametrize("t_final", [0.0, -1.0])
+    def test_empty_or_negative_window_rejected(self, t_final):
+        # t_final = 0 is a window of no length, not a request for the default one
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hopping_interchange_probe(TWO_SITE, "1-,0", t_final=t_final, samples=11)
+
 
 @pytest.fixture(scope="module")
 def run():
@@ -326,7 +332,7 @@ def site_marginals(pops: np.ndarray) -> np.ndarray:
 
 def hold_point(psi, p: SystemParams, hold_time: float, samples: int):
     """_measure_holds on the one ket ``psi`` at p.delta."""
-    return _measure_holds(psi.amplitudes[None], p, [p.delta], hold_time, samples)[0]
+    return _measure_holds(psi.amplitudes[None], p, [p.delta], p.hopping, hold_time, samples)[0]
 
 
 def overlap_hold(psi, amps: np.ndarray, times: np.ndarray, p: SystemParams):
@@ -398,8 +404,8 @@ def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
         pulse = ramp_pulse(p, 1, chain == "strict")
         psis = stepwise_chain(psi, pulse, math.pi / (2.0 * p.g), len(deltas))
     times = np.linspace(0.0, 1.0 / hopping, 61)
-    points = _measure_holds(psis, p, deltas, times[-1], len(times))
-    _, _, pairs, pops = _hold_populations(psis, p, deltas, times[-1], len(times))
+    points = _measure_holds(psis, p, deltas, hopping, times[-1], len(times))
+    _, _, pairs, pops = _hold_populations(psis, p, deltas, hopping, times[-1], len(times))
     for delta, start, point, reached in zip(deltas, psis, points, pops):
         pk = p.with_(delta=delta)
         ket = Ket(pk.dims, start)
@@ -427,7 +433,7 @@ def test_one_grid_pulse_chain_matches_stepwise_pulses(small_schedule, strict):
     psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, deltas[0])
     pulse = ramp_pulse(p, schedule.mode, strict)
     psis = stepwise_chain(psi, pulse, schedule.pulse_time, len(deltas))
-    expected = _measure_holds(psis, p, deltas, schedule.hold_time, 241)
+    expected = _measure_holds(psis, p, deltas, p.hopping, schedule.hold_time, 241)
     points = ramp_experiment(schedule, p, "1-,1-", time_dependent=True, strict_pulses=strict)
     for got, want in zip(points, expected, strict=True):
         assert abs(got.var - want.var) < 1e-12
@@ -435,6 +441,39 @@ def test_one_grid_pulse_chain_matches_stepwise_pulses(small_schedule, strict):
             assert abs(got.branch_populations[key] - value) < 1e-12
         for spec, value in want.state_probabilities.items():
             assert abs(got.state_probabilities[spec] - value) < 1e-12
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sets(st.floats(0.01, 0.2), min_size=1, max_size=3),
+       st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3), st.data())
+def test_batched_variance_equals_the_per_point_calls(hoppings, deltas, data):
+    # variance_compare's grid in one stacked solve: distinct hoppings, a
+    # detuning list with a repeat and both branches, in a random order, give
+    # the scalar calls' floats exactly
+    grid = [(j, d, b) for j in hoppings for d in deltas + deltas[:1] for b in "-+"]
+    grid = data.draw(st.permutations(grid))
+    points = [TWO_SITE.with_(hopping=j, delta=d) for j, d, _ in grid]
+    branches = [b for *_, b in grid]
+    batched = numeric_variance(points, branches, hold_samples=101)
+    assert batched == [numeric_variance(p, b, hold_samples=101) for p, b in zip(points, branches)]
+    # every observable of the stacked holds, each on its own grid of 1/J
+    js = np.array([p.hopping for p in points])
+    specs = [f"1{b},1{b}" for b in branches]
+    holds = _measure_holds(specs, TWO_SITE, [p.delta for p in points], js, 1.0 / js, 101)
+    for hold, spec, p in zip(holds, specs, points, strict=True):
+        assert hold == _measure_holds([spec], p, [p.delta], p.hopping, 1.0 / p.hopping, 101)[0]
+
+
+def test_variance_grid_guards():
+    assert numeric_variance([], []) == []
+    with pytest.raises(ValueError, match="hopping must be positive"):
+        numeric_variance([TWO_SITE, TWO_SITE.with_(hopping=0.0)], ["-", "+"])
+    with pytest.raises(ValueError, match="only in hopping and detuning"):
+        numeric_variance([TWO_SITE, TWO_SITE.with_(omega_c=50.0, delta=1.0)], ["-", "-"])
+    with pytest.raises(ValueError):
+        numeric_variance([TWO_SITE, TWO_SITE.with_(delta=1.0)], ["-"])
+    with pytest.raises(ValueError):
+        numeric_variance(TWO_SITE, "x")
 
 
 class TestOrderParameter:
@@ -490,8 +529,8 @@ class TestOrderParameter:
         p = SystemParams(delta=5.0, hopping=0.02, omega_c=1e4, n_fock=3, n_cavities=2)
         psi = product_polariton_ket(p.dims, parse_state_spec("1+,1+"), p.g, p.delta)
         # the populations the hold kernel reads, scattered into (T, ds, ds)
-        times, labels, pairs, reached = _hold_populations(
-            psi.amplitudes[None], p, [p.delta], 1.0 / p.hopping, 401)
+        (times,), labels, pairs, reached = _hold_populations(
+            psi.amplitudes[None], p, [p.delta], p.hopping, 1.0 / p.hopping, 401)
         pops = np.zeros((len(times), len(labels), len(labels)))
         pops[:, pairs[0], pairs[1]] = reached[0]
         counts = ((np.arange(pops.shape[1]) + 1) // 2).astype(np.longdouble)

@@ -35,7 +35,6 @@ from .polariton import (
     ladder_coefficients_for,
     mixing_angle,
     polariton_energy,
-    polariton_ket,
     product_polariton_ket,
     site_polariton_ket,
 )

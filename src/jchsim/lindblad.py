@@ -18,8 +18,8 @@ decomposes only what its support reaches along nonzero entries, which from
 a^dag |0><0| is the (one excitation, vacuum) pair block.
 
 Each generator type has one propagator.  :func:`evolve` steps a density
-matrix along a uniform grid by the exact exp(L dt) on what vec(rho0) reaches
-in each weak block and its mirror, formed by scaling and squaring in real
+matrix along a uniform grid by the exact exp(L dt) on one block, the closure
+of vec(rho0) joined with its mirror, formed by scaling and squaring in real
 coordinates on a Hermitian basis, where the generator is a real matrix
 (Alicki & Lendi, Lect. Notes Phys. 286 (1987)); :func:`evolve_closed`
 rotates a ket in the eigenbasis of the Hamiltonian block its support reaches.
@@ -311,9 +311,9 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     starts at t_grid[0]); a grid that strays from uniform by more than
     ``GRID_UNIFORMITY_TOL`` of its step raises ``ValueError``.
 
-    What vec(rho0) reaches along nonzero entries, and its mirror, go by index
-    gathers into the coordinates of :func:`_hermitian_frame`, one weak block
-    joined with its mirror at a time.  There T L T^dag must be real to
+    What vec(rho0) reaches along nonzero entries, joined with its mirror under
+    (i, j) <-> (j, i), goes by index gathers into the coordinates of
+    :func:`_hermitian_frame` as one block.  There T L T^dag must be real to
     ``HERMITICITY_DRIFT_TOL`` of max|L| (else ``NumericalError``); P = exp(L dt)
     by :func:`_expm` and doubling give the samples, with no eigenbasis, exactly
     0 elsewhere.  Trace drift is checked; a ket goes through :func:`evolve_closed`.
@@ -329,24 +329,18 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     mirror, alpha = _hermitian_frame(d)
     vec = vectorize(rho0.data)
     inside = _reachable(*liouv._entries, vec != 0)
-    index = np.flatnonzero(inside | inside[mirror])
-    label, _, links = liouv._pairs
-    joined = links | links.T
-    joined[label, label[mirror]] = True  # pair block (a, b) with its mirror (b, a)
-    coords = np.zeros((len(times), d * d))
-    for idx in (index[g] for g in _groups(_transitive(joined).argmax(axis=1)[label[index]])):
-        a, m = alpha[idx], np.searchsorted(idx, mirror[idx])
-        sub = liouv.data[np.ix_(idx, idx)]
-        half = sub * a.conj() + sub[:, m] * a  # L T^dag, then T L T^dag
-        real = a[:, None] * half + a.conj()[:, None] * half[m]
-        if np.abs(real.imag).max() > HERMITICITY_DRIFT_TOL * np.abs(sub).max():
-            raise NumericalError("generator does not map Hermitian matrices to Hermitian ones")
-        x0 = (a * vec[idx] + a.conj() * vec[mirror[idx]]).real
-        series = _doubling(_expm(step * real.real), x0, len(times))
-        if len(idx) == d * d:  # one block spans every index: no scatter needed
-            coords = series
-        else:
-            coords[:, idx] = series
+    idx = np.flatnonzero(inside | inside[mirror])
+    a, m = alpha[idx], np.searchsorted(idx, mirror[idx])
+    sub = liouv.data[np.ix_(idx, idx)]
+    half = sub * a.conj() + sub[:, m] * a  # L T^dag, then T L T^dag
+    real = a[:, None] * half + a.conj()[:, None] * half[m]
+    if np.abs(real.imag).max() > HERMITICITY_DRIFT_TOL * np.abs(sub).max():
+        raise NumericalError("generator does not map Hermitian matrices to Hermitian ones")
+    x0 = (a * vec[idx] + a.conj() * vec[mirror[idx]]).real
+    coords = series = _doubling(_expm(step * real.real), x0, len(times))
+    if len(idx) < d * d:  # exactly 0 outside the closure
+        coords = np.zeros((len(times), d * d))
+        coords[:, idx] = series
     traj = Trajectory(liouv.dims, times, coords)
     drift = traj.trace_drift()
     if drift > TRACE_DRIFT_TOL:

@@ -2,9 +2,12 @@
 
 Each excitation manifold n >= 1 is spanned by |n,g> and |n-1,e> and splits
 into a lower (-) and upper (+) branch rotated by the mixing angle theta_n.
-:func:`basis_transform` is the one dressed basis: observables and the matrix
-elements of the photon and atom raising operators are read in it.  Those
-elements between neighbouring manifolds are the four ladder weights of
+:func:`_dressed_matrices` is the one writer of dressed states: it stacks the
+site bases at K detunings.  Its K = 1 case is :func:`basis_transform`, the
+one dressed basis, in which observables and the matrix elements of the
+photon and atom raising operators are read, and the kets of
+:func:`site_polariton_ket` are its columns.  Those elements between
+neighbouring manifolds are the four ladder weights of
 :func:`ladder_coefficients`: two that stay within a branch and two that
 interchange branches.
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOM_E, ATOM_G, HilbertDims, Ket, bare_ket, product_ket
+from .hilbert import ATOM_E, ATOM_G, HilbertDims, Ket, product_ket
 
 GROUND = "G"
 OVERFLOW = "overflow"
@@ -79,31 +82,14 @@ def polariton_energy(n: int, branch: str, g: float, delta: float, omega_c: float
     return omega_c * n + 0.5 * delta + 0.5 * sign * branch_splitting(n, g, delta)
 
 
-def polariton_ket(dims: HilbertDims, n: int, branch: str, theta: float) -> Ket:
-    """Site-level dressed state of manifold n at mixing angle theta."""
-    site = dims.site()
-    if n < 1 or n > site.n_fock:
-        raise ValueError(f"manifold {n} outside 1..{site.n_fock}")
-    amps = np.zeros(site.site_dim, dtype=complex)
-    if branch == "-":
-        amps[site.site_index(n, ATOM_G)] = math.cos(theta)
-        amps[site.site_index(n - 1, ATOM_E)] = -math.sin(theta)
-    elif branch == "+":
-        amps[site.site_index(n, ATOM_G)] = math.sin(theta)
-        amps[site.site_index(n - 1, ATOM_E)] = math.cos(theta)
-    else:
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    return Ket(site, amps)
-
-
-def ground_ket(dims: HilbertDims) -> Ket:
-    return bare_ket(dims.site(), [(0, ATOM_G)])
-
-
 def site_polariton_ket(dims: HilbertDims, n: int, branch: str, g: float, delta: float) -> Ket:
-    if n == 0:
-        return ground_ket(dims)
-    return polariton_ket(dims, n, branch, mixing_angle(n, g, delta))
+    """Site-level dressed state |n branch>, the ground state for n = 0: a
+    column of :func:`_dressed_matrices`."""
+    lbl = label(n, branch)
+    labels, (matrix,) = _dressed_matrices(dims, g, [delta])
+    if lbl not in labels:
+        raise ValueError(f"manifold {n} outside 0..{dims.n_fock}")
+    return Ket(dims.site(), matrix[:, labels.index(lbl)])
 
 
 def product_polariton_ket(dims: HilbertDims, site_labels, g: float, delta: float) -> Ket:
@@ -131,16 +117,6 @@ class PolaritonBasis:
 
     def column(self, lbl: str) -> np.ndarray:
         return self.matrix[:, self.index(lbl)]
-
-    def pair_amplitudes(self, kets: np.ndarray) -> np.ndarray:
-        """(T, D) two-site ket amplitudes as (T, ds, ds) amplitudes in the
-        product of this site basis: c[t, i, j] = <labels[i], labels[j]|psi_t>.
-
-        One (T, D) x (D, D) product with the pair basis: at D = 64 it is
-        faster than T stacked (ds, ds) products.
-        """
-        ds = len(self.labels)
-        return (kets @ np.kron(self.matrix, self.matrix).conj()).reshape(-1, ds, ds)
 
 
 def _dressed_matrices(dims: HilbertDims, g: float, deltas) -> tuple:

@@ -217,13 +217,13 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
     """
     rows = []
 
-    # hopping, two cavities, |1-,1->
+    # hopping, two cavities, |1-,1->: the kept dressed pair amplitudes c[t, i, j]
     params = SystemParams(hopping=1.0, omega_c=omega_c, n_fock=n_fock, n_cavities=2)
-    psi0 = product_polariton_ket(params.dims, parse_state_spec("1-,1-"), params.g, params.delta)
-    times = np.linspace(0.0, 20.0, 4001)
-    basis = basis_transform(params.dims, params.g, params.delta)
-    amps = basis.pair_amplitudes(evolve_closed(build_jch(params), psi0, times))
-    lo, up = basis.index("1-"), basis.index("1+")
+    (times,), labels, pairs, (kept,) = _hold_amplitudes(["1-,1-"], params, [params.delta],
+                                                        params.hopping, 20.0, 4001)
+    amps = np.zeros((len(times), len(labels), len(labels)), dtype=complex)
+    amps[:, pairs[0], pairs[1]] = kept
+    lo, up = labels.index("1-"), labels.index("1+")
     p_target = np.abs(amps[:, up, lo]) ** 2
     # 2 |rho_0(1-, 1+)|, site 0's reduced state summed over site 1's labels
     coh = 2.0 * np.abs(np.einsum("tj,tj->t", amps[:, lo], amps[:, up].conj()))
@@ -354,11 +354,11 @@ class OrderParameterPoint:
     state_probabilities: dict
 
 
-def _hold_populations(psis, params: SystemParams, deltas, hoppings, hold_times, samples: int):
-    """(times, labels, pairs, pops) of K two-site holds: hold k runs at deltas[k] and
+def _hold_amplitudes(psis, params: SystemParams, deltas, hoppings, hold_times, samples: int):
+    """(times, labels, pairs, amps) of K two-site holds: hold k runs at deltas[k] and
     hoppings[k] > 0 from the ket psis[k] (K, D), or from the product of dressed states
     that the spec psis[k] names at deltas[k], on times[k] = linspace(0, hold_times[k],
-    samples); a scalar is shared.  ``pops[k, t, c]`` is the population of the pair of
+    samples); a scalar is shared.  ``amps[k, t, c]`` is the amplitude of the pair of
     site dressed states labels[pairs[0][c]], labels[pairs[1][c]], kept where reached."""
     labels, site = _dressed_matrices(params.dims, params.g, deltas)
     if isinstance(psis[0], str):  # the kron of each hold's two named site columns
@@ -377,14 +377,16 @@ def _hold_populations(psis, params: SystemParams, deltas, hoppings, hold_times, 
     pairs = np.nonzero(nonzero[rows[0]].T @ nonzero[rows[1]])
     # <i, j|psi> = sum over reached (a, b) of conj(U[a, i] U[b, j]) psi[a, b]
     overlaps = (site[:, rows[0][:, None], pairs[0]] * site[:, rows[1][:, None], pairs[1]]).conj()
-    return times, labels, pairs, np.abs(amps @ overlaps) ** 2
+    return times, labels, pairs, amps @ overlaps
 
 
 def _measure_holds(psis, params: SystemParams, deltas, hoppings, hold_times, samples: int):
-    """Every observable of the K holds of :func:`_hold_populations` from their
+    """Every observable of the K holds of :func:`_hold_amplitudes` from their
     populations in the product of site dressed bases, for all holds at once."""
-    times, labels, pairs, pops = _hold_populations(psis, params, deltas, hoppings, hold_times,
-                                                   samples)
+    times, labels, pairs, amps = _hold_amplitudes(psis, params, deltas, hoppings, hold_times,
+                                                  samples)
+    pops = np.abs(amps) ** 2
+    del amps  # free the complex (K, T, r) array before the observables' temporaries
     column = {(labels[i], labels[j]): c for c, (i, j) in enumerate(zip(*pairs))}
     keys = [tuple(label(*site) for site in parse_state_spec(spec)) for spec in MEASUREMENT_STATES]
     untouched = np.zeros(pops.shape[:2])  # a pair no reached amplitude touches

@@ -33,6 +33,7 @@ from .hilbert import (
 )
 from .lindblad import evolve, evolve_closed, standard_liouvillian, steady_state, trace_distance
 from .perturbation import interaction_elements, unperturbed_energies
+from .protocols import _hold_amplitudes
 
 
 @dataclass(frozen=True)
@@ -226,13 +227,11 @@ def run_selfcheck(corruption: str | None = None) -> list:
 
     # --- branch separability (closed lattice, weak hopping) ----------------
     sep = pair.with_(cavity_decay=0.0, atom_decay=0.0, hopping=0.1, delta=0.5)
-    psi = polariton.product_polariton_ket(sep.dims, [(1, "-"), (1, "-")], sep.g, sep.delta)
-    times = np.linspace(0.0, 10.0 / sep.hopping, 201)
-    basis = polariton.basis_transform(sep.dims, sep.g, sep.delta)
-    pops = np.abs(basis.pair_amplitudes(evolve_closed(build_jch(sep), psi, times))) ** 2
+    _, labels, pairs, (amps,) = _hold_amplitudes(["1-,1-"], sep, [sep.delta], sep.hopping,
+                                                 10.0 / sep.hopping, 201)
     # the upper-branch weight summed over both sites
-    plus = [i for i, lbl in enumerate(basis.labels) if lbl.endswith("+")]
-    up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))
+    upper = np.array([lbl.endswith("+") for lbl in labels], dtype=float)
+    up_weight = np.abs(amps) ** 2 @ (upper[pairs[0]] + upper[pairs[1]])
     results.append(_result("branch_separability", float(up_weight.max()), 0.1))
 
     return results

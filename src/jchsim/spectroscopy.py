@@ -10,7 +10,6 @@ which avoids any windowing or truncation of a sampled correlation tail.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import DimensionMismatchError, NumericalError
 from .hamiltonians import SystemParams
 from .hilbert import DensityMatrix, Operator
 from .lindblad import ZERO_MODE_TOL, Liouvillian, vectorize
-from .polariton import mixing_angle, polariton_energy
 
 STATIONARITY_TOL = 1e-6
 DECAY_TOL = -1e-10
@@ -116,34 +114,22 @@ def absorption_spectrum(
     return Spectrum(omega, values, params)
 
 
-def lorentzian_rates(params: SystemParams):
-    """Branch linewidths (gamma_plus, gamma_minus) of the n = 1 doublet."""
-    theta = mixing_angle(1, params.g, params.delta)
-    s2, c2 = math.sin(theta) ** 2, math.cos(theta) ** 2
-    g_plus = 0.5 * (s2 * params.cavity_decay + c2 * params.atom_decay)
-    g_minus = 0.5 * (c2 * params.cavity_decay + s2 * params.atom_decay)
-    return g_plus, g_minus
-
-
 def absorption_spectrum_analytic(params: SystemParams, freq_grid=None) -> Spectrum:
-    """Closed-form two-Lorentzian spectrum of the weakly excited single cavity.
+    """Exact spectrum of the weakly excited single cavity at any decay rates.
 
-    Valid in the three-level manifold {ground, lower, upper polariton}: one
-    Lorentzian per branch, centred on the dressed energies, weighted by the
-    photonic fractions sin^2(theta_1) and cos^2(theta_1).
+    From the vacuum, a^dag reaches only the one-excitation states, where the
+    correlation evolves under the 2x2 no-jump Hamiltonian; its resolvent gives
+    S(omega) = 2 Re[z_a / (z_c z_a + g^2)] with z_c = kappa/2 - i(omega - omega_c)
+    and z_a = gamma/2 - i(omega - omega_a) (Carmichael et al., PRA 40, 5516 (1989)).
     """
     if params.n_cavities != 1:
         raise DimensionMismatchError("the closed form covers a single cavity")
     omega = np.asarray(
         default_frequency_grid(params) if freq_grid is None else freq_grid, dtype=float
     )
-    theta = mixing_angle(1, params.g, params.delta)
-    g_plus, g_minus = lorentzian_rates(params)
-    e_plus = polariton_energy(1, "+", params.g, params.delta, params.omega_c)
-    e_minus = polariton_energy(1, "-", params.g, params.delta, params.omega_c)
-    values = 2.0 * math.sin(theta) ** 2 * g_plus / ((omega - e_plus) ** 2 + g_plus**2)
-    values += 2.0 * math.cos(theta) ** 2 * g_minus / ((omega - e_minus) ** 2 + g_minus**2)
-    return Spectrum(omega, values, params)
+    z_c = 0.5 * params.cavity_decay - 1j * (omega - params.omega_c)
+    z_a = 0.5 * params.atom_decay - 1j * (omega - params.omega_a)
+    return Spectrum(omega, 2.0 * (z_a / (z_c * z_a + params.g**2)).real, params)
 
 
 def local_maxima(y) -> list:

@@ -39,6 +39,14 @@ def random_density_matrix(dim: int, rng) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def pair_amplitudes(kets: np.ndarray, basis) -> np.ndarray:
+    """(T, D) two-site kets as (T, ds, ds) amplitudes c[t, i, j] =
+    <labels[i], labels[j]|psi_t> on the product of the site basis ``basis``,
+    by one dense product with kron(B, B)."""
+    ds = len(basis.labels)
+    return (kets @ np.kron(basis.matrix, basis.matrix).conj()).reshape(-1, ds, ds)
+
+
 def ladder_matrix(basis, atomic: bool = False) -> np.ndarray:
     """a^dag (sigma^+ when ``atomic``) in the dressed basis as the ladder
     weights place it: <n b|op|n-1 b'> is the weight of the step from branch

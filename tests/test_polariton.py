@@ -24,7 +24,7 @@ from jchsim import (
     site_polariton_ket,
 )
 from jchsim import polariton
-from jchsim.hilbert import ATOM_E
+from jchsim.hilbert import ATOM_E, ATOM_G
 
 from conftest import ladder_matrix
 
@@ -144,8 +144,6 @@ class TestLadderCoefficients:
                 co = ladder_coefficients_for(n, 1.0, delta)
                 kets = {
                     (m, b): site_polariton_ket(DIMS, m, b, 1.0, delta).amplitudes
-                    if m
-                    else polariton.ground_ket(DIMS).amplitudes
                     for m in (n - 1, n)
                     for b in ("-", "+")
                 }
@@ -265,24 +263,29 @@ class TestBasisInvariants:
 
 
 def per_column_basis(dims, g: float, delta: float) -> np.ndarray:
-    """The site dressed basis column by column: the ground ket, the
-    ``polariton_ket`` of each branch of each manifold, and the overflow state."""
+    """The site dressed basis written column by column from cos and sin of
+    the mixing angles: the ground state, (n, -) = cos |n,g> - sin |n-1,e>,
+    (n, +) = sin |n,g> + cos |n-1,e>, and the overflow state last."""
     site = dims.site()
-    columns = [polariton.ground_ket(site).amplitudes]
+    out = np.zeros((site.site_dim, site.site_dim), dtype=complex)
+    out[site.site_index(0, ATOM_G), 0] = 1.0
     for n in range(1, site.n_fock + 1):
         theta = mixing_angle(n, g, delta)
-        columns += [polariton.polariton_ket(site, n, b, theta).amplitudes for b in "-+"]
-    overflow = np.zeros(site.site_dim, dtype=complex)
-    overflow[site.site_index(site.n_fock, ATOM_E)] = 1.0
-    return np.column_stack([*columns, overflow])
+        cos, sin = math.cos(theta), math.sin(theta)
+        upper, lower = site.site_index(n, ATOM_G), site.site_index(n - 1, ATOM_E)
+        out[upper, 2 * n - 1], out[lower, 2 * n - 1] = cos, -sin
+        out[upper, 2 * n], out[lower, 2 * n] = sin, cos
+    out[site.site_index(site.n_fock, ATOM_E), -1] = 1.0
+    return out
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 5), st.floats(0.05, 5.0),
        st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=6))
 def test_stacked_dressed_bases_match_per_column_kets(n_fock, g, deltas):
-    # the ramp's (K, ds, ds) writer and basis_transform, its K = 1 case, give
-    # the per-column construction bit for bit at every detuning
+    # the one dressed-state writer, its K = 1 case basis_transform and the
+    # kets of site_polariton_ket, its columns, give the per-column
+    # construction bit for bit at every detuning
     dims = HilbertDims(n_fock, 2)
     labels, stack = polariton._dressed_matrices(dims, g, deltas)
     for delta, matrix in zip(deltas, stack):
@@ -291,6 +294,10 @@ def test_stacked_dressed_bases_match_per_column_kets(n_fock, g, deltas):
         assert np.array_equal(matrix, expected)
         assert np.array_equal(basis.matrix, expected)
         assert basis.labels == labels
+        for column, lbl in enumerate(labels[:-1]):
+            n, branch = polariton.parse_label(lbl)
+            ket = site_polariton_ket(dims, n, branch, g, delta)
+            assert np.array_equal(ket.amplitudes, expected[:, column])
 
 
 def _product(p, spec):

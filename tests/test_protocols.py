@@ -25,6 +25,7 @@ from jchsim import (
     expect_series,
     extract_period,
     hopping_interchange_probe,
+    mechanism_table,
     numeric_variance,
     partial_trace,
     product_polariton_ket,
@@ -37,15 +38,16 @@ from jchsim.lindblad import build_liouvillian, evolve
 from jchsim.polariton import parse_state_spec
 from jchsim.protocols import (
     MEASUREMENT_STATES,
-    _hold_populations,
+    _hold_amplitudes,
     _measure_holds,
     _n1_branch_series,
     _number_variance,
     find_series_maxima,
 )
+from jchsim.selfcheck import run_selfcheck
 from jchsim.spectroscopy import local_maxima
 
-from conftest import random_kets
+from conftest import pair_amplitudes, random_kets
 
 TWO_SITE = SystemParams(omega_c=1e4, hopping=0.1, n_fock=3, n_cavities=2)
 
@@ -60,7 +62,7 @@ def site0_branch_series(kets: np.ndarray, p: SystemParams):
     as the hopping row of mechanism_table does: summed over site 1's labels
     of the dressed pair amplitudes."""
     basis = basis_transform(p.dims, p.g, p.delta)
-    amps = basis.pair_amplitudes(kets)
+    amps = pair_amplitudes(kets, basis)
     up, lo = amps[:, basis.index("1+")], amps[:, basis.index("1-")]
     return ((np.abs(up) ** 2).sum(axis=1), (np.abs(lo) ** 2).sum(axis=1),
             2.0 * np.abs(np.einsum("tj,tj->t", lo, up.conj())))
@@ -113,6 +115,35 @@ def test_two_site_branch_series_reads_the_reduced_state(delta, samples, seed):
         assert np.max(np.abs(got - np.array(want))) < 1e-12
     for got, want in zip(on_site, expected):
         assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+
+@pytest.mark.parametrize("n_fock, omega_c", [(2, 30.0), (3, 1e4)])
+def test_mechanism_hopping_row_matches_the_dense_rotation(n_fock, omega_c):
+    # the hopping row reads the hold kernel's kept pair amplitudes; the dense
+    # rotation of evolve_closed's kets gives the same two maxima
+    p = SystemParams(hopping=1.0, omega_c=omega_c, n_fock=n_fock, n_cavities=2)
+    psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
+    kets = evolve_closed(build_jch(p), psi, np.linspace(0.0, 20.0, 4001))
+    basis = basis_transform(p.dims, p.g, p.delta)
+    target = pair_amplitudes(kets, basis)[:, basis.index("1+"), basis.index("1-")]
+    row = mechanism_table(n_fock, omega_c)[0]
+    assert row["mechanism"] == "hopping"
+    assert abs(row["interchange_probability"] - (np.abs(target) ** 2).max()) < 1e-13
+    assert abs(row["coherence_max"] - site0_branch_series(kets, p)[2].max()) < 1e-13
+
+
+def test_selfcheck_branch_separability_matches_the_dense_rotation():
+    # selfcheck's upper-branch weight over both sites, from the hold kernel,
+    # against the dense rotation of evolve_closed's kets at its operating point
+    p = SystemParams(delta=0.5, omega_c=50.0, hopping=0.1, n_fock=2, n_cavities=2)
+    psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
+    basis = basis_transform(p.dims, p.g, p.delta)
+    kets = evolve_closed(build_jch(p), psi, np.linspace(0.0, 10.0 / p.hopping, 201))
+    pops = np.abs(pair_amplitudes(kets, basis)) ** 2
+    plus = [i for i, lbl in enumerate(basis.labels) if lbl.endswith("+")]
+    up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))
+    result = {r.name: r for r in run_selfcheck()}["branch_separability"]
+    assert result.passed and result.detail == f"{up_weight.max():.3e} < 1e-01"
 
 
 def prominent_maxima_by_scan(series, relative_prominence=0.1):
@@ -368,7 +399,7 @@ def test_hold_measurement_matches_overlap_oracle(delta, hopping, initial):
     for spec, value in probabilities.items():
         assert abs(point.state_probabilities[spec] - value) < 1e-12
     # the dressed pair basis is complete: every sample's populations sum to 1
-    pops = np.abs(basis_transform(p.dims, p.g, p.delta).pair_amplitudes(amps)) ** 2
+    pops = np.abs(pair_amplitudes(amps, basis_transform(p.dims, p.g, p.delta))) ** 2
     assert np.max(np.abs(pops.sum(axis=(1, 2)) - 1.0)) < 1e-12
 
 
@@ -394,7 +425,7 @@ def ramp_pulse(p: SystemParams, mode: int, strict: bool):
 @example([60.0, 0.1], 0.1, "1-,1-", "strict")
 def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
     # K holds in one pass against K overlap oracles, each from its own
-    # build_jch, evolve_closed and pair_amplitudes; the carried states are
+    # build_jch, evolve_closed and dense pair rotation; the carried states are
     # fresh (static) or pulsed with the hopping frozen or kept (strict)
     p = TWO_SITE.with_(hopping=hopping, delta=deltas[0])
     psi = product_polariton_ket(p.dims, parse_state_spec(initial), p.g, p.delta)
@@ -405,8 +436,8 @@ def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
         psis = stepwise_chain(psi, pulse, math.pi / (2.0 * p.g), len(deltas))
     times = np.linspace(0.0, 1.0 / hopping, 61)
     points = _measure_holds(psis, p, deltas, hopping, times[-1], len(times))
-    _, _, pairs, pops = _hold_populations(psis, p, deltas, hopping, times[-1], len(times))
-    for delta, start, point, reached in zip(deltas, psis, points, pops):
+    _, _, pairs, kept = _hold_amplitudes(psis, p, deltas, hopping, times[-1], len(times))
+    for delta, start, point, reached in zip(deltas, psis, points, kept):
         pk = p.with_(delta=delta)
         ket = Ket(pk.dims, start)
         amps = evolve_closed(build_jch(pk), ket, times)
@@ -417,11 +448,11 @@ def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
             assert abs(point.branch_populations[key] - value) < 1e-12
         for spec, value in probabilities.items():
             assert abs(point.state_probabilities[spec] - value) < 1e-12
-        # the kept dressed pairs carry every population of the dense rotation
-        dense = np.abs(basis_transform(pk.dims, pk.g, delta).pair_amplitudes(amps)) ** 2
-        assert np.max(np.abs(dense[:, pairs[0], pairs[1]] - reached)) < 1e-12
+        # the kept dressed pairs carry every amplitude of the dense rotation
+        dense = pair_amplitudes(amps, basis_transform(pk.dims, pk.g, delta))
+        assert np.max(np.abs(dense[:, pairs[0], pairs[1]] - reached)) < 1e-13
         dense[:, pairs[0], pairs[1]] = 0.0
-        assert np.max(dense) < 1e-12
+        assert np.max(np.abs(dense)) < 1e-13
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -529,10 +560,10 @@ class TestOrderParameter:
         p = SystemParams(delta=5.0, hopping=0.02, omega_c=1e4, n_fock=3, n_cavities=2)
         psi = product_polariton_ket(p.dims, parse_state_spec("1+,1+"), p.g, p.delta)
         # the populations the hold kernel reads, scattered into (T, ds, ds)
-        (times,), labels, pairs, reached = _hold_populations(
+        (times,), labels, pairs, (reached,) = _hold_amplitudes(
             psi.amplitudes[None], p, [p.delta], p.hopping, 1.0 / p.hopping, 401)
         pops = np.zeros((len(times), len(labels), len(labels)))
-        pops[:, pairs[0], pairs[1]] = reached[0]
+        pops[:, pairs[0], pairs[1]] = np.abs(reached) ** 2
         counts = ((np.arange(pops.shape[1]) + 1) // 2).astype(np.longdouble)
         wide = pops.astype(np.longdouble)
         reference = np.longdouble(0)
@@ -625,7 +656,7 @@ class TestRampExperiment:
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
         times = np.linspace(0.0, 10.0 / p.hopping, 401)
         basis = basis_transform(p.dims, p.g, p.delta)
-        pops = np.abs(basis.pair_amplitudes(evolve_closed(build_jch(p), psi, times))) ** 2
+        pops = np.abs(pair_amplitudes(evolve_closed(build_jch(p), psi, times), basis)) ** 2
         # the upper-branch weight summed over both sites
         plus = [i for i, lbl in enumerate(basis.labels) if lbl.endswith("+")]
         up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError
 from .hamiltonians import SystemParams
 from .lindblad import standard_liouvillian, steady_state
 from .perturbation import (
@@ -76,9 +76,6 @@ def _numeric_spectrum(params: SystemParams, options: dict):
 
 
 def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
-    # before the dense generator, which two cavities at n_fock 4 make 10^4 x 10^4
-    if params.n_cavities != 1:
-        raise DimensionMismatchError("the closed-form spectrum covers a single cavity")
     grid, numeric = _numeric_spectrum(params, options)
     analytic = absorption_spectrum_analytic(params, grid)
     return ExperimentResult(
@@ -94,8 +91,6 @@ def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
 
 
 def _run_two_cavity_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
-    if params.n_cavities != 2:
-        raise DimensionMismatchError("the two-cavity spectrum runs on two cavities")
     grid, numeric = _numeric_spectrum(params, options)
     return ExperimentResult(
         columns={"omega": grid, "S_numeric": numeric.values},
@@ -104,14 +99,11 @@ def _run_two_cavity_spectrum(params: SystemParams, options: dict) -> ExperimentR
 
 
 def _run_driven_oscillation(params: SystemParams, options: dict) -> ExperimentResult:
-    traj, summary = driven_oscillation_run(
+    series, summary = driven_oscillation_run(
         params, t_final=float(options["t_final"]), samples=int(options["samples"])
     )
     kept = ("period_extracted", "period_analytic", "rabi_frequency_analytic", "maxima_times")
-    return ExperimentResult(
-        columns={"t": traj.times, **traj.observables},
-        summary={key: summary[key] for key in kept},
-    )
+    return ExperimentResult(columns=series, summary={key: summary[key] for key in kept})
 
 
 def _run_rwa_probe(params: SystemParams, options: dict) -> ExperimentResult:
@@ -254,7 +246,7 @@ EXPERIMENTS = {
             "n_cavities": 1,
         },
         {"n_points": 2001},
-        ("g", "delta", "omega_c", "cavity_decay", "atom_decay", "n_fock", "n_cavities"),
+        ("g", "delta", "omega_c", "cavity_decay", "atom_decay", "n_fock"),
     ),
     "two_cavity_spectrum": ExperimentSpec(
         _run_two_cavity_spectrum,
@@ -269,8 +261,7 @@ EXPERIMENTS = {
             "n_cavities": 2,
         },
         {"n_points": 2001},
-        ("g", "delta", "omega_c", "hopping", "cavity_decay", "atom_decay", "n_fock",
-         "n_cavities"),
+        ("g", "delta", "omega_c", "hopping", "cavity_decay", "atom_decay", "n_fock"),
     ),
     "driven_oscillation": ExperimentSpec(
         _run_driven_oscillation,
@@ -285,7 +276,7 @@ EXPERIMENTS = {
         },
         {"t_final": 4.0, "samples": 8001},
         ("g", "delta", "atom_drive", "cavity_drive", "atom_drive_detuning",
-         "cavity_drive_detuning", "cavity_decay", "atom_decay", "n_fock", "n_cavities"),
+         "cavity_drive_detuning", "cavity_decay", "atom_decay", "n_fock"),
     ),
     "rwa_probe": ExperimentSpec(
         _run_rwa_probe,
@@ -298,7 +289,7 @@ EXPERIMENTS = {
             "n_cavities": 2,
         },
         {"samples": 8001},
-        ("g", "delta", "omega_c", "hopping", "n_fock", "n_cavities"),
+        ("g", "delta", "omega_c", "hopping", "n_fock"),
     ),
     "ramp": ExperimentSpec(
         _run_ramp,
@@ -319,7 +310,7 @@ EXPERIMENTS = {
             "hold_samples": 241,
             "strict_ramp": False,
         },
-        ("g", "omega_c", "hopping", "n_fock", "n_cavities"),
+        ("g", "omega_c", "hopping", "n_fock"),
     ),
     "table1": ExperimentSpec(
         _run_table1,
@@ -341,7 +332,7 @@ EXPERIMENTS = {
             "delta_values": [0.0, 1.0, 5.0],
             "hold_samples": 401,
         },
-        ("g", "omega_c", "n_fock", "n_cavities"),
+        ("g", "omega_c", "n_fock"),
     ),
     "perturbation_report": ExperimentSpec(
         _run_perturbation_report,
@@ -357,7 +348,7 @@ EXPERIMENTS = {
         },
         {},
         ("g", "delta", "atom_drive", "cavity_drive", "atom_drive_detuning",
-         "cavity_drive_detuning", "n_fock", "n_cavities"),
+         "cavity_drive_detuning", "n_fock"),
     ),
 }
 

@@ -245,7 +245,10 @@ def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
     d = op.dims.total_dim
     if series.ndim != 2 or series.shape[1] != d:
         raise DimensionMismatchError(f"series shape {series.shape} is not (T, {d})")
-    return np.einsum("ti,ti->t", series.conj(), series @ op.data.T)
+    # sum_i psi_i conj((psi op^T)_i), conjugated: the bits of sum_i conj(psi_i) (psi op^T)_i
+    # up to the sign of a zero imaginary part, with one (T, D) temporary instead of two
+    prod = series @ op.data.T
+    return np.einsum("ti,ti->t", series, np.conjugate(prod, out=prod)).conj()
 
 
 def partial_trace(rho: DensityMatrix, keep_site: int) -> DensityMatrix:

@@ -26,7 +26,7 @@ rotates a ket in the eigenbasis of the Hamiltonian block its support reaches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -237,12 +237,13 @@ def _hermitian_frame(d: int) -> tuple:
 
 @dataclass
 class Trajectory:
-    """Time grid, (T, D^2) state coordinates from :func:`_hermitian_frame` and series."""
+    """Density-matrix run of :func:`evolve`: its time grid and the (T, D^2) state
+    coordinates of :func:`_hermitian_frame`; a ket run is the amplitude array of
+    :func:`evolve_closed`."""
 
     dims: HilbertDims
     times: np.ndarray
-    coords: np.ndarray | None  # None for a closed run, which keeps only its series
-    observables: dict = field(default_factory=dict)
+    coords: np.ndarray
 
     @property
     def states(self) -> np.ndarray:

@@ -28,8 +28,8 @@ from .hamiltonians import (
     stroboscopic_generator,
 )
 from .hilbert import Operator, expect_series
-from .lindblad import (Trajectory, _check_grid, _closed_amplitudes, _ket_reach, build_liouvillian,
-                       evolve, evolve_closed, standard_liouvillian)
+from .lindblad import (_check_grid, _closed_amplitudes, _ket_reach, build_liouvillian, evolve,
+                       evolve_closed)
 from .polariton import (
     _dressed_matrices,
     basis_transform,
@@ -105,18 +105,32 @@ def extract_period(times, series):
 # coherence and branch weights
 
 
-def _n1_branch_operators(params: SystemParams):
-    """|1+><1+|, |1-><1-| and |1-><1+| of one cavity."""
-    basis = basis_transform(params.dims, params.g, params.delta)
-    up, lo = basis.column("1+"), basis.column("1-")
-    return [Operator(params.dims, np.outer(k, b.conj())) for k, b in ((up, up), (lo, lo), (lo, up))]
-
-
 def _n1_branch_series(expect, params: SystemParams):
     """P(1+), P(1-) and the coherence 2|rho_+-| of one cavity, where
     ``expect`` maps an operator to its expectation series along a run."""
-    p_up, p_lo, rho_pm = (expect(op) for op in _n1_branch_operators(params))
+    basis = basis_transform(params.dims, params.g, params.delta)
+    up, lo = basis.column("1+"), basis.column("1-")
+    p_up, p_lo, rho_pm = (expect(Operator(params.dims, np.outer(k, b.conj())))
+                          for k, b in ((up, up), (lo, lo), (lo, up)))
     return p_up.real, p_lo.real, 2.0 * np.abs(rho_pm)
+
+
+def _lower_branch_run(params: SystemParams, h: Operator, n0: int, times) -> dict:
+    """Series P_1plus, P_1minus, P_ground and coherence of one cavity started in
+    |n0,-> under ``h`` and the decay channels of ``params``: a ket through
+    :func:`evolve_closed` without loss, a density matrix through :func:`evolve`
+    with it."""
+    dims = params.dims
+    psi0 = site_polariton_ket(dims, n0, "-", params.g, params.delta)
+    channels = decay_channels(params)
+    if channels:
+        expect = evolve(build_liouvillian(h, channels), psi0.density_matrix(), times).expect
+    else:
+        expect = partial(expect_series, series=evolve_closed(h, psi0, times))
+    p_up, p_lo, coh = _n1_branch_series(expect, params)
+    ground = np.arange(dims.total_dim) == dims.site_index(0, 0)
+    p_g = expect(Operator(dims, np.diag(ground))).real
+    return {"P_1plus": p_up, "P_1minus": p_lo, "P_ground": p_g, "coherence": coh}
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +139,12 @@ def _n1_branch_series(expect, params: SystemParams):
 PROBE_TARGETS = {"1-,0": "0,1+", "2-,0": "1-,1+"}
 
 
-def hopping_interchange_probe(
-    params: SystemParams, initial: str = "1-,0", t_final: float | None = None, samples: int = 8001
-):
+def hopping_interchange_probe(params: SystemParams, initial: str = "1-,0", samples: int = 8001):
     """Maximum probability of the branch-interchanged target state.
 
-    Evolves the closed two-site lattice from the named initial state and
-    tracks the upper-branch target reached through the hopping.
+    Evolves the closed two-site lattice from the named initial state over
+    max(10/|J|, 20) (20 at J = 0) and tracks the upper-branch target reached
+    through the hopping.
     """
     if initial not in PROBE_TARGETS:
         raise ValueError(f"unknown initial state {initial!r}; use one of {sorted(PROBE_TARGETS)}")
@@ -139,8 +152,7 @@ def hopping_interchange_probe(
         raise DimensionMismatchError("the interchange probe runs on two cavities")
     if params.cavity_decay or params.atom_decay:
         raise ValueError("the interchange probe is a closed-system experiment")
-    if t_final is None:
-        t_final = max(10.0 / abs(params.hopping), 20.0) if params.hopping else 20.0
+    t_final = max(10.0 / abs(params.hopping), 20.0) if params.hopping else 20.0
     dims = params.dims
     psi0 = product_polariton_ket(dims, parse_state_spec(initial), params.g, params.delta)
     target = product_polariton_ket(
@@ -167,33 +179,13 @@ def hopping_interchange_probe(
 def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: int = 8001):
     """Polariton populations under strong atomic driving, with period fit.
 
-    Returns ``(trajectory, summary)``; the trajectory carries the series
-    P_1plus, P_1minus, P_ground and coherence, the summary the extracted and
-    closed-form oscillation periods.  Without loss the run is a ket, which
-    the trajectory does not keep.
+    Returns ``(series, summary)``: the series are the grid t and the branch
+    series of :func:`_lower_branch_run` from |1,->, the summary the extracted
+    and closed-form oscillation periods.  ``build_driven`` refuses two cavities.
     """
-    if params.n_cavities != 1:
-        raise DimensionMismatchError("the driven run covers a single cavity")
-    dims = params.dims
-    h = build_driven(params)
-    lo = site_polariton_ket(dims, 1, "-", params.g, params.delta)
-    ground_idx = dims.site_index(0, 0)
     times = np.linspace(0.0, t_final, samples)
-
-    channels = decay_channels(params)
-    if channels:
-        traj = evolve(build_liouvillian(h, channels), lo.density_matrix(), times)
-        expect = traj.expect
-        p_g = expect(Operator(dims, np.diag(np.arange(dims.total_dim) == ground_idx))).real
-    else:
-        amps = evolve_closed(h, lo, times)
-        traj, expect = Trajectory(dims, times, None), partial(expect_series, series=amps)
-        p_g = (amps[:, ground_idx].conj() * amps[:, ground_idx]).real
-    p_up, p_lo, coh = _n1_branch_series(expect, params)
-    traj.observables.update(
-        {"P_1plus": p_up, "P_1minus": p_lo, "P_ground": p_g, "coherence": coh}
-    )
-    period, t_max, heights = extract_period(times, p_up)
+    series = _lower_branch_run(params, build_driven(params), 1, times)
+    period, t_max, heights = extract_period(times, series["P_1plus"])
     omega_r, period_analytic = rabi_frequency(params)
     summary = {
         "period_extracted": period,
@@ -202,7 +194,7 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
         "maxima_times": t_max,
         "maxima_heights": heights,
     }
-    return traj, summary
+    return {"t": times, **series}, summary
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +232,26 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
     )
 
     # single cavity from the lower branch: strong atomic driving, cavity
-    # relaxation and stroboscopic detuning modulation; the closed rows stay on kets
+    # relaxation and stroboscopic detuning modulation
     single = SystemParams(omega_c=omega_c, n_fock=max(n_fock, 4))
     drive = single.with_(atom_drive=50.0, atom_drive_detuning=500.0, cavity_drive_detuning=500.0)
     lossy = single.with_(cavity_decay=1.0)
     strobe = SystemParams(omega_c=omega_c, n_fock=n_fock)
-    for mechanism, control, params, n0, generator, t_final, samples in (
+    for mechanism, control, params, n0, h, t_final, samples in (
         ("driving", "atom drive = 50 g", drive, 1, build_driven(drive), 2.0, 4001),
-        ("relaxation", "cavity decay = g", lossy, 2, standard_liouvillian(lossy), 8.0, 1601),
+        ("relaxation", "cavity decay = g", lossy, 2, build_jch(lossy), 8.0, 1601),
         ("modulation", "detuning locked to pi(2m+1)/2t", strobe, 1,
          stroboscopic_generator(strobe, 0), math.pi / strobe.g, 2001),
     ):
-        psi0 = site_polariton_ket(params.dims, n0, "-", params.g, params.delta)
-        times = np.linspace(0.0, t_final, samples)
-        if isinstance(generator, Operator):
-            expect = partial(expect_series, series=evolve_closed(generator, psi0, times))
-        else:
-            expect = evolve(generator, psi0.density_matrix(), times).expect
-        p_up, _, coh = _n1_branch_series(expect, params)
+        series = _lower_branch_run(params, h, n0, np.linspace(0.0, t_final, samples))
         rows.append(
             {
                 "mechanism": mechanism,
                 "control": control,
                 "n_cavities": 1,
                 "initial": f"{n0}-",
-                "coherence_max": float(coh.max()),
-                "interchange_probability": float(p_up.max()),
+                "coherence_max": float(series["coherence"].max()),
+                "interchange_probability": float(series["P_1plus"].max()),
                 "interchange_state": "1+",
             }
         )

@@ -62,10 +62,19 @@ class PeakReport:
 
 
 def default_frequency_grid(params: SystemParams, n_points: int = 2001) -> np.ndarray:
-    """Grid centred on the cavity frequency, wide enough for all peaks."""
+    """Grid centred on the cavity frequency, omega_c +- (4g + 2|J|), widened
+    where needed so that every one-excitation level lies at least 2g inside.
+    Those levels are the doublet (c + omega_a)/2 +- sqrt((omega_a - c)^2/4 + g^2)
+    of each cavity mode c: omega_c, or on two cavities the normal modes
+    omega_c +- J."""
     half_width = 4.0 * params.g
+    cavities = np.array([params.omega_c])
     if params.n_cavities == 2:
         half_width += 2.0 * abs(params.hopping)
+        cavities = params.omega_c + np.array([-1.0, 1.0]) * params.hopping
+    split = np.hypot((params.omega_a - cavities) / 2.0, params.g)
+    reach = np.abs((cavities + params.omega_a) / 2.0 - params.omega_c) + split
+    half_width = max(half_width, float(reach.max()) + 2.0 * params.g)
     return np.linspace(params.omega_c - half_width, params.omega_c + half_width, n_points)
 
 

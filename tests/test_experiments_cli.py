@@ -273,7 +273,7 @@ class TestCli:
             ("experiment = ramp\ndelta = 7.0\n", (), 2),
             ("experiment = spectrum\natom_drive = 3.0\n", (), 2),
             ("experiment = perturbation_report\n", ("--strict-ramp",), 2),
-            ("experiment = two_cavity_spectrum\nn_cavities = 1\n", (), 3),
+            ("experiment = two_cavity_spectrum\nn_cavities = 1\n", (), 2),
             ("experiment = ramp\nmode = -1\n", (), 3),
         ],
         ids=lambda v: v.replace("\n", " ").strip() if isinstance(v, str) else None,
@@ -281,8 +281,9 @@ class TestCli:
     def test_input_the_experiment_cannot_use_is_refused(
         self, tmp_path, capsys, text, flags, code
     ):
-        # parameters the runner never reads, --strict-ramp outside the ramp,
-        # one cavity for the two-cavity spectrum and an unsolvable ramp mode
+        # parameters the runner never reads (n_cavities included: each
+        # experiment runs on a fixed number of cavities), --strict-ramp outside
+        # the ramp and an unsolvable ramp mode
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), *flags]) == code
@@ -298,8 +299,9 @@ class TestCli:
         monkeypatch.setattr("jchsim.experiments.standard_liouvillian", unexpected)
         cfg = tmp_path / "two.cfg"
         cfg.write_text("experiment = spectrum\nn_cavities = 2\n")
-        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
-        assert "single cavity" in capsys.readouterr().err
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "does not read parameter 'n_cavities'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_variance_grid_refuses_zero_hopping_before_any_solve(
         self, tmp_path, capsys, monkeypatch

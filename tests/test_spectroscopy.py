@@ -12,6 +12,7 @@ from jchsim import (
     absorption_spectrum,
     absorption_spectrum_analytic,
     annihilation_at,
+    build_jch,
     default_frequency_grid,
     find_peaks,
     mixing_angle,
@@ -19,6 +20,7 @@ from jchsim import (
     site_polariton_ket,
     standard_liouvillian,
     steady_state,
+    total_excitation,
 )
 from jchsim.spectroscopy import _decaying_modes, local_maxima, parabolic_refine
 
@@ -279,3 +281,29 @@ def test_default_grid_extends_with_hopping():
     g2 = default_frequency_grid(pair)
     assert g1[0] == pytest.approx(96.0) and g1[-1] == pytest.approx(104.0)
     assert g2[0] == pytest.approx(76.0) and g2[-1] == pytest.approx(124.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(-8.0, 8.0), st.floats(0.05, 0.5))
+def test_default_grid_resolves_both_polaritons_at_any_detuning(delta, rate):
+    # beyond |delta| = 3.75 g the atom-like level left the old omega_c +- 4g
+    # window; at equal rates the weaker peak is still tan^2(theta_1) >= 1.5%
+    # of the stronger at |delta| = 8, above find_peaks' 1% floor; from a rate of
+    # about 0.8 the tail of one line moves the other's peak by over a grid step
+    params = SystemParams(omega_c=100.0, delta=delta, cavity_decay=rate, atom_decay=rate)
+    grid = default_frequency_grid(params)
+    report = find_peaks(absorption_spectrum_analytic(params, grid))
+    split = math.hypot(delta / 2.0, params.g)
+    for level in params.omega_c + delta / 2.0 + np.array([-split, split]):
+        assert np.abs(report.positions - level).min() <= grid[1] - grid[0]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.floats(-8.0, 8.0), st.floats(0.0, 3.0))
+def test_default_grid_holds_every_two_cavity_level_with_margin(delta, hopping):
+    params = SystemParams(omega_c=100.0, delta=delta, hopping=hopping, n_fock=2, n_cavities=2)
+    one = np.flatnonzero(np.isclose(total_excitation(params.dims).data.diagonal().real, 1.0))
+    levels = np.linalg.eigvalsh(build_jch(params).data[np.ix_(one, one)])
+    grid = default_frequency_grid(params)
+    assert levels.min() - grid[0] >= 2.0 * params.g - 1e-9
+    assert grid[-1] - levels.max() >= 2.0 * params.g - 1e-9

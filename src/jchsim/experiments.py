@@ -246,7 +246,7 @@ EXPERIMENTS = {
             "n_cavities": 1,
         },
         {"n_points": 2001},
-        ("g", "delta", "omega_c", "cavity_decay", "atom_decay", "n_fock"),
+        ("g", "delta", "omega_c", "cavity_decay", "atom_decay"),
     ),
     "two_cavity_spectrum": ExperimentSpec(
         _run_two_cavity_spectrum,
@@ -261,7 +261,7 @@ EXPERIMENTS = {
             "n_cavities": 2,
         },
         {"n_points": 2001},
-        ("g", "delta", "omega_c", "hopping", "cavity_decay", "atom_decay", "n_fock"),
+        ("g", "delta", "omega_c", "hopping", "cavity_decay", "atom_decay"),
     ),
     "driven_oscillation": ExperimentSpec(
         _run_driven_oscillation,

@@ -1,33 +1,32 @@
-"""Lindblad master-equation engine on dense, vectorized density matrices.
+"""Lindblad master-equation engine on the Hilbert sectors a state reaches.
 
 Vectorization convention (fixed package-wide): matrices are stacked row by
 row, ``vec(rho) = rho.reshape(-1)``, so ``vec(A rho B) = (A kron B^T) vec(rho)``.
-:func:`build_liouvillian` is the one place a generator is assembled, from the
-no-jump Hamiltonian H_eff (Dalibard, Castin & Molmer, PRL 68, 580 (1992)),
-filled entry by entry into a zeroed array.
-
-Its nonzero pattern is read once per generator: pairs of excitation
-manifolds (without drive) cut it into pair blocks in which the generator is
-block lower triangular (:attr:`Liouvillian._pairs`).  :func:`steady_state`
-needs no eigenbasis: values-only SVDs of the pair blocks find the singular
-ones, and the rank-revealing SVD of the generator on what they reach gives
-the dimension of the kernel and its null vector (Golub & Van Loan, Matrix
-Computations, 4th ed., secs. 2.4 and 5.4); the steady state is unique when
-the kernel is one-dimensional.  :meth:`Liouvillian.modes` given a seed matrix
-decomposes only what its support reaches along nonzero entries, which from
-a^dag |0><0| is the (one excitation, vacuum) pair block.
+:func:`build_liouvillian` is the one place a generator is made, kept as the
+no-jump Hamiltonian H_eff (Dalibard, Castin & Molmer, PRL 68, 580 (1992)) and
+the jumps, D x D each, and formed by the Kronecker formula only on the indices
+a use reaches.  H_eff links Hilbert indices both ways and each jump links them
+forward; no entry of the generator leaves S x S for a set S that no link
+leaves, nor a weak piece of it, a symmetry sector (Buca & Prosen, New J. Phys.
+14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  A spectrum from
+a^dag |0><0| is formed on |k><0|, k one excitation, at any photon cutoff.
+:func:`steady_state` needs no eigenbasis: values-only SVDs of the pair blocks
+find the singular ones, and the rank-revealing SVD of the generator on what
+they reach gives the dimension of the kernel and its null vector (Golub & Van
+Loan, Matrix Computations, 4th ed., secs. 2.4 and 5.4).
 
 Each generator type has one propagator.  :func:`evolve` steps a density
-matrix along a uniform grid by the exact exp(L dt) on one block, the closure
-of vec(rho0) joined with its mirror, formed by scaling and squaring in real
-coordinates on a Hermitian basis, where the generator is a real matrix
-(Alicki & Lendi, Lect. Notes Phys. 286 (1987)); :func:`evolve_closed`
-rotates a ket in the eigenbasis of the Hamiltonian block its support reaches.
+matrix along a uniform grid by the exact exp(L dt) on the sector the initial
+state reaches, formed by scaling and squaring in real coordinates on a
+Hermitian basis, where the generator is a real matrix (Alicki & Lendi, Lect.
+Notes Phys. 286 (1987)); :func:`evolve_closed` rotates a ket in the
+eigenbasis of the Hamiltonian block its support reaches.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .hilbert import DensityMatrix, HilbertDims, Ket, Operator
 
 ZERO_MODE_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
-HERMITICITY_DRIFT_TOL = 1e-9
 EIGENBASIS_COND_LIMIT = 1e12
 GRID_UNIFORMITY_TOL = 1e-9
 
@@ -62,96 +60,102 @@ class LiouvillianModes:
 
 @dataclass
 class Liouvillian:
-    """Dense superoperator acting on row-stacked density matrices."""
+    """Lindblad generator held as D x D arrays, the no-jump Hamiltonian ``h_eff``
+    and the (jump, rate) pairs ``jumps`` of nonzero rate, and formed only on the
+    superoperator indices that a use reaches (:meth:`_block`); :attr:`data`,
+    the whole of it, is assembled on first read."""
 
     dims: HilbertDims
-    data: np.ndarray
+    h_eff: np.ndarray
+    jumps: tuple
 
-    def __post_init__(self):
-        d2 = self.dims.total_dim**2
-        data = np.asarray(self.data, dtype=complex)
-        if data.shape != (d2, d2):
-            raise DimensionMismatchError(
-                f"superoperator shape {data.shape} does not match dim^2 = {d2}"
-            )
-        self.data = data
+    def _block(self, index: np.ndarray) -> np.ndarray:
+        """The generator on the sorted superoperator indices ``index`` (a stack
+        of them gives a stack), the principal submatrix of the whole: the entry
+        from |k><l| to |i><j| of -i (H_eff kron I - I kron H_eff^*)
+        + sum_c rate_c L_c kron L_c^*, entry by entry the same products."""
+        d = self.dims.total_dim
+        (i, j), (k, l) = np.divmod(index[..., :, None], d), np.divmod(index[..., None, :], d)
+        ik, jl = i * d + k, j * d + l  # flat positions in a D x D array
+        out = -1j * (self.h_eff.take(ik) * (j == l) - (i == k) * self.h_eff.take(jl).conj())
+        for jump, rate in self.jumps:
+            out += rate * (jump.take(ik) * jump.take(jl).conj())
+        return out
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense D^2 x D^2 generator acting on row-stacked density matrices."""
+        return self._block(np.arange(self.dims.total_dim**2))
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        """Action on a density-matrix-shaped array, returned in matrix shape."""
-        rows, cols = self._entries
-        out = np.zeros(len(self.data), dtype=complex)
-        np.add.at(out, rows, self.data[rows, cols] * vectorize(mat).reshape(len(out))[cols])
-        return out.reshape(self.dims.total_dim, -1)
+        """-i H_eff rho + i rho H_eff^dag + sum_k rate_k L_k rho L_k^dag."""
+        out = -1j * (self.h_eff @ mat) + 1j * (mat @ self.h_eff.conj().T)
+        for jump, rate in self.jumps:
+            out += rate * (jump @ mat @ jump.conj().T)
+        return out
 
     @cached_property
-    def _entries(self) -> tuple:
-        """(rows, cols) of the nonzero entries: each leads from index cols[e] to rows[e]."""
-        return np.divmod(np.flatnonzero(self.data != 0), len(self.data))
+    def _reach(self) -> np.ndarray:
+        """reach[k, k'] when Hilbert index k leads to k' on the graph in which
+        H_eff links indices both ways and each jump links them forward.  No
+        entry of the generator leaves a product of sets that no link leaves."""
+        linked = (self.h_eff != 0) | (self.h_eff != 0).T
+        for jump, _ in self.jumps:
+            linked |= (jump != 0).T
+        return _transitive(linked)
 
-    @cached_property
-    def _pairs(self) -> tuple:
-        """(label, members, links) of the pair blocks in an order by reach.
-
-        The one-sided graph links Hilbert index k to k' when a nonzero entry
-        maps |k><.| to |k'><.| or |.><k| to |.><k'|; its strongly connected
-        components, numbered upstream first, make pair block (a, b) of the
-        indices |i><j| with i in component a and j in component b.  Every
-        entry leads downstream on both sides, so from a block to itself or to
-        a later one: the generator is block lower triangular.  ``label[k]`` is
-        the block of superoperator index k, ``members[p]`` the sorted indices
-        of block p, and ``links[p, q]`` whether an entry leads from p to q."""
+    def _closure(self, seed: np.ndarray) -> np.ndarray:
+        """Sorted superoperator indices of S x S, S the Hilbert sector that the
+        rows and columns of the superoperator mask ``seed`` reach, in the weak
+        pieces that ``seed`` meets: a set that no entry leaves and that holds
+        everything ``seed`` leads to."""
         d = self.dims.total_dim
-        rows, cols = self._entries
-        one_sided = np.zeros((d, d), dtype=bool)  # [from, to]
-        one_sided[cols // d, rows // d] = True
-        one_sided[cols % d, rows % d] = True
-        reach = _transitive(one_sided)
-        first = (reach & reach.T).argmax(axis=1)  # lowest index of each component
-        heads = np.unique(first)
-        # a component reaches strictly more indices than any it leads to
-        rank = np.empty(d, dtype=int)
-        rank[heads[np.lexsort((heads, -reach[heads].sum(axis=1)))]] = np.arange(len(heads))
-        comp = rank[first]
-        label = (comp[:, None] * len(heads) + comp).reshape(-1)
-        n_pairs = len(heads) ** 2
-        links = np.zeros((n_pairs, n_pairs), dtype=bool)
-        links[label[cols], label[rows]] = True
-        return label, _groups(label), links
+        ends = np.union1d(*np.divmod(np.flatnonzero(seed), d))  # its rows and columns
+        sector = np.flatnonzero(self._reach[ends].any(axis=0))
+        square = (sector[:, None] * d + sector).reshape(-1)
+        return square[np.isin(self._piece[square], self._piece[seed])]
 
     @cached_property
-    def _blocks(self) -> list:
-        """Sorted index arrays of the weakly connected components of the
-        links between pair blocks (without drive, the coherence orders), in
-        the order of their first pair block."""
-        label, _, links = self._pairs
-        return _groups(_transitive(links | links.T).argmax(axis=1)[label])
+    def _component(self) -> np.ndarray:
+        """Label of the strongly connected component of the reach that holds
+        each Hilbert index (without drive, its excitation manifold).  H_eff
+        links nothing across components; only jumps lead from one to another."""
+        reach = self._reach
+        return np.unique((reach & reach.T).argmax(axis=1), return_inverse=True)[1]
 
-    def _reached(self, vec: np.ndarray | None) -> tuple:
-        """(index, pieces): the closure of the support of ``vec`` along
-        nonzero entries (without a vector, every index) and its parts in the
-        weak blocks it meets."""
-        if vec is None:
-            return np.arange(len(self.data)), self._blocks
-        inside = _reachable(*self._entries, vec != 0)
-        pieces = [idx[inside[idx]] for idx in self._blocks if inside[idx].any()]
-        return np.flatnonzero(inside), pieces
+    @cached_property
+    def _piece(self) -> np.ndarray:
+        """Label of the weakly connected piece of the generator that holds each
+        superoperator index (without drive, its coherence order), found on the
+        graph of component pairs (a, b): a jump that leads from a to a' and
+        from b to b' links (a, b) to (a', b')."""
+        label, c = self._component, self._component.max() + 1
+        links = np.zeros((c * c, c * c), dtype=bool)
+        for jump, _ in self.jumps:
+            hop = np.zeros((c, c), dtype=bool)  # [from, to]
+            to, frm = np.nonzero(jump)
+            hop[label[frm], label[to]] = True
+            links |= np.kron(hop, hop)
+        return _transitive(links | links.T).argmax(axis=1)[(label[:, None] * c + label).reshape(-1)]
 
     def modes(self, seed: np.ndarray | None = None) -> LiouvillianModes:
-        """Eigen-decomposition of the generator restricted to what the
-        support of the matrix ``seed`` reaches along nonzero entries, one
-        weak block (:attr:`_blocks`) at a time; without a seed, of every weak
-        block, so ``index`` is every superoperator index.  A seed reaches a
-        set that no entry leaves, so its modes are modes of the generator.
-        Each call decomposes what it reaches.  A closed, anti-Hermitian
-        piece goes through ``eigh``, so its eigenbasis stays unitary at
-        degenerate eigenvalues; the condition number is that of the
-        block-diagonal eigenbasis of the pieces reached."""
-        index, reached = self._reached(None if seed is None else vectorize(seed))
+        """Eigen-decomposition of the generator on :meth:`_closure` of the
+        support of the matrix ``seed``, a set no entry leaves, so its modes are
+        modes of the generator; without a seed, of the whole, one weak piece
+        (:attr:`_piece`) at a time, so ``index`` is every superoperator index.
+        A closed, anti-Hermitian piece goes through ``eigh``, so its eigenbasis
+        stays unitary at degenerate eigenvalues; the condition number is that
+        of the block-diagonal eigenbasis of the pieces."""
+        if seed is None:
+            index = np.arange(self.dims.total_dim**2)
+            pieces = [(idx, self._block(idx)) for idx in _groups(self._piece)]
+        else:
+            index = self._closure(vectorize(seed) != 0)
+            pieces = [(np.arange(len(index)), self._block(index))] if len(index) else []
         w = np.empty(len(index), dtype=complex)
         v, v_inv = np.zeros((2, len(index), len(index)), dtype=complex)
         s_max, s_min = 0.0, np.inf
-        for idx in reached:
-            block = self.data[np.ix_(idx, idx)]
+        for pos, block in pieces:
             if np.array_equal(block, -block.conj().T):
                 lam, vb = np.linalg.eigh(1j * block)
                 wb = -1j * lam
@@ -162,7 +166,6 @@ class Liouvillian:
             cond = s_max / s_min if s_min > 0 else np.inf
             if not np.isfinite(cond) or cond > EIGENBASIS_COND_LIMIT:
                 raise NumericalError(f"Liouvillian eigenbasis is ill-conditioned (cond {cond:.2e})")
-            pos = np.searchsorted(index, idx)
             w[pos] = wb
             v[np.ix_(pos, pos)] = vb
             v_inv[np.ix_(pos, pos)] = np.linalg.inv(vb)
@@ -177,10 +180,11 @@ def _groups(key: np.ndarray) -> list:
 
 
 def _transitive(linked: np.ndarray) -> np.ndarray:
-    """Reflexive transitive closure of a square boolean adjacency, by squaring."""
+    """Reflexive transitive closure of a square boolean adjacency, by squaring
+    (in floating point, which BLAS multiplies)."""
     reach = linked | np.eye(len(linked), dtype=bool)
     while True:
-        wider = reach @ reach
+        wider = np.matmul(reach, reach, dtype=float) > 0
         if np.array_equal(wider, reach):
             return reach
         reach = wider
@@ -209,16 +213,7 @@ def build_liouvillian(h: Operator, channels=()) -> Liouvillian:
         if rate < 0:
             raise ValueError("dissipation rate must be non-negative")
         h_eff = h_eff - 0.5j * rate * (jump.data.conj().T @ jump.data)
-    d = h.dims.total_dim
-    k = np.arange(d)
-    data = np.zeros((d, d, d, d), dtype=complex)  # [row i1, row i2, column j1, column j2]
-    data[:, k, :, k] = -1j * h_eff
-    data[k, :, k, :] += 1j * h_eff.conj()
-    for jump, rate in channels:
-        rows, cols = np.nonzero(jump.data)
-        vals = jump.data[rows, cols]
-        data[rows[:, None], rows, cols[:, None], cols] += rate * (vals[:, None] * vals.conj())
-    return Liouvillian(h.dims, data.reshape(d * d, d * d))
+    return Liouvillian(h.dims, h_eff, tuple((jump.data, rate) for jump, rate in channels if rate))
 
 
 def standard_liouvillian(params: SystemParams) -> Liouvillian:
@@ -312,10 +307,10 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     starts at t_grid[0]); a grid that strays from uniform by more than
     ``GRID_UNIFORMITY_TOL`` of its step raises ``ValueError``.
 
-    What vec(rho0) reaches along nonzero entries, joined with its mirror under
-    (i, j) <-> (j, i), goes by index gathers into the coordinates of
-    :func:`_hermitian_frame` as one block.  There T L T^dag must be real to
-    ``HERMITICITY_DRIFT_TOL`` of max|L| (else ``NumericalError``); P = exp(L dt)
+    The generator is formed on :meth:`Liouvillian._closure` of vec(rho0), a set
+    closed under (i, j) <-> (j, i) that leaves out the fast coherences between
+    manifolds that rho0 lacks.  In the coordinates of :func:`_hermitian_frame`
+    it is real, as it maps Hermitian matrices to Hermitian ones; P = exp(L dt)
     by :func:`_expm` and doubling give the samples, with no eigenbasis, exactly
     0 elsewhere.  Trace drift is checked; a ket goes through :func:`evolve_closed`.
     """
@@ -329,17 +324,14 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     d = liouv.dims.total_dim
     mirror, alpha = _hermitian_frame(d)
     vec = vectorize(rho0.data)
-    inside = _reachable(*liouv._entries, vec != 0)
-    idx = np.flatnonzero(inside | inside[mirror])
+    idx = liouv._closure(vec != 0)
     a, m = alpha[idx], np.searchsorted(idx, mirror[idx])
-    sub = liouv.data[np.ix_(idx, idx)]
+    sub = liouv._block(idx)
     half = sub * a.conj() + sub[:, m] * a  # L T^dag, then T L T^dag
-    real = a[:, None] * half + a.conj()[:, None] * half[m]
-    if np.abs(real.imag).max() > HERMITICITY_DRIFT_TOL * np.abs(sub).max():
-        raise NumericalError("generator does not map Hermitian matrices to Hermitian ones")
+    real = (a[:, None] * half + a.conj()[:, None] * half[m]).real
     x0 = (a * vec[idx] + a.conj() * vec[mirror[idx]]).real
-    coords = series = _doubling(_expm(step * real.real), x0, len(times))
-    if len(idx) < d * d:  # exactly 0 outside the closure
+    coords = series = _doubling(_expm(step * real), x0, len(times))
+    if len(idx) < d * d:  # exactly 0 elsewhere
         coords = np.zeros((len(times), d * d))
         coords[:, idx] = series
     traj = Trajectory(liouv.dims, times, coords)
@@ -381,29 +373,33 @@ def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
 def steady_state(liouv: Liouvillian) -> DensityMatrix:
     """Stationary state from the null space of the generator.
 
-    The generator is block lower triangular in its pair blocks, so its kernel
-    lies in the closure of the singular ones: the indices that nonzero entries
-    lead to from them.  Values-only SVDs of the pair blocks, batched by size,
-    find the blocks with a singular value below ``ZERO_MODE_TOL``; the SVD of
-    the generator restricted to their closure counts its zero modes, the
-    dimension of the kernel, and raises if there is none or more than one.
-    The right singular vector of the single zero mode is the state, up to its
-    trace.  For the undriven lossy lattice that closure is the vacuum alone.
+    Only jumps lead from one component of the reach (:attr:`Liouvillian._component`)
+    to another, so the generator is block triangular in the pair blocks, the
+    indices |i><j| with i in component a and j in b, and its kernel lies in
+    what the singular ones reach.  Each pair block is formed from the D x D
+    pieces and certified by a values-only SVD; (b, a) is the complex conjugate
+    of (a, b) on transposed indices, so a <= b covers both.  The SVD of the
+    generator on :meth:`Liouvillian._closure` of the singular blocks counts
+    the zero modes and raises if there is none or more than one; the right
+    singular vector of the one zero mode is the state, up to its trace.  For
+    the undriven lossy lattice that closure is the vacuum alone.
     """
     d = liouv.dims.total_dim
-    _, members, _ = liouv._pairs
-    sizes = np.array([len(idx) for idx in members])
-    singular = np.zeros(d * d, dtype=bool)
+    shapes = {}  # pairs (a, b), a <= b, by block shape
+    for a, b in combinations_with_replacement(_groups(liouv._component), 2):
+        shapes.setdefault((len(a), len(b)), []).append((a, b))
+    singular = np.zeros((d, d), dtype=bool)  # an index |i><j| of each singular pair block
     s_min, zeros = np.inf, 0
-    for size in np.unique(sizes):
-        group = np.stack([members[p] for p in np.flatnonzero(sizes == size)])
-        sv = np.linalg.svd(liouv.data[group[:, :, None], group[:, None, :]], compute_uv=False)
-        s_min = min(s_min, sv[:, -1].min())
-        singular[group[sv[:, -1] < ZERO_MODE_TOL]] = True
+    for pairs in shapes.values():  # one stacked block and SVD per shape
+        rows, cols = (np.stack(side) for side in zip(*pairs))
+        index = (rows[:, :, None] * d + cols[:, None, :]).reshape(len(pairs), -1)
+        sv = np.linalg.svd(liouv._block(index), compute_uv=False)[:, -1]
+        s_min = min(s_min, sv.min())
+        singular.flat[index[sv < ZERO_MODE_TOL, 0]] = True
     vec = np.zeros(d * d, dtype=complex)
     if singular.any():
-        index = np.flatnonzero(_reachable(*liouv._entries, singular))
-        _, sv, vh = np.linalg.svd(liouv.data[np.ix_(index, index)])
+        index = liouv._closure((singular | singular.T).reshape(-1))
+        _, sv, vh = np.linalg.svd(liouv._block(index))
         s_min, zeros = sv[-1], np.count_nonzero(sv < ZERO_MODE_TOL)
         vec[index] = vh[-1].conj()
     if zeros == 0:

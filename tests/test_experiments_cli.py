@@ -274,6 +274,8 @@ class TestCli:
             ("experiment = spectrum\natom_drive = 3.0\n", (), 2),
             ("experiment = perturbation_report\n", ("--strict-ramp",), 2),
             ("experiment = two_cavity_spectrum\nn_cavities = 1\n", (), 2),
+            ("experiment = spectrum\nn_fock = 3\n", (), 2),
+            ("experiment = two_cavity_spectrum\nn_fock = 3\n", (), 2),
             ("experiment = ramp\nmode = -1\n", (), 3),
         ],
         ids=lambda v: v.replace("\n", " ").strip() if isinstance(v, str) else None,
@@ -282,8 +284,9 @@ class TestCli:
         self, tmp_path, capsys, text, flags, code
     ):
         # parameters the runner never reads (n_cavities included: each
-        # experiment runs on a fixed number of cavities), --strict-ramp outside
-        # the ramp and an unsolvable ramp mode
+        # experiment runs on a fixed number of cavities; n_fock for the
+        # spectra, which are the same at any photon cutoff), --strict-ramp
+        # outside the ramp and an unsolvable ramp mode
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), *flags]) == code
@@ -330,7 +333,7 @@ class TestCli:
         # with a Jordan block, whose steady state needs no eigenbasis; the
         # spectrum of the vacuum is 2 Im <1,g| (H_eff - omega)^-1 |1,g>
         cfg = tmp_path / "defective.cfg"
-        cfg.write_text("experiment = spectrum\nn_fock = 2\ndelta = 0\n"
+        cfg.write_text("experiment = spectrum\ndelta = 0\n"
                        "cavity_decay = 0\natom_decay = 1.0\nn_points = 201\n")
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()

@@ -34,12 +34,8 @@ from jchsim import (
     total_excitation,
     trace_distance,
 )
-from jchsim.lindblad import (
-    GRID_UNIFORMITY_TOL,
-    ZERO_MODE_TOL,
-    LiouvillianModes,
-    vectorize,
-)
+from jchsim.lindblad import GRID_UNIFORMITY_TOL, ZERO_MODE_TOL, vectorize
+from jchsim.spectroscopy import AMPLITUDE_FLOOR
 
 from conftest import random_density_matrix, random_kets
 
@@ -131,19 +127,22 @@ class TestLiouvillian:
         x = x + x.T
         assert abs(np.trace(liouv.apply(x))) < 1e-10
 
-    def test_undriven_blocks_are_the_coherence_orders(self):
-        # each connected component of the nonzero pattern holds one
-        # k = N_ket - N_bra, and every k is one component
+    def test_undriven_blocks_are_the_coherence_orders(self, monkeypatch):
+        # modes() without a seed decomposes one weakly connected piece at a
+        # time: each piece holds one k = N_ket - N_bra, every k is one piece,
+        # and no eigenvector leaves its piece
         p = SystemParams(
             delta=0.3, omega_c=9.0, hopping=0.4, cavity_decay=0.5, atom_decay=0.2,
             n_fock=2, n_cavities=2,
         )
         n = np.rint(np.diag(total_excitation(p.dims).data).real)
         order = (n[:, None] - n[None, :]).reshape(-1)  # row-stacked vec(|i><j|)
-        blocks = standard_liouvillian(p)._blocks
-        assert all(np.ptp(order[b]) == 0 for b in blocks)
-        assert len(blocks) == len(np.unique(order)) == 13
-        assert max(len(b) for b in blocks) == 262
+        eig, sizes = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: sizes.append(len(a)) or eig(a))
+        modes = standard_liouvillian(p).modes()
+        assert sorted(sizes) == sorted(np.unique(order, return_counts=True)[1])
+        assert len(sizes) == 13 and max(sizes) == 262
+        assert not modes.right[order[:, None] != order[None, :]].any()
 
     def test_driven_generator_is_one_block_decomposed_as_dense(self):
         p = SystemParams(
@@ -169,9 +168,10 @@ _offsets = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 
 @st.composite
 def small_generators(draw, n_cavities):
-    """(closed, Liouvillian, cavity-0 lowering operator) of a random closed,
-    lossy or driven JC(H) system, in a randomly relabeled basis so that a
-    block need not start at its lowest index."""
+    """(closed, Liouvillian, cavity-0 lowering operator, Kronecker oracle of
+    the generator) of a random closed, lossy or driven JC(H) system, in a
+    randomly relabeled basis so that a block need not start at its lowest
+    index."""
     kind = draw(st.sampled_from(["closed", "lossy", "driven"] if n_cavities == 1
                                 else ["closed", "lossy"]))
     p = SystemParams(
@@ -193,13 +193,25 @@ def small_generators(draw, n_cavities):
     def relabel(op):
         return Operator(p.dims, op.data[np.ix_(order, order)])
 
-    liouv = build_liouvillian(relabel(h), [(relabel(jump), rate) for jump, rate in channels])
-    return kind == "closed", liouv, relabel(annihilation_at(p.dims, 0))
+    h, channels = relabel(h), [(relabel(jump), rate) for jump, rate in channels]
+    return (kind == "closed", build_liouvillian(h, channels), relabel(annihilation_at(p.dims, 0)),
+            kron_liouvillian(h, channels))
 
 
-def assert_blocked_modes_match_dense(closed, liouv, a_op):
-    """Blocked ``modes()`` against one dense ``np.linalg.eig`` of the generator."""
-    w_ref, v_ref = np.linalg.eig(liouv.data)
+def dense_spectrum(w, v, index, rho_ss, a_op, grid):
+    """The spectrum that ``absorption_spectrum`` sums, from the eigenpairs
+    (w, v) of the generator on the superoperator indices ``index``, with the
+    same zero-mode and weight floors."""
+    weights = (vectorize(a_op.data.T)[index] @ v) * np.linalg.solve(
+        v, vectorize(a_op.dag().data @ rho_ss.data)[index])
+    keep = ((np.abs(w) >= ZERO_MODE_TOL)
+            & (np.abs(weights) > AMPLITUDE_FLOOR * max(float(np.abs(weights).max()), 1.0)))
+    return 2.0 * (weights[keep] / (-w[keep] - 1j * grid[:, None])).real.sum(axis=1)
+
+
+def assert_blocked_modes_match_dense(closed, liouv, a_op, oracle):
+    """Blocked ``modes()`` against one dense ``np.linalg.eig`` of the oracle."""
+    w_ref, v_ref = np.linalg.eig(oracle)
     try:
         modes = liouv.modes()
     except NumericalError:
@@ -209,12 +221,12 @@ def assert_blocked_modes_match_dense(closed, liouv, a_op):
     # both routes lose accuracy in proportion to the conditioning of their
     # eigenbases, which modes() accepts up to EIGENBASIS_COND_LIMIT
     cond = max(np.linalg.cond(modes.right), np.linalg.cond(v_ref))
-    tol = 1e-13 * cond * max(1.0, float(np.abs(liouv.data).max()))
+    tol = 1e-13 * cond * max(1.0, float(np.abs(oracle).max()))
     w = modes.eigenvalues
     sorted_error = max(np.abs(np.sort(w.real) - np.sort(w_ref.real)).max(),
                        np.abs(np.sort(w.imag) - np.sort(w_ref.imag)).max())
     nearest_error = np.abs(w[:, None] - w_ref[None, :]).min(axis=1).max()
-    rebuild_error = np.abs(modes.right @ np.diag(w) @ modes.right_inv - liouv.data).max()
+    rebuild_error = np.abs(modes.right @ np.diag(w) @ modes.right_inv - oracle).max()
     assert max(sorted_error, nearest_error, rebuild_error) < tol
     assert np.array_equal(modes.index, np.arange(len(w)))
     if closed:
@@ -225,12 +237,9 @@ def assert_blocked_modes_match_dense(closed, liouv, a_op):
         rho_ss = steady_state(liouv)
     except NumericalError:
         return
-    dense = Liouvillian(liouv.dims, liouv.data)
-    dense_modes = LiouvillianModes(w_ref, v_ref, np.linalg.inv(v_ref), np.arange(len(w_ref)))
-    dense.modes = lambda seed=None: dense_modes
     grid = np.linspace(-15.0, 15.0, 121)
     blocked = absorption_spectrum(liouv, rho_ss, a_op, grid).values
-    reference = absorption_spectrum(dense, rho_ss, a_op, grid).values
+    reference = dense_spectrum(w_ref, v_ref, np.arange(len(w_ref)), rho_ss, a_op, grid)
     assert np.abs(blocked - reference).max() < 1e-12 * cond * max(1.0, np.abs(reference).max())
 
 
@@ -240,21 +249,75 @@ def test_blocked_modes_match_dense_one_cavity(generator):
     assert_blocked_modes_match_dense(*generator)
 
 
-# a dense eig of the 1296-wide two-cavity generator takes seconds, so a
-# failing example is reported as drawn, not shrunk
-@settings(deadline=None, max_examples=2, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def oracle_pieces(oracle: np.ndarray) -> np.ndarray:
+    """Label of the weakly connected piece of the oracle's nonzero pattern
+    that holds each superoperator index, by a plain search."""
+    linked = (oracle != 0) | (oracle != 0).T
+    label = np.full(len(oracle), -1)
+    for k in range(len(oracle)):
+        if label[k] < 0:
+            label[closure_oracle(linked, np.arange(len(oracle)) == k)] = k
+    return label
+
+
+# every example decomposes a 1296-wide two-cavity generator, so a failing
+# example is reported as drawn, not shrunk
+@settings(deadline=None, max_examples=4, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(small_generators(n_cavities=2))
 def test_blocked_modes_match_dense_two_cavities(generator):
-    assert_blocked_modes_match_dense(*generator)
+    # with no dense eig of the whole: unseeded modes() against the oracle
+    # piece by piece (its weakly connected pieces), where the eigenpairs must
+    # rebuild it and no eigenvector may leave its piece; the spectrum against
+    # the eigenpairs of the oracle on the closure of a^dag rho_ss along its
+    # nonzero entries, with no Hilbert sector involved
+    closed, liouv, a_op, oracle = generator
+    label = oracle_pieces(oracle)
+    pieces = [np.flatnonzero(label == k) for k in np.unique(label)]
+    try:
+        modes = liouv.modes()
+    except NumericalError:
+        # refused only where the oracle's eigenbasis is near-singular as well
+        sv = [np.linalg.svd(np.linalg.eig(oracle[np.ix_(idx, idx)])[1], compute_uv=False)
+              for idx in pieces]
+        assert max(s[0] for s in sv) / min(s[-1] for s in sv) > 1e6
+        return
+    assert np.array_equal(modes.index, np.arange(len(oracle)))
+    across = label[:, None] != label[None, :]
+    assert not modes.right[across].any() and not modes.right_inv[across].any()
+    # the eigenbasis is block diagonal over the pieces, so its condition
+    # number is the ratio of its extreme singular values over all of them
+    sv = [np.linalg.svd(modes.right[np.ix_(idx, idx)], compute_uv=False) for idx in pieces]
+    cond = max(s[0] for s in sv) / min(s[-1] for s in sv)
+    tol = 1e-13 * cond * max(1.0, float(np.abs(oracle).max()))
+    for idx in pieces:
+        v, v_inv = modes.right[np.ix_(idx, idx)], modes.right_inv[np.ix_(idx, idx)]
+        rebuild = v @ np.diag(modes.eigenvalues[idx]) @ v_inv
+        assert np.abs(rebuild - oracle[np.ix_(idx, idx)]).max() < tol
+        if closed:
+            assert np.abs(v.conj().T @ v - np.eye(len(idx))).max() < 1e-12
+    if closed:
+        return
+    try:
+        rho_ss = steady_state(liouv)
+    except NumericalError:
+        return
+    index = closure_oracle(oracle, vectorize(a_op.dag().data @ rho_ss.data) != 0)
+    w_ref, v_ref = np.linalg.eig(oracle[np.ix_(index, index)])
+    grid = np.linspace(-15.0, 15.0, 121)
+    blocked = absorption_spectrum(liouv, rho_ss, a_op, grid).values
+    reference = dense_spectrum(w_ref, v_ref, index, rho_ss, a_op, grid)
+    cond = max(cond, np.linalg.cond(v_ref))
+    assert np.abs(blocked - reference).max() < 1e-12 * cond * max(1.0, np.abs(reference).max())
 
 
 @settings(deadline=None, max_examples=60)
 @given(small_generators(n_cavities=1))
 def test_steady_state_matches_the_dense_zero_mode(generator):
-    # wherever one dense eig finds a single zero mode in a well-conditioned
-    # eigenbasis, the null space of the blocks holds the same state
-    _, liouv, _ = generator
-    w, v = np.linalg.eig(liouv.data)
+    # wherever one dense eig of the oracle finds a single zero mode in a
+    # well-conditioned eigenbasis, the null space of the blocks holds the
+    # same state
+    _, liouv, _, oracle = generator
+    w, v = np.linalg.eig(oracle)
     zero = np.flatnonzero(np.abs(w) < ZERO_MODE_TOL)
     assume(len(zero) == 1 and np.linalg.cond(v) < 1e8)
     d = liouv.dims.total_dim
@@ -265,22 +328,26 @@ def test_steady_state_matches_the_dense_zero_mode(generator):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.one_of(small_generators(n_cavities=1), small_generators(n_cavities=2)))
-def test_pair_blocks_are_ordered_by_reach(generator):
-    # numbered by reach, the pair blocks partition the superoperator indices
-    # and no nonzero entry points from a pair block to one upstream of it, on
-    # either side: the generator is block lower triangular
-    _, liouv, _ = generator
-    label, members, links = liouv._pairs
-    n = math.isqrt(len(members))
-    assert n * n == len(members)
-    assert np.array_equal(np.sort(np.concatenate(members)), np.arange(len(liouv.data)))
-    assert all(np.all(label[idx] == q) for q, idx in enumerate(members))
-    rows, cols = np.nonzero(liouv.data)
-    assert np.all(label[rows] >= label[cols])
-    assert np.all(label[rows] // n >= label[cols] // n)
-    assert np.all(label[rows] % n >= label[cols] % n)
-    assert np.array_equal(np.triu(links), links)
+@given(small_generators(n_cavities=1))
+def test_steady_state_counts_the_oracle_kernel(generator):
+    # the kernel lies in what the singular pair blocks reach, in any basis
+    # order: steady_state finds as many zero modes as the SVD of the whole
+    # oracle, refusing more than one (DegenerateSteadyStateError), and its
+    # one state is the oracle's null vector; draws with a singular value
+    # near the threshold are skipped
+    _, liouv, _, oracle = generator
+    _, sv, vh = np.linalg.svd(oracle)
+    assume(not np.any((sv > 1e-3 * ZERO_MODE_TOL) & (sv < 1e3 * ZERO_MODE_TOL)))
+    zeros = np.count_nonzero(sv < ZERO_MODE_TOL)
+    if zeros > 1:
+        with pytest.raises(DegenerateSteadyStateError, match=f"dimension {zeros}$"):
+            steady_state(liouv)
+    else:
+        d = liouv.dims.total_dim
+        rho = vh[-1].conj().reshape(d, d)
+        rho = rho / np.trace(rho)
+        reference = DensityMatrix(liouv.dims, (rho + rho.conj().T) / 2.0)
+        assert trace_distance(steady_state(liouv), reference) < 1e-9
 
 
 @settings(deadline=None, max_examples=40)
@@ -340,7 +407,27 @@ def test_in_place_build_equals_kron_assembly(n_fock, delta, cavity_decay, atom_d
         np.fill_diagonal(mask, True)
         raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         channels.append((Operator(p.dims, np.where(mask, raw, 0)), rate))
-    assert np.array_equal(build_liouvillian(h, channels).data, kron_liouvillian(h, channels))
+    liouv, oracle = build_liouvillian(h, channels), kron_liouvillian(h, channels)
+    assert np.array_equal(liouv.data, oracle)
+    # the generator on a random product A x B of Hilbert index sets, or on
+    # any random set of superoperator indices, is the oracle's principal
+    # submatrix there, bit for bit
+    for _ in range(4):
+        rows, cols = (np.flatnonzero((rng.random(d) < 0.5) | (np.arange(d) == rng.integers(d)))
+                      for _ in range(2))
+        for index in ((rows[:, None] * d + cols).reshape(-1), np.flatnonzero(rng.random(d * d) < 0.3)):
+            assert np.array_equal(liouv._block(index), oracle[np.ix_(index, index)])
+
+
+def sector_oracle(data: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Sorted Hilbert indices that the mask ``seed`` reaches on the one-sided
+    graph read from the nonzero entries of the generator ``data``: an entry
+    that maps |i><j| to |i'><j'| leads from i to i' and from j to j'."""
+    d = len(seed)
+    rows, cols = np.nonzero(data)
+    one_sided = np.zeros((d, d), dtype=bool)  # [to, from]
+    one_sided[rows // d, cols // d] = one_sided[rows % d, cols % d] = True
+    return closure_oracle(one_sided, seed)
 
 
 def closure_oracle(data: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -359,38 +446,38 @@ def closure_oracle(data: np.ndarray, support: np.ndarray) -> np.ndarray:
 @settings(deadline=None, max_examples=60)
 @given(small_generators(n_cavities=1), st.integers(0, 2**32 - 1))
 def test_seeded_modes_are_blocks_of_the_unseeded_modes(generator, seed):
-    # a seed decomposes the closure of its support within the weak blocks it
-    # reaches: a set that holds the support and that no nonzero entry leaves,
-    # so its eigenpairs rebuild the generator there and are eigenpairs of the
-    # unseeded decomposition, which stays block diagonal over the weak blocks;
-    # either call may refuse an ill-conditioned eigenbasis (NumericalError),
-    # and the seeded one sees a different piece, so it can refuse alone
-    _, liouv, _ = generator
+    # a seed decomposes S x S, S the Hilbert sector that its rows and columns
+    # reach, within the oracle's weak pieces that it meets: a set that holds
+    # the closure of its support and that no entry of the oracle leaves, so
+    # its eigenpairs rebuild the oracle there and are eigenpairs of the
+    # unseeded decomposition; either call may refuse an ill-conditioned
+    # eigenbasis (NumericalError), and the seeded one sees a different piece,
+    # so it can refuse alone
+    _, liouv, _, oracle = generator
     d = liouv.dims.total_dim
     rng = np.random.default_rng(seed)
     support = rng.random((d, d)) < 0.1
     support.flat[rng.integers(d * d)] = True
     try:
-        full = Liouvillian(liouv.dims, liouv.data).modes()
+        full = liouv.modes()
         modes = liouv.modes(np.where(support, 1.0 + 0.5j, 0.0))
     except NumericalError:
         return
     index = modes.index
-    assert np.array_equal(index, closure_oracle(liouv.data, support.reshape(-1)))
-    assert np.isin(np.flatnonzero(support), index).all()
-    reached = [b for b in liouv._blocks if support.reshape(-1)[b].any()]
-    assert np.isin(index, np.concatenate(reached)).all()
+    sector = sector_oracle(oracle, support.any(axis=0) | support.any(axis=1))
+    square = (sector[:, None] * d + sector).reshape(-1)
+    label = oracle_pieces(oracle)
+    assert np.array_equal(index, square[np.isin(label[square], label[support.reshape(-1)])])
+    assert np.isin(closure_oracle(oracle, support.reshape(-1)), index).all()
     outside = np.setdiff1d(np.arange(d * d), index)
-    assert not liouv.data[np.ix_(outside, index)].any()
+    assert not oracle[np.ix_(outside, index)].any()
     w = modes.eigenvalues
     cond = max(np.linalg.cond(modes.right), np.linalg.cond(full.right))
-    tol = 1e-13 * cond * max(1.0, float(np.abs(liouv.data).max()))
+    tol = 1e-13 * cond * max(1.0, float(np.abs(oracle).max()))
     rebuild_error = np.abs(modes.right @ np.diag(w) @ modes.right_inv
-                           - liouv.data[np.ix_(index, index)]).max()
+                           - oracle[np.ix_(index, index)]).max()
     assert rebuild_error < tol
     assert np.abs(w[:, None] - full.eigenvalues[None, :]).min(axis=1).max() < tol
-    for block in liouv._blocks:
-        assert not full.right[np.ix_(block, np.setdiff1d(np.arange(d * d), block))].any()
     assert np.array_equal(liouv.modes().right, full.right)
 
 
@@ -412,38 +499,44 @@ def test_unseeded_modes_keep_the_dense_layout():
 @pytest.mark.parametrize("n_cavities", [1, 2])
 def test_spectrum_decomposes_the_one_excitation_vacuum_block(n_cavities):
     # linear absorption from the vacuum: a^dag |0><0| reaches only |k><0| for
-    # the one-excitation states k, 2 per cavity
-    p = SystemParams(delta=0.0, omega_c=100.0, hopping=1.0 if n_cavities == 2 else 0.0,
-                     cavity_decay=0.5, atom_decay=0.5, n_fock=2, n_cavities=n_cavities)
-    liouv = standard_liouvillian(p)
-    rho_ss = steady_state(liouv)
-    a_op = annihilation_at(p.dims, 0)
-    modes = liouv.modes(a_op.dag().data @ rho_ss.data)
-    one = np.flatnonzero(np.rint(np.diag(total_excitation(p.dims).data).real) == 1)
-    assert len(one) == 2 * n_cavities
-    assert np.array_equal(modes.index, one * p.dims.total_dim)
+    # the one-excitation states k, 2 per cavity, at any photon cutoff
+    for n_fock in (2, 3):
+        p = SystemParams(delta=0.0, omega_c=100.0, hopping=1.0 if n_cavities == 2 else 0.0,
+                         cavity_decay=0.5, atom_decay=0.5, n_fock=n_fock, n_cavities=n_cavities)
+        liouv = standard_liouvillian(p)
+        rho_ss = steady_state(liouv)
+        a_op = annihilation_at(p.dims, 0)
+        modes = liouv.modes(a_op.dag().data @ rho_ss.data)
+        one = np.flatnonzero(np.rint(np.diag(total_excitation(p.dims).data).real) == 1)
+        assert len(one) == 2 * n_cavities
+        assert np.array_equal(modes.index, one * p.dims.total_dim)
 
 
 def test_ill_conditioned_block_is_refused_only_where_reached():
-    # data[1, 2] = 1 leads from index 2 to index 1 and not back: the
-    # nilpotent pair {1, 2} has no eigenbasis, and only a seed whose closure
-    # holds both indices decomposes it
-    dims = HilbertDims(2)
-    d = dims.total_dim
-    data = np.zeros((d * d, d * d), dtype=complex)
-    data[1, 2] = 1.0
-    defective = Liouvillian(dims, data)
-
-    def seed(k):
-        return np.arange(d * d).reshape(d, d) == k
-
-    for k in (0, 1):  # |0><0| and |0><1| reach only themselves
-        modes = defective.modes(seed(k))
-        assert np.array_equal(modes.index, [k]) and np.array_equal(modes.eigenvalues, [0])
-    for matrix in (seed(2), None):
+    # resonant atom decay at g = 1, rate 1, no cavity loss: the populations
+    # of manifolds 1 and 2 share the decay rate 1/2, and the jump from one to
+    # the other makes a Jordan block with no eigenbasis; only a seed that
+    # reaches the populations of manifold 2 decomposes it
+    p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=1.0, n_fock=2)
+    liouv = standard_liouvillian(p)
+    d = p.dims.total_dim
+    vacuum, photon, two = (bare_ket(p.dims, [(n, 0)]).amplitudes for n in (0, 1, 2))
+    n = np.rint(np.diag(total_excitation(p.dims).data).real)
+    low = np.flatnonzero(n <= 1)
+    diagonal = (low[:, None] * d + low)[n[low][:, None] == n[low]]
+    reached = {  # seed: the indices it decomposes
+        (0, 0): [0],
+        (1, 0): np.flatnonzero(n == 1) * d,  # |k><0|, k a one-excitation state
+        (1, 1): np.sort(diagonal),  # the pair blocks of manifolds 1 and 0 with themselves
+    }
+    kets = (vacuum, photon)
+    for (i, j), index in reached.items():
+        modes = liouv.modes(np.outer(kets[i], kets[j].conj()))
+        assert np.array_equal(modes.index, index)
+    assert np.array_equal(liouv.modes(np.outer(vacuum, vacuum)).eigenvalues, [0])
+    for matrix in (np.outer(two, two), None):
         with pytest.raises(NumericalError, match="ill-conditioned"):
-            defective.modes(matrix)
-    assert np.array_equal(defective._reached(vectorize(seed(2)))[0], [1, 2])
+            liouv.modes(matrix)
 
 
 def spectral_states(liouv, rho0, times):
@@ -554,32 +647,19 @@ class TestEvolve:
             evolve(build_liouvillian(zero_hamiltonian(dims)), DensityMatrix(dims, bad), [0.0, 1.0])
 
     def test_defective_generator_evolves_without_warning(self):
-        # a nilpotent Jordan block has no eigenbasis, which the propagator
-        # does not need: it evolves without a warning and agrees with a run
-        # at a tenth of the step
-        dims = HilbertDims(2)
-        d2 = dims.total_dim**2
-        data = np.zeros((d2, d2), dtype=complex)
-        data[1, 2] = 1.0  # couples two coherences, leaves trace and diagonal alone
-        defective = Liouvillian(dims, data)
+        # at zero detuning, no cavity loss and atom decay 4g the no-jump
+        # Hamiltonian of one excitation is omega_c - i g + g [[i, 1], [1, -i]],
+        # a Jordan block with no eigenbasis, which the propagator does not
+        # need: from |1,g> it evolves without a warning, agrees with a run at a
+        # tenth of the step and keeps the exact population (1 + g t)^2 e^(-2 g t)
+        p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=4.0, n_fock=2)
+        liouv = standard_liouvillian(p)
         with pytest.raises(NumericalError):
-            defective.modes()
-        rho0 = bare_ket(dims, [(1, 0)]).density_matrix()
-        traj = assert_matches_tenth_step(defective, rho0, np.linspace(0.0, 1.0, 5))
-        assert np.max(np.abs(traj.states - rho0.data)) < 1e-12
-
-    def test_generator_that_breaks_hermiticity_is_refused(self):
-        # the nilpotent generator maps |0><2| to |0><1| but not |2><0| to
-        # |1><0|: its real form is complex once the state has the coherence
-        # it moves, and evolve refuses it rather than drop the imaginary part
-        dims = HilbertDims(2)
-        d2 = dims.total_dim**2
-        data = np.zeros((d2, d2), dtype=complex)
-        data[1, 2] = 1.0
-        amps = np.zeros(dims.total_dim, dtype=complex)
-        amps[[0, 2]] = 1 / math.sqrt(2)
-        with pytest.raises(NumericalError, match="Hermitian"):
-            evolve(Liouvillian(dims, data), Ket(dims, amps).density_matrix(), [0.0, 1.0])
+            liouv.modes()
+        times = np.linspace(0.0, 1.0, 5)
+        traj = assert_matches_tenth_step(liouv, bare_ket(p.dims, [(1, 0)]).density_matrix(), times)
+        pop = traj.states[:, 2, 2].real  # |1,g> index = 2
+        assert np.abs(pop - (1.0 + times) ** 2 * np.exp(-2.0 * times)).max() < 1e-12
 
     def test_physical_defective_generator_evolves_without_warning(self):
         # resonant atom decay at g = 1, rate 1, no cavity loss: a Jordan block
@@ -622,7 +702,7 @@ def test_evolve_keeps_states_physical_and_composes(generator, tau, samples, seed
     # one run over [0, 2 tau] equals a run over [0, tau] chained with one
     # over [tau, 2 tau]; the largest errors seen in 600 examples were 2.6e-14
     # (trace) and 8.9e-16 (chained states), so 1e-12 leaves a margin of 38
-    _, liouv, _ = generator
+    _, liouv, _, _ = generator
     rng = np.random.default_rng(seed)
     rho0 = DensityMatrix(liouv.dims, random_density_matrix(liouv.dims.total_dim, rng))
     whole = evolve(liouv, rho0, np.linspace(0.0, 2 * tau, 2 * samples - 1))
@@ -644,7 +724,7 @@ def test_real_coordinates_match_the_spectral_synthesis(generator, seed):
     # is not Hermitian, and the states follow the dense complex spectral
     # synthesis of exp(L t) wherever its eigenbasis is well conditioned; a
     # full-rank rho0 reaches every coherence order, all in one block
-    _, liouv, _ = generator
+    _, liouv, _, _ = generator
     d = liouv.dims.total_dim
     rng = np.random.default_rng(seed)
     rho0 = DensityMatrix(liouv.dims, random_density_matrix(d, rng))
@@ -666,7 +746,7 @@ def test_evolve_stays_in_the_closure_of_the_initial_state(generator, seed):
     # synthesis inside it; where that synthesis is well conditioned, the
     # largest error seen in 1500 examples was 1.2e-13, so 1e-12 leaves a
     # margin of 8
-    _, liouv, _ = generator
+    _, liouv, _, oracle = generator
     d = liouv.dims.total_dim
     rng = np.random.default_rng(seed)
     part = rng.random(d) < 0.3
@@ -675,22 +755,26 @@ def test_evolve_stays_in_the_closure_of_the_initial_state(generator, seed):
     rho0 = Ket(liouv.dims, amps / np.linalg.norm(amps)).density_matrix()
     times = np.linspace(0.0, rng.uniform(0.1, 3.0), 7)
     states = evolve(liouv, rho0, times).states.reshape(len(times), -1)
-    outside = np.setdiff1d(np.arange(d * d), closure_oracle(liouv.data, vectorize(rho0.data) != 0))
+    outside = np.setdiff1d(np.arange(d * d), closure_oracle(oracle, vectorize(rho0.data) != 0))
     assert not states[:, outside].any()
-    assume(np.linalg.cond(np.linalg.eig(liouv.data)[1]) < 1e3)
+    assume(np.linalg.cond(np.linalg.eig(oracle)[1]) < 1e3)
     reference = spectral_states(liouv, rho0, times).reshape(len(times), -1)
     assert np.abs(states - reference).max() < 1e-12
 
 
 def test_selfcheck_decay_run_reaches_three_population_blocks():
-    # selfcheck's |2,g> run under loss reaches 9 of the 14 indices of its
-    # weak block: the populations of manifolds 2, 1 and 0
+    # selfcheck's |2,g> run under loss is formed on the 25 indices of the
+    # sector of manifolds 2, 1 and 0 squared, and only the 9 that the
+    # oracle's entries lead to from vec(rho0), the populations of the three
+    # manifolds, are ever nonzero: the coherences between them stay exactly 0
     p = SystemParams(delta=0.4, omega_c=50.0, cavity_decay=0.3, atom_decay=0.2, n_fock=3)
-    liouv = standard_liouvillian(p)
-    vec = vectorize(bare_ket(p.dims, [(2, 0)]).density_matrix().data)
-    index, pieces = liouv._reached(vec)
-    assert len(index) == 9 and [len(b) for b in liouv._blocks if np.isin(b, index).any()] == [14]
-    assert len(pieces) == 1 and np.array_equal(pieces[0], index)
+    rho0 = bare_ket(p.dims, [(2, 0)]).density_matrix()
+    times = np.linspace(0.0, 6.0, 121)
+    states = evolve(standard_liouvillian(p), rho0, times).states.reshape(len(times), -1)
+    oracle = kron_liouvillian(build_jch(p), decay_channels(p))
+    touched = np.flatnonzero(states.any(axis=0))
+    assert np.array_equal(touched, closure_oracle(oracle, vectorize(rho0.data) != 0))
+    assert len(touched) == 9
 
 
 def test_hamiltonian_takes_no_fixed_step_method():
@@ -782,72 +866,60 @@ class TestSteadyState:
             steady_state(build_liouvillian(build_jc(p), []))
 
     def test_zero_mode_outside_the_population_blocks_is_found(self, monkeypatch):
-        # shifting one coherence block (k != 0) by minus one of its
-        # eigenvalues keeps the block pattern and gives that block a zero
-        # mode, which vec(I) never reaches; the SVD of that block counts it,
-        # with no eigenvalue computed
+        # H_eff shifted on the one-excitation states by minus one of its
+        # eigenvalues there, with eigenvector v: the coherences |v><0| and
+        # |0><v| with the vacuum become zero modes, which vec(I) never
+        # reaches, beside |0><0|; the SVDs of the pair blocks find them, with
+        # no eigenvalue computed, and the kernel has dimension 3
         p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, atom_decay=0.2, n_fock=2)
         liouv = standard_liouvillian(p)
-        d = p.dims.total_dim
-        populations = np.arange(d) * (d + 1)
-        blocks = liouv._blocks
-        target = next(b for b in blocks if not np.isin(b, populations).any())
-        data = liouv.data.copy()
-        data[target, target] -= np.linalg.eigvals(liouv.data[np.ix_(target, target)])[0]
-        shifted = Liouvillian(liouv.dims, data)
-        assert [len(b) for b in shifted._blocks] == [len(b) for b in blocks]
+        one = np.rint(np.diag(total_excitation(p.dims).data).real) == 1
+        shift = np.linalg.eigvals(liouv.h_eff[np.ix_(one, one)])[0]
+        shifted = Liouvillian(p.dims, liouv.h_eff - shift * np.diag(one), liouv.jumps)
         calls = []
         for name in ("eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **kw: calls.append(name))
         steady_state(liouv)
-        with pytest.raises(DegenerateSteadyStateError, match="dimension 2"):
+        with pytest.raises(DegenerateSteadyStateError, match="dimension 3"):
             steady_state(shifted)
         assert calls == []
 
     def test_each_block_is_certified_directly_or_through_its_mirror(self, monkeypatch):
-        # L[rho^dag] = L[rho]^dag makes pair block (b, a) the complex
-        # conjugate of (a, b) on the transposed indices, so the 49 pair blocks
-        # of a lossy two-cavity generator are 7 self-mirrored ones and 21
-        # mirror pairs; every one of them is certified by a values-only SVD,
-        # one batched call per block size.  The one singular block is the
-        # vacuum, whose closure is itself, so the null vector is taken from a
-        # 1-wide SVD.  A coherence pair block shifted by minus one of its
-        # eigenvalues is found singular as well, and its zero mode counted
+        # L[rho^dag] = L[rho]^dag makes the oracle on pair block (b, a) the
+        # complex conjugate of (a, b) on the transposed indices, so the 49 pair
+        # blocks of the 7 excitation manifolds of a lossy two-cavity generator
+        # are 7 self-mirrored ones and 21 mirror pairs, and the 28 blocks
+        # (a, b) with a <= b, certified by values-only SVDs stacked by block
+        # shape, certify all of them.  The one singular block is the vacuum,
+        # which leads only to itself, so the null vector is taken from a
+        # 1-wide SVD
         p = SystemParams(
             delta=0.2, omega_c=9.0, hopping=0.4, cavity_decay=0.5, atom_decay=0.3,
             n_fock=2, n_cavities=2,
         )
         liouv = standard_liouvillian(p)
+        oracle = kron_liouvillian(build_jch(p), decay_channels(p))
         d = p.dims.total_dim
-        label, members, _ = liouv._pairs
-        mirrored = 0
-        for idx in members:
-            mirror = idx % d * d + idx // d
-            assert np.array_equal(np.sort(mirror), members[label[mirror[0]]])
-            assert np.array_equal(liouv.data[np.ix_(mirror, mirror)],
-                                  liouv.data[np.ix_(idx, idx)].conj())
-            mirrored += np.array_equal(np.sort(mirror), idx)
-        assert (len(members), mirrored) == (49, 7)
-        sizes = sorted(len(idx) for idx in members)
+        n = np.rint(np.diag(total_excitation(p.dims).data).real)
+        manifolds = [np.flatnonzero(n == k) for k in range(7)]
+        for a in manifolds:
+            for b in manifolds:
+                block = (a[:, None] * d + b).reshape(-1)
+                mirror = (a[:, None] + b * d).reshape(-1)  # |j><i| in the order of |i><j|
+                assert np.array_equal(oracle[np.ix_(mirror, mirror)],
+                                      oracle[np.ix_(block, block)].conj())
+        shapes = [(len(a), len(b)) for k, a in enumerate(manifolds) for b in manifolds[k:]]
         svd = np.linalg.svd
         calls = []
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, **kw: calls.append((a.shape, kw)) or svd(a, **kw))
-        steady_state(liouv)
+        assert steady_state(liouv).data[0, 0] == 1.0  # |0,g;0,g> is index 0
         *certified, (null_shape, null_kw) = calls
         assert all(kw == {"compute_uv": False} for _, kw in certified)
-        assert sorted(sum(([shape[1]] * shape[0] for shape, _ in certified), [])) == sizes
-        assert len(certified) == len(set(sizes))
+        stacked = sum(([shape[1:]] * shape[0] for shape, _ in certified), [])
+        assert sorted(stacked) == sorted((m * n, m * n) for m, n in shapes)
+        assert len(stacked) == 28 and len(certified) == len(set(shapes))
         assert null_shape == (1, 1) and null_kw == {}
-        vacuum = label[0]  # |0><0| is index 0
-        assert np.array_equal(members[vacuum], [0])
-        populations = np.arange(d) * (d + 1)
-        target = next(idx for idx in members if not np.isin(idx, populations).any()
-                      and 0 not in liouv._reached(np.isin(np.arange(d * d), idx))[0])
-        data = liouv.data.copy()
-        data[target, target] -= np.linalg.eigvals(liouv.data[np.ix_(target, target)])[0]
-        with pytest.raises(DegenerateSteadyStateError, match="dimension 2"):
-            steady_state(Liouvillian(liouv.dims, data))
 
     def test_defective_generator_is_solved_in_any_basis_order(self):
         # resonant atom decay at g = 1, rate 1, no cavity loss: a Jordan
@@ -868,11 +940,12 @@ class TestSteadyState:
             assert trace_distance(steady_state(liouv), expected) < 1e-12
 
     def test_missing_zero_mode_rejected(self):
+        # H_eff - 0.025i shifts the whole generator by -0.05
         p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, n_fock=2)
         liouv = standard_liouvillian(p)
-        shifted = Liouvillian(liouv.dims, liouv.data - 0.05 * np.eye(liouv.data.shape[0]))
+        h_eff = liouv.h_eff - 0.025j * np.eye(p.dims.total_dim)
         with pytest.raises(NumericalError):
-            steady_state(shifted)
+            steady_state(Liouvillian(p.dims, h_eff, liouv.jumps))
 
 
 class TestPiecewise:
@@ -924,17 +997,15 @@ class TestPiecewise:
         assert purity(lossy)[-1] < 1.0 - 1e-3
 
     def test_defective_segment_evolves_without_warning(self):
-        # the nilpotent generator of the defective evolve test, as the second
-        # segment after photon loss has mixed the state; it moves only
-        # coherences, so the diagonal state it inherits stays put
-        dims = HilbertDims(2)
-        d2 = dims.total_dim**2
-        data = np.zeros((d2, d2), dtype=complex)
-        data[1, 2] = 1.0
-        rho0 = bare_ket(dims, [(2, 0)]).density_matrix()
-        loss = evolve(build_liouvillian(zero_hamiltonian(dims), [(annihilation_at(dims, 0), 0.5)]),
+        # the Jordan-block generator of the defective evolve test, as the
+        # second segment after photon loss has mixed the state; it starts
+        # from the state it inherits, on its own clock
+        p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=4.0, n_fock=2)
+        rho0 = bare_ket(p.dims, [(2, 0)]).density_matrix()
+        loss = evolve(build_liouvillian(zero_hamiltonian(p.dims), [(annihilation_at(p.dims, 0), 0.5)]),
                       rho0, [0.0, 1.0])
-        traj = assert_matches_tenth_step(Liouvillian(dims, data), loss.state(-1),
+        traj = assert_matches_tenth_step(standard_liouvillian(p), loss.state(-1),
                                          np.linspace(1.0, 2.0, 5))
-        assert np.max(np.abs(traj.states - loss.states[-1])) < 1e-12
+        assert np.max(np.abs(traj.states[0] - loss.states[-1])) < 1e-12
+        assert traj.trace_drift() < 1e-12
         assert traj.times[0] == 1.0

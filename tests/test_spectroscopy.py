@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from jchsim import (
     steady_state,
     total_excitation,
 )
+from jchsim.experiments import _numeric_spectrum
 from jchsim.spectroscopy import _decaying_modes, local_maxima, parabolic_refine
 
 
@@ -200,6 +202,50 @@ def test_closed_form_is_the_engine_spectrum_at_any_rates(delta, cavity_decay, at
                                   grid, params)
     analytic = absorption_spectrum_analytic(params, grid).values
     assert np.abs(numeric.values - analytic).max() < 1e-12 * analytic.max()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(-2.0, 2.0), st.floats(0.2, 2.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
+def test_two_cavity_spectrum_is_the_mean_of_the_normal_mode_spectra(delta, hopping, cavity_decay,
+                                                                    atom_decay):
+    # one excitation on two cavities splits into the symmetric and the
+    # antisymmetric normal mode, whose cavities sit at omega_c +- J, and the
+    # local losses stay diagonal there, so site 0's spectrum is
+    # 1/2 [S(omega; omega_c + J) + S(omega; omega_c - J)], S the one-cavity
+    # closed form with the atom frequency held (delta -+ J); the cavity sits
+    # at 10 as in the one-cavity test, and the largest error seen in 300
+    # random draws was 1.2e-13 of the peak, so 1e-12 leaves a margin of 8
+    params = SystemParams(omega_c=10.0, delta=delta, hopping=hopping, cavity_decay=cavity_decay,
+                          atom_decay=atom_decay, n_fock=2, n_cavities=2)
+    liouv = standard_liouvillian(params)
+    grid = default_frequency_grid(params)
+    numeric = absorption_spectrum(liouv, steady_state(liouv), annihilation_at(params.dims, 0),
+                                  grid).values
+    single = params.with_(n_cavities=1, hopping=0.0)
+    analytic = 0.5 * sum(
+        absorption_spectrum_analytic(
+            single.with_(omega_c=params.omega_c + sign * hopping, delta=delta - sign * hopping),
+            grid).values
+        for sign in (1.0, -1.0))
+    assert np.abs(numeric - analytic).max() < 1e-12 * analytic.max()
+
+
+def test_two_cavity_spectrum_forms_only_its_sector():
+    # a^dag |0><0| reaches the one-excitation states and the vacuum against
+    # the vacuum, 5 indices at any photon cutoff, so at n_fock = 4, where the
+    # whole generator is 10^4 wide (1.6 GB dense), the run stays small in
+    # memory and its spectrum is the one at n_fock = 2
+    params = SystemParams(delta=0.4, hopping=1.1, cavity_decay=0.5, atom_decay=0.3, n_cavities=2)
+    options = {"n_points": 2001}
+    _, reference = _numeric_spectrum(params.with_(n_fock=2), options)
+    tracemalloc.start()
+    try:
+        _, spectrum = _numeric_spectrum(params.with_(n_fock=4), options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert np.abs(spectrum.values - reference.values).max() <= 1e-13 * reference.values.max()
 
 
 class TestFindPeaks:

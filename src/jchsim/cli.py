@@ -5,12 +5,12 @@ Exit codes: 0 success, 2 configuration or output error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 
 from .errors import ConfigError, JchsimError
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, _json_text, run_experiment
 from .selfcheck import selfcheck_report
 
 EXIT_OK = 0
@@ -18,6 +18,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jchsim",
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
             print(f"output error: no directory to hold {args.output!r}", file=sys.stderr)
             return EXIT_CONFIG
         report = selfcheck_report()
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = _json_text(report)
         if args.output:
             try:
                 with open(args.output, "w") as fh:

@@ -10,7 +10,10 @@ set and the engine version.
 from __future__ import annotations
 
 import errno
+import functools
+import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -485,26 +488,189 @@ def _csv_escape(cell: str) -> str:
     return cell
 
 
-def _format_column(values) -> list:
-    """The cells of one column; a float array is formatted from ``tolist()``."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return [format(v, ".15g") for v in values.tolist()]
-    return [_csv_escape(_format_cell(v)) for v in values]
+# _float_text writes a whole float64 array at once, byte for byte as Python
+# writes one value: format(x, ".15g") for a CSV cell, float.__repr__ (the
+# number json.dumps writes) for a JSON list.  |x| is scaled by a power of ten
+# in long double so that k significant digits sit in the integer part, and
+# rounded.  repr's digits are the first of the 15-, 16- and 17-digit roundings
+# that reads back as x (Gay's shortest digits; 17 always do).  A rounding or
+# read-back test that the long-double error bound cannot decide, and 0,
+# subnormals, NaN and infinities, are written one at a time by format or repr
+# itself; where long double is no wider than double, that is every value.
+
+# bound on the relative error of |x| * 10**p: the power is correctly rounded
+# (strtold) and the product rounds once
+_MARGIN = 2 * float(np.finfo(np.longdouble).eps)
+_POWER_LOW = -300  # powers of ten are tabled from 10**-300 to 10**329
+# source rows of a layout pattern: the 17 digits, then these characters, the
+# three digits of |exponent| and a NUL
+_DOT, _ZERO, _MINUS, _E, _PLUS, _EXPONENT, _NUL = 17, 18, 19, 20, 21, 22, 25
+_TEXT_WIDTH = 24  # longest unsigned text: "0.0001" and 17 digits
+_CHUNK = 1024  # values laid out per gather, bounding its index array
+_VECTOR_MIN = 256  # fewer values are faster formatted one at a time
+
+
+@functools.cache
+def _text_tables():
+    """Long-double powers of ten, the ASCII digits of 0 to 9999 as (4, 10000),
+    and the layout patterns: the source row of each text position, by form
+    (fixed with exponent -4 to 15, or exponent form by sign and width) and
+    number of significant digits, for format and for repr."""
+    powers = np.array([f"1e{p}" for p in range(_POWER_LOW, 330)]).astype(np.longdouble)
+    quads = (np.arange(10000, dtype=np.uint16) // np.uint16([[1000], [100], [10], [1]]) % 10
+             + 48).astype(np.uint8)
+    patterns = np.full((2, 24, 18, _TEXT_WIDTH), _NUL, dtype=np.uint8)
+    for shortest, form, nd in itertools.product((0, 1), range(24), range(1, 18)):
+        digits, exp = list(range(nd)), form - 4
+        if form >= 20:  # 1.5e-05, 1e+100
+            negative, wide = divmod(form - 20, 2)
+            text = digits[:1] + [_DOT] * (nd > 1) + digits[1:] + [_E, (_PLUS, _MINUS)[negative]]
+            text += [_EXPONENT, _EXPONENT + 1, _EXPONENT + 2][1 - wide:]
+        elif exp < 0:  # 0.0015
+            text = [_ZERO, _DOT] + [_ZERO] * (-exp - 1) + digits
+        elif nd > exp + 1:  # 12.5
+            text = digits[:exp + 1] + [_DOT] + digits[exp + 1:]
+        else:  # 1200, repr 1200.0
+            text = digits + [_ZERO] * (exp + 1 - nd) + [_DOT, _ZERO] * shortest
+        patterns[shortest, form, nd, :len(text)] = text
+    patterns = np.ascontiguousarray(patterns.reshape(2, -1, _TEXT_WIDTH).transpose(0, 2, 1))
+    for table in (powers, quads, patterns):  # shared by every caller
+        table.flags.writeable = False
+    return powers, quads, patterns
+
+
+def _exact_text(value: float, shortest: bool) -> str:
+    """format(value, ".15g"), or with ``shortest`` the number json.dumps writes."""
+    if not shortest:
+        return format(value, ".15g")
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _exact_block(x, shortest: bool) -> np.ndarray:
+    """_float_text's block, one value at a time."""
+    texts = [_exact_text(v, shortest).encode() for v in x.tolist()]
+    block = np.zeros((_TEXT_WIDTH + 1, len(texts)), np.uint8)
+    block[1:] = np.array(texts, dtype=f"S{_TEXT_WIDTH}").view(np.uint8).reshape(-1, _TEXT_WIDTH).T
+    return block
+
+
+def _float_text(values, shortest: bool) -> np.ndarray:
+    """Text of each value as a NUL-padded (25, n) uint8 block, row 0 its sign:
+    format(v, ".15g"), or with ``shortest`` json.dumps(v)."""
+    x = np.asarray(values, dtype=np.float64)
+    if len(x) < _VECTOR_MIN:
+        return _exact_block(x, shortest)
+    powers, quads, patterns = _text_tables()
+    size = len(x)
+    a = np.abs(x)
+    exact = np.isfinite(a) & (a >= np.finfo(np.float64).smallest_normal)
+    a[~exact] = 1.0
+    k = 17 if shortest else 15
+    p = (k - 1) - np.floor(np.log10(a)).astype(np.intp)
+    y = a * powers[p - _POWER_LOW]
+    shift = (y >= 10.0 ** k).astype(np.intp) - (y < 10.0 ** (k - 1))  # log10 off by one
+    if shift.any():
+        p -= shift
+        y = a * powers[p - _POWER_LOW]
+    n = np.rint(y)
+    frac = (y - n).astype(np.float64)
+    n = n.astype(np.int64)
+    tol = _MARGIN * n
+    tie = 0.5 - np.abs(frac) <= tol
+    undecided = ~exact
+    if shortest:
+        # the first 15- or 16-digit rounding within half a gap of x reads back
+        # as x, else 17 digits do; at a power of two the gap below x is half
+        # as wide, so there only the narrower one counts
+        with np.errstate(over="ignore"):
+            gap = np.spacing(a)  # inf at the largest double
+        power_of_two = gap * 2.0 ** 52 == a
+        undecided |= ~np.isfinite(gap)
+        halfgap = gap / a * n * np.where(power_of_two, 0.25, 0.5)  # in units of y
+        searching = np.ones(size, bool)
+        for unit in (100, 10):
+            q, r = np.divmod(n, unit)
+            t = (r + frac) / unit  # the dropped digits, in units of the last kept one
+            round_up = t > 0.5
+            off = np.abs(round_up - t)
+            limit, margin = halfgap / unit, tol / unit
+            inside = searching & (off < limit - margin)
+            # another decimal of this length may read back at a power of two
+            undecided |= searching & ~inside & ((off <= limit + margin) | power_of_two)
+            undecided |= inside & (np.abs(t - 0.5) <= margin)
+            n = np.where(inside, (q + round_up) * unit, n)
+            searching &= ~inside
+        undecided |= searching & tie
+    else:
+        undecided |= tie
+        n *= 100  # 17 digits, as in repr
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    exp = (k - 1) - p + carry
+    source = np.empty((26, size), np.uint8)
+    for row in (13, 9, 5, 1):
+        n, low = np.divmod(n, 10_000)
+        quads.take(low, axis=1, out=source[row:row + 4], mode="clip")
+    source[0] = n + 48
+    source[_DOT:_EXPONENT] = np.frombuffer(b".0-e+", np.uint8)[:, None]
+    quads[1:].take(np.abs(exp), axis=1, out=source[_EXPONENT:_NUL], mode="clip")
+    source[_NUL] = 0
+    nd = ((source[:17] != 48) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0, initial=1)
+    fixed = (exp >= -4) & (exp < (16 if shortest else 15))
+    form = np.where(fixed, exp + 4, 20 + 2 * (exp < 0) + (np.abs(exp) >= 100))
+    layout = form * 18 + nd
+    text = np.empty((_TEXT_WIDTH + 1, size), np.uint8)
+    text[0] = np.where(x < 0, 45, 0)
+    for start in range(0, size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        rows = patterns[int(shortest)].take(layout[chunk], axis=1)
+        index = np.multiply(rows, size, dtype=np.intp)
+        index += np.arange(size)[chunk]
+        source.reshape(-1).take(index, out=text[1:, chunk], mode="clip")
+    fallback = np.flatnonzero(undecided)
+    text[:, fallback] = _exact_block(x[fallback], shortest)
+    return text
+
+
+def _joined_rows(blocks, separators) -> str:
+    """The rows of NUL-padded (width, n) text blocks, each cell followed by its
+    separator; no cell holds a NUL."""
+    parts = []
+    for block, sep in zip(blocks, separators):
+        sep = np.frombuffer(sep.encode(), np.uint8)[:, None]
+        parts += [block, np.repeat(sep, block.shape[1], axis=1)]
+    return np.concatenate(parts).T.tobytes().translate(None, b"\0").decode()
+
+
+def _float_array(values):
+    """``values`` if it is a 1-d float array, as one if it is a list of floats only."""
+    if isinstance(values, np.ndarray):
+        return values if values.dtype.kind == "f" and values.ndim == 1 else None
+    if isinstance(values, list) and all(isinstance(v, float) for v in values):
+        return np.array(values, dtype=np.float64)
+    return None
+
+
+def _column_text(values) -> np.ndarray:
+    floats = _float_array(values)
+    if floats is not None:
+        return _float_text(floats, shortest=False)
+    cells = np.array([_csv_escape(_format_cell(v)).encode() for v in values], dtype=bytes)
+    return cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize).T
 
 
 def write_csv(path, columns: dict, header_lines) -> None:
     names = list(columns)
-    cells = [_format_column(columns[name]) for name in names]
-    rows = [",".join(row) for row in zip(*cells, strict=True)]
-    text = "\n".join([*header_lines, ",".join(names), *rows]) + "\n"
-    Path(path).write_text(text)
+    blocks = [_column_text(columns[name]) for name in names]
+    rows = _joined_rows(blocks, [","] * (len(names) - 1) + ["\n"])
+    Path(path).write_text("\n".join([*header_lines, ",".join(names)]) + "\n" + rows)
 
 
 def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, np.ndarray) and value.dtype != object:
-        return value.tolist()
+        return value if _float_array(value) is not None else value.tolist()
     if isinstance(value, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
@@ -517,18 +683,21 @@ def _jsonable(value):
 
 
 def _json_text(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` nested at the indent ``pad``,
-    each list of numbers encoded by the C encoder, which ``indent`` would bypass."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at the indent
+    ``pad``, where ``value`` may also hold 1-d float arrays."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    floats = _float_array(value)
+    if floats is not None and len(floats):
+        sep = ",\n" + inner
+        items = _joined_rows([_float_text(floats, shortest=True)], [sep])[:-len(sep)]
+        return "[\n" + inner + items + "\n" + pad + "]"
     if isinstance(value, list) and value:
-        text = json.dumps(value, separators=(",\n" + inner, ": "))
-        if '"' in text or "{" in text or "[" in text[1:]:  # not a list of numbers
-            text = "[" + (",\n" + inner).join(_json_text(v, inner) for v in value) + "]"
-        return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
-    return json.dumps(value)
+        items = (_json_text(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(value.tolist() if isinstance(value, np.ndarray) else value)
 
 
 def write_json(path, payload: dict) -> None:

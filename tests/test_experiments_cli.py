@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import importlib.util
 import json
 from collections import defaultdict
@@ -17,10 +18,18 @@ from jchsim import (
     bare_ket,
     build_jch,
     decay_channels,
+    experiments,
     run_experiment,
 )
 from jchsim.cli import main
-from jchsim.experiments import EXPERIMENTS, PARAM_DEFAULTS, _json_text, _parse_value
+from jchsim.experiments import (
+    EXPERIMENTS,
+    PARAM_DEFAULTS,
+    _float_text,
+    _joined_rows,
+    _json_text,
+    _parse_value,
+)
 from jchsim.selfcheck import run_selfcheck, selfcheck_report
 
 REPO = Path(__file__).resolve().parents[1]
@@ -84,6 +93,45 @@ class TestConfigParsing:
             ExperimentConfig.from_mapping({"experiment": "spectrum", "g": -1.0})
 
 
+# 1-d float64 arrays: any float, or any 64-bit pattern viewed as a float
+FLOAT_ARRAYS = st.one_of(
+    st.lists(st.floats(), max_size=40).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.integers(0, 2**64 - 1), max_size=40).map(
+        lambda v: np.array(v, dtype=np.uint64).view(np.float64)),
+)
+# exact ties (two at 16 digits, where the tied rounding reads back as x),
+# the switches between fixed and exponent form, the smallest normal and
+# subnormal, 2**53 + 1 and the largest double
+BOUNDARY_FLOATS = np.array([
+    999999999999999.5, 9.999999999999995, 0.5, 2.5, 874550223925419.75, 85043065830142.375,
+    1e-5, 9.99999999999999e-06, 1e-4,
+    0.00010000000000000002, 1e15, 999999999999999.9, 1e16, 9999999999999998.0, 1e17,
+    2.0**-1022, 5e-324, 9007199254740993.0, 1.7976931348623157e308, 1e22, 1e23, 0.1,
+    0.30000000000000004, 0.0, -0.0, -1.5, np.nan, np.inf, -np.inf,
+])
+
+
+def _plain(value):
+    """``value`` with every array as a list, as json.dumps takes it."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _csv_lines(values) -> list:
+    return _joined_rows([_float_text(values, shortest=False)], ["\n"]).splitlines()
+
+
+@contextlib.contextmanager
+def _vectorised():
+    """Send arrays of any length through the vectorised pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_VECTOR_MIN", 0)
+        yield patch
+
+
 class TestOutputs:
     def test_csv_determinism(self, tmp_path):
         config = ExperimentConfig.from_mapping(
@@ -121,15 +169,53 @@ class TestOutputs:
 
     @settings(deadline=None, max_examples=150)
     @given(st.recursive(
-        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                  FLOAT_ARRAYS),
         lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(st.floats(), max_size=6),
                                 st.dictionaries(st.text(max_size=6), inner, max_size=6)),
         max_leaves=40,
     ))
     def test_json_writer_matches_indented_dumps(self, value):
-        # nested dicts and lists of floats (NaN and +-inf included), ints,
-        # bools, None, strings with escapes and empty containers
-        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        # nested dicts, lists and 1-d float arrays of floats (NaN, +-inf, -0
+        # and subnormals included), ints, bools, None, strings with escapes
+        # and empty containers
+        assert _json_text(value) == json.dumps(_plain(value), indent=2, sort_keys=True)
+
+    @settings(deadline=None, max_examples=200)
+    @given(FLOAT_ARRAYS)
+    def test_float_text_matches_format_and_repr(self, values):
+        with _vectorised():
+            assert _csv_lines(values) == [format(v, ".15g") for v in values.tolist()]
+            assert _json_text(values) == json.dumps(values.tolist(), indent=2)
+
+    def test_float_text_at_rounding_and_layout_boundaries(self):
+        # every power of two, whose gap below is half as wide as above, and
+        # random 64-bit patterns
+        powers_of_two = 2.0 ** np.arange(-1074, 1024)
+        noise = np.random.default_rng(0).integers(0, 2**64, 4000, dtype=np.uint64)
+        values = np.concatenate([BOUNDARY_FLOATS, -BOUNDARY_FLOATS, powers_of_two,
+                                 noise.view(np.float64)])
+        assert len(values) >= experiments._VECTOR_MIN
+        assert _csv_lines(values) == [format(v, ".15g") for v in values.tolist()]
+        assert _json_text(values) == json.dumps(values.tolist(), indent=2)
+
+    def test_float_text_when_no_rounding_is_decided(self):
+        # a long double no wider than double leaves every value to the
+        # fallback; a margin of 1 does the same here
+        values = np.concatenate([BOUNDARY_FLOATS, np.linspace(-3.0, 80.0, 101)])
+        exact_text = experiments._exact_text
+        calls = []
+
+        def counted(value, shortest):
+            calls.append(value)
+            return exact_text(value, shortest)
+
+        with _vectorised() as patch:
+            patch.setattr(experiments, "_MARGIN", 1.0)
+            patch.setattr(experiments, "_exact_text", counted)
+            assert _csv_lines(values) == [format(v, ".15g") for v in values.tolist()]
+            assert _json_text(values) == json.dumps(values.tolist(), indent=2)
+        assert len(calls) == 2 * len(values)
 
     def test_unknown_format_rejected(self, tmp_path):
         config = ExperimentConfig.from_mapping({"experiment": "spectrum", "n_points": 51})

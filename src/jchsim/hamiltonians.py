@@ -3,6 +3,11 @@
 Everything is expressed in units of the atom-field coupling (g = 1 by
 default) with hbar = 1.  Builders return immutable :class:`Operator` objects
 and are pure functions of :class:`SystemParams`.
+
+The number-conserving builders return H - omega_c N (N the total excitation,
+which commutes with H and under which each loss jump only gains a phase), an
+exact interaction picture in which omega_c changes no result; the driven
+builder works in its own co-rotating drive frame.
 """
 from __future__ import annotations
 
@@ -30,7 +35,8 @@ class SystemParams:
     """Physical rates and frequencies of the (driven, lossy) JC lattice.
 
     Frequencies and rates are in units of the coupling ``g``.  ``delta`` is
-    the atom-cavity detuning; the drive detunings are measured from the
+    the atom-cavity detuning; ``omega_c``, the cavity frequency, only places a
+    spectrum on the absolute axis; the drive detunings are measured from the
     atomic drive (``atom_drive_detuning``) and the cavity drive
     (``cavity_drive_detuning``).  The cavity field decays at ``cavity_decay``
     and the atom at ``atom_decay``.
@@ -57,10 +63,6 @@ class SystemParams:
         HilbertDims(self.n_fock, self.n_cavities)  # validates truncation
 
     @property
-    def omega_a(self) -> float:
-        return self.omega_c + self.delta
-
-    @property
     def drive_frame_mismatch(self) -> float:
         """Frequency difference of the two drive frames (zero when co-rotating)."""
         return self.atom_drive_detuning - self.delta - self.cavity_drive_detuning
@@ -74,13 +76,12 @@ class SystemParams:
 
 
 def build_jc(params: SystemParams) -> Operator:
-    """Bare Jaynes-Cummings Hamiltonian, summed over identical sites."""
+    """Bare Jaynes-Cummings Hamiltonian in the cavity frame, summed over identical sites."""
     dims = params.dims
     a_site = fock_annihilation(dims)
     sm_site = atomic_lowering(dims)
     local = (
-        params.omega_a * (sm_site.dag() @ sm_site)
-        + params.omega_c * (a_site.dag() @ a_site)
+        params.delta * (sm_site.dag() @ sm_site)
         + params.g * (a_site.dag() @ sm_site + sm_site.dag() @ a_site)
     )
     return sum_over_sites(local, dims)
@@ -107,19 +108,14 @@ def build_jch(params: SystemParams) -> Operator:
 
 def _jch_over_detunings(params: SystemParams, h: np.ndarray, idx, deltas, hoppings) -> np.ndarray:
     """(K, m, m) blocks ``build_jch(params.with_(delta=d_k, hopping=J_k)).data[np.ix_(idx, idx)]``
-    bit for bit, from ``h`` built at unit hopping.  A hopping entry changes both site labels,
-    a JC entry one: it is J_k times its value in ``h``.  The diagonal is written in the order
-    of :func:`build_jc`: per site omega_a sigma^+ sigma^- + omega_c a^dag a, then site sums."""
-    a, sm = fock_annihilation(params.dims), atomic_lowering(params.dims)
-    excited, photons = (sm.dag() @ sm).data.diagonal(), (a.dag() @ a).data.diagonal()
-    omega_a = params.omega_c + np.asarray(deltas, dtype=float)
-    local = excited * omega_a[:, None].astype(complex) + photons * complex(params.omega_c)
-    diagonal = local
-    for _ in range(1, params.n_cavities):
-        diagonal = (diagonal[:, :, None] + local[:, None, :]).reshape(len(local), -1)
+    bit for bit, from ``h`` built at unit hopping: the diagonal is d_k times the number of
+    excited atoms, and a hopping entry, which changes both site labels where a JC entry
+    changes one, is J_k times its value in ``h``."""
+    sm = atomic_lowering(params.dims)
+    excited = sum_over_sites(sm.dag() @ sm, params.dims).data.diagonal()[idx]
     moved = np.all([x[:, None] != x for x in np.divmod(idx, params.dims.site_dim)], axis=0)
     out = h[np.ix_(idx, idx)] * np.where(moved, np.reshape(hoppings, (-1, 1, 1)), 1.0)
-    out[:, np.arange(len(idx)), np.arange(len(idx))] = diagonal[:, idx]
+    out[:, np.arange(len(idx)), np.arange(len(idx))] = np.multiply.outer(deltas, excited)
     return out
 
 

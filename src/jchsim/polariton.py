@@ -75,7 +75,8 @@ def branch_splitting(n: int, g: float, delta: float) -> float:
 
 
 def polariton_energy(n: int, branch: str, g: float, delta: float, omega_c: float) -> float:
-    """Eigenenergy of |n+-> (the ground state has energy 0)."""
+    """Eigenenergy of |n+-> with the cavity at ``omega_c``, 0 in the cavity frame
+    (the ground state has energy 0)."""
     if n == 0:
         return 0.0
     sign = {"+": 1.0, "-": -1.0}[branch]

@@ -201,7 +201,7 @@ def driven_oscillation_run(params: SystemParams, t_final: float = 4.0, samples: 
 # mechanism matrix (coherent vs incoherent interchange)
 
 
-def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
+def mechanism_table(n_fock: int = 3):
     """Measured coherence and interchange probability of the four controls.
 
     Rows: two-site hopping at J = g, strong atomic driving, cavity
@@ -210,7 +210,7 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
     rows = []
 
     # hopping, two cavities, |1-,1->: the kept dressed pair amplitudes c[t, i, j]
-    params = SystemParams(hopping=1.0, omega_c=omega_c, n_fock=n_fock, n_cavities=2)
+    params = SystemParams(hopping=1.0, n_fock=n_fock, n_cavities=2)
     (times,), labels, pairs, (kept,) = _hold_amplitudes(["1-,1-"], params, [params.delta],
                                                         params.hopping, 20.0, 4001)
     amps = np.zeros((len(times), len(labels), len(labels)), dtype=complex)
@@ -233,10 +233,10 @@ def mechanism_table(n_fock: int = 3, omega_c: float = 1e4):
 
     # single cavity from the lower branch: strong atomic driving, cavity
     # relaxation and stroboscopic detuning modulation
-    single = SystemParams(omega_c=omega_c, n_fock=max(n_fock, 4))
+    single = SystemParams(n_fock=max(n_fock, 4))
     drive = single.with_(atom_drive=50.0, atom_drive_detuning=500.0, cavity_drive_detuning=500.0)
     lossy = single.with_(cavity_decay=1.0)
-    strobe = SystemParams(omega_c=omega_c, n_fock=n_fock)
+    strobe = SystemParams(n_fock=n_fock)
     for mechanism, control, params, n0, h, t_final, samples in (
         ("driving", "atom drive = 50 g", drive, 1, build_driven(drive), 2.0, 4001),
         ("relaxation", "cavity decay = g", lossy, 2, build_jch(lossy), 8.0, 1601),
@@ -437,8 +437,9 @@ class EffectiveModel:
 
     Basis: the unit-filling pair state and the symmetric doubly occupied
     state of the same branch.  The diagonal entries are the lattice
-    eigenvalues of the two basis states (2 E_1 and E_2); the doubled form
-    2 E_2 fails the numeric variance cross-check and is not offered.
+    eigenvalues of the two basis states in the cavity frame (2 E_1 and E_2);
+    the doubled form 2 E_2 fails the numeric variance cross-check and is not
+    offered.
     """
 
     a: float
@@ -461,8 +462,8 @@ def effective_model(params: SystemParams, branch: str) -> EffectiveModel:
         pair_product = co2.c_minus * co1.c_minus
     else:
         pair_product = co2.c_plus * co1.c_plus
-    e1 = polariton_energy(1, branch, params.g, params.delta, params.omega_c)
-    e2 = polariton_energy(2, branch, params.g, params.delta, params.omega_c)
+    e1 = polariton_energy(1, branch, params.g, params.delta, 0.0)
+    e2 = polariton_energy(2, branch, params.g, params.delta, 0.0)
     b = -math.sqrt(2.0) * params.hopping * pair_product
     return EffectiveModel(a=2.0 * e1, b=b, c=e2, branch=branch)
 

@@ -59,11 +59,9 @@ def run_selfcheck(corruption: str | None = None) -> list:
     """Run every module's invariant checks at reduced sizes."""
     rng = np.random.default_rng(20240817)
     results = []
-    single = SystemParams(delta=0.4, omega_c=50.0, cavity_decay=0.3, atom_decay=0.2, n_fock=3)
-    pair = SystemParams(
-        delta=0.4, omega_c=50.0, hopping=0.2, cavity_decay=0.3, atom_decay=0.2,
-        n_fock=2, n_cavities=2,
-    )
+    single = SystemParams(delta=0.4, cavity_decay=0.3, atom_decay=0.2, n_fock=3)
+    pair = SystemParams(delta=0.4, hopping=0.2, cavity_decay=0.3, atom_decay=0.2, n_fock=2,
+                        n_cavities=2)
 
     # --- operator algebra -------------------------------------------------
     dims = single.dims

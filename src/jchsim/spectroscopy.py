@@ -28,11 +28,11 @@ PEAK_FLOOR = 0.01
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Absorption spectrum on an absolute frequency grid (units of g)."""
+    """Absorption spectrum on a frequency grid (units of g).  The engine's spectra
+    and the closed form are on offsets omega - omega_c from the cavity frequency."""
 
     frequencies: np.ndarray
     values: np.ndarray
-    params: SystemParams | None = None
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -62,18 +62,20 @@ class PeakReport:
 
 
 def default_frequency_grid(params: SystemParams, n_points: int = 2001) -> np.ndarray:
-    """Grid centred on the cavity frequency, omega_c +- (4g + 2|J|), widened
-    where needed so that every one-excitation level lies at least 2g inside.
-    Those levels are the doublet (c + omega_a)/2 +- sqrt((omega_a - c)^2/4 + g^2)
-    of each cavity mode c: omega_c, or on two cavities the normal modes
-    omega_c +- J."""
+    """Absolute grid centred on the cavity frequency, omega_c +- (4g + 2|J|),
+    widened where needed so that every one-excitation level lies at least 2g
+    inside.  Measured from omega_c, those levels are the doublet
+    (c + delta)/2 +- sqrt((delta - c)^2/4 + g^2) of each cavity mode c: 0, or
+    on two cavities the normal modes +-J.  Spectra are evaluated on
+    ``grid - omega_c``, which is exact while the half-width stays below
+    omega_c / 2 (Sterbenz)."""
     half_width = 4.0 * params.g
-    cavities = np.array([params.omega_c])
+    cavities = np.array([0.0])
     if params.n_cavities == 2:
         half_width += 2.0 * abs(params.hopping)
-        cavities = params.omega_c + np.array([-1.0, 1.0]) * params.hopping
-    split = np.hypot((params.omega_a - cavities) / 2.0, params.g)
-    reach = np.abs((cavities + params.omega_a) / 2.0 - params.omega_c) + split
+        cavities = np.array([-1.0, 1.0]) * params.hopping
+    split = np.hypot((params.delta - cavities) / 2.0, params.g)
+    reach = np.abs((cavities + params.delta) / 2.0) + split
     half_width = max(half_width, float(reach.max()) + 2.0 * params.g)
     return np.linspace(params.omega_c - half_width, params.omega_c + half_width, n_points)
 
@@ -108,37 +110,32 @@ def _decaying_modes(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator):
     return lam[contributing], weights[contributing]
 
 
-def absorption_spectrum(
-    liouv: Liouvillian,
-    rho_ss: DensityMatrix,
-    a_op: Operator,
-    freq_grid,
-    params: SystemParams | None = None,
-) -> Spectrum:
-    """Absorption spectrum from the exact half-line Fourier integral."""
+def absorption_spectrum(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator,
+                        freq_grid) -> Spectrum:
+    """Absorption spectrum from the exact half-line Fourier integral, on the grid
+    of offsets omega - omega_c in which the generator is built."""
     lam, weights = _decaying_modes(liouv, rho_ss, a_op)
     omega = np.asarray(freq_grid, dtype=float)
     denom = -lam[None, :] - 1j * omega[:, None]
     values = 2.0 * (weights[None, :] / denom).real.sum(axis=1)
-    return Spectrum(omega, values, params)
+    return Spectrum(omega, values)
 
 
-def absorption_spectrum_analytic(params: SystemParams, freq_grid=None) -> Spectrum:
-    """Exact spectrum of the weakly excited single cavity at any decay rates.
+def absorption_spectrum_analytic(params: SystemParams, freq_grid) -> Spectrum:
+    """Exact spectrum of the weakly excited single cavity at any decay rates, on
+    the grid of offsets nu = omega - omega_c.
 
     From the vacuum, a^dag reaches only the one-excitation states, where the
     correlation evolves under the 2x2 no-jump Hamiltonian; its resolvent gives
-    S(omega) = 2 Re[z_a / (z_c z_a + g^2)] with z_c = kappa/2 - i(omega - omega_c)
-    and z_a = gamma/2 - i(omega - omega_a) (Carmichael et al., PRA 40, 5516 (1989)).
+    S = 2 Re[z_a / (z_c z_a + g^2)] with z_c = kappa/2 - i nu and
+    z_a = gamma/2 - i(nu - delta) (Carmichael et al., PRA 40, 5516 (1989)).
     """
     if params.n_cavities != 1:
         raise DimensionMismatchError("the closed form covers a single cavity")
-    omega = np.asarray(
-        default_frequency_grid(params) if freq_grid is None else freq_grid, dtype=float
-    )
-    z_c = 0.5 * params.cavity_decay - 1j * (omega - params.omega_c)
-    z_a = 0.5 * params.atom_decay - 1j * (omega - params.omega_a)
-    return Spectrum(omega, 2.0 * (z_a / (z_c * z_a + params.g**2)).real, params)
+    nu = np.asarray(freq_grid, dtype=float)
+    z_c = 0.5 * params.cavity_decay - 1j * nu
+    z_a = 0.5 * params.atom_decay - 1j * (nu - params.delta)
+    return Spectrum(nu, 2.0 * (z_a / (z_c * z_a + params.g**2)).real)
 
 
 def local_maxima(y) -> list:

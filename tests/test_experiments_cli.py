@@ -20,6 +20,7 @@ from jchsim import (
     decay_channels,
     experiments,
     run_experiment,
+    total_excitation,
 )
 from jchsim.cli import main
 from jchsim.experiments import (
@@ -341,8 +342,12 @@ class TestCli:
         ],
     )
     def test_option_of_wrong_type_exits_2(self, tmp_path, capsys, line):
-        cfg = tmp_path / "ramp.cfg"
-        cfg.write_text(f"experiment = ramp\n{line}\n")
+        # each key goes to an experiment that reads it, so that only its type
+        # can refuse it
+        key = line.split("=")[0].strip()
+        experiment = {"n_fock": "driven_oscillation", "omega_c": "spectrum"}.get(key, "ramp")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{line}\n")
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         assert "config error" in capsys.readouterr().err
@@ -362,6 +367,12 @@ class TestCli:
             ("experiment = two_cavity_spectrum\nn_cavities = 1\n", (), 2),
             ("experiment = spectrum\nn_fock = 3\n", (), 2),
             ("experiment = two_cavity_spectrum\nn_fock = 3\n", (), 2),
+            ("experiment = rwa_probe\nomega_c = 100\n", (), 2),
+            ("experiment = rwa_probe\nn_fock = 4\n", (), 2),
+            ("experiment = ramp\nomega_c = 100\n", (), 2),
+            ("experiment = ramp\nn_fock = 4\n", (), 2),
+            ("experiment = variance_compare\nomega_c = 100\n", (), 2),
+            ("experiment = variance_compare\nn_fock = 4\n", (), 2),
             ("experiment = ramp\nmode = -1\n", (), 3),
         ],
         ids=lambda v: v.replace("\n", " ").strip() if isinstance(v, str) else None,
@@ -370,9 +381,11 @@ class TestCli:
         self, tmp_path, capsys, text, flags, code
     ):
         # parameters the runner never reads (n_cavities included: each
-        # experiment runs on a fixed number of cavities; n_fock for the
-        # spectra, which are the same at any photon cutoff), --strict-ramp
-        # outside the ramp and an unsolvable ramp mode
+        # experiment runs on a fixed number of cavities; n_fock for the spectra
+        # and the closed two-site runs, which are the same at any photon
+        # cutoff; omega_c for the closed two-site runs, which work in the
+        # cavity frame), --strict-ramp outside the ramp and an unsolvable ramp
+        # mode
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), *flags]) == code
@@ -417,7 +430,10 @@ class TestCli:
     def test_spectrum_of_a_defective_generator_matches_the_resolvent(self, tmp_path):
         # resonant atom decay at g = 1, rate 1, no cavity loss: a generator
         # with a Jordan block, whose steady state needs no eigenbasis; the
-        # spectrum of the vacuum is 2 Im <1,g| (H_eff - omega)^-1 |1,g>
+        # spectrum of the vacuum is 2 Im <1,g| (H_eff - nu)^-1 |1,g>, with
+        # H_eff in the cavity frame and nu = omega - omega_c, taken on the
+        # one-excitation block H_eff keeps |1,g> in (the vacuum level, which
+        # the grid hits at nu = 0, is no pole of it)
         cfg = tmp_path / "defective.cfg"
         cfg.write_text("experiment = spectrum\ndelta = 0\n"
                        "cavity_decay = 0\natom_decay = 1.0\nn_points = 201\n")
@@ -430,11 +446,13 @@ class TestCli:
         h_eff = build_jch(p).data.astype(complex)
         for jump, rate in decay_channels(p):
             h_eff -= 0.5j * rate * jump.data.conj().T @ jump.data
+        one = np.isclose(total_excitation(p.dims).data.diagonal().real, 1.0)
+        h_one = h_eff[np.ix_(one, one)]
         vacuum = bare_ket(p.dims, [(0, 0)]).amplitudes
-        excited = annihilation_at(p.dims, 0).dag().data @ vacuum
-        eye = np.eye(len(vacuum))
-        resolvent = np.array([excited.conj() @ np.linalg.solve(h_eff - w * eye, excited)
-                              for w in omega])
+        excited = (annihilation_at(p.dims, 0).dag().data @ vacuum)[one]
+        eye = np.eye(len(excited))
+        resolvent = np.array([excited.conj() @ np.linalg.solve(h_one - w * eye, excited)
+                              for w in omega - p.omega_c])
         s_resolvent = 2.0 * resolvent.imag
         assert np.abs(s_numeric - s_resolvent).max() < 1e-10 * s_resolvent.max()
 

@@ -32,30 +32,29 @@ def test_params_validation():
         SystemParams(g=0.0)
     with pytest.raises(ValueError):
         SystemParams(cavity_decay=-0.1)
-    p = SystemParams(delta=0.5, omega_c=10.0)
-    assert p.omega_a == pytest.approx(10.5)
 
 
 class TestBareBuilders:
     def test_jc_spectrum_matches_dressed_energies(self):
-        # dense eigensolver oracle against the closed-form doublets
+        # dense eigensolver oracle against the closed-form doublets in the
+        # cavity frame, where the cutoff remainder |n_fock, e> sits at delta
         for delta in (0.0, 1.2):
-            p = SystemParams(delta=delta, omega_c=30.0, n_fock=4)
+            p = SystemParams(delta=delta, n_fock=4)
             eigenvalues = np.sort(np.linalg.eigvalsh(build_jc(p).data))
-            expected = [0.0, p.omega_a + p.n_fock * p.omega_c]
+            expected = [0.0, p.delta]
             for n in range(1, 5):
                 for branch in ("-", "+"):
-                    expected.append(polariton_energy(n, branch, p.g, delta, p.omega_c))
+                    expected.append(polariton_energy(n, branch, p.g, delta, 0.0))
             assert np.allclose(eigenvalues, np.sort(expected), atol=1e-10)
 
     def test_two_cavity_spectrum_is_pairwise_sums(self):
         # without hopping, lattice eigenvalues are sums of per-site dressed
         # energies (overflow level included)
-        p = SystemParams(delta=0.6, omega_c=12.0, n_fock=2, n_cavities=2)
-        site_levels = [0.0, p.omega_a + p.n_fock * p.omega_c]
+        p = SystemParams(delta=0.6, n_fock=2, n_cavities=2)
+        site_levels = [0.0, p.delta]
         for n in (1, 2):
             for branch in ("-", "+"):
-                site_levels.append(polariton_energy(n, branch, p.g, p.delta, p.omega_c))
+                site_levels.append(polariton_energy(n, branch, p.g, p.delta, 0.0))
         expected = np.sort([a + b for a in site_levels for b in site_levels])
         eigenvalues = np.sort(np.linalg.eigvalsh(build_jc(p).data))
         assert np.allclose(eigenvalues, expected, atol=1e-10)
@@ -99,10 +98,10 @@ class TestBareBuilders:
        st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(0.0, 2.0)), min_size=1, max_size=8),
        st.data())
 def test_detuning_stack_matches_per_detuning_builds(g, omega_c, n_fock, holds, data):
-    # H(0) + delta sum_i sigma_i^+ sigma_i^- is off by ~1e-11 at omega_c = 1e4;
-    # the stack writes each diagonal as build_jc does and each hopping entry as
-    # J_k times its value at unit hopping, and must match bit for bit on the
-    # whole space and on a random block
+    # in the cavity frame the diagonal is delta times the excited-atom count
+    # and each hopping entry J_k times its value at unit hopping, so the stack
+    # must match bit for bit on the whole space and on a random block, at any
+    # omega_c
     p = SystemParams(g=g, omega_c=omega_c, n_fock=n_fock, n_cavities=2)
     unit = build_jch(p.with_(hopping=1.0)).data
     deltas, hoppings = zip(*holds)
@@ -116,14 +115,15 @@ def test_detuning_stack_matches_per_detuning_builds(g, omega_c, n_fock, holds, d
 
 
 def dressed_diagonal(p):
-    """Levels of one site in the order of its polariton basis: ground 0, the
-    dressed doublets, and the cutoff remainder |n_fock, e> last."""
+    """Cavity-frame levels of one site in the order of its polariton basis:
+    ground 0, the dressed doublets, and the cutoff remainder |n_fock, e> (at
+    delta) last."""
     site = polariton.basis_transform(p.dims, p.g, p.delta)
     levels = [0.0]
     for lbl in site.labels[1:-1]:
         n, branch = polariton.parse_label(lbl)
-        levels.append(polariton_energy(n, branch, p.g, p.delta, p.omega_c))
-    levels.append(p.omega_a + p.n_fock * p.omega_c)
+        levels.append(polariton_energy(n, branch, p.g, p.delta, 0.0))
+    levels.append(p.delta)
     return site, np.array(levels)
 
 
@@ -132,7 +132,7 @@ class TestPolaritonForms:
     def test_diagonal_form_is_similarity_transform(self, n_cavities, n_fock):
         # B (B (x) B for two cavities) diagonalises build_jc; two sites without
         # hopping carry every sum of two site levels
-        p = SystemParams(delta=0.9, omega_c=40.0, n_fock=n_fock, n_cavities=n_cavities)
+        p = SystemParams(delta=0.9, n_fock=n_fock, n_cavities=n_cavities)
         site, levels = dressed_diagonal(p)
         matrix, diagonal = site.matrix, levels
         if n_cavities == 2:
@@ -141,17 +141,17 @@ class TestPolaritonForms:
         assert np.max(np.abs(transformed - np.diag(diagonal))) < 1e-10
 
     def test_ground_entry_zero_and_trace(self):
-        p = SystemParams(delta=0.3, omega_c=25.0, n_fock=3)
+        p = SystemParams(delta=0.3, n_fock=3)
         basis, levels = dressed_diagonal(p)
         diag = basis.matrix.conj().T @ build_jc(p).data @ basis.matrix
         assert diag[basis.index(polariton.GROUND), basis.index(polariton.GROUND)] == 0
         # trace = sum of dressed doublets plus the cutoff remainder energy
         doublets = sum(
-            polariton_energy(n, b, p.g, p.delta, p.omega_c)
+            polariton_energy(n, b, p.g, p.delta, 0.0)
             for n in range(1, 4)
             for b in ("-", "+")
         )
-        remainder = p.omega_a + p.n_fock * p.omega_c
+        remainder = p.delta
         trace = np.trace(diag).real
         assert trace == pytest.approx(doublets + remainder, rel=1e-12)
         assert np.sum(levels) == pytest.approx(doublets + remainder, rel=1e-12)
@@ -180,9 +180,9 @@ class TestDriven:
     def test_drive_off_reduces_to_detuned_jc(self):
         p = SystemParams(delta=0.4, atom_drive_detuning=1.4, cavity_drive_detuning=1.0)
         h = build_driven(p).data
-        # with the drives off, the rotating frame is a JC model whose
-        # frequencies are the drive detunings
-        jc = build_jc(SystemParams(delta=0.4, omega_c=1.0))
+        # with the drives off, the drive frame is the cavity frame shifted by
+        # the cavity drive detuning times the total excitation
+        jc = build_jc(SystemParams(delta=0.4)) + 1.0 * total_excitation(p.dims)
         assert np.max(np.abs(h - jc.data)) < 1e-12
 
     def test_mismatched_frames_rejected(self):

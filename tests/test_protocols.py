@@ -35,6 +35,7 @@ from jchsim import (
     stroboscopic_generator,
     total_excitation,
 )
+from jchsim.experiments import EXPERIMENTS, ExperimentConfig
 from jchsim.lindblad import build_liouvillian, evolve
 from jchsim.polariton import parse_state_spec
 from jchsim.protocols import (
@@ -128,7 +129,7 @@ def test_mechanism_hopping_row_matches_the_dense_rotation(n_fock, omega_c):
     kets = evolve_closed(build_jch(p), psi, np.linspace(0.0, 20.0, 4001))
     basis = basis_transform(p.dims, p.g, p.delta)
     target = pair_amplitudes(kets, basis)[:, basis.index("1+"), basis.index("1-")]
-    row = mechanism_table(n_fock, omega_c)[0]
+    row = mechanism_table(n_fock)[0]
     assert row["mechanism"] == "hopping"
     assert abs(row["interchange_probability"] - (np.abs(target) ** 2).max()) < 1e-13
     assert abs(row["coherence_max"] - site0_branch_series(kets, p)[2].max()) < 1e-13
@@ -590,13 +591,14 @@ class TestOrderParameter:
 
     @pytest.mark.parametrize("hopping, delta", [(0.02, 0.0), (0.05, 1.0), (0.1, 5.0), (0.02, 5.0)])
     def test_variance_at_large_omega_c_matches_shifted_frame(self, hopping, delta):
-        # N_tot commutes with H, so H - omega_c N_tot leaves every sector
-        # observable as it is but drops the 2e4-sized diagonal that sets the
-        # roundoff at omega_c = 1e4; the differences measured at most 1.4e-10
+        # N_tot commutes with H, so the lab-frame H + omega_c N_tot leaves every
+        # sector observable of the cavity frame as it is, up to the roundoff of
+        # its 2e4-sized diagonal at omega_c = 1e4; the differences measured at
+        # most 1.4e-10
         p = TWO_SITE.with_(hopping=hopping, delta=delta)
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
         times = np.linspace(0.0, 1.0 / hopping, 401)
-        shifted = build_jch(p) - p.omega_c * total_excitation(p.dims)
+        shifted = build_jch(p) + p.omega_c * total_excitation(p.dims)
         amps = evolve_closed(shifted, psi, times)
         oracle = operator_variance(times, partial(expect_series, series=amps), p.dims)
         assert abs(numeric_variance(p, "-", hold_samples=401) - oracle) < 1e-9
@@ -696,3 +698,23 @@ def test_total_excitation_drift_in_closed_ramp():
     n_tot = total_excitation(p.dims).data
     drift = np.einsum("ti,ij,tj->t", amps.conj(), n_tot, amps).real - 2.0
     assert np.max(np.abs(drift)) < 1e-8
+
+
+def test_closed_runs_give_the_same_numbers_at_any_cavity_frequency(small_schedule):
+    # every number-conserving run works in the cavity frame, so omega_c moves
+    # none of their numbers, bit for bit; at absolute frequencies they moved by
+    # up to 1.9e-11 between omega_c = 100 and 1e4
+    def closed_runs(omega_c):
+        p = TWO_SITE.with_(omega_c=omega_c)
+        probe = hopping_interchange_probe(p, "2-,0", samples=2001)
+        ramps = [ramp_experiment(small_schedule, p, "1-,1-", time_dependent=pulsed,
+                                 strict_pulses=strict)
+                 for pulsed, strict in ((False, False), (True, False), (True, True))]
+        variances = numeric_variance([p, p.with_(delta=1.0)], ["-", "+"])
+        config = ExperimentConfig.from_mapping({"experiment": "table1", "omega_c": omega_c})
+        rows = EXPERIMENTS["table1"].runner(config.params, config.options).summary["rows"]
+        return probe["probability"], (probe["max_probability"], ramps, variances, rows)
+
+    low, high = closed_runs(100.0), closed_runs(1e4)
+    assert np.array_equal(low[0], high[0])
+    assert low[1] == high[1]

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jchsim import (
@@ -23,8 +23,13 @@ from jchsim import (
     steady_state,
     total_excitation,
 )
-from jchsim.experiments import _numeric_spectrum
+from jchsim.experiments import _numeric_spectrum, _run_spectrum
 from jchsim.spectroscopy import _decaying_modes, local_maxima, parabolic_refine
+
+
+def offsets(params):
+    """The default grid as offsets omega - omega_c, the frame of every spectrum."""
+    return default_frequency_grid(params) - params.omega_c
 
 
 @pytest.fixture(scope="module")
@@ -49,26 +54,22 @@ class TestCorrelationFunction:
         liouv = standard_liouvillian(p)
         vac = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)  # stationary eigenstate
         with pytest.raises(NumericalError, match="does not decay"):
-            absorption_spectrum(
-                liouv, vac.density_matrix(), annihilation_at(p.dims, 0),
-                default_frequency_grid(p), p,
-            )
+            absorption_spectrum(liouv, vac.density_matrix(), annihilation_at(p.dims, 0), offsets(p))
 
     def test_nonstationary_state_rejected(self, resonant_setup):
         params, liouv, _ = resonant_setup
         moving = site_polariton_ket(params.dims, 2, "-", params.g, params.delta)
         with pytest.raises(NumericalError, match="absorption_spectrum: state is not stationary"):
             absorption_spectrum(
-                liouv, moving.density_matrix(), annihilation_at(params.dims, 0),
-                default_frequency_grid(params), params,
+                liouv, moving.density_matrix(), annihilation_at(params.dims, 0), offsets(params)
             )
 
     def test_three_level_double_exponential(self, detuned_setup):
         # from the vacuum the correlation never leaves the one-excitation
         # states, so its spectrum is the closed resolvent form
         params, liouv, rho_ss = detuned_setup
-        grid = default_frequency_grid(params)
-        numeric = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), grid, params)
+        grid = offsets(params)
+        numeric = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), grid)
         analytic = absorption_spectrum_analytic(params, grid)
         rel = np.max(np.abs(numeric.values - analytic.values)) / analytic.values.max()
         assert rel < 1e-10
@@ -84,32 +85,26 @@ class TestCorrelationFunction:
 class TestNumericSpectrum:
     def test_resonant_peaks_symmetric(self, resonant_setup):
         params, liouv, rho_ss = resonant_setup
-        spec = absorption_spectrum(
-            liouv, rho_ss, annihilation_at(params.dims, 0), default_frequency_grid(params), params
-        )
+        spec = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), offsets(params))
         report = find_peaks(spec)
         step = spec.frequencies[1] - spec.frequencies[0]
         assert len(report.positions) == 2
-        assert report.positions[0] == pytest.approx(99.0, abs=step)
-        assert report.positions[1] == pytest.approx(101.0, abs=step)
+        assert report.positions[0] == pytest.approx(-1.0, abs=step)
+        assert report.positions[1] == pytest.approx(1.0, abs=step)
         assert report.asymmetry < 1e-3
 
     def test_detuned_peak_positions(self, detuned_setup):
         params, liouv, rho_ss = detuned_setup
-        spec = absorption_spectrum(
-            liouv, rho_ss, annihilation_at(params.dims, 0), default_frequency_grid(params), params
-        )
+        spec = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), offsets(params))
         report = find_peaks(spec)
         step = spec.frequencies[1] - spec.frequencies[0]
-        assert report.positions[0] == pytest.approx(100 + (1 - math.sqrt(5)) / 2, abs=step)
-        assert report.positions[-1] == pytest.approx(100 + (1 + math.sqrt(5)) / 2, abs=step)
+        assert report.positions[0] == pytest.approx((1 - math.sqrt(5)) / 2, abs=step)
+        assert report.positions[-1] == pytest.approx((1 + math.sqrt(5)) / 2, abs=step)
 
     def test_matches_analytic_form(self, resonant_setup, detuned_setup):
         for params, liouv, rho_ss in (resonant_setup, detuned_setup):
-            grid = default_frequency_grid(params)
-            numeric = absorption_spectrum(
-                liouv, rho_ss, annihilation_at(params.dims, 0), grid, params
-            )
+            grid = offsets(params)
+            numeric = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), grid)
             analytic = absorption_spectrum_analytic(params, grid)
             rel = np.max(np.abs(numeric.values - analytic.values)) / analytic.values.max()
             assert rel < 1e-3
@@ -117,9 +112,7 @@ class TestNumericSpectrum:
     def test_spectral_consistency_with_mode_frequencies(self, resonant_setup):
         # peak positions match imaginary parts of decaying Liouvillian modes
         params, liouv, rho_ss = resonant_setup
-        spec = absorption_spectrum(
-            liouv, rho_ss, annihilation_at(params.dims, 0), default_frequency_grid(params), params
-        )
+        spec = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), offsets(params))
         report = find_peaks(spec)
         mode_freqs = -liouv.modes().eigenvalues.imag
         step = spec.frequencies[1] - spec.frequencies[0]
@@ -128,22 +121,21 @@ class TestNumericSpectrum:
 
     def test_positive_finite_integral(self, resonant_setup):
         params, liouv, rho_ss = resonant_setup
-        spec = absorption_spectrum(
-            liouv, rho_ss, annihilation_at(params.dims, 0), default_frequency_grid(params), params
-        )
+        spec = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), offsets(params))
         integral = np.trapezoid(spec.values, spec.frequencies)
         assert 0.0 < integral < np.inf
 
 
 def two_lorentzian(params: SystemParams, omega: np.ndarray) -> np.ndarray:
-    """The secular form: one Lorentzian per n = 1 branch, centred on its
-    energy, weighted by its photonic fraction and of half-width (kappa +
-    gamma) / 4, the resolvent's exact form at equal decay rates."""
+    """The secular form on offsets from omega_c: one Lorentzian per n = 1
+    branch, centred on its cavity-frame energy, weighted by its photonic
+    fraction and of half-width (kappa + gamma) / 4, the resolvent's exact
+    form at equal decay rates."""
     theta = mixing_angle(1, params.g, params.delta)
     width = 0.25 * (params.cavity_decay + params.atom_decay)
     out = np.zeros_like(omega)
     for branch, weight in (("+", math.sin(theta) ** 2), ("-", math.cos(theta) ** 2)):
-        centre = polariton_energy(1, branch, params.g, params.delta, params.omega_c)
+        centre = polariton_energy(1, branch, params.g, params.delta, 0.0)
         out += 2.0 * weight * width / ((omega - centre) ** 2 + width**2)
     return out
 
@@ -154,7 +146,7 @@ class TestAnalyticSpectrum:
         # 2 (1/2)/(g/4) = 4/g on resonance, plus the small tail of the opposite
         # Lorentzian
         params = SystemParams(omega_c=100.0, delta=0.0, cavity_decay=0.5, atom_decay=0.5)
-        spec = absorption_spectrum_analytic(params)
+        spec = absorption_spectrum_analytic(params, offsets(params))
         assert np.abs(spec.values - two_lorentzian(params, spec.frequencies)).max() < 1e-12
         own = 2.0 * 0.5 / 0.25
         tail = 2.0 * 0.5 * 0.25 / (4.0 + 0.25**2)
@@ -167,7 +159,7 @@ class TestAnalyticSpectrum:
         # at equal rates both branches have the same width, so only their
         # photonic fractions set the two heights
         params = SystemParams(omega_c=100.0, delta=1.0, cavity_decay=0.5, atom_decay=0.5)
-        spec = absorption_spectrum_analytic(params)
+        spec = absorption_spectrum_analytic(params, offsets(params))
         assert np.abs(spec.values - two_lorentzian(params, spec.frequencies)).max() < 1e-12
         report = find_peaks(spec)
         theta = mixing_angle(1, 1.0, 1.0)
@@ -176,32 +168,31 @@ class TestAnalyticSpectrum:
 
     def test_dispersive_lower_branch_dominates(self):
         params = SystemParams(omega_c=100.0, delta=30.0, cavity_decay=0.5, atom_decay=0.5)
-        grid = np.linspace(60.0, 140.0, 4001)
+        grid = np.linspace(-40.0, 40.0, 4001)
         report = find_peaks(absorption_spectrum_analytic(params, grid))
         # the upper-branch peak falls below the reporting floor entirely
         assert len(report.positions) == 1
-        e_minus = polariton_energy(1, "-", 1.0, 30.0, 100.0)
+        e_minus = polariton_energy(1, "-", 1.0, 30.0, 0.0)
         assert report.positions[0] == pytest.approx(e_minus, abs=0.05)
         theta = mixing_angle(1, 1.0, 30.0)
         assert math.sin(theta) ** 2 / math.cos(theta) ** 2 < 0.01
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.floats(-3.0, 3.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
-def test_closed_form_is_the_engine_spectrum_at_any_rates(delta, cavity_decay, atom_decay):
+@given(st.floats(-3.0, 3.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 1e4))
+@example(0.0, 0.05, 0.05, 1e4)
+def test_closed_form_is_the_engine_spectrum_at_any_rates(delta, cavity_decay, atom_decay,
+                                                         omega_c):
     # the resolvent of the one-excitation no-jump Hamiltonian is exact at
     # unequal rates too, where the secular two-Lorentzian form is off by up
-    # to about 13% of the peak; the rounding of both grows with omega_c / rate
-    # (8.4e-13 of the peak at omega_c = 100 and both rates 0.05, 7.4e-14 at
-    # omega_c = 10), so the cavity sits at 10 to keep a margin under 1e-12
-    params = SystemParams(omega_c=10.0, delta=delta, cavity_decay=cavity_decay,
+    # to about 13% of the peak; on the offsets from omega_c neither side
+    # carries omega_c, so the spectrum run's error stays at rounding at any
+    # cavity frequency (7.9e-15 of the peak at worst in 600 random draws; at
+    # absolute frequencies it grew to 5.8e-11 at omega_c = 1e4 and rates 0.05)
+    params = SystemParams(omega_c=omega_c, delta=delta, cavity_decay=cavity_decay,
                           atom_decay=atom_decay, n_fock=2)
-    liouv = standard_liouvillian(params)
-    grid = default_frequency_grid(params)
-    numeric = absorption_spectrum(liouv, steady_state(liouv), annihilation_at(params.dims, 0),
-                                  grid, params)
-    analytic = absorption_spectrum_analytic(params, grid).values
-    assert np.abs(numeric.values - analytic).max() < 1e-12 * analytic.max()
+    result = _run_spectrum(params, {"n_points": 2001})
+    assert result.summary["relative_sup_error"] < 1e-13
 
 
 @settings(deadline=None, max_examples=40)
@@ -209,23 +200,21 @@ def test_closed_form_is_the_engine_spectrum_at_any_rates(delta, cavity_decay, at
 def test_two_cavity_spectrum_is_the_mean_of_the_normal_mode_spectra(delta, hopping, cavity_decay,
                                                                     atom_decay):
     # one excitation on two cavities splits into the symmetric and the
-    # antisymmetric normal mode, whose cavities sit at omega_c +- J, and the
+    # antisymmetric normal mode, whose cavities sit at offsets +-J, and the
     # local losses stay diagonal there, so site 0's spectrum is
-    # 1/2 [S(omega; omega_c + J) + S(omega; omega_c - J)], S the one-cavity
-    # closed form with the atom frequency held (delta -+ J); the cavity sits
-    # at 10 as in the one-cavity test, and the largest error seen in 300
+    # 1/2 [S(nu - J; delta - J) + S(nu + J; delta + J)], S the one-cavity
+    # closed form with the atom frequency held; the largest error seen in 300
     # random draws was 1.2e-13 of the peak, so 1e-12 leaves a margin of 8
-    params = SystemParams(omega_c=10.0, delta=delta, hopping=hopping, cavity_decay=cavity_decay,
+    params = SystemParams(delta=delta, hopping=hopping, cavity_decay=cavity_decay,
                           atom_decay=atom_decay, n_fock=2, n_cavities=2)
     liouv = standard_liouvillian(params)
-    grid = default_frequency_grid(params)
+    grid = offsets(params)
     numeric = absorption_spectrum(liouv, steady_state(liouv), annihilation_at(params.dims, 0),
                                   grid).values
     single = params.with_(n_cavities=1, hopping=0.0)
     analytic = 0.5 * sum(
-        absorption_spectrum_analytic(
-            single.with_(omega_c=params.omega_c + sign * hopping, delta=delta - sign * hopping),
-            grid).values
+        absorption_spectrum_analytic(single.with_(delta=delta - sign * hopping),
+                                     grid - sign * hopping).values
         for sign in (1.0, -1.0))
     assert np.abs(numeric - analytic).max() < 1e-12 * analytic.max()
 
@@ -309,9 +298,7 @@ def test_spectrum_rejects_undamped_generator():
     liouv = standard_liouvillian(p)
     stationary = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).density_matrix()
     with pytest.raises(NumericalError, match="does not decay"):
-        absorption_spectrum(
-            liouv, stationary, annihilation_at(p.dims, 0), np.linspace(96, 104, 11), p
-        )
+        absorption_spectrum(liouv, stationary, annihilation_at(p.dims, 0), np.linspace(-4, 4, 11))
 
 
 def test_spectrum_floor_enforced():
@@ -337,10 +324,10 @@ def test_default_grid_resolves_both_polaritons_at_any_detuning(delta, rate):
     # of the stronger at |delta| = 8, above find_peaks' 1% floor; from a rate of
     # about 0.8 the tail of one line moves the other's peak by over a grid step
     params = SystemParams(omega_c=100.0, delta=delta, cavity_decay=rate, atom_decay=rate)
-    grid = default_frequency_grid(params)
+    grid = offsets(params)
     report = find_peaks(absorption_spectrum_analytic(params, grid))
     split = math.hypot(delta / 2.0, params.g)
-    for level in params.omega_c + delta / 2.0 + np.array([-split, split]):
+    for level in delta / 2.0 + np.array([-split, split]):
         assert np.abs(report.positions - level).min() <= grid[1] - grid[0]
 
 
@@ -350,6 +337,6 @@ def test_default_grid_holds_every_two_cavity_level_with_margin(delta, hopping):
     params = SystemParams(omega_c=100.0, delta=delta, hopping=hopping, n_fock=2, n_cavities=2)
     one = np.flatnonzero(np.isclose(total_excitation(params.dims).data.diagonal().real, 1.0))
     levels = np.linalg.eigvalsh(build_jch(params).data[np.ix_(one, one)])
-    grid = default_frequency_grid(params)
+    grid = offsets(params)
     assert levels.min() - grid[0] >= 2.0 * params.g - 1e-9
     assert grid[-1] - levels.max() >= 2.0 * params.g - 1e-9

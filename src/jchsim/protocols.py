@@ -95,9 +95,7 @@ def extract_period(times, series):
         raise NumericalError(
             f"extract_period: only {len(idx)} prominent maxima in the window"
         )
-    refined = [parabolic_refine(times, series, i) for i in idx]
-    t_max = np.array([t for t, _ in refined])
-    heights = np.array([h for _, h in refined])
+    t_max, heights = parabolic_refine(times, series, idx)
     return float(np.mean(np.diff(t_max))), t_max, heights
 
 
@@ -485,11 +483,10 @@ def analytic_variance(model: EffectiveModel, hopping: float) -> float:
 
 
 def numeric_variance(params, branch, hold_samples: int = 401):
-    """Full-lattice order parameter from the fresh pair state |1b,1b> held for 1/J.  Given
-    matching sequences of parameters, which may differ only in hopping and detuning, and
-    of branches, it measures every hold in one stacked solve and returns their list."""
-    if isinstance(params, SystemParams):
-        return numeric_variance([params], [branch], hold_samples)[0]
+    """Full-lattice order parameters from the fresh pair states |1b,1b> held for 1/J.
+    Given matching sequences of parameters, which may differ only in hopping and
+    detuning, and of branches, it measures every hold in one stacked solve and
+    returns their list."""
     if not params:
         return []
     base = params[0]

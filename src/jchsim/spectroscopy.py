@@ -61,19 +61,25 @@ class PeakReport:
     asymmetry: float
 
 
-def default_frequency_grid(params: SystemParams, n_points: int = 2001) -> np.ndarray:
-    """Absolute grid centred on the cavity frequency, omega_c +- (4g + 2|J|),
-    widened where needed so that every one-excitation level lies at least 2g
-    inside.  Measured from omega_c, those levels are the doublet
-    (c + delta)/2 +- sqrt((delta - c)^2/4 + g^2) of each cavity mode c: 0, or
-    on two cavities the normal modes +-J.  Spectra are evaluated on
-    ``grid - omega_c``, which is exact while the half-width stays below
-    omega_c / 2 (Sterbenz)."""
-    half_width = 4.0 * params.g
-    cavities = np.array([0.0])
+def _cavity_modes(params: SystemParams) -> np.ndarray:
+    """Offsets from omega_c of the cavity normal modes in which one excitation
+    on site 0 is shared: 0 on one cavity, the antisymmetric and symmetric
+    modes -J and +J on two."""
     if params.n_cavities == 2:
-        half_width += 2.0 * abs(params.hopping)
-        cavities = np.array([-1.0, 1.0]) * params.hopping
+        return np.array([-1.0, 1.0]) * params.hopping
+    return np.array([0.0])
+
+
+def default_frequency_grid(params: SystemParams, n_points: int = 2001) -> np.ndarray:
+    """Absolute grid centred on the cavity frequency, omega_c +- (4g + 2 max|c|)
+    over the cavity normal modes c of :func:`_cavity_modes` (0 on one cavity,
+    +-J on two), widened where needed so that every one-excitation level lies
+    at least 2g inside.  Measured from omega_c, those levels are the doublet
+    (c + delta)/2 +- sqrt((delta - c)^2/4 + g^2) of each c.  Spectra are
+    evaluated on ``grid - omega_c``, which is exact while the half-width stays
+    below omega_c / 2 (Sterbenz)."""
+    cavities = _cavity_modes(params)
+    half_width = 4.0 * params.g + 2.0 * float(np.abs(cavities).max())
     split = np.hypot((params.delta - cavities) / 2.0, params.g)
     reach = np.abs((cavities + params.delta) / 2.0) + split
     half_width = max(half_width, float(reach.max()) + 2.0 * params.g)
@@ -122,20 +128,22 @@ def absorption_spectrum(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operato
 
 
 def absorption_spectrum_analytic(params: SystemParams, freq_grid) -> Spectrum:
-    """Exact spectrum of the weakly excited single cavity at any decay rates, on
-    the grid of offsets nu = omega - omega_c.
+    """Exact site-0 spectrum of the weakly excited one or two cavities at any
+    decay rates, on the grid of offsets nu = omega - omega_c.
 
     From the vacuum, a^dag reaches only the one-excitation states, where the
-    correlation evolves under the 2x2 no-jump Hamiltonian; its resolvent gives
-    S = 2 Re[z_a / (z_c z_a + g^2)] with z_c = kappa/2 - i nu and
-    z_a = gamma/2 - i(nu - delta) (Carmichael et al., PRA 40, 5516 (1989)).
+    correlation evolves under the no-jump Hamiltonian.  On two cavities these
+    split into the normal modes c = -J and +J of :func:`_cavity_modes`, each
+    holding half of site 0's photon, and the local losses stay diagonal there.
+    So S is the mean over c of the one-cavity resolvent 2 Re[z_a / (z_c z_a + g^2)]
+    with z_c = kappa/2 - i(nu - c) and z_a = gamma/2 - i(nu - delta)
+    (Carmichael et al., PRA 40, 5516 (1989); Carmichael, Brecha & Rice,
+    Opt. Commun. 82, 73 (1991)).
     """
-    if params.n_cavities != 1:
-        raise DimensionMismatchError("the closed form covers a single cavity")
     nu = np.asarray(freq_grid, dtype=float)
-    z_c = 0.5 * params.cavity_decay - 1j * nu
+    z_c = 0.5 * params.cavity_decay - 1j * (nu - _cavity_modes(params)[:, None])
     z_a = 0.5 * params.atom_decay - 1j * (nu - params.delta)
-    return Spectrum(nu, 2.0 * (z_a / (z_c * z_a + params.g**2)).real)
+    return Spectrum(nu, (2.0 * (z_a / (z_c * z_a + params.g**2)).real).mean(axis=0))
 
 
 def local_maxima(y) -> list:
@@ -145,21 +153,23 @@ def local_maxima(y) -> list:
     return (np.flatnonzero((mid >= y[:-2]) & (mid > y[2:])) + 1).tolist()
 
 
-def parabolic_refine(x, y, i: int):
-    """Vertex (position, height) of the parabola through three samples
-    around the interior local maximum ``i`` of a uniform grid.
+def parabolic_refine(x, y, idx):
+    """Vertices (positions, heights) of the parabolas through three samples
+    around each interior local maximum in ``idx`` of a uniform grid.
 
     At such a maximum the vertex lies within half a grid step of x[i] and
     is no lower than y[i]; a flat top returns the sample itself.
     """
-    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if denom >= -1e-300:
-        return float(x[i]), float(y[i])
-    shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+    x, y, i = np.asarray(x), np.asarray(y), np.asarray(idx, dtype=np.intp)
+    left, top, right = y[i - 1], y[i], y[i + 1]
+    denom = left - 2.0 * top + right
+    flat = denom >= -1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 0.5 * (left - right) / denom
     step = 0.5 * (x[i + 1] - x[i - 1])
-    pos = x[i] + shift * step
-    height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
-    return float(pos), float(height)
+    pos = np.where(flat, x[i], x[i] + shift * step)
+    height = np.where(flat, top, top - 0.25 * (left - right) * shift)
+    return pos, height
 
 
 def _half_height_width(x: np.ndarray, y: np.ndarray, i: int, height: float) -> float:
@@ -192,10 +202,8 @@ def find_peaks(spectrum: Spectrum) -> PeakReport:
     idx = [i for i in local_maxima(y) if y[i] >= floor]
     if not idx:
         raise NumericalError("find_peaks: no peaks above threshold")
-    refined = [parabolic_refine(x, y, i) for i in idx]
-    positions = np.array([p for p, _ in refined])
-    heights = np.array([h for _, h in refined])
-    widths = np.array([_half_height_width(x, y, i, h) for i, (_, h) in zip(idx, refined)])
+    positions, heights = parabolic_refine(x, y, idx)
+    widths = np.array([_half_height_width(x, y, i, h) for i, h in zip(idx, heights)])
     order = np.argsort(positions)
     positions, heights, widths = positions[order], heights[order], widths[order]
     if len(positions) >= 2:

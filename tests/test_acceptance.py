@@ -188,7 +188,7 @@ def test_criterion_5_variance_cross_validation():
         for delta in (0.0, 1.0, 5.0):
             for branch in ("-", "+"):
                 p = base.with_(hopping=hopping, delta=delta)
-                numeric = numeric_variance(p, branch)
+                numeric = numeric_variance([p], [branch])[0]
                 analytic = analytic_variance(effective_model(p, branch), hopping)
                 if numeric >= 0.1:
                     bad = abs(numeric - analytic) / numeric >= 0.05

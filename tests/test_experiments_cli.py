@@ -287,9 +287,7 @@ class TestExperimentRunners:
         for spec in EXPERIMENTS.values():
             assert set(spec.reads) <= set(PARAM_DEFAULTS)
 
-    def test_every_experiment_has_unique_runner(self):
-        runners = {spec.runner for spec in EXPERIMENTS.values()}
-        assert len(runners) == len(EXPERIMENTS)
+    def test_spectra_share_one_runner_and_every_other_experiment_has_its_own(self):
         expected = {
             "spectrum",
             "two_cavity_spectrum",
@@ -301,6 +299,25 @@ class TestExperimentRunners:
             "perturbation_report",
         }
         assert set(EXPERIMENTS) == expected
+        spectra = {EXPERIMENTS[name].runner for name in ("spectrum", "two_cavity_spectrum")}
+        assert spectra == {experiments._run_spectrum}
+        others = [spec.runner for name, spec in EXPERIMENTS.items() if "spectrum" not in name]
+        assert len(set(others)) == len(others) == len(EXPERIMENTS) - 2
+        assert experiments._run_spectrum not in others
+
+    def test_shipped_two_cavity_spectrum_is_checked_against_the_closed_form(self, tmp_path):
+        # the normal-mode closed form covers two cavities (2.8e-15 of the peak
+        # on this config)
+        out = tmp_path / "out"
+        assert main(["run", str(REPO / "configs" / "two_cavity_spectrum.cfg"),
+                     "--output-dir", str(out)]) == 0
+        lines = (out / "two_cavity_spectrum.csv").read_text().splitlines()
+        assert [line for line in lines if not line.startswith("#")][0] == (
+            "omega,S_numeric,S_analytic")
+        summary = json.loads((out / "two_cavity_spectrum.summary.json").read_text())["summary"]
+        assert summary["relative_sup_error"] < 1e-12
+        assert len(summary["peaks_analytic"]["positions"]) == len(
+            summary["peaks_numeric"]["positions"])
 
 
 class TestCli:
@@ -333,7 +350,7 @@ class TestCli:
             "mode = 1.7",
             "n_points = abc",
             "n_fock = 3.0",
-            "n_cavities = 1.0",
+            "hold_samples = 241.0",
             "n_fock = 2.5",
             "delta = true",
             "hopping = 0.1, 0.2",
@@ -345,12 +362,13 @@ class TestCli:
         # each key goes to an experiment that reads it, so that only its type
         # can refuse it
         key = line.split("=")[0].strip()
-        experiment = {"n_fock": "driven_oscillation", "omega_c": "spectrum"}.get(key, "ramp")
+        experiment = {"n_fock": "driven_oscillation", "omega_c": "spectrum",
+                      "delta": "spectrum"}.get(key, "ramp")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"experiment = {experiment}\n{line}\n")
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {key!r} takes " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, flags, code",

@@ -326,7 +326,7 @@ class TestAnalyticVariance:
     def test_agreement_with_numeric_both_branches(self):
         for branch in ("-", "+"):
             p = TWO_SITE.with_(delta=1.0)
-            numeric = numeric_variance(p, branch)
+            numeric = numeric_variance([p], [branch])[0]
             analytic = analytic_variance(effective_model(p, branch), p.hopping)
             if numeric >= 0.1:
                 assert abs(numeric - analytic) / numeric < 0.05
@@ -336,7 +336,7 @@ class TestAnalyticVariance:
     def test_variance_vanishes_with_hopping(self):
         # from a filling eigenstate the variance dies out with the coupling
         values = [
-            numeric_variance(TWO_SITE.with_(hopping=j, delta=0.0), "-", hold_samples=241)
+            numeric_variance([TWO_SITE.with_(hopping=j, delta=0.0)], ["-"], hold_samples=241)[0]
             for j in (0.1, 0.02, 0.005)
         ]
         assert values[0] > values[1] > values[2]
@@ -493,13 +493,14 @@ def test_one_grid_pulse_chain_matches_stepwise_pulses(small_schedule, strict):
 def test_batched_variance_equals_the_per_point_calls(hoppings, deltas, data):
     # variance_compare's grid in one stacked solve: distinct hoppings, a
     # detuning list with a repeat and both branches, in a random order, give
-    # the scalar calls' floats exactly
+    # the one-element batches' floats exactly
     grid = [(j, d, b) for j in hoppings for d in deltas + deltas[:1] for b in "-+"]
     grid = data.draw(st.permutations(grid))
     points = [TWO_SITE.with_(hopping=j, delta=d) for j, d, _ in grid]
     branches = [b for *_, b in grid]
     batched = numeric_variance(points, branches, hold_samples=101)
-    assert batched == [numeric_variance(p, b, hold_samples=101) for p, b in zip(points, branches)]
+    assert batched == [numeric_variance([p], [b], hold_samples=101)[0]
+                       for p, b in zip(points, branches)]
     # every observable of the stacked holds, each on its own grid of 1/J
     js = np.array([p.hopping for p in points])
     specs = [f"1{b},1{b}" for b in branches]
@@ -517,7 +518,7 @@ def test_variance_grid_guards():
     with pytest.raises(ValueError):
         numeric_variance([TWO_SITE, TWO_SITE.with_(delta=1.0)], ["-"])
     with pytest.raises(ValueError):
-        numeric_variance(TWO_SITE, "x")
+        numeric_variance([TWO_SITE], ["x"])
 
 
 class TestOrderParameter:
@@ -550,9 +551,9 @@ class TestOrderParameter:
         oracle = operator_variance(traj.times, traj.expect, traj.dims)
         assert value == pytest.approx(oracle, abs=1e-12)
         with pytest.raises(DimensionMismatchError):
-            numeric_variance(p, "-")
+            numeric_variance([p], ["-"])
         with pytest.raises(ValueError):
-            numeric_variance(TWO_SITE.with_(hopping=0.0), "-")
+            numeric_variance([TWO_SITE.with_(hopping=0.0)], ["-"])
 
     def test_matches_ket_variance_path(self):
         # the variance of the density-matrix series against the direct
@@ -563,7 +564,7 @@ class TestOrderParameter:
         amps = evolve_closed(build_jch(p), psi, times)
         rhos = np.einsum("ti,tj->tij", amps, amps.conj())
         via_trajectory = _number_variance(times, site_marginals(dressed_populations(rhos, p)))
-        via_kets = numeric_variance(p, "-", hold_samples=241)
+        via_kets = numeric_variance([p], ["-"], hold_samples=241)[0]
         assert via_trajectory == pytest.approx(via_kets, rel=1e-9)
 
     def test_small_variance_is_a_centred_sum(self):
@@ -587,7 +588,7 @@ class TestOrderParameter:
         value = _number_variance(times, site_marginals(pops))
         assert 1e-6 < value < 1e-5
         assert abs(value - reference) < 1e-12 * reference
-        assert numeric_variance(p, "+", hold_samples=401) == value
+        assert numeric_variance([p], ["+"], hold_samples=401)[0] == value
 
     @pytest.mark.parametrize("hopping, delta", [(0.02, 0.0), (0.05, 1.0), (0.1, 5.0), (0.02, 5.0)])
     def test_variance_at_large_omega_c_matches_shifted_frame(self, hopping, delta):
@@ -601,7 +602,7 @@ class TestOrderParameter:
         shifted = build_jch(p) + p.omega_c * total_excitation(p.dims)
         amps = evolve_closed(shifted, psi, times)
         oracle = operator_variance(times, partial(expect_series, series=amps), p.dims)
-        assert abs(numeric_variance(p, "-", hold_samples=401) - oracle) < 1e-9
+        assert abs(numeric_variance([p], ["-"], hold_samples=401)[0] - oracle) < 1e-9
 
 
 class TestRampSchedule:

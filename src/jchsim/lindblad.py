@@ -15,12 +15,14 @@ find the singular ones, and the rank-revealing SVD of the generator on what
 they reach gives the dimension of the kernel and its null vector (Golub & Van
 Loan, Matrix Computations, 4th ed., secs. 2.4 and 5.4).
 
-Each generator type has one propagator.  :func:`evolve` steps a density
-matrix along a uniform grid by the exact exp(L dt) on the sector the initial
-state reaches, formed by scaling and squaring in real coordinates on a
-Hermitian basis, where the generator is a real matrix (Alicki & Lendi, Lect.
-Notes Phys. 286 (1987)); :func:`evolve_closed` rotates a ket in the
-eigenbasis of the Hamiltonian block its support reaches.
+Each generator type has one propagator, on a grid off uniform by at most
+``GRID_UNIFORMITY_TOL`` of its step dt.  :func:`evolve` steps a density matrix
+by the exact exp(L dt) on the sector the initial state reaches, formed by
+scaling and squaring in real coordinates on a Hermitian basis, where the
+generator is a real matrix (Alicki & Lendi, Lect. Notes Phys. 286 (1987));
+:func:`evolve_closed` rotates a ket in the eigenbasis of the Hamiltonian block
+its support reaches, the T phases exp(-i E n dt) of each level the products of
+two tables of ceil(sqrt T) powers, within 8 eps (1 + max|E| t) of exact.
 """
 from __future__ import annotations
 
@@ -265,13 +267,15 @@ class Trajectory:
         return float(np.linalg.eigvalsh(self.states).min())
 
 
-def _check_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
+def _check_grid(times: np.ndarray) -> np.ndarray:
+    """Steps dt > 0 of grids ``times`` (K, T), none off t0 + n dt by over GRID_UNIFORMITY_TOL dt."""
+    if times.ndim != 2 or times.shape[1] < 2:
         raise ValueError("time grid must be a 1d array with at least two points")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    return t
+    step = (times[:, -1] - times[:, 0]) / (times.shape[1] - 1)
+    stray = np.abs(times - times[:, :1] - step[:, None] * np.arange(times.shape[1])).max(axis=1)
+    if not np.all((step > 0) & (stray <= GRID_UNIFORMITY_TOL * step)):
+        raise ValueError(f"time grid is not uniform within {GRID_UNIFORMITY_TOL:.0e} of its step")
+    return step
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -303,9 +307,8 @@ def _doubling(prop: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
 
 
 def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
-    """Propagate a density matrix along the uniform grid ``t_grid`` (the clock
-    starts at t_grid[0]); a grid that strays from uniform by more than
-    ``GRID_UNIFORMITY_TOL`` of its step raises ``ValueError``.
+    """Propagate a density matrix along the uniform grid ``t_grid`` (:func:`_check_grid`;
+    the clock starts at t_grid[0]).
 
     The generator is formed on :meth:`Liouvillian._closure` of vec(rho0), a set
     closed under (i, j) <-> (j, i) that leaves out the fast coherences between
@@ -317,10 +320,8 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     if liouv.dims != rho0.dims:
         raise DimensionMismatchError("initial state dims differ from generator dims")
     rho0.validate()
-    times = _check_grid(t_grid)
-    step = (times[-1] - times[0]) / (len(times) - 1)
-    if np.abs(times - times[0] - step * np.arange(len(times))).max() > GRID_UNIFORMITY_TOL * step:
-        raise ValueError(f"time grid is not uniform within {GRID_UNIFORMITY_TOL:.0e} of its step")
+    times = np.asarray(t_grid, dtype=float)
+    (step,) = _check_grid(times[None])
     d = liouv.dims.total_dim
     mirror, alpha = _hermitian_frame(d)
     vec = vectorize(rho0.data)
@@ -349,24 +350,30 @@ def _ket_reach(h: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 
 def _closed_amplitudes(hs: np.ndarray, psis: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i H_k (t - t_k0)) psi_k, shape (K, T, m), for Hermitian blocks ``hs``
-    (K, m, m), kets ``psis`` (K, m) and grids ``times`` (K, T): one stacked ``eigh``."""
-    energies, vectors = np.linalg.eigh(hs)
-    phases = np.exp(-1j * ((times - times[:, :1])[:, :, None] * energies[:, None, :]))
-    phases *= (vectors.conj().mT @ psis[:, :, None]).mT  # in place: one (K, T, m) array fewer
-    return phases @ vectors.mT
+    """exp(-i H_k n dt_k) psi_k (K, T, m) for Hermitian ``hs`` (K, m, m) = V E V^dag, kets
+    ``psis`` (K, m) and uniform grids ``times`` (K, T) (:func:`_check_grid`): for n = q w + s,
+    w = ceil(sqrt T), baby[s] @ (giant[q] V^T), of tables baby[s] = exp(-i E s dt) V^dag psi and
+    giant[q] = exp(-i E q w dt): 2 sqrt(T) m exponentials, within 8 eps (1 + max|E| t) of exact."""
+    step, (energies, vectors) = _check_grid(times), np.linalg.eigh(hs)
+    t, w = times.shape[1], int(np.ceil(np.sqrt(times.shape[1])))
+    rate = -1j * step[:, None, None] * energies[:, None, :]  # -i E dt, (K, 1, m)
+    baby = np.exp(rate * np.arange(w)[:, None]) * (vectors.conj().mT @ psis[:, :, None]).mT
+    giant = np.exp(rate * (w * np.arange(-(-t // w)))[:, None])  # (K, G, m), G = ceil(T / w)
+    amps = baby[:, None] @ (giant[..., None] * vectors.mT[:, None])  # (K, G, w, m)
+    return amps.reshape(len(hs), -1, energies.shape[1])[:, :t]
 
 
 def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
-    """Unitary amplitudes exp(-i H t) psi0 sampled on the grid, shape (T, D), from
-    the block of H that the support of psi0 reaches; exactly 0 outside it."""
+    """exp(-i H (t - t_grid[0])) psi0 (T, D) on a uniform grid, by the phase tables of
+    :func:`_closed_amplitudes` on the block of H psi0 reaches; exactly 0 outside it."""
     if h.dims != psi0.dims:
         raise DimensionMismatchError("state dims differ from Hamiltonian dims")
-    times = _check_grid(t_grid)
     idx = _ket_reach(h.data, psi0.amplitudes[None])
-    out = np.zeros((len(times), h.dims.total_dim), dtype=complex)
-    out[:, idx] = _closed_amplitudes(h.data[np.ix_(idx, idx)][None], psi0.amplitudes[None, idx],
-                                     times[None])[0]
+    out = amps = _closed_amplitudes(h.data[np.ix_(idx, idx)][None], psi0.amplitudes[None, idx],
+                                    np.asarray(t_grid, dtype=float)[None])[0]
+    if len(idx) < h.dims.total_dim:  # exactly 0 elsewhere
+        out = np.zeros((len(amps), h.dims.total_dim), dtype=complex)
+        out[:, idx] = amps
     return out
 
 

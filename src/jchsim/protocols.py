@@ -28,8 +28,7 @@ from .hamiltonians import (
     stroboscopic_generator,
 )
 from .hilbert import Operator, expect_series
-from .lindblad import (_check_grid, _closed_amplitudes, _ket_reach, build_liouvillian, evolve,
-                       evolve_closed)
+from .lindblad import _closed_amplitudes, _ket_reach, build_liouvillian, evolve, evolve_closed
 from .polariton import (
     _dressed_matrices,
     basis_transform,
@@ -351,7 +350,6 @@ def _hold_amplitudes(psis, params: SystemParams, deltas, hoppings, hold_times, s
         psis = (site[k, :, cols[0], None] * site[k, None, :, cols[1]]).reshape(len(k), -1)
     hoppings, hold_times = (np.broadcast_to(x, len(deltas)) for x in (hoppings, hold_times))
     times = np.linspace(0.0, hold_times, samples, axis=-1)
-    _check_grid(times[np.argmin(hold_times)])  # the shortest hold has the finest steps
     h = build_jch(params.with_(hopping=1.0)).data  # unit hopping: the pattern of every J > 0
     idx = _ket_reach(h, psis)
     amps = _closed_amplitudes(_jch_over_detunings(params, h, idx, deltas, hoppings),

@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from jchsim import (
     total_excitation,
     trace_distance,
 )
-from jchsim.lindblad import GRID_UNIFORMITY_TOL, ZERO_MODE_TOL, vectorize
+from jchsim.lindblad import GRID_UNIFORMITY_TOL, ZERO_MODE_TOL, _closed_amplitudes, vectorize
 from jchsim.spectroscopy import AMPLITUDE_FLOOR
 
 from conftest import random_density_matrix, random_kets
@@ -617,20 +618,36 @@ class TestEvolve:
         assert_exact_propagation(liouv, rho0, np.linspace(0.0, 0.5, 6))
 
     def test_non_uniform_grid_is_refused(self):
-        # one propagator step serves the whole grid, so a grid whose points
-        # stray from uniform by more than GRID_UNIFORMITY_TOL of its step is
-        # refused, not resampled; a stray below the tolerance is ignored
+        # both propagators read every sample off one step, the density matrix
+        # through one exp(L dt) and the ket through phase tables in powers of
+        # exp(-i E dt), so a grid whose points stray from uniform by more than
+        # GRID_UNIFORMITY_TOL of its step is refused, not resampled; a stray
+        # below the tolerance is ignored
         dims = HilbertDims(2)
-        liouv = build_liouvillian(zero_hamiltonian(dims), [(annihilation_at(dims, 0), 0.5)])
-        rho0 = bare_ket(dims, [(1, 0)]).density_matrix()
+        matrix = np.diag(np.arange(dims.total_dim, dtype=complex))
+        matrix[1, 2] = matrix[2, 1] = 0.7
+        h = Operator(dims, matrix)
+        psi = bare_ket(dims, [(1, 0)])
+        runs = (
+            (partial(evolve, build_liouvillian(h, [(annihilation_at(dims, 0), 0.5)]),
+                     psi.density_matrix()), lambda traj: traj.states),
+            (partial(evolve_closed, h, psi), lambda amps: amps),
+        )
         times = np.linspace(1.0, 2.0, 11)  # step 0.1
         nudged, strayed = times.copy(), times.copy()
         nudged[4] += 0.1 * GRID_UNIFORMITY_TOL / 10
         strayed[4] += 0.1 * GRID_UNIFORMITY_TOL * 10
-        assert np.array_equal(evolve(liouv, rho0, nudged).states, evolve(liouv, rho0, times).states)
-        for bad in ([0.0, 0.5, 1.5], np.geomspace(1.0, 2.0, 11), strayed):
-            with pytest.raises(ValueError, match="uniform"):
-                evolve(liouv, rho0, bad)
+        for propagate, read in runs:
+            assert np.array_equal(read(propagate(nudged)), read(propagate(times)))
+            for bad in ([0.0, 0.5, 1.5], [0.0, np.nan, 2.0], np.geomspace(1.0, 2.0, 11), strayed,
+                        times[::-1]):
+                with pytest.raises(ValueError, match="uniform"):
+                    propagate(bad)
+        # a stack of holds is checked row by row, each against its own step
+        hs, psis = np.stack([h.data] * 2), np.stack([psi.amplitudes] * 2)
+        assert _closed_amplitudes(hs, psis, np.stack([times, 3 * nudged])).shape == (2, 11, 6)
+        with pytest.raises(ValueError, match="uniform"):
+            _closed_amplitudes(hs, psis, np.stack([times, 3 * strayed]))
 
     def test_grid_validation(self):
         dims = HilbertDims(2)
@@ -829,7 +846,7 @@ def block_hamiltonians(draw):
 def test_evolve_closed_block_route_matches_dense(generator, t_max):
     # the reachable-block route against the dense eigh rotation of the whole
     # space; the largest error seen in three runs of 2000 examples was
-    # 3.6e-14 (entries of H of order 1, t <= 10), so 1e-12 leaves a margin of 28
+    # 4.1e-14 (entries of H of order 1, t <= 10), so 1e-12 leaves a margin of 24
     dims, h, amps, reach = generator
     times = np.linspace(0.0, t_max, 7)
     block = evolve_closed(Operator(dims, h), Ket(dims, amps), times)
@@ -837,6 +854,34 @@ def test_evolve_closed_block_route_matches_dense(generator, t_max):
     dense = (np.exp(-1j * np.outer(times, energies)) * (vectors.conj().T @ amps)) @ vectors.T
     assert np.abs(block - dense).max() < 1e-12
     assert np.all(block[:, ~reach] == 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 10), st.integers(2, 8001), st.floats(0.01, 500.0),
+       st.integers(0, 2**32 - 1))
+def test_closed_amplitudes_match_long_double_phases(holds, width, samples, norm, seed):
+    # the phase tables against exp(-i E (t_n - t_0)) in long double at the
+    # float64 grid points, through the same eigh, on holds of their own step;
+    # the bound is c eps (1 + max|E| t) per hold: the largest c seen in 9500
+    # random stacks (K <= 4, m <= 10, T <= 8001, |H| <= 500, t <= 20) was
+    # 2.1, at |E| t below 1, where the matmuls' rounding sets it; where |E| t
+    # passes 100 it was 1.1 (0.5 with one exponential per sample, which read
+    # the rounded t_n where the tables take n dt), so c = 8 leaves a margin of 3.8
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((2, holds, width, width))
+    hs = raw[0] + 1j * raw[1] + (raw[0] + 1j * raw[1]).conj().mT
+    hs *= norm / np.linalg.norm(hs, 2, axis=(1, 2))[:, None, None]
+    psis = rng.standard_normal((holds, width)) + 1j * rng.standard_normal((holds, width))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    times = np.linspace(0.0, rng.uniform(0.1, 20.0, holds), samples, axis=-1)
+    amps = _closed_amplitudes(hs, psis, times)
+    energies, vectors = np.linalg.eigh(hs)
+    elapsed = (times - times[:, :1]).astype(np.longdouble)
+    phases = np.exp(-1j * elapsed[:, :, None] * energies.astype(np.longdouble)[:, None, :])
+    coefficients = vectors.conj().mT.astype(np.clongdouble) @ psis[:, :, None]
+    exact = (phases * coefficients.mT) @ vectors.mT.astype(np.clongdouble)
+    bound = 8 * np.finfo(float).eps * (1 + np.abs(energies).max(axis=1) * times[:, -1])
+    assert np.all(np.abs(amps - exact).max(axis=(1, 2)) <= bound)
 
 
 class TestSteadyState:

@@ -10,10 +10,13 @@ forward; no entry of the generator leaves S x S for a set S that no link
 leaves, nor a weak piece of it, a symmetry sector (Buca & Prosen, New J. Phys.
 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  A spectrum from
 a^dag |0><0| is formed on |k><0|, k one excitation, at any photon cutoff.
-:func:`steady_state` needs no eigenbasis: values-only SVDs of the pair blocks
-find the singular ones, and the rank-revealing SVD of the generator on what
-they reach gives the dimension of the kernel and its null vector (Golub & Van
-Loan, Matrix Computations, 4th ed., secs. 2.4 and 5.4).
+:func:`steady_state` needs no eigenbasis: a pair block whose field of values
+lies at real part <= -(Gamma_a + Gamma_b) / 2, the smallest loss rates of its
+two components, is nonsingular by that bound alone (Horn & Johnson, Topics in
+Matrix Analysis, ch. 1), values-only SVDs of the other pair blocks find the
+singular ones, and the rank-revealing SVD of the generator on what they reach
+gives the dimension of the kernel and its null vector (Golub & Van Loan,
+Matrix Computations, 4th ed., secs. 2.4 and 5.4).
 
 Each generator type has one propagator, on a grid off uniform by at most
 ``GRID_UNIFORMITY_TOL`` of its step dt.  :func:`evolve` steps a density matrix
@@ -377,24 +380,53 @@ def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
     return out
 
 
+def _loss_floors(liouv: Liouvillian) -> np.ndarray:
+    """Per component c of :attr:`Liouvillian._component`, a floor on the
+    smallest eigenvalue Gamma_c of the loss i (H_eff - H_eff^dag) there,
+    sum_k rate_k L_k^dag L_k for a built generator: eigvalsh's value less
+    8 eps |loss_c|, which covers its roundoff.  Where a jump links two
+    indices of one component (a drive), the floors are -inf."""
+    label, groups = liouv._component, _groups(liouv._component)
+    floors = np.full(len(groups), -np.inf)
+    if any(jump[label[:, None] == label].any() for jump, _ in liouv.jumps):
+        return floors
+    loss = 1j * (liouv.h_eff - liouv.h_eff.conj().T)  # Hermitian to the last bit
+    for cs in _groups(np.array([len(comp) for comp in groups])):  # one eigvalsh per size
+        comps = np.stack([groups[c] for c in cs])
+        w = np.linalg.eigvalsh(loss[comps[:, :, None], comps[:, None, :]])
+        floors[cs] = w[:, 0] - 8 * np.finfo(float).eps * np.abs(w).max(axis=1)
+    return floors
+
+
 def steady_state(liouv: Liouvillian) -> DensityMatrix:
     """Stationary state from the null space of the generator.
 
     Only jumps lead from one component of the reach (:attr:`Liouvillian._component`)
     to another, so the generator is block triangular in the pair blocks, the
     indices |i><j| with i in component a and j in b, and its kernel lies in
-    what the singular ones reach.  Each pair block is formed from the D x D
-    pieces and certified by a values-only SVD; (b, a) is the complex conjugate
-    of (a, b) on transposed indices, so a <= b covers both.  The SVD of the
-    generator on :meth:`Liouvillian._closure` of the singular blocks counts
-    the zero modes and raises if there is none or more than one; the right
-    singular vector of the one zero mode is the state, up to its trace.  For
-    the undriven lossy lattice that closure is the vacuum alone.
+    what the singular ones reach; (b, a) is the complex conjugate of (a, b)
+    on transposed indices, so a <= b covers both.  Where no jump links two
+    indices of one component, pair block (a, b) is X -> -i (H_a X - X H_b^dag),
+    whose field of values lies at real part <= -(Gamma_a + Gamma_b) / 2,
+    Gamma_c the smallest loss rate on component c (:func:`_loss_floors`), and
+    so bounds its smallest singular value from below (Horn & Johnson, Topics
+    in Matrix Analysis, ch. 1); a block whose bound exceeds ``ZERO_MODE_TOL``
+    is nonsingular.  Every other block (the vacuum pair, a component with a
+    lossless state, every block of a driven generator) is formed from the
+    D x D pieces and certified by a values-only SVD, stacked by block shape.
+    The SVD of the generator on :meth:`Liouvillian._closure` of the singular
+    blocks counts the zero modes and raises if there is none or more than
+    one; the right singular vector of the one zero mode is the state, up to
+    its trace.  For the undriven lossy lattice that closure is the vacuum alone.
     """
     d = liouv.dims.total_dim
-    shapes = {}  # pairs (a, b), a <= b, by block shape
-    for a, b in combinations_with_replacement(_groups(liouv._component), 2):
-        shapes.setdefault((len(a), len(b)), []).append((a, b))
+    groups, floors = _groups(liouv._component), _loss_floors(liouv)
+    bound, shapes = np.inf, {}  # smallest certifying bound; SVD pairs (a, b), a <= b, by shape
+    for (a, rows), (b, cols) in combinations_with_replacement(enumerate(groups), 2):
+        if (floors[a] + floors[b]) / 2 > ZERO_MODE_TOL:
+            bound = min(bound, (floors[a] + floors[b]) / 2)
+        else:
+            shapes.setdefault((len(rows), len(cols)), []).append((rows, cols))
     singular = np.zeros((d, d), dtype=bool)  # an index |i><j| of each singular pair block
     s_min, zeros = np.inf, 0
     for pairs in shapes.values():  # one stacked block and SVD per shape
@@ -407,13 +439,13 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     if singular.any():
         index = liouv._closure((singular | singular.T).reshape(-1))
         _, sv, vh = np.linalg.svd(liouv._block(index))
-        s_min, zeros = sv[-1], np.count_nonzero(sv < ZERO_MODE_TOL)
+        s_min, bound, zeros = sv[-1], np.inf, np.count_nonzero(sv < ZERO_MODE_TOL)
         vec[index] = vh[-1].conj()
     if zeros == 0:
-        raise NumericalError(
-            f"steady_state: no zero mode within {ZERO_MODE_TOL:.0e} "
-            f"(smallest singular value {s_min:.3e})"
-        )
+        margin = (f"singular value {s_min:.3e} by SVD" if s_min <= bound
+                  else f"singular-value bound {bound:.3e} by field of values")
+        raise NumericalError(f"steady_state: no zero mode within {ZERO_MODE_TOL:.0e} "
+                             f"(smallest certified {margin})")
     if zeros > 1:
         raise DegenerateSteadyStateError(f"steady_state: zero eigenspace has dimension {zeros}")
     rho = vec.reshape(d, d)

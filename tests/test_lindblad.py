@@ -2,6 +2,7 @@ import inspect
 import math
 import warnings
 from functools import partial
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from jchsim import (
     total_excitation,
     trace_distance,
 )
-from jchsim.lindblad import GRID_UNIFORMITY_TOL, ZERO_MODE_TOL, _closed_amplitudes, vectorize
+from jchsim.lindblad import (GRID_UNIFORMITY_TOL, ZERO_MODE_TOL, _closed_amplitudes, _groups,
+                             _loss_floors, vectorize)
 from jchsim.spectroscopy import AMPLITUDE_FLOOR
 
 from conftest import random_density_matrix, random_kets
@@ -372,6 +374,36 @@ def test_undriven_lossy_lattice_relaxes_to_the_exact_vacuum(n_cavities, delta, h
     rho = steady_state(liouv).data
     vacuum = int(np.flatnonzero(order == 0)[0])  # bare_ket |0, g> is index 0
     assert np.count_nonzero(rho) == 1 and rho[vacuum, vacuum] == 1.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([1, 2]), st.integers(2, 4), _offsets, _offsets, _rates, _rates, st.data())
+def test_field_of_values_bound_holds_on_every_block_it_certifies(n_cavities, n_fock, delta, hopping,
+                                                                 cavity_decay, atom_decay, data):
+    # without drive no jump stays inside a component, so pair block (a, b)
+    # is X -> -i (H_a X - X H_b^dag), and Re <X, L X> <= -(Gamma_a + Gamma_b) / 2
+    # for unit X, Gamma_c the smallest eigenvalue of sum rate L^dag L on c:
+    # no block that the floors of the Gammas certify has a smaller singular
+    # value, in any basis order, whichever decay is 0
+    p = SystemParams(delta=delta, omega_c=10.0, n_fock=n_fock, n_cavities=n_cavities,
+                     hopping=abs(hopping) if n_cavities == 2 else 0.0,
+                     cavity_decay=cavity_decay, atom_decay=atom_decay)
+    d = p.dims.total_dim
+    order = np.array(data.draw(st.permutations(range(d))))
+
+    def relabel(op):
+        return Operator(p.dims, op.data[np.ix_(order, order)])
+
+    channels = [(relabel(jump), rate) for jump, rate in decay_channels(p)]
+    liouv = build_liouvillian(relabel(build_jch(p)), channels)
+    groups, floors = _groups(liouv._component), _loss_floors(liouv)
+    loss = sum((rate * jump.data.conj().T @ jump.data for jump, rate in channels), np.zeros((d, d)))
+    assert np.all(floors <= [np.linalg.eigvalsh(loss[np.ix_(g, g)])[0] for g in groups])
+    for (a, rows), (b, cols) in combinations_with_replacement(enumerate(groups), 2):
+        bound = (floors[a] + floors[b]) / 2
+        if bound > ZERO_MODE_TOL:  # the oracle's principal submatrix, bit for bit
+            block = liouv._block((rows[:, None] * d + cols).reshape(-1))
+            assert np.linalg.svd(block, compute_uv=False)[-1] >= (1 - 1e-12) * bound
 
 
 def kron_liouvillian(h, channels) -> np.ndarray:
@@ -884,6 +916,26 @@ def test_closed_amplitudes_match_long_double_phases(holds, width, samples, norm,
     assert np.all(np.abs(amps - exact).max(axis=(1, 2)) <= bound)
 
 
+def svd_calls(monkeypatch) -> list:
+    """The (shape, keywords) of every later np.linalg.svd call, in order."""
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append((a.shape, kw)) or svd(a, **kw))
+    return calls
+
+
+def svd_routing_generator(kind):
+    """(Liouvillian, Kronecker oracle) of a lossy one-cavity generator that
+    the field-of-values bound cannot certify whole: a driven one, or one with
+    atom loss only, whose manifolds below the overflow hold a lossless state."""
+    p = SystemParams(delta=0.3, omega_c=9.0, atom_decay=0.4, n_fock=3)
+    h = build_jch(p)
+    if kind == "driven":
+        p = p.with_(cavity_decay=0.5, atom_drive=0.7, cavity_drive=0.2,
+                    cavity_drive_detuning=0.4, atom_drive_detuning=0.7)
+        h = build_driven(p)
+    return build_liouvillian(h, decay_channels(p)), kron_liouvillian(h, decay_channels(p))
+
+
 class TestSteadyState:
     def test_undriven_decay_reaches_vacuum(self):
         p = SystemParams(delta=0.4, omega_c=9.0, cavity_decay=0.5, atom_decay=0.3, n_fock=3)
@@ -934,10 +986,11 @@ class TestSteadyState:
         # complex conjugate of (a, b) on the transposed indices, so the 49 pair
         # blocks of the 7 excitation manifolds of a lossy two-cavity generator
         # are 7 self-mirrored ones and 21 mirror pairs, and the 28 blocks
-        # (a, b) with a <= b, certified by values-only SVDs stacked by block
-        # shape, certify all of them.  The one singular block is the vacuum,
-        # which leads only to itself, so the null vector is taken from a
-        # 1-wide SVD
+        # (a, b) with a <= b certify all of them.  Every manifold but the
+        # vacuum loses at least min(kappa, gamma) everywhere, so the
+        # field-of-values bound certifies 27 of them; only the vacuum pair
+        # gets a values-only SVD, and it leads only to itself, so the null
+        # vector is taken from a 1-wide SVD
         p = SystemParams(
             delta=0.2, omega_c=9.0, hopping=0.4, cavity_decay=0.5, atom_decay=0.3,
             n_fock=2, n_cavities=2,
@@ -953,18 +1006,48 @@ class TestSteadyState:
                 mirror = (a[:, None] + b * d).reshape(-1)  # |j><i| in the order of |i><j|
                 assert np.array_equal(oracle[np.ix_(mirror, mirror)],
                                       oracle[np.ix_(block, block)].conj())
-        shapes = [(len(a), len(b)) for k, a in enumerate(manifolds) for b in manifolds[k:]]
-        svd = np.linalg.svd
-        calls = []
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, **kw: calls.append((a.shape, kw)) or svd(a, **kw))
+        assert np.array_equal(liouv._component, n)  # the manifolds, in order
+        floors = _loss_floors(liouv)
+        assert floors[0] <= 0 and np.all(floors[1:] > 0.3 - 1e-12)
+        calls = svd_calls(monkeypatch)
         assert steady_state(liouv).data[0, 0] == 1.0  # |0,g;0,g> is index 0
-        *certified, (null_shape, null_kw) = calls
+        assert calls == [((1, 1, 1), {"compute_uv": False}), ((1, 1), {})]
+
+    @pytest.mark.parametrize("kind", ["driven", "dark"])
+    def test_blocks_the_bound_cannot_certify_go_through_the_svds(self, monkeypatch, kind):
+        # a drive links every manifold to the next, so a jump stays inside
+        # the one component and no block is certified by the bound; with
+        # kappa = 0 every manifold up to n_fock holds the lossless |n, g>,
+        # so exactly the pairs of two such manifolds get an SVD, while any
+        # pair with the overflow |n_fock, e> (loss gamma) is certified
+        liouv, _ = svd_routing_generator(kind)
+        groups, floors = _groups(liouv._component), _loss_floors(liouv)
+        dark = [len(g) for g, f in zip(groups, floors) if f <= ZERO_MODE_TOL]
+        if kind == "driven":
+            assert len(groups) == 1 and np.all(floors == -np.inf)
+        else:
+            assert len(dark) == len(groups) - 1 and floors.max() > 0.3 - 1e-12
+        calls = svd_calls(monkeypatch)
+        steady_state(liouv)
+        *certified, _ = calls
         assert all(kw == {"compute_uv": False} for _, kw in certified)
-        stacked = sum(([shape[1:]] * shape[0] for shape, _ in certified), [])
-        assert sorted(stacked) == sorted((m * n, m * n) for m, n in shapes)
-        assert len(stacked) == 28 and len(certified) == len(set(shapes))
-        assert null_shape == (1, 1) and null_kw == {}
+        pairs = [(m, n) for k, m in enumerate(dark) for n in dark[k:]]
+        stacked = sum(([shape[1]] * shape[0] for shape, _ in certified), [])
+        assert sorted(stacked) == sorted(m * n for m, n in pairs)
+        assert len(certified) == len(set(pairs))  # one stacked SVD per block shape
+
+    @pytest.mark.parametrize("kind", ["driven", "dark"])
+    def test_svd_routed_generators_match_the_dense_zero_mode(self, kind):
+        # where the bound is silent, the SVDs still find the oracle's one
+        # null vector
+        liouv, oracle = svd_routing_generator(kind)
+        _, sv, vh = np.linalg.svd(oracle)
+        assert np.count_nonzero(sv < ZERO_MODE_TOL) == 1
+        d = liouv.dims.total_dim
+        rho = vh[-1].conj().reshape(d, d)
+        rho = rho / np.trace(rho)
+        reference = DensityMatrix(liouv.dims, (rho + rho.conj().T) / 2.0)
+        assert trace_distance(steady_state(liouv), reference) < 1e-9
 
     def test_defective_generator_is_solved_in_any_basis_order(self):
         # resonant atom decay at g = 1, rate 1, no cavity loss: a Jordan
@@ -988,8 +1071,11 @@ class TestSteadyState:
         # H_eff - 0.025i shifts the whole generator by -0.05
         p = SystemParams(delta=0.3, omega_c=9.0, cavity_decay=0.4, n_fock=2)
         liouv = standard_liouvillian(p)
+        # the vacuum pair then loses 0.05, so the bound certifies every block
+        # and the error quotes it, not a singular value
         h_eff = liouv.h_eff - 0.025j * np.eye(p.dims.total_dim)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError,
+                           match=r"smallest certified singular-value bound 5\.000e-02 by field"):
             steady_state(Liouvillian(p.dims, h_eff, liouv.jumps))
 
 

@@ -74,8 +74,6 @@ from .perturbation import (
 )
 from .protocols import (
     EffectiveModel,
-    OrderParameterPoint,
-    RampSchedule,
     analytic_variance,
     driven_oscillation_run,
     effective_model,

@@ -30,8 +30,6 @@ from .perturbation import (
     perturbation_report,
 )
 from .protocols import (
-    MEASUREMENT_STATES,
-    RampSchedule,
     analytic_variance,
     driven_oscillation_run,
     effective_model,
@@ -119,40 +117,14 @@ def _run_rwa_probe(params: SystemParams, options: dict) -> ExperimentResult:
 
 
 def _run_ramp(params: SystemParams, options: dict) -> ExperimentResult:
-    schedule = RampSchedule.default(
-        params,
-        mode=int(options["mode"]),
-        n_points=int(options["n_points"]),
-        delta_min=float(options["delta_min"]),
-        delta_max=float(options["delta_max"]),
-    )
-    points = ramp_experiment(
-        schedule,
-        params,
-        initial=str(options["initial"]),
-        time_dependent=bool(options["time_dependent"]),
-        strict_pulses=bool(options["strict_ramp"]),
-        hold_samples=int(options["hold_samples"]),
-    )
-    columns = {
-        "delta": [p.delta for p in points],
-        "var": [p.var for p in points],
-        "p_lp": [p.branch_populations["lp"] for p in points],
-        "p_up": [p.branch_populations["up"] for p in points],
-    }
-    for spec in MEASUREMENT_STATES:  # "2-,0" is the column p_2m_0
-        name = "p_" + spec.replace("-", "m").replace("+", "p").replace(",", "_")
-        columns[name] = [p.state_probabilities[spec] for p in points]
-    return ExperimentResult(
-        columns=columns,
-        summary={
-            "mode": schedule.mode,
-            "pulse_time": schedule.pulse_time,
-            "hold_time": schedule.hold_time,
-            "time_dependent": bool(options["time_dependent"]),
-            "initial": str(options["initial"]),
-        },
-    )
+    mode, initial = int(options["mode"]), str(options["initial"])
+    time_dependent = bool(options["time_dependent"])
+    deltas = np.geomspace(float(options["delta_max"]), float(options["delta_min"]),
+                          int(options["n_points"]))
+    columns, summary = ramp_experiment(params, deltas, mode, initial, time_dependent,
+                                       bool(options["strict_ramp"]), int(options["hold_samples"]))
+    summary = {"mode": mode, **summary, "time_dependent": time_dependent, "initial": initial}
+    return ExperimentResult(columns=columns, summary=summary)
 
 
 def _run_table1(params: SystemParams, options: dict) -> ExperimentResult:

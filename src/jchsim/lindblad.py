@@ -417,7 +417,8 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     The SVD of the generator on :meth:`Liouvillian._closure` of the singular
     blocks counts the zero modes and raises if there is none or more than
     one; the right singular vector of the one zero mode is the state, up to
-    its trace.  For the undriven lossy lattice that closure is the vacuum alone.
+    its trace, and that block also checks the residual |L[rho]|.  For the
+    undriven lossy lattice that closure is the vacuum alone.
     """
     d = liouv.dims.total_dim
     groups, floors = _groups(liouv._component), _loss_floors(liouv)
@@ -438,7 +439,8 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     vec = np.zeros(d * d, dtype=complex)
     if singular.any():
         index = liouv._closure((singular | singular.T).reshape(-1))
-        _, sv, vh = np.linalg.svd(liouv._block(index))
+        block = liouv._block(index)
+        _, sv, vh = np.linalg.svd(block)
         s_min, bound, zeros = sv[-1], np.inf, np.count_nonzero(sv < ZERO_MODE_TOL)
         vec[index] = vh[-1].conj()
     if zeros == 0:
@@ -454,7 +456,9 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
         raise NumericalError("steady_state: zero-mode candidate is traceless")
     rho = rho / trace  # before Hermitizing, so the SVD's phase cannot cancel it
     rho = (rho + rho.conj().T) / 2.0
-    residual = float(np.max(np.abs(liouv.apply(rho))))
+    # the closure of a transpose-symmetric seed is transpose-symmetric, so the
+    # Hermitised state stays on ``index``, which no entry of the generator leaves
+    residual = float(np.max(np.abs(block @ rho.reshape(-1)[index])))
     if residual > 1e-8:
         raise NumericalError(f"steady_state: residual |L[rho]| = {residual:.3e}")
     return DensityMatrix(liouv.dims, rho)

@@ -3,10 +3,12 @@
 Covers the hopping interchange probes, the strongly driven interchange
 oscillation, the coherence/interchange mechanism matrix, the detuning-ramp
 order-parameter sweeps and the effective two-level model with its closed-form
-time-averaged variance.  A ramp, or a variance grid over hopping and detuning,
-measures all of its holds in one pass: one stacked eigensolve of the reached
-Hamiltonian blocks, then every observable from the populations of the dressed
-pairs they touch, along each hold's own time grid.
+time-averaged variance.  A ramp, ``ramp_experiment(params, deltas, mode,
+initial, time_dependent, strict_pulses, hold_samples)``, or a variance grid over
+hopping and detuning, measures all of its holds in one pass: one stacked
+eigensolve of the reached Hamiltonian blocks, then every observable from the
+populations of the dressed pairs they touch, along each hold's own time grid,
+returned as one column per observable with one row per hold.
 """
 from __future__ import annotations
 
@@ -276,67 +278,6 @@ def _number_variance(times: np.ndarray, marginals: np.ndarray) -> np.ndarray:
     return np.trapezoid(variance, times) / (times[..., -1] - times[..., 0])
 
 
-@dataclass(frozen=True)
-class RampSchedule:
-    """Stroboscopic detuning ramp: descending detunings, fixed pulse length.
-
-    The pulse duration is locked to a quarter branch rotation
-    (g * pulse_time = pi/2); the detuning ramp satisfies
-    delta(t) * t = pi (2 mode + 1) / 2, so the elapsed time at which each
-    detuning value is reached follows from the detuning grid.
-    """
-
-    mode: int
-    delta_values: np.ndarray
-    pulse_time: float
-    hold_time: float
-
-    @classmethod
-    def default(
-        cls,
-        params: SystemParams,
-        mode: int = 1,
-        n_points: int = 40,
-        delta_min: float = 0.1,
-        delta_max: float = 60.0,
-    ) -> "RampSchedule":
-        if params.hopping <= 0:
-            raise ValueError("the ramp needs a positive hopping strength")
-        deltas = np.geomspace(delta_max, delta_min, n_points)
-        return cls(
-            mode=mode,
-            delta_values=deltas,
-            pulse_time=math.pi / (2.0 * params.g),
-            hold_time=1.0 / params.hopping,
-        )
-
-    def validate(self, params: SystemParams):
-        # delta * t = pi (2 mode + 1) / 2 has positive solutions only for mode >= 0
-        if not isinstance(self.mode, (int, np.integer)) or self.mode < 0:
-            raise ValueError("stroboscopic mode index must be a non-negative integer")
-        deltas = np.asarray(self.delta_values, dtype=float)
-        if deltas.ndim != 1 or deltas.size == 0:
-            raise ValueError("schedule needs a 1d array of detuning values")
-        if np.any(deltas <= 0) or np.any(np.diff(deltas) >= 0):
-            raise ValueError("detuning values must be positive and strictly decreasing")
-        if abs(params.g * self.pulse_time - math.pi / 2.0) > 1e-12:
-            raise ValueError(
-                "schedule violates the stroboscopic constraint: need g * pulse_time = pi/2"
-            )
-        if self.hold_time <= 0:
-            raise ValueError("hold time must be positive")
-
-
-@dataclass(frozen=True)
-class OrderParameterPoint:
-    """Order parameter and state bookkeeping at one ramp detuning."""
-
-    delta: float
-    var: float
-    branch_populations: dict
-    state_probabilities: dict
-
-
 def _hold_amplitudes(psis, params: SystemParams, deltas, hoppings, hold_times, samples: int):
     """(times, labels, pairs, amps) of K two-site holds: hold k runs at deltas[k] and
     hoppings[k] > 0 from the ket psis[k] (K, D), or from the product of dressed states
@@ -364,7 +305,10 @@ def _hold_amplitudes(psis, params: SystemParams, deltas, hoppings, hold_times, s
 
 def _measure_holds(psis, params: SystemParams, deltas, hoppings, hold_times, samples: int):
     """Every observable of the K holds of :func:`_hold_amplitudes` from their
-    populations in the product of site dressed bases, for all holds at once."""
+    populations in the product of site dressed bases, for all holds at once, as
+    (K,) columns: the order parameter ``var``, the populations ``p_lp`` and
+    ``p_up`` of |1-,1-> and |1+,1+> at the start of each hold, and the time
+    average of each state of ``MEASUREMENT_STATES``, "2-,0" as ``p_2m_0``."""
     times, labels, pairs, amps = _hold_amplitudes(psis, params, deltas, hoppings, hold_times,
                                                   samples)
     pops = np.abs(amps) ** 2
@@ -375,52 +319,67 @@ def _measure_holds(psis, params: SystemParams, deltas, hoppings, hold_times, sam
     measured = np.stack([pops[:, :, column[k]] if k in column else untouched for k in keys], axis=1)
     probabilities = np.trapezoid(measured, times[:, None]) / (times[:, -1:] - times[:, :1])
     marginals = np.stack([pops @ (side[:, None] == np.arange(len(labels))) for side in pairs])
-    variances = _number_variance(times, marginals)
-    branches = measured[:, [MEASUREMENT_STATES.index(s) for s in ("1-,1-", "1+,1+")], 0]
-    return [
-        OrderParameterPoint(float(delta), float(var), dict(zip(("lp", "up"), branch.tolist())),
-                            dict(zip(MEASUREMENT_STATES, averages.tolist())))
-        for delta, var, branch, averages in zip(deltas, variances, branches, probabilities)
-    ]
+    # a copy, so that the columns keep no view of the (K, 6, T) populations
+    lp, up = measured[:, [MEASUREMENT_STATES.index(s) for s in ("1-,1-", "1+,1+")], 0].T
+    columns = {"var": _number_variance(times, marginals), "p_lp": lp, "p_up": up}
+    for spec, averages in zip(MEASUREMENT_STATES, probabilities.T):
+        columns["p_" + spec.replace("-", "m").replace("+", "p").replace(",", "_")] = averages
+    return columns
 
 
 def ramp_experiment(
-    schedule: RampSchedule,
     params: SystemParams,
+    deltas,
+    mode: int = 1,
     initial: str = "1-,1-",
     time_dependent: bool = True,
     strict_pulses: bool = False,
     hold_samples: int = 241,
 ):
-    """Order-parameter sweep over the descending detuning schedule.
+    """Order-parameter sweep over the descending detunings ``deltas``.
 
-    The carried state is prepared as ``initial`` at the first detuning. In
-    the time-dependent mode each step applies one quarter-rotation pulse to
-    the carried state (hopping frozen during the short pulse unless
-    ``strict_pulses``); the subsequent hold of ``hold_time`` at fixed
-    detuning is a measurement branch: the order parameter is averaged over
-    it, while the carried chain continues from the pulsed state.  Without
-    time dependence the pulses are skipped and every point starts from the
-    fresh initial state.
+    Returns ``(columns, summary)``: the columns are ``delta`` and those of
+    :func:`_measure_holds`, one row per detuning, the summary the
+    ``pulse_time`` pi/(2g) of a quarter branch rotation and the ``hold_time``
+    1/J.  The carried state is prepared as ``initial`` at the first detuning.
+    In the time-dependent mode each step applies one quarter-rotation pulse of
+    the stroboscopic generator of ``mode`` to the carried state (hopping
+    frozen during the short pulse unless ``strict_pulses``): the detuning ramp
+    satisfies delta(t) * t = pi (2 mode + 1) / 2, so the elapsed time at which
+    each detuning is reached follows from ``deltas``.  The subsequent hold of
+    ``hold_time`` at fixed detuning is a measurement branch: the order
+    parameter is averaged over it, while the carried chain continues from the
+    pulsed state.  Without time dependence the pulses are skipped and every
+    point starts from the fresh initial state.
     """
     if params.n_cavities != 2:
         raise DimensionMismatchError("the ramp runs on the two-site lattice")
     if params.cavity_decay or params.atom_decay:
         raise ValueError("the ramp is a closed-system protocol")
-    schedule.validate(params)
+    if params.hopping <= 0:
+        raise ValueError("the ramp needs a positive hopping strength")
+    # delta * t = pi (2 mode + 1) / 2 has positive solutions only for mode >= 0
+    if not isinstance(mode, (int, np.integer)) or mode < 0:
+        raise ValueError("stroboscopic mode index must be a non-negative integer")
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("the ramp needs a 1d array of detuning values")
+    if np.any(deltas <= 0) or np.any(np.diff(deltas) >= 0):
+        raise ValueError("detuning values must be positive and strictly decreasing")
+    pulse_time, hold_time = math.pi / (2.0 * params.g), 1.0 / params.hopping
 
-    deltas = np.asarray(schedule.delta_values, dtype=float)
     psi = product_polariton_ket(params.dims, parse_state_spec(initial), params.g, deltas[0])
     psis = np.repeat(psi.amplitudes[None], len(deltas), axis=0)
     if time_dependent:
         # neither pulse generator depends on the detuning, so the pulsed chain
         # is one grid: hold k starts after k + 1 pulses
-        pulse = stroboscopic_generator(params, schedule.mode)
+        pulse = stroboscopic_generator(params, mode)
         if strict_pulses:
             pulse = pulse + build_hopping(params)
-        amps = evolve_closed(pulse, psi, schedule.pulse_time * np.arange(len(deltas) + 1))[1:]
+        amps = evolve_closed(pulse, psi, pulse_time * np.arange(len(deltas) + 1))[1:]
         psis = amps / np.linalg.norm(amps, axis=1, keepdims=True)
-    return _measure_holds(psis, params, deltas, params.hopping, schedule.hold_time, hold_samples)
+    holds = _measure_holds(psis, params, deltas, params.hopping, hold_time, hold_samples)
+    return {"delta": deltas, **holds}, {"pulse_time": pulse_time, "hold_time": hold_time}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +443,7 @@ def numeric_variance(params, branch, hold_samples: int = 401):
     """Full-lattice order parameters from the fresh pair states |1b,1b> held for 1/J.
     Given matching sequences of parameters, which may differ only in hopping and
     detuning, and of branches, it measures every hold in one stacked solve and
-    returns their list."""
+    returns the ``var`` column of :func:`_measure_holds` as a list."""
     if not params:
         return []
     base = params[0]
@@ -496,6 +455,5 @@ def numeric_variance(params, branch, hold_samples: int = 401):
         raise ValueError("the holds may differ only in hopping and detuning")
     specs = [f"1{b},1{b}" for _, b in zip(params, branch, strict=True)]
     hoppings = np.array([p.hopping for p in params])
-    holds = _measure_holds(specs, base, [p.delta for p in params], hoppings, 1.0 / hoppings,
-                           hold_samples)
-    return [hold.var for hold in holds]
+    return _measure_holds(specs, base, [p.delta for p in params], hoppings, 1.0 / hoppings,
+                          hold_samples)["var"].tolist()

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import importlib.util
 import json
+import math
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -522,6 +523,32 @@ class TestCli:
         # provenance carries the options actually in effect
         assert payload["provenance"]["options.strict_ramp"] is True
         assert len(payload["data"]["delta"]) == 4
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ramp_output_layout(self, tmp_path, capsys, fmt):
+        # one row per detuning, the columns in this order, and the summary
+        # of the pulse length pi/(2g) and the hold 1/J
+        cfg = tmp_path / "ramp.cfg"
+        cfg.write_text("experiment = ramp\nn_points = 4\nhold_samples = 101\nhopping = 0.2\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out), "--format", fmt]) == 0
+        capsys.readouterr()
+        header = "delta,var,p_lp,p_up,p_1m_1m,p_1p_1p,p_2m_0,p_0_2m,p_2p_0,p_0_2p"
+        if fmt == "csv":
+            rows = [line for line in (out / "ramp.csv").read_text().splitlines()
+                    if not line.startswith("#")]
+            assert rows[0] == header and len(rows) == 5
+            assert all(len(row.split(",")) == 10 for row in rows[1:])
+            payload = json.loads((out / "ramp.summary.json").read_text())
+        else:
+            payload = json.loads((out / "ramp.json").read_text())
+            assert sorted(payload["data"]) == sorted(header.split(","))
+            assert all(len(column) == 4 for column in payload["data"].values())
+        summary = payload["summary"]
+        assert sorted(summary) == ["hold_time", "initial", "mode", "pulse_time", "time_dependent"]
+        assert summary["pulse_time"] == math.pi / 2 and summary["hold_time"] == 1 / 0.2
+        assert (summary["mode"], summary["time_dependent"], summary["initial"]) == (1, True, "1-,1-")
 
 
 class TestSelfcheck:

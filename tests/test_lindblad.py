@@ -406,6 +406,33 @@ def test_field_of_values_bound_holds_on_every_block_it_certifies(n_cavities, n_f
             assert np.linalg.svd(block, compute_uv=False)[-1] >= (1 - 1e-12) * bound
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([1, 2]), _offsets, _offsets, _rates, _rates, st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_closure_of_a_transpose_symmetric_seed_is_transpose_symmetric(
+        n_cavities, delta, hopping, cavity_decay, atom_decay, driven, seed):
+    # steady_state checks |L[rho]| on the closure of singular | singular.T, so
+    # the Hermitised state lies inside it only if |j><i| is there with every
+    # |i><j|; with or without a coherent field on cavity 0, whichever decay is 0
+    p = SystemParams(delta=delta, omega_c=10.0, n_fock=2, n_cavities=n_cavities,
+                     hopping=abs(hopping) if n_cavities == 2 else 0.0,
+                     cavity_decay=cavity_decay, atom_decay=atom_decay)
+    h = build_jch(p)
+    if driven:
+        a = annihilation_at(p.dims, 0)
+        h = h + 0.7 * (a + a.dag())
+    liouv = build_liouvillian(h, decay_channels(p))
+    d = p.dims.total_dim
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((d, d), dtype=bool)
+    mask.flat[rng.choice(d * d, size=rng.integers(1, 4), replace=False)] = True
+    mask |= mask.T
+    index = liouv._closure(mask.reshape(-1))
+    rows, cols = np.divmod(index, d)
+    assert np.array_equal(np.sort(cols * d + rows), index)
+    assert np.all(np.isin(np.flatnonzero(mask), index))
+
+
 def kron_liouvillian(h, channels) -> np.ndarray:
     """The generator assembled from Kronecker products, H_eff accumulated
     channel by channel in the same order as ``build_liouvillian`` does."""
@@ -1048,6 +1075,24 @@ class TestSteadyState:
         rho = rho / np.trace(rho)
         reference = DensityMatrix(liouv.dims, (rho + rho.conj().T) / 2.0)
         assert trace_distance(steady_state(liouv), reference) < 1e-9
+
+    def test_corrupted_null_vector_is_refused_by_the_residual(self, monkeypatch):
+        # a null vector the rank-revealing SVD got wrong (mixed with the next
+        # right singular vector) still counts one zero mode, so only the
+        # residual on the closure block refuses it
+        liouv, _ = svd_routing_generator("driven")
+        svd = np.linalg.svd
+
+        def corrupted(a, **kw):
+            if not kw.get("compute_uv", True):
+                return svd(a, **kw)
+            u, sv, vh = svd(a, **kw)
+            vh[-1] += 1e-3 * vh[-2]
+            return u, sv, vh
+
+        monkeypatch.setattr(np.linalg, "svd", corrupted)
+        with pytest.raises(NumericalError, match="residual"):
+            steady_state(liouv)
 
     def test_defective_generator_is_solved_in_any_basis_order(self):
         # resonant atom decay at g = 1, rate 1, no cavity loss: a Jordan

@@ -12,7 +12,6 @@ from jchsim import (
     EffectiveModel,
     Ket,
     NumericalError,
-    RampSchedule,
     SystemParams,
     analytic_variance,
     basis_transform,
@@ -53,6 +52,9 @@ from jchsim.spectroscopy import local_maxima
 from conftest import pair_amplitudes, random_kets
 
 TWO_SITE = SystemParams(omega_c=1e4, hopping=0.1, n_fock=3, n_cavities=2)
+# the ramp's column of the time-averaged population of each measured state
+STATE_COLUMNS = {"1-,1-": "p_1m_1m", "1+,1+": "p_1p_1p", "2-,0": "p_2m_0",
+                 "0,2-": "p_0_2m", "2+,0": "p_2p_0", "0,2+": "p_0_2p"}
 
 
 def coherence(rho: np.ndarray, p: SystemParams) -> float:
@@ -374,26 +376,27 @@ def site_marginals(pops: np.ndarray) -> np.ndarray:
     return np.stack([pops.sum(axis=2), pops.sum(axis=1)])
 
 
-def hold_point(psi, p: SystemParams, hold_time: float, samples: int):
-    """_measure_holds on the one ket ``psi`` at p.delta."""
-    return _measure_holds(psi.amplitudes[None], p, [p.delta], p.hopping, hold_time, samples)[0]
+def hold_point(psi, p: SystemParams, hold_time: float, samples: int) -> dict:
+    """_measure_holds on the one ket ``psi`` at p.delta, one float per column."""
+    holds = _measure_holds(psi.amplitudes[None], p, [p.delta], p.hopping, hold_time, samples)
+    return {name: column[0] for name, column in holds.items()}
 
 
-def overlap_hold(psi, amps: np.ndarray, times: np.ndarray, p: SystemParams):
-    """Oracle for _measure_holds on one hold's (T, D) amplitudes: overlaps with
-    the rebuilt product kets of the measured states and the operator variance."""
+def overlap_hold(psi, amps: np.ndarray, times: np.ndarray, p: SystemParams) -> dict:
+    """Oracle for _measure_holds on one hold's (T, D) amplitudes, by column:
+    overlaps with the rebuilt product kets of the measured states and the
+    operator variance."""
 
     def pure(spec):
         return product_polariton_ket(p.dims, parse_state_spec(spec), p.g, p.delta).amplitudes
 
-    branch = {"lp": abs(psi.amplitudes.conj() @ pure("1-,1-")) ** 2,
-              "up": abs(psi.amplitudes.conj() @ pure("1+,1+")) ** 2}
-    probabilities = {
-        spec: np.trapezoid(np.abs(amps @ pure(spec).conj()) ** 2, times) / times[-1]
-        for spec in MEASUREMENT_STATES
-    }
-    var = operator_variance(times, partial(expect_series, series=amps), p.dims)
-    return var, branch, probabilities
+    oracle = {"var": operator_variance(times, partial(expect_series, series=amps), p.dims),
+              "p_lp": abs(psi.amplitudes.conj() @ pure("1-,1-")) ** 2,
+              "p_up": abs(psi.amplitudes.conj() @ pure("1+,1+")) ** 2}
+    for spec in MEASUREMENT_STATES:
+        population = np.abs(amps @ pure(spec).conj()) ** 2
+        oracle[STATE_COLUMNS[spec]] = np.trapezoid(population, times) / times[-1]
+    return oracle
 
 
 @settings(deadline=None, max_examples=30)
@@ -405,12 +408,10 @@ def test_hold_measurement_matches_overlap_oracle(delta, hopping, initial):
     times = np.linspace(0.0, 1.0 / hopping, 61)
     amps = evolve_closed(build_jch(p), psi, times)
     point = hold_point(psi, p, times[-1], len(times))
-    var, branch, probabilities = overlap_hold(psi, amps, times, p)
-    assert abs(point.var - var) < 1e-12
-    for key, value in branch.items():
-        assert abs(point.branch_populations[key] - value) < 1e-12
-    for spec, value in probabilities.items():
-        assert abs(point.state_probabilities[spec] - value) < 1e-12
+    oracle = overlap_hold(psi, amps, times, p)
+    assert list(point) == list(oracle)  # the ramp's CSV order
+    for name, value in oracle.items():
+        assert abs(point[name] - value) < 1e-12
     # the dressed pair basis is complete: every sample's populations sum to 1
     pops = np.abs(pair_amplitudes(amps, basis_transform(p.dims, p.g, p.delta))) ** 2
     assert np.max(np.abs(pops.sum(axis=(1, 2)) - 1.0)) < 1e-12
@@ -448,19 +449,15 @@ def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
         pulse = ramp_pulse(p, 1, chain == "strict")
         psis = stepwise_chain(psi, pulse, math.pi / (2.0 * p.g), len(deltas))
     times = np.linspace(0.0, 1.0 / hopping, 61)
-    points = _measure_holds(psis, p, deltas, hopping, times[-1], len(times))
+    holds = _measure_holds(psis, p, deltas, hopping, times[-1], len(times))
+    assert all(column.shape == (len(deltas),) for column in holds.values())
     _, _, pairs, kept = _hold_amplitudes(psis, p, deltas, hopping, times[-1], len(times))
-    for delta, start, point, reached in zip(deltas, psis, points, kept):
+    for k, (delta, start, reached) in enumerate(zip(deltas, psis, kept)):
         pk = p.with_(delta=delta)
         ket = Ket(pk.dims, start)
         amps = evolve_closed(build_jch(pk), ket, times)
-        var, branch, probabilities = overlap_hold(ket, amps, times, pk)
-        assert point.delta == delta
-        assert abs(point.var - var) < 1e-12
-        for key, value in branch.items():
-            assert abs(point.branch_populations[key] - value) < 1e-12
-        for spec, value in probabilities.items():
-            assert abs(point.state_probabilities[spec] - value) < 1e-12
+        for name, value in overlap_hold(ket, amps, times, pk).items():
+            assert abs(holds[name][k] - value) < 1e-12
         # the kept dressed pairs carry every amplitude of the dense rotation
         dense = pair_amplitudes(amps, basis_transform(pk.dims, pk.g, delta))
         assert np.max(np.abs(dense[:, pairs[0], pairs[1]] - reached)) < 1e-13
@@ -469,22 +466,20 @@ def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
 
 
 @pytest.mark.parametrize("strict", [False, True])
-def test_one_grid_pulse_chain_matches_stepwise_pulses(small_schedule, strict):
+def test_one_grid_pulse_chain_matches_stepwise_pulses(small_deltas, strict):
     # the ramp carries its state over one grid of K + 1 pulse times; holds
     # measured from the stepwise chain of two-point pulses agree with it
-    p, schedule = TWO_SITE, small_schedule
-    deltas = schedule.delta_values
+    p, deltas = TWO_SITE, small_deltas
     psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, deltas[0])
-    pulse = ramp_pulse(p, schedule.mode, strict)
-    psis = stepwise_chain(psi, pulse, schedule.pulse_time, len(deltas))
-    expected = _measure_holds(psis, p, deltas, p.hopping, schedule.hold_time, 241)
-    points = ramp_experiment(schedule, p, "1-,1-", time_dependent=True, strict_pulses=strict)
-    for got, want in zip(points, expected, strict=True):
-        assert abs(got.var - want.var) < 1e-12
-        for key, value in want.branch_populations.items():
-            assert abs(got.branch_populations[key] - value) < 1e-12
-        for spec, value in want.state_probabilities.items():
-            assert abs(got.state_probabilities[spec] - value) < 1e-12
+    pulse = ramp_pulse(p, 1, strict)
+    psis = stepwise_chain(psi, pulse, math.pi / (2.0 * p.g), len(deltas))
+    expected = _measure_holds(psis, p, deltas, p.hopping, 1.0 / p.hopping, 241)
+    columns, _ = ramp_experiment(p, deltas, 1, "1-,1-", time_dependent=True, strict_pulses=strict)
+    assert list(columns) == ["delta", *expected]
+    assert np.array_equal(columns["delta"], deltas)
+    for name, want in expected.items():
+        assert columns[name].shape == want.shape
+        assert np.max(np.abs(columns[name] - want)) < 1e-12
 
 
 @settings(deadline=None, max_examples=20)
@@ -505,8 +500,10 @@ def test_batched_variance_equals_the_per_point_calls(hoppings, deltas, data):
     js = np.array([p.hopping for p in points])
     specs = [f"1{b},1{b}" for b in branches]
     holds = _measure_holds(specs, TWO_SITE, [p.delta for p in points], js, 1.0 / js, 101)
-    for hold, spec, p in zip(holds, specs, points, strict=True):
-        assert hold == _measure_holds([spec], p, [p.delta], p.hopping, 1.0 / p.hopping, 101)[0]
+    for k, (spec, p) in enumerate(zip(specs, points, strict=True)):
+        single = _measure_holds([spec], p, [p.delta], p.hopping, 1.0 / p.hopping, 101)
+        assert {name: column[k] for name, column in holds.items()} == {
+            name: column[0] for name, column in single.items()}
 
 
 def test_variance_grid_guards():
@@ -535,7 +532,7 @@ class TestOrderParameter:
         mean = (amps[0].conj() @ n0 @ amps[0]).real
         square = (amps[0].conj() @ n0 @ n0 @ amps[0]).real
         assert square - mean**2 == pytest.approx(0.0, abs=1e-12)
-        assert point.var > 0  # hopping builds variance over the window
+        assert point["var"] > 0  # hopping builds variance over the window
 
     def test_trajectory_interface_and_guards(self):
         # the variance reads the dressed populations of an evolve Trajectory
@@ -605,57 +602,52 @@ class TestOrderParameter:
         assert abs(numeric_variance([p], ["-"], hold_samples=401)[0] - oracle) < 1e-9
 
 
-class TestRampSchedule:
-    def test_default_shape(self):
-        sched = RampSchedule.default(TWO_SITE, mode=1)
-        assert len(sched.delta_values) == 40
-        assert sched.delta_values[0] == pytest.approx(60.0)
-        assert sched.delta_values[-1] == pytest.approx(0.1)
-        assert sched.pulse_time == pytest.approx(math.pi / 2)
-        assert sched.hold_time == pytest.approx(10.0)
-
-    def test_constraint_violations_rejected(self):
-        good = RampSchedule.default(TWO_SITE, mode=1)
-        bad_pulse = RampSchedule(1, good.delta_values, 1.0, good.hold_time)
-        with pytest.raises(ValueError, match="stroboscopic"):
-            bad_pulse.validate(TWO_SITE)
-        bad_order = RampSchedule(
-            1, good.delta_values[::-1], good.pulse_time, good.hold_time
-        )
-        with pytest.raises(ValueError):
-            bad_order.validate(TWO_SITE)
-        with pytest.raises(ValueError):
-            RampSchedule(1.5, good.delta_values, good.pulse_time, good.hold_time).validate(TWO_SITE)
-        with pytest.raises(ValueError, match="non-negative"):
-            RampSchedule(-1, good.delta_values, good.pulse_time, good.hold_time).validate(TWO_SITE)
-
-
 @pytest.fixture(scope="module")
-def small_schedule():
-    return RampSchedule(
-        mode=1,
-        delta_values=np.geomspace(60.0, 0.1, 8),
-        pulse_time=math.pi / 2,
-        hold_time=10.0,
+def small_deltas():
+    return np.geomspace(60.0, 0.1, 8)
+
+
+class TestRampInputs:
+    def test_summary_times(self, small_deltas):
+        # a quarter branch rotation per pulse and a hold of 1/J
+        columns, summary = ramp_experiment(TWO_SITE, small_deltas, time_dependent=False,
+                                           hold_samples=21)
+        assert summary == {"pulse_time": math.pi / 2, "hold_time": 10.0}
+        assert np.array_equal(columns["delta"], small_deltas)
+
+    @pytest.mark.parametrize(
+        "deltas, mode, hopping, match",
+        [
+            (np.geomspace(0.1, 60.0, 8), 1, 0.1, "strictly decreasing"),
+            (np.array([60.0, 0.0]), 1, 0.1, "positive and strictly decreasing"),
+            (np.array([]), 1, 0.1, "1d array"),
+            (np.geomspace(60.0, 0.1, 8)[None], 1, 0.1, "1d array"),
+            (np.geomspace(60.0, 0.1, 8), 1.5, 0.1, "non-negative integer"),
+            (np.geomspace(60.0, 0.1, 8), -1, 0.1, "non-negative"),
+            (np.geomspace(60.0, 0.1, 8), 1, 0.0, "positive hopping strength"),
+            (np.geomspace(60.0, 0.1, 8), 1, -0.1, "positive hopping strength"),
+        ],
     )
+    def test_constraint_violations_rejected(self, deltas, mode, hopping, match):
+        with pytest.raises(ValueError, match=match):
+            ramp_experiment(TWO_SITE.with_(hopping=hopping), deltas, mode)
 
 
 class TestRampExperiment:
-    def test_alternation_between_reference_curves(self, small_schedule):
-        lp = ramp_experiment(small_schedule, TWO_SITE, "1-,1-", time_dependent=False)
-        up = ramp_experiment(small_schedule, TWO_SITE, "1+,1+", time_dependent=False)
-        pulsed = ramp_experiment(small_schedule, TWO_SITE, "1-,1-", time_dependent=True)
-        for i, point in enumerate(pulsed):
-            expected = up[i].var if i % 2 == 0 else lp[i].var
-            assert point.var == pytest.approx(expected, abs=1e-8)
+    def test_alternation_between_reference_curves(self, small_deltas):
+        lp, _ = ramp_experiment(TWO_SITE, small_deltas, initial="1-,1-", time_dependent=False)
+        up, _ = ramp_experiment(TWO_SITE, small_deltas, initial="1+,1+", time_dependent=False)
+        pulsed, _ = ramp_experiment(TWO_SITE, small_deltas, initial="1-,1-", time_dependent=True)
+        for i, var in enumerate(pulsed["var"]):
+            expected = up["var"][i] if i % 2 == 0 else lp["var"][i]
+            assert var == pytest.approx(expected, abs=1e-8)
 
-    def test_total_excitation_conserved_through_chain(self, small_schedule):
-        points = ramp_experiment(small_schedule, TWO_SITE, "1-,1-", time_dependent=True)
+    def test_total_excitation_conserved_through_chain(self, small_deltas):
+        columns, _ = ramp_experiment(TWO_SITE, small_deltas, initial="1-,1-", time_dependent=True)
         # probabilities bookkeeping: two excitations distributed over the
         # tracked states, no leakage outside the closed sector
-        for point in points:
-            total = sum(point.state_probabilities.values())
-            assert total < 1.0 + 1e-9
+        total = sum(columns[name] for name in STATE_COLUMNS.values())
+        assert np.all(total < 1.0 + 1e-9)
 
     def test_full_cycle_returns_branch(self):
         # two quarter-rotation pulses form half a cycle: |1-> -> -|1->
@@ -677,17 +669,17 @@ class TestRampExperiment:
         up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))
         assert up_weight.max() < 0.1
 
-    def test_open_system_rejected(self, small_schedule):
+    def test_open_system_rejected(self, small_deltas):
         with pytest.raises(ValueError):
-            ramp_experiment(small_schedule, TWO_SITE.with_(atom_decay=0.1), "1-,1-")
+            ramp_experiment(TWO_SITE.with_(atom_decay=0.1), small_deltas, initial="1-,1-")
 
-    def test_strict_pulses_stay_close(self, small_schedule):
-        frozen = ramp_experiment(small_schedule, TWO_SITE, "1-,1-", time_dependent=True)
-        strict = ramp_experiment(
-            small_schedule, TWO_SITE, "1-,1-", time_dependent=True, strict_pulses=True
+    def test_strict_pulses_stay_close(self, small_deltas):
+        frozen, _ = ramp_experiment(TWO_SITE, small_deltas, initial="1-,1-", time_dependent=True)
+        strict, _ = ramp_experiment(
+            TWO_SITE, small_deltas, initial="1-,1-", time_dependent=True, strict_pulses=True
         )
         # hopping acts for only ~pi/2 of each 10/g hold, so the correction is small
-        diffs = [abs(a.var - b.var) for a, b in zip(frozen, strict)]
+        diffs = np.abs(frozen["var"] - strict["var"])
         assert max(diffs) < 0.15
 
 
@@ -701,16 +693,18 @@ def test_total_excitation_drift_in_closed_ramp():
     assert np.max(np.abs(drift)) < 1e-8
 
 
-def test_closed_runs_give_the_same_numbers_at_any_cavity_frequency(small_schedule):
+def test_closed_runs_give_the_same_numbers_at_any_cavity_frequency(small_deltas):
     # every number-conserving run works in the cavity frame, so omega_c moves
     # none of their numbers, bit for bit; at absolute frequencies they moved by
     # up to 1.9e-11 between omega_c = 100 and 1e4
     def closed_runs(omega_c):
         p = TWO_SITE.with_(omega_c=omega_c)
         probe = hopping_interchange_probe(p, "2-,0", samples=2001)
-        ramps = [ramp_experiment(small_schedule, p, "1-,1-", time_dependent=pulsed,
+        ramps = [ramp_experiment(p, small_deltas, initial="1-,1-", time_dependent=pulsed,
                                  strict_pulses=strict)
                  for pulsed, strict in ((False, False), (True, False), (True, True))]
+        ramps = [({name: column.tolist() for name, column in columns.items()}, summary)
+                 for columns, summary in ramps]
         variances = numeric_variance([p, p.with_(delta=1.0)], ["-", "+"])
         config = ExperimentConfig.from_mapping({"experiment": "table1", "omega_c": omega_c})
         rows = EXPERIMENTS["table1"].runner(config.params, config.options).summary["rows"]

@@ -241,7 +241,7 @@ def total_excitation(dims: HilbertDims) -> Operator:
 
 def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
     """<psi(t)| op |psi(t)> along (T, D) ket amplitudes; a run of density
-    matrices reads its expectations through ``Trajectory.expect``."""
+    matrices reads them off its propagator tables, ``Trajectory.expect``."""
     d = op.dims.total_dim
     if series.ndim != 2 or series.shape[1] != d:
         raise DimensionMismatchError(f"series shape {series.shape} is not (T, {d})")

@@ -20,9 +20,10 @@ Matrix Computations, 4th ed., secs. 2.4 and 5.4).
 
 Each generator type has one propagator, on a grid off uniform by at most
 ``GRID_UNIFORMITY_TOL`` of its step dt.  :func:`evolve` steps a density matrix
-by the exact exp(L dt) on the sector the initial state reaches, formed by
+by the exact P = exp(L dt) on the sector the initial state reaches, formed by
 scaling and squaring in real coordinates on a Hermitian basis, where the
-generator is a real matrix (Alicki & Lendi, Lect. Notes Phys. 286 (1987));
+generator is a real matrix (Alicki & Lendi, Lect. Notes Phys. 286 (1987)), and
+keeps P's binary powers to P^(w/2), w ~ sqrt T, and the rows P^(wq) x0 (:class:`Trajectory`);
 :func:`evolve_closed` rotates a ket in the eigenbasis of the Hamiltonian block
 its support reaches, the T phases exp(-i E n dt) of each level the products of
 two tables of ceil(sqrt T) powers, within 8 eps (1 + max|E| t) of exact.
@@ -30,7 +31,7 @@ two tables of ceil(sqrt T) powers, within 8 eps (1 + max|E| t) of exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -237,33 +238,57 @@ def _hermitian_frame(d: int) -> tuple:
 
 @dataclass
 class Trajectory:
-    """Density-matrix run of :func:`evolve`: its time grid and the (T, D^2) state
-    coordinates of :func:`_hermitian_frame`; a ket run is the amplitude array of
-    :func:`evolve_closed`."""
+    """Density-matrix run of :func:`evolve` as tables on the m indices ``index`` (the closure
+    of vec(rho0)) in :func:`_hermitian_frame`, exactly 0 elsewhere: ``powers`` P = exp(L dt) to
+    P^(w/2), w = 2^len(powers) >= sqrt T, and ``giant`` P^(wq) x0, q < ceil(T / w).  A reading
+    u . x_n, n = q w + s, is (u P^s) . giant[q] (Paterson & Stockmeyer, SIAM J. Comput. 2, 60
+    (1973)): (T + w m) m per observable, not T m^2.  A ket run is :func:`evolve_closed`'s array."""
 
     dims: HilbertDims
     times: np.ndarray
-    coords: np.ndarray
+    index: np.ndarray
+    frame: tuple  # alpha and the mirror's position of :func:`_hermitian_frame` on ``index``
+    powers: list
+    giant: np.ndarray
+
+    def _read(self, rows: np.ndarray) -> np.ndarray:
+        """(T, k) readings u . x_n of the stacked rows u (k, m): (u P^s) . giant[q], by doubling."""
+        baby = _doubling([p.T for p in self.powers], rows, 2 ** len(self.powers))
+        out = self.giant @ baby.reshape(-1, len(self.index)).T  # (G, w k)
+        return out.reshape(-1, len(rows))[: len(self.times)]
+
+    def _matrices(self, coords: np.ndarray) -> np.ndarray:
+        """(k, D, D) matrices T^dag coords of samples (k, m), Hermitian to the last bit."""
+        d, (a, m) = self.dims.total_dim, self.frame
+        flat = np.zeros((len(coords), d * d), dtype=complex)
+        flat[:, self.index] = coords * a.conj() + coords[:, m] * a[m]
+        return flat.reshape(len(coords), d, d)
 
     @property
     def states(self) -> np.ndarray:
-        """(T, D, D) density matrices T^dag coords, Hermitian to the last bit."""
-        mirror, alpha = _hermitian_frame(self.dims.total_dim)
-        flat = self.coords * alpha.conj() + self.coords[:, mirror] * alpha[mirror]
-        return flat.reshape(len(flat), *[self.dims.total_dim] * 2)
+        """(T, D, D) density matrices, the giant rows stepped by doubling."""
+        coords = _doubling(self.powers, self.giant, 2 ** len(self.powers)).swapaxes(0, 1)
+        return self._matrices(coords.reshape(-1, len(self.index))[: len(self.times)])
 
     def state(self, i: int) -> DensityMatrix:
-        return DensityMatrix(self.dims, self.states[i])
+        """Sample i = q w + s alone: giant[q] times the binary powers of P that make up s."""
+        q, s = divmod(range(len(self.times))[i], 2 ** len(self.powers))
+        powers = (p for k, p in enumerate(self.powers) if s >> k & 1)
+        x = reduce(lambda x, p: p @ x, powers, self.giant[q])
+        return DensityMatrix(self.dims, self._matrices(x[None])[0])
 
     def expect(self, op: Operator) -> np.ndarray:
         """Tr(op rho(t)) as real dot products: conj(T) vec(op^T) is real for
         the Hermitian part of op and imaginary for the rest."""
-        alpha = _hermitian_frame(self.dims.total_dim)[1]
-        u = alpha.conj() * vectorize(op.data.T) + alpha * vectorize(op.data)
-        return self.coords @ u.real + 1j * (self.coords @ u.imag)
+        a = self.frame[0]
+        u = a.conj() * vectorize(op.data.T)[self.index] + a * vectorize(op.data)[self.index]
+        parts = self._read(np.stack([u.real, u.imag]))
+        return parts[:, 0] + 1j * parts[:, 1]
 
     def trace_drift(self) -> float:
-        return float(np.max(np.abs(self.coords[:, :: self.dims.total_dim + 1].sum(axis=1) - 1)))
+        """Largest |Tr rho - 1| over every sample, read off the populations."""
+        diagonal = (self.index % (self.dims.total_dim + 1) == 0).astype(float)
+        return float(np.max(np.abs(self._read(diagonal[None])[:, 0] - 1)))
 
     def min_eigenvalue(self) -> float:
         """Most negative snapshot eigenvalue (complete-positivity proxy)."""
@@ -295,18 +320,19 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _doubling(prop: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
-    """Rows x0 (P^T)^n for n < count: rows [n, 2n) are rows [0, n) times
-    (P^n)^T, then P^n is squared, so about log2(count) matrix products."""
-    out = np.empty((count, len(x0)), dtype=prop.dtype)
-    out[0], filled = x0, 1
-    while filled < count:
-        fill = min(filled, count - filled)
-        np.matmul(out[:fill], prop.T, out=out[filled:filled + fill])
+def _doubling(powers: list, x0: np.ndarray, count: int) -> np.ndarray:
+    """Rows x0 (P^T)^n (count, k, m) for n < count of the stacked rows x0 (k, m),
+    ``powers`` the binary powers P, P^2, P^4, ...: rows [n, 2n) are rows [0, n)
+    times (P^n)^T, so about log2(count) matrix products."""
+    out = np.empty((count * len(x0), x0.shape[1]), dtype=x0.dtype)
+    out[: len(x0)], filled = x0, len(x0)
+    for power in powers:
+        if filled == len(out):
+            break
+        fill = min(filled, len(out) - filled)
+        np.matmul(out[:fill], power.T, out=out[filled:filled + fill])
         filled += fill
-        if filled < count:
-            prop = prop @ prop
-    return out
+    return out.reshape(count, *x0.shape)
 
 
 def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
@@ -317,16 +343,17 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     closed under (i, j) <-> (j, i) that leaves out the fast coherences between
     manifolds that rho0 lacks.  In the coordinates of :func:`_hermitian_frame`
     it is real, as it maps Hermitian matrices to Hermitian ones; P = exp(L dt)
-    by :func:`_expm` and doubling give the samples, with no eigenbasis, exactly
-    0 elsewhere.  Trace drift is checked; a ket goes through :func:`evolve_closed`.
+    by :func:`_expm` and squarings give its binary powers, with no eigenbasis,
+    and :func:`_doubling` on those from P^w up the giant rows of :class:`Trajectory`,
+    with no (T, m) series.  Trace drift is checked at every sample; a ket goes
+    through :func:`evolve_closed`.
     """
     if liouv.dims != rho0.dims:
         raise DimensionMismatchError("initial state dims differ from generator dims")
     rho0.validate()
     times = np.asarray(t_grid, dtype=float)
     (step,) = _check_grid(times[None])
-    d = liouv.dims.total_dim
-    mirror, alpha = _hermitian_frame(d)
+    mirror, alpha = _hermitian_frame(liouv.dims.total_dim)
     vec = vectorize(rho0.data)
     idx = liouv._closure(vec != 0)
     a, m = alpha[idx], np.searchsorted(idx, mirror[idx])
@@ -334,11 +361,12 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     half = sub * a.conj() + sub[:, m] * a  # L T^dag, then T L T^dag
     real = (a[:, None] * half + a.conj()[:, None] * half[m]).real
     x0 = (a * vec[idx] + a.conj() * vec[mirror[idx]]).real
-    coords = series = _doubling(_expm(step * real), x0, len(times))
-    if len(idx) < d * d:  # exactly 0 elsewhere
-        coords = np.zeros((len(times), d * d))
-        coords[:, idx] = series
-    traj = Trajectory(liouv.dims, times, coords)
+    count, powers = len(times), [_expm(step * real)]
+    while 2 ** len(powers) < count:  # P^(2^k) for 2^k < T
+        powers.append(powers[-1] @ powers[-1])
+    baby = (len(powers) + 1) // 2  # w = 2^baby, the smallest power of two with w^2 >= T
+    giant = _doubling(powers[baby:], x0[None], -(-count // 2**baby))[:, 0]
+    traj = Trajectory(liouv.dims, times, idx, (a, m), powers[:baby], giant)
     drift = traj.trace_drift()
     if drift > TRACE_DRIFT_TOL:
         raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")

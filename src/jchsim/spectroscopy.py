@@ -90,7 +90,8 @@ def _decaying_modes(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator):
     """Eigenvalues and weights of the decaying part of <a(tau) a^dag(0)>_ss."""
     if liouv.dims != rho_ss.dims or a_op.dims != rho_ss.dims:
         raise DimensionMismatchError("Liouvillian, state and operator dims differ")
-    residual = float(np.max(np.abs(liouv.apply(rho_ss.data))))
+    index = liouv._closure(vectorize(rho_ss.data) != 0)  # no entry of the generator leaves it
+    residual = float(np.max(np.abs(liouv._block(index) @ vectorize(rho_ss.data)[index])))
     if residual >= STATIONARITY_TOL:
         raise NumericalError(
             f"absorption_spectrum: state is not stationary (|L[rho]| = {residual:.3e})"

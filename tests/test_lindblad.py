@@ -838,6 +838,74 @@ def test_evolve_stays_in_the_closure_of_the_initial_state(generator, seed):
     assert np.abs(states - reference).max() < 1e-12
 
 
+# T = 2, 3, 5, 2^k +- 1 and 8001: for T = 2^k + 1 the last giant row of the
+# tables holds one sample, for 2^k - 1 all but one
+_SAMPLE_COUNTS = [2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65, 127, 129, 8001]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(small_generators(n_cavities=1), small_generators(n_cavities=2)),
+       st.sampled_from(_SAMPLE_COUNTS), st.integers(0, 2**32 - 1))
+def test_table_reads_match_the_dense_oracle(generator, samples, seed):
+    # every reading of a run (expect, trace_drift, state(i) and states) off
+    # its two tables against the eigenpairs of the Kronecker generator on the
+    # closure of vec(rho0) along its nonzero entries, wherever that
+    # eigenbasis is well conditioned; rho0 is pure on a random part of the
+    # basis, a single index on two cavities to keep the closure small.  The
+    # propagator's roundoff grows with the sample count: in 1500 examples
+    # the largest errors were 9.3e-14 for T <= 129 and 8.5e-13 for T = 8001
+    # (the trace drift, as large with the whole series formed by doubling),
+    # so 1e-12 and 1e-11 leave margins of 10 and 12; state(i) and states[i]
+    # differed by at most 1.1e-15
+    _, liouv, _, oracle = generator
+    d = liouv.dims.total_dim
+    rng = np.random.default_rng(seed)
+    part = rng.choice(d, size=1 if liouv.dims.n_cavities == 2 else rng.integers(1, d + 1),
+                      replace=False)
+    amps = np.zeros(d, dtype=complex)
+    amps[part] = rng.standard_normal(len(part)) + 1j * rng.standard_normal(len(part))
+    rho0 = Ket(liouv.dims, amps / np.linalg.norm(amps)).density_matrix()
+    times = np.linspace(0.0, rng.uniform(0.1, 3.0), samples)
+    index = closure_oracle(oracle, vectorize(rho0.data) != 0)
+    w, v = np.linalg.eig(oracle[np.ix_(index, index)])
+    assume(np.linalg.cond(v) < 1e3)
+    decay = np.exp(np.outer(w, times - times[0]))
+    coeff = np.linalg.solve(v, vectorize(rho0.data)[index])
+    traj, tol = evolve(liouv, rho0, times), 1e-11 if samples > 1000 else 1e-12
+
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    op /= np.linalg.norm(op, 2)
+    expected = ((vectorize(op.T)[index] @ v) * coeff) @ decay  # Tr(op rho) = vec(op^T) . vec(rho)
+    assert np.abs(traj.expect(Operator(liouv.dims, op)) - expected).max() < tol
+    trace = ((vectorize(np.eye(d))[index] @ v) * coeff) @ decay
+    assert abs(traj.trace_drift() - np.abs(trace - 1).max()) < tol
+
+    picks = np.arange(samples) if samples < 200 else np.sort(rng.choice(samples, 20, replace=False))
+    one = np.array([traj.state(i).data for i in picks]).reshape(len(picks), -1)
+    reference = np.zeros((len(picks), d * d), dtype=complex)
+    reference[:, index] = ((v * coeff) @ decay[:, picks]).T
+    assert np.abs(one - reference).max() < tol
+    if samples * d * d <= 2**20:  # the whole (T, D, D) series fits in 16 MB
+        states = traj.states
+        assert_exactly_hermitian(states)
+        assert np.abs(states[picks].reshape(len(picks), -1) - one).max() < 1e-14
+
+
+def test_trace_drift_is_refused_at_the_last_sample():
+    # a generator whose H_eff holds a loss with no matching jump loses trace:
+    # from |1,g> under H_eff = -(i/2) r a^dag a the trace is exp(-r t), and at
+    # r = 1.008e-8 and dt = 1/64 only t = 1 drifts beyond TRACE_DRIFT_TOL
+    # (t = 63/64 drifts 9.92e-9); T = 65 puts that sample alone in the last
+    # giant row of the tables, which the check must read
+    dims = HilbertDims(2)
+    number = annihilation_at(dims, 0).dag() @ annihilation_at(dims, 0)
+    leaky = Liouvillian(dims, -0.5j * 1.008e-8 * number.data, ())
+    rho0 = bare_ket(dims, [(1, 0)]).density_matrix()
+    assert evolve(leaky, rho0, np.linspace(0.0, 63 / 64, 64)).trace_drift() < 1e-8
+    with pytest.raises(NumericalError, match="trace drift 1.008e-08 exceeds"):
+        evolve(leaky, rho0, np.linspace(0.0, 1.0, 65))
+
+
 def test_selfcheck_decay_run_reaches_three_population_blocks():
     # selfcheck's |2,g> run under loss is formed on the 25 indices of the
     # sector of manifolds 2, 1 and 0 squared, and only the 9 that the

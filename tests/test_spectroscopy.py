@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jchsim import (
+    DensityMatrix,
     NumericalError,
     Spectrum,
     SystemParams,
     absorption_spectrum,
     absorption_spectrum_analytic,
     annihilation_at,
+    bare_ket,
     build_jch,
     default_frequency_grid,
     find_peaks,
@@ -63,6 +65,18 @@ class TestCorrelationFunction:
             absorption_spectrum(
                 liouv, moving.density_matrix(), annihilation_at(params.dims, 0), offsets(params)
             )
+
+    def test_state_moving_only_off_its_support_is_rejected(self, resonant_setup):
+        # the vacuum with p = 1.5e-6 of |1,g>: on the state's own support
+        # L[rho] is the cavity loss kappa p = 7.5e-7, under STATIONARITY_TOL,
+        # but the Rabi coupling moves g p = 1.5e-6 into |0,e><1,g|, which
+        # the check reads on the closure of that support
+        params, liouv, rho_ss = resonant_setup
+        p = 1.5e-6
+        photon = bare_ket(params.dims, [(1, 0)]).density_matrix().data
+        rho = DensityMatrix(params.dims, (1 - p) * rho_ss.data + p * photon)
+        with pytest.raises(NumericalError, match="not stationary .* = 1.500e-06"):
+            absorption_spectrum(liouv, rho, annihilation_at(params.dims, 0), offsets(params))
 
     def test_three_level_double_exponential(self, detuned_setup):
         # from the vacuum the correlation never leaves the one-excitation

@@ -2,10 +2,13 @@
 
 A config file is flat ``key = value`` text, one experiment per file; every
 key is either a physical parameter (in units of g) that the named experiment
-reads or one of its options, and any other key is rejected.  Identical
-configs produce byte-identical result files: data sections carry no run
-metadata, and the provenance comment block holds only the resolved parameter
-set and the engine version.
+reads or one of its options, and any other key is rejected.  Every runner
+returns ``(columns, summary)``: the data columns and a summary dict.
+:func:`run_experiment` adds the provenance (the engine version, the
+experiment, every parameter and the options in effect) and writes the
+columns as CSV beside a ``.summary.json``, or everything as one JSON file.
+Identical configs produce byte-identical result files: data sections carry
+no run metadata.
 """
 from __future__ import annotations
 
@@ -49,12 +52,6 @@ from .hilbert import annihilation_at
 PARAM_DEFAULTS = {f.name: f.default for f in fields(SystemParams)}
 
 
-@dataclass
-class ExperimentResult:
-    columns: dict
-    summary: dict
-
-
 def _peak_dict(report, omega_c: float):
     """The peaks of a spectrum on offsets from ``omega_c``, at absolute positions."""
     return {
@@ -69,7 +66,7 @@ def _peak_dict(report, omega_c: float):
 # experiment runners
 
 
-def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
+def _run_spectrum(params: SystemParams, options: dict) -> tuple:
     """First-cavity spectrum of the lossy lattice's steady state, one or two
     cavities, against the closed form, on the absolute grid's offsets from omega_c."""
     grid = default_frequency_grid(params, int(options["n_points"]))
@@ -78,62 +75,55 @@ def _run_spectrum(params: SystemParams, options: dict) -> ExperimentResult:
     numeric = absorption_spectrum(liouv, steady_state(liouv), annihilation_at(params.dims, 0),
                                   offsets)
     analytic = absorption_spectrum_analytic(params, offsets)
-    return ExperimentResult(
-        columns={"omega": grid, "S_numeric": numeric.values, "S_analytic": analytic.values},
-        summary={
-            "peaks_numeric": _peak_dict(find_peaks(numeric), params.omega_c),
-            "peaks_analytic": _peak_dict(find_peaks(analytic), params.omega_c),
-            "relative_sup_error": float(
-                np.max(np.abs(numeric.values - analytic.values)) / np.max(analytic.values)
-            ),
-        },
-    )
+    return {"omega": grid, "S_numeric": numeric.values, "S_analytic": analytic.values}, {
+        "peaks_numeric": _peak_dict(find_peaks(numeric), params.omega_c),
+        "peaks_analytic": _peak_dict(find_peaks(analytic), params.omega_c),
+        "relative_sup_error": float(
+            np.max(np.abs(numeric.values - analytic.values)) / np.max(analytic.values)
+        ),
+    }
 
 
-def _run_driven_oscillation(params: SystemParams, options: dict) -> ExperimentResult:
+def _run_driven_oscillation(params: SystemParams, options: dict) -> tuple:
     series, summary = driven_oscillation_run(
         params, t_final=float(options["t_final"]), samples=int(options["samples"])
     )
     kept = ("period_extracted", "period_analytic", "rabi_frequency_analytic", "maxima_times")
-    return ExperimentResult(columns=series, summary={key: summary[key] for key in kept})
+    return series, {key: summary[key] for key in kept}
 
 
-def _run_rwa_probe(params: SystemParams, options: dict) -> ExperimentResult:
+def _run_rwa_probe(params: SystemParams, options: dict) -> tuple:
     samples = int(options["samples"])
     first = hopping_interchange_probe(params, "1-,0", samples=samples)
     second = hopping_interchange_probe(params, "2-,0", samples=samples)
-    return ExperimentResult(
-        columns={
-            "t": first["times"],
-            "p_up_from_1minus": first["probability"],
-            "p_up_from_2minus": second["probability"],
-        },
-        summary={
-            "max_p_up_from_1minus": first["max_probability"],
-            "max_p_up_from_2minus": second["max_probability"],
-            "targets": {"1-,0": first["target"], "2-,0": second["target"]},
-        },
-    )
+    columns = {
+        "t": first["times"],
+        "p_up_from_1minus": first["probability"],
+        "p_up_from_2minus": second["probability"],
+    }
+    return columns, {
+        "max_p_up_from_1minus": first["max_probability"],
+        "max_p_up_from_2minus": second["max_probability"],
+        "targets": {"1-,0": first["target"], "2-,0": second["target"]},
+    }
 
 
-def _run_ramp(params: SystemParams, options: dict) -> ExperimentResult:
+def _run_ramp(params: SystemParams, options: dict) -> tuple:
     mode, initial = int(options["mode"]), str(options["initial"])
     time_dependent = bool(options["time_dependent"])
     deltas = np.geomspace(float(options["delta_max"]), float(options["delta_min"]),
                           int(options["n_points"]))
     columns, summary = ramp_experiment(params, deltas, mode, initial, time_dependent,
                                        bool(options["strict_ramp"]), int(options["hold_samples"]))
-    summary = {"mode": mode, **summary, "time_dependent": time_dependent, "initial": initial}
-    return ExperimentResult(columns=columns, summary=summary)
+    return columns, {"mode": mode, **summary, "time_dependent": time_dependent, "initial": initial}
 
 
-def _run_table1(params: SystemParams, options: dict) -> ExperimentResult:
+def _run_table1(params: SystemParams, options: dict) -> tuple:
     rows = mechanism_table(n_fock=params.n_fock)
-    columns = {key: [row[key] for row in rows] for key in rows[0]}
-    return ExperimentResult(columns=columns, summary={"rows": rows})
+    return {key: [row[key] for row in rows] for key in rows[0]}, {"rows": rows}
 
 
-def _run_variance_compare(params: SystemParams, options: dict) -> ExperimentResult:
+def _run_variance_compare(params: SystemParams, options: dict) -> tuple:
     grid = [(float(j), float(delta), branch) for j in np.atleast_1d(options["hopping_values"])
             for delta in np.atleast_1d(options["delta_values"]) for branch in ("-", "+")]
     points = [params.with_(hopping=j, delta=delta) for j, delta, _ in grid]
@@ -146,23 +136,20 @@ def _run_variance_compare(params: SystemParams, options: dict) -> ExperimentResu
         rel = err / numeric if numeric > 0 else 0.0
         for name, value in zip(names, (j, delta, branch, numeric, analytic, err, rel)):
             columns[name].append(value)
-    return ExperimentResult(
-        columns=columns,
-        summary={
-            "diagonal_form": "energy",
-            "max_rel_error_large_var": max(
-                (r for r, v in zip(columns["rel_error"], columns["var_numeric"]) if v >= 0.1),
-                default=0.0,
-            ),
-            "max_abs_error_small_var": max(
-                (e for e, v in zip(columns["abs_error"], columns["var_numeric"]) if v < 0.1),
-                default=0.0,
-            ),
-        },
-    )
+    return columns, {
+        "diagonal_form": "energy",
+        "max_rel_error_large_var": max(
+            (r for r, v in zip(columns["rel_error"], columns["var_numeric"]) if v >= 0.1),
+            default=0.0,
+        ),
+        "max_abs_error_small_var": max(
+            (e for e, v in zip(columns["abs_error"], columns["var_numeric"]) if v < 0.1),
+            default=0.0,
+        ),
+    }
 
 
-def _run_perturbation_report(params: SystemParams, options: dict) -> ExperimentResult:
+def _run_perturbation_report(params: SystemParams, options: dict) -> tuple:
     report = perturbation_report(params)
     exact = match_exact_energies(params)
     columns = {
@@ -174,15 +161,12 @@ def _run_perturbation_report(params: SystemParams, options: dict) -> ExperimentR
         "overlap": [exact[k][1] for k in REPORT_LABELS],
         "residual": [abs(exact[k][0] - report.perturbative_energy(k)) for k in REPORT_LABELS],
     }
-    return ExperimentResult(
-        columns=columns,
-        summary={
-            "max_residual": max(columns["residual"]),
-            "clusters": [list(cluster) for cluster in report.clusters],
-            "max_coupling_ratio": report.max_coupling_ratio,
-            "terms": list(report.terms),
-        },
-    )
+    return columns, {
+        "max_residual": max(columns["residual"]),
+        "clusters": [list(cluster) for cluster in report.clusters],
+        "max_coupling_ratio": report.max_coupling_ratio,
+        "terms": list(report.terms),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +353,6 @@ class ExperimentConfig:
     experiment: str
     params: SystemParams
     options: dict
-    resolved: dict
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -398,19 +381,14 @@ class ExperimentConfig:
             params = SystemParams(**param_values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid parameters: {exc}") from exc
-        resolved = {
-            "experiment": name,
-            **{f"params.{k}": getattr(params, k) for k in PARAM_DEFAULTS},
-            **{f"options.{k}": v for k, v in sorted(options.items())},
-        }
-        return cls(name, params, options, resolved)
+        return cls(name, params, options)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         mapping = {}
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -438,13 +416,6 @@ def _format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".15g")
     return str(value)
-
-
-def provenance_lines(resolved: dict) -> list:
-    lines = [f"# jchsim {__version__}"]
-    for key, value in resolved.items():
-        lines.append(f"# {key} = {_format_cell(value)}")
-    return lines
 
 
 def _csv_escape(cell: str) -> str:
@@ -608,10 +579,11 @@ def _joined_rows(blocks, separators) -> str:
 
 
 def _float_array(values):
-    """``values`` if it is a 1-d float array, as one if it is a list of floats only."""
+    """``values`` if it is a 1-d float array, as one if it is a list or tuple
+    of floats only."""
     if isinstance(values, np.ndarray):
         return values if values.dtype.kind == "f" and values.ndim == 1 else None
-    if isinstance(values, list) and all(isinstance(v, float) for v in values):
+    if isinstance(values, (list, tuple)) and all(isinstance(v, float) for v in values):
         return np.array(values, dtype=np.float64)
     return None
 
@@ -631,42 +603,31 @@ def write_csv(path, columns: dict, header_lines) -> None:
     Path(path).write_text("\n".join([*header_lines, ",".join(names)]) + "\n" + rows)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray) and value.dtype != object:
-        return value if _float_array(value) is not None else value.tolist()
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _json_text(value, pad: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` nested at the indent
-    ``pad``, where ``value`` may also hold 1-d float arrays."""
+    ``pad``, where ``value`` may also hold tuples, numpy scalars and numpy
+    arrays, written as the Python numbers and lists they hold; dict keys are
+    written as ``str``."""
     inner = pad + "  "
-    if isinstance(value, dict) and value:
-        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     floats = _float_array(value)
     if floats is not None and len(floats):
         sep = ",\n" + inner
         items = _joined_rows([_float_text(floats, shortest=True)], [sep])[:-len(sep)]
         return "[\n" + inner + items + "\n" + pad + "]"
-    if isinstance(value, list) and value:
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        value = value.tolist()
+    if isinstance(value, dict) and value:
+        keyed = sorted({str(k): v for k, v in value.items()}.items())
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in keyed)
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple, np.ndarray)) and len(value):
         items = (_json_text(v, inner) for v in value)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return json.dumps(value.tolist() if isinstance(value, np.ndarray) else value)
+    return json.dumps(value.item() if isinstance(value, np.generic) else value)
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(_json_text(_jsonable(payload)) + "\n")
+    Path(path).write_text(_json_text(payload) + "\n")
 
 
 def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",
@@ -688,30 +649,25 @@ def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     if not existing.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
-    result = EXPERIMENTS[config.experiment].runner(config.params, options)
+    columns, summary = EXPERIMENTS[config.experiment].runner(config.params, options)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the provenance block records the options actually in effect, so files
+    # the provenance records the options actually in effect, so files
     # produced with different CLI overrides are distinguishable
-    resolved = dict(config.resolved)
-    for key, value in options.items():
-        resolved[f"options.{key}"] = value
     provenance = {
-        "engine": f"jchsim {__version__}",
-        **{k: _jsonable(v) for k, v in resolved.items()},
+        "experiment": config.experiment,
+        **{f"params.{k}": getattr(config.params, k) for k in PARAM_DEFAULTS},
+        **{f"options.{k}": v for k, v in sorted(options.items())},
     }
-    written = []
-    if fmt == "csv":
-        csv_path = out_dir / f"{config.experiment}.csv"
-        write_csv(csv_path, result.columns, provenance_lines(resolved))
-        summary_path = out_dir / f"{config.experiment}.summary.json"
-        write_json(summary_path, {"provenance": provenance, "summary": result.summary})
-        written.extend([csv_path, summary_path])
-    else:
+    payload = {"provenance": {"engine": f"jchsim {__version__}", **provenance}, "summary": summary}
+    if fmt == "json":
         json_path = out_dir / f"{config.experiment}.json"
-        write_json(
-            json_path,
-            {"provenance": provenance, "summary": result.summary, "data": result.columns},
-        )
-        written.append(json_path)
-    return written
+        write_json(json_path, {**payload, "data": columns})
+        return [json_path]
+    csv_path = out_dir / f"{config.experiment}.csv"
+    summary_path = out_dir / f"{config.experiment}.summary.json"
+    header = [f"# jchsim {__version__}"]
+    header += [f"# {key} = {_format_cell(value)}" for key, value in provenance.items()]
+    write_csv(csv_path, columns, header)
+    write_json(summary_path, payload)
+    return [csv_path, summary_path]

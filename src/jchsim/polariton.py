@@ -42,7 +42,7 @@ def parse_label(text: str):
     text = text.strip()
     if text in (GROUND, "0", "0g"):
         return (0, "g")
-    branch = text[-1]
+    branch = text[-1:]
     if branch not in ("+", "-") or not text[:-1].isdigit():
         raise ValueError(f"cannot parse polariton label {text!r}")
     return (int(text[:-1]), branch)

@@ -32,6 +32,7 @@ from .hamiltonians import (
 from .hilbert import Operator, expect_series
 from .lindblad import _closed_amplitudes, _ket_reach, build_liouvillian, evolve, evolve_closed
 from .polariton import (
+    GROUND,
     _dressed_matrices,
     basis_transform,
     label,
@@ -104,21 +105,11 @@ def extract_period(times, series):
 # coherence and branch weights
 
 
-def _n1_branch_series(expect, params: SystemParams):
-    """P(1+), P(1-) and the coherence 2|rho_+-| of one cavity, where
-    ``expect`` maps an operator to its expectation series along a run."""
-    basis = basis_transform(params.dims, params.g, params.delta)
-    up, lo = basis.column("1+"), basis.column("1-")
-    p_up, p_lo, rho_pm = (expect(Operator(params.dims, np.outer(k, b.conj())))
-                          for k, b in ((up, up), (lo, lo), (lo, up)))
-    return p_up.real, p_lo.real, 2.0 * np.abs(rho_pm)
-
-
 def _lower_branch_run(params: SystemParams, h: Operator, n0: int, times) -> dict:
-    """Series P_1plus, P_1minus, P_ground and coherence of one cavity started in
-    |n0,-> under ``h`` and the decay channels of ``params``: a ket through
-    :func:`evolve_closed` without loss, a density matrix through :func:`evolve`
-    with it."""
+    """Series P_1plus, P_1minus, P_ground and the coherence 2|rho_+-| of one
+    cavity started in |n0,-> under ``h`` and the decay channels of ``params``:
+    a ket through :func:`evolve_closed` without loss, a density matrix through
+    :func:`evolve` with it."""
     dims = params.dims
     psi0 = site_polariton_ket(dims, n0, "-", params.g, params.delta)
     channels = decay_channels(params)
@@ -126,10 +117,12 @@ def _lower_branch_run(params: SystemParams, h: Operator, n0: int, times) -> dict
         expect = evolve(build_liouvillian(h, channels), psi0.density_matrix(), times).expect
     else:
         expect = partial(expect_series, series=evolve_closed(h, psi0, times))
-    p_up, p_lo, coh = _n1_branch_series(expect, params)
-    ground = np.arange(dims.total_dim) == dims.site_index(0, 0)
-    p_g = expect(Operator(dims, np.diag(ground))).real
-    return {"P_1plus": p_up, "P_1minus": p_lo, "P_ground": p_g, "coherence": coh}
+    basis = basis_transform(dims, params.g, params.delta)
+    up, lo, ground = (basis.column(lbl) for lbl in ("1+", "1-", GROUND))
+    p_up, p_lo, rho_pm, p_g = (expect(Operator(dims, np.outer(k, b.conj())))
+                               for k, b in ((up, up), (lo, lo), (lo, up), (ground, ground)))
+    return {"P_1plus": p_up.real, "P_1minus": p_lo.real, "P_ground": p_g.real,
+            "coherence": 2.0 * np.abs(rho_pm)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jchsim import (
     ConfigError,
@@ -101,6 +102,14 @@ FLOAT_ARRAYS = st.one_of(
     st.lists(st.integers(0, 2**64 - 1), max_size=40).map(
         lambda v: np.array(v, dtype=np.uint64).view(np.float64)),
 )
+INT64 = st.integers(-2**63, 2**63 - 1)
+# numpy scalars and arrays, which the JSON writer writes as the Python values
+# they hold; 2-d and integer arrays as nested lists
+NUMPY_VALUES = st.one_of(
+    st.booleans().map(np.bool_), INT64.map(np.int64), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32), st.lists(INT64, max_size=8).map(np.array),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4)),
+)
 # exact ties (two at 16 digits, where the tied rounding reads back as x),
 # the switches between fixed and exponent form, the smallest normal and
 # subnormal, 2**53 + 1 and the largest double
@@ -114,12 +123,13 @@ BOUNDARY_FLOATS = np.array([
 
 
 def _plain(value):
-    """``value`` with every array as a list, as json.dumps takes it."""
+    """``value`` with every array and tuple as a list and every numpy scalar
+    as a Python one, as json.dumps takes it."""
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _csv_lines(values) -> list:
@@ -149,6 +159,20 @@ class TestOutputs:
         ).read_bytes()
         assert [p.name for p in a] == [p.name for p in b]
 
+    @pytest.mark.parametrize(
+        "path, flags",
+        [(path, ("--format", fmt)) for path in SHIPPED_CONFIGS for fmt in ("csv", "json")]
+        + [(REPO / "configs" / "ramp_time_dependent.cfg", ("--strict-ramp",))],
+        ids=lambda v: v.stem if isinstance(v, Path) else v[-1].lstrip("-"),
+    )
+    def test_shipped_runs_write_the_same_bytes_twice(self, tmp_path, capsys, path, flags):
+        written = []
+        for run in ("a", "b"):
+            assert main(["run", str(path), "--output-dir", str(tmp_path / run), *flags]) == 0
+            written.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+        capsys.readouterr()
+        assert written[0] and written[0] == written[1]
+
     def test_csv_structure(self, tmp_path):
         config = ExperimentConfig.from_mapping({"experiment": "spectrum", "n_points": 101})
         run_experiment(config, tmp_path)
@@ -172,15 +196,18 @@ class TestOutputs:
     @settings(deadline=None, max_examples=150)
     @given(st.recursive(
         st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
-                  FLOAT_ARRAYS),
+                  FLOAT_ARRAYS, NUMPY_VALUES),
         lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(st.floats(), max_size=6),
+                                st.lists(inner, max_size=6).map(tuple),
+                                st.lists(st.floats(), max_size=6).map(tuple),
                                 st.dictionaries(st.text(max_size=6), inner, max_size=6)),
         max_leaves=40,
     ))
     def test_json_writer_matches_indented_dumps(self, value):
-        # nested dicts, lists and 1-d float arrays of floats (NaN, +-inf, -0
-        # and subnormals included), ints, bools, None, strings with escapes
-        # and empty containers
+        # nested dicts, lists, tuples and 1-d float arrays of floats (NaN,
+        # +-inf, -0 and subnormals included), ints, bools, None, strings with
+        # escapes, empty containers, numpy scalars, integer arrays and 2-d
+        # float arrays
         assert _json_text(value) == json.dumps(_plain(value), indent=2, sort_keys=True)
 
     @settings(deadline=None, max_examples=200)
@@ -344,6 +371,13 @@ class TestCli:
         assert main(["run", str(missing)]) == 2
         capsys.readouterr()
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bytes.cfg"
+        cfg.write_bytes(b"experiment = spectrum\n# \xff\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfg}: ")
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -393,6 +427,9 @@ class TestCli:
             ("experiment = variance_compare\nomega_c = 100\n", (), 2),
             ("experiment = variance_compare\nn_fock = 4\n", (), 2),
             ("experiment = ramp\nmode = -1\n", (), 3),
+            ("experiment = ramp\ninitial =\n", (), 3),
+            ("experiment = ramp\ninitial = 1-,\n", (), 3),
+            ("experiment = ramp\ninitial = x-,1-\n", (), 3),
         ],
         ids=lambda v: v.replace("\n", " ").strip() if isinstance(v, str) else None,
     )
@@ -403,8 +440,8 @@ class TestCli:
         # experiment runs on a fixed number of cavities; n_fock for the spectra
         # and the closed two-site runs, which are the same at any photon
         # cutoff; omega_c for the closed two-site runs, which work in the
-        # cavity frame), --strict-ramp outside the ramp and an unsolvable ramp
-        # mode
+        # cavity frame), --strict-ramp outside the ramp, an unsolvable ramp
+        # mode and ramp initial states that name no polariton pair
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), *flags]) == code

@@ -16,10 +16,15 @@ jchsim checkout.  The script
   benchmark's own run length), one run of each copy per pair, A first in
   the even pairs and B first in the odd ones;
 - prints every run's end-to-end metrics, then for each metric of
-  ``BENCHMARK.json`` each side's median and quartiles and the pairs that B
-  wins (ties count for neither), and whether a gain may be claimed: B wins
-  at least nine tenths of the pairs and its median beats A's by more than
-  the distance between A's quartiles.
+  ``BENCHMARK.json`` each side's median and quartiles, the pairs that B
+  wins (ties count for neither) and two verdicts:
+  - "gain" or "no gain": a gain may be claimed when B wins at least nine
+    tenths of the pairs and its median beats A's by more than the distance
+    between A's quartiles;
+  - "held" when B's median is worse than A's by no more than the metric's
+    ``bound`` in ``BENCHMARK.json``, read as a fraction of A's median, and
+    "worse" beyond it; "unresolved" when A's quartiles lie further apart
+    than the bound, unless every run of B beats every run of A.
 
 Exit status: 0 when every run completed and was correct, 1 when a run
 failed or reported failed jobs, 2 on bad arguments.  Uses the standard
@@ -73,11 +78,23 @@ def summary(values: list) -> tuple:
     return q2, q1, q3
 
 
+def regression(a: list, b: list, sign: float, bound: float) -> str:
+    """"held", "worse" or "unresolved": whether B's median is worse than A's
+    by more than ``bound`` times A's median, or A's own spread is too wide to
+    tell; ``sign`` is 1 where lower is better and -1 where higher is."""
+    (ma, qa1, qa3), (mb, _, _) = summary(a), summary(b)
+    if all(sign * (x - y) > 0 for x in a for y in b):
+        return "held"
+    if qa3 - qa1 > bound * abs(ma):
+        return "unresolved"
+    return "worse" if sign * (mb - ma) > bound * abs(ma) else "held"
+
+
 def report(metrics: list, runs: dict) -> None:
-    """Per metric: each side's median and quartiles, B's wins and the verdict."""
+    """Per metric: each side's median and quartiles, B's wins and the verdicts."""
     pairs = len(runs["a"])
     print(f"\n{'metric':<14} {'unit':<5} {'A median [q1, q3]':>30} {'B median [q1, q3]':>30}"
-          f" {'B wins':>7}  verdict")
+          f" {'B wins':>7}  verdicts")
     for m in metrics:
         a = [r["metrics"][m["name"]]["value"] for r in runs["a"]]
         b = [r["metrics"][m["name"]]["value"] for r in runs["b"]]
@@ -87,8 +104,9 @@ def report(metrics: list, runs: dict) -> None:
         gain = wins >= WIN_SHARE * pairs and sign * (ma - mb) > qa3 - qa1
         print(f"{m['name']:<14} {m['unit']:<5} {ma:>12.5g} [{qa1:.5g}, {qa3:.5g}]"
               f" {mb:>12.5g} [{qb1:.5g}, {qb3:.5g}] {wins:>3}/{pairs:<3}  "
-              f"{'gain' if gain else 'no gain'} (median gap {sign * (ma - mb):+.3g}, "
-              f"A quartile spread {qa3 - qa1:.3g})")
+              f"{'gain' if gain else 'no gain'}, {regression(a, b, sign, m['bound'])} "
+              f"(median gap {sign * (ma - mb):+.3g}, A quartile spread {qa3 - qa1:.3g}, "
+              f"bound {m['bound'] * abs(ma):.3g})")
 
 
 def main(argv=None) -> int:

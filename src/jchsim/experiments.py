@@ -314,14 +314,11 @@ def _parse_value(text: str):
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
     if "," in text:
         parts = [p.strip() for p in text.split(",")]
         try:
@@ -400,8 +397,12 @@ class ExperimentConfig:
             key = key.strip()
             if key in mapping:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            mapping[key] = _parse_value(value)
-        return cls.from_mapping(mapping)
+            mapping[key] = value.strip()
+        # a key whose default is text keeps its text, however numeric it reads
+        spec = EXPERIMENTS.get(mapping.get("experiment"))
+        defaults = {**PARAM_DEFAULTS, **(spec.option_defaults if spec else {})}
+        return cls.from_mapping({key: value if isinstance(defaults.get(key), str)
+                                 else _parse_value(value) for key, value in mapping.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -424,55 +425,67 @@ def _csv_escape(cell: str) -> str:
     return cell
 
 
-# _float_text writes a whole float64 array at once, byte for byte as Python
+# _float_rows writes a whole float64 array at once, byte for byte as Python
 # writes one value: format(x, ".15g") for a CSV cell, float.__repr__ (the
 # number json.dumps writes) for a JSON list.  |x| is scaled by a power of ten
 # in long double so that k significant digits sit in the integer part, and
-# rounded.  repr's digits are the first of the 15-, 16- and 17-digit roundings
-# that reads back as x (Gay's shortest digits; 17 always do).  A rounding or
-# read-back test that the long-double error bound cannot decide, and 0,
-# subnormals, NaN and infinities, are written one at a time by format or repr
-# itself; where long double is no wider than double, that is every value.
+# rounded; repr's digits are the first of the 15-, 16- and 17-digit roundings
+# that reads back as x (Gay's shortest digits; 17 always do).  floor(log10|x|)
+# picks the form, fixed (exponent -4 to 14, or 15 for repr) or exponent form;
+# a row holds the bytes of every form, and a (form, digit count) mask NULs
+# what the form does not write.  Undecided roundings and read-backs, a log10
+# one off or a carry into the next power (either changes the form), 0,
+# subnormals, NaN and infinities go to format or repr: all values do where
+# long double is no wider than double.
 
 # bound on the relative error of |x| * 10**p: the power is correctly rounded
 # (strtold) and the product rounds once
 _MARGIN = 2 * float(np.finfo(np.longdouble).eps)
 _POWER_LOW = -300  # powers of ten are tabled from 10**-300 to 10**329
-# source rows of a layout pattern: the 17 digits, then these characters, the
-# three digits of |exponent| and a NUL
-_DOT, _ZERO, _MINUS, _E, _PLUS, _EXPONENT, _NUL = 17, 18, 19, 20, 21, 22, 25
-_TEXT_WIDTH = 24  # longest unsigned text: "0.0001" and 17 digits
-_CHUNK = 1024  # values laid out per gather, bounding its index array
 _VECTOR_MIN = 256  # fewer values are faster formatted one at a time
+# a row: the sign, "0.000" (a fixed form below 1), the leading digit, a
+# point, 16 digits, "e", the exponent's sign and 3 digits, the separator
+_ROW, _LEAD, _POINT = 29, 6, 7
+_FORMS = 22  # fixed with exponent -4 to 15, then 2- and 3-digit exponents
+
+
+def _words(texts) -> np.ndarray:
+    """Byte strings of at most 8 bytes as NUL-padded uint64 words."""
+    return np.frombuffer(b"".join(text.ljust(8, b"\0") for text in texts), np.uint64)
 
 
 @functools.cache
 def _text_tables():
-    """Long-double powers of ten, the ASCII digits of 0 to 9999 as (4, 10000),
-    and the layout patterns: the source row of each text position, by form
-    (fixed with exponent -4 to 15, or exponent form by sign and width) and
-    number of significant digits, for format and for repr."""
+    """Powers of ten, a row's words, the significant digits each quad implies
+    and, for format and repr, each exponent's form and each form's masks."""
     powers = np.array([f"1e{p}" for p in range(_POWER_LOW, 330)]).astype(np.longdouble)
-    quads = (np.arange(10000, dtype=np.uint16) // np.uint16([[1000], [100], [10], [1]]) % 10
-             + 48).astype(np.uint8)
-    patterns = np.full((2, 24, 18, _TEXT_WIDTH), _NUL, dtype=np.uint8)
-    for shortest, form, nd in itertools.product((0, 1), range(24), range(1, 18)):
-        digits, exp = list(range(nd)), form - 4
+    lead = _words(sign + b"0.000%d." % d for sign in (b"\0", b"-") for d in range(10))
+    exponents = _words(b"e%+04d" % e for e in range(-308, 309))
+    quads = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    low, high = np.zeros((2, 10000, 8), np.uint8)  # 0000 to 9999 in a word's low, high half
+    low[:, :4] = high[:, 4:] = quads
+    low, high = low.view(np.uint64).ravel(), high.view(np.uint64).ravel()
+    last = ((quads != 48) * np.arange(1, 5)).max(axis=1)  # 0 for 0000
+    digits = np.array([np.where((last > 0) | (j == 0), 1 + 4 * j + last, 0) for j in range(4)],
+                      np.uint8)
+    forms = np.array([[e + 4 if -4 <= e < 15 + shortest else 20 + (abs(e) >= 100)
+                       for e in range(-308, 309)] for shortest in (0, 1)], np.uint8)
+    masks = np.zeros((2, _FORMS * 18, 32), np.uint8)
+    masks[..., _ROW:] = 255  # the separator
+    for shortest, form, nd in itertools.product((0, 1), range(_FORMS), range(1, 18)):
+        exp, kept = form - 4, [0, _LEAD]
         if form >= 20:  # 1.5e-05, 1e+100
-            negative, wide = divmod(form - 20, 2)
-            text = digits[:1] + [_DOT] * (nd > 1) + digits[1:] + [_E, (_PLUS, _MINUS)[negative]]
-            text += [_EXPONENT, _EXPONENT + 1, _EXPONENT + 2][1 - wide:]
+            kept += [_POINT] * (nd > 1) + [*range(8, 7 + nd), 24, 25, 27, 28] + [26] * (form == 21)
         elif exp < 0:  # 0.0015
-            text = [_ZERO, _DOT] + [_ZERO] * (-exp - 1) + digits
-        elif nd > exp + 1:  # 12.5
-            text = digits[:exp + 1] + [_DOT] + digits[exp + 1:]
-        else:  # 1200, repr 1200.0
-            text = digits + [_ZERO] * (exp + 1 - nd) + [_DOT, _ZERO] * shortest
-        patterns[shortest, form, nd, :len(text)] = text
-    patterns = np.ascontiguousarray(patterns.reshape(2, -1, _TEXT_WIDTH).transpose(0, 2, 1))
-    for table in (powers, quads, patterns):  # shared by every caller
+            kept += [*range(1, 2 - exp), *range(8, 7 + nd)]
+        else:  # 12.5, 1200, repr 1200.0: the integer digits, then the point at 7 + exp
+            kept += [i for i in range(7, 7 + max(nd, exp + 1 + shortest))
+                     if i != 7 + exp or nd > exp + 1 or shortest]
+        masks[shortest, form * 18 + nd, kept] = 255
+    tables = powers, lead, low, high, exponents, digits, forms, masks.view(np.uint64)
+    for table in tables:  # shared by every caller
         table.flags.writeable = False
-    return powers, quads, patterns
+    return tables
 
 
 def _exact_text(value: float, shortest: bool) -> str:
@@ -482,38 +495,34 @@ def _exact_text(value: float, shortest: bool) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
-def _exact_block(x, shortest: bool) -> np.ndarray:
-    """_float_text's block, one value at a time."""
-    texts = [_exact_text(v, shortest).encode() for v in x.tolist()]
-    block = np.zeros((_TEXT_WIDTH + 1, len(texts)), np.uint8)
-    block[1:] = np.array(texts, dtype=f"S{_TEXT_WIDTH}").view(np.uint8).reshape(-1, _TEXT_WIDTH).T
-    return block
+def _text_rows(texts, sep: str, width: int = 0) -> np.ndarray:
+    """Each text and ``sep`` as one NUL-padded row of an (n, width) uint8
+    array, by default as narrow as the texts allow; no text holds a NUL."""
+    cells = np.array([(t + sep).encode() for t in texts], dtype=f"S{width}" if width else bytes)
+    return cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize)
 
 
-def _float_text(values, shortest: bool) -> np.ndarray:
-    """Text of each value as a NUL-padded (25, n) uint8 block, row 0 its sign:
-    format(v, ".15g"), or with ``shortest`` json.dumps(v)."""
+def _float_rows(values, shortest: bool, sep: str) -> np.ndarray:
+    """Each value's text and ``sep`` as one NUL-padded row of a row-major
+    uint8 array: format(v, ".15g"), or with ``shortest`` json.dumps(v)."""
     x = np.asarray(values, dtype=np.float64)
     if len(x) < _VECTOR_MIN:
-        return _exact_block(x, shortest)
-    powers, quads, patterns = _text_tables()
-    size = len(x)
+        return _text_rows([_exact_text(v, shortest) for v in x.tolist()], sep)
+    powers, lead, low, high, exponents, digits, forms, masks = _text_tables()
     a = np.abs(x)
     exact = np.isfinite(a) & (a >= np.finfo(np.float64).smallest_normal)
     a[~exact] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
     k = 17 if shortest else 15
-    p = (k - 1) - np.floor(np.log10(a)).astype(np.intp)
-    y = a * powers[p - _POWER_LOW]
-    shift = (y >= 10.0 ** k).astype(np.intp) - (y < 10.0 ** (k - 1))  # log10 off by one
-    if shift.any():
-        p -= shift
-        y = a * powers[p - _POWER_LOW]
+    y = a * powers[(k - 1 - _POWER_LOW) - e]
     n = np.rint(y)
     frac = (y - n).astype(np.float64)
     n = n.astype(np.int64)
     tol = _MARGIN * n
     tie = 0.5 - np.abs(frac) <= tol
-    undecided = ~exact
+    # a log10 one off leaves y outside [10**(k-1), 10**k); a rounding to 10**k
+    # carries into the next power
+    undecided = ~exact | (y < 10.0 ** (k - 1)) | (n >= 10 ** k)
     if shortest:
         # the first 15- or 16-digit rounding within half a gap of x reads back
         # as x, else 17 digits do; at a power of two the gap below x is half
@@ -522,11 +531,11 @@ def _float_text(values, shortest: bool) -> np.ndarray:
             gap = np.spacing(a)  # inf at the largest double
         power_of_two = gap * 2.0 ** 52 == a
         undecided |= ~np.isfinite(gap)
-        halfgap = gap / a * n * np.where(power_of_two, 0.25, 0.5)  # in units of y
-        searching = np.ones(size, bool)
+        halfgap = gap / a * n * (0.5 - 0.25 * power_of_two)  # in units of y
+        searching = np.ones(len(x), bool)
         for unit in (100, 10):
-            q, r = np.divmod(n, unit)
-            t = (r + frac) / unit  # the dropped digits, in units of the last kept one
+            q = n // unit
+            t = (n - q * unit + frac) / unit  # the dropped digits, in units of the last kept one
             round_up = t > 0.5
             off = np.abs(round_up - t)
             limit, margin = halfgap / unit, tol / unit
@@ -536,46 +545,36 @@ def _float_text(values, shortest: bool) -> np.ndarray:
             undecided |= inside & (np.abs(t - 0.5) <= margin)
             n = np.where(inside, (q + round_up) * unit, n)
             searching &= ~inside
-        undecided |= searching & tie
+        undecided |= searching & tie | (n == 10 ** 17)
     else:
         undecided |= tie
         n *= 100  # 17 digits, as in repr
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    exp = (k - 1) - p + carry
-    source = np.empty((26, size), np.uint8)
-    for row in (13, 9, 5, 1):
-        n, low = np.divmod(n, 10_000)
-        quads.take(low, axis=1, out=source[row:row + 4], mode="clip")
-    source[0] = n + 48
-    source[_DOT:_EXPONENT] = np.frombuffer(b".0-e+", np.uint8)[:, None]
-    quads[1:].take(np.abs(exp), axis=1, out=source[_EXPONENT:_NUL], mode="clip")
-    source[_NUL] = 0
-    nd = ((source[:17] != 48) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0, initial=1)
-    fixed = (exp >= -4) & (exp < (16 if shortest else 15))
-    form = np.where(fixed, exp + 4, 20 + 2 * (exp < 0) + (np.abs(exp) >= 100))
-    layout = form * 18 + nd
-    text = np.empty((_TEXT_WIDTH + 1, size), np.uint8)
-    text[0] = np.where(x < 0, 45, 0)
-    for start in range(0, size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        rows = patterns[int(shortest)].take(layout[chunk], axis=1)
-        index = np.multiply(rows, size, dtype=np.intp)
-        index += np.arange(size)[chunk]
-        source.reshape(-1).take(index, out=text[1:, chunk], mode="clip")
+    quads = []  # the leading digit, then the other 16 in fours
+    for unit in (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4):
+        quads.append(n // unit)
+        n -= quads[-1] * unit
+    leading, *quads = quads + [n]
+    tail = bytes(_ROW - 24) + sep.encode()  # the words from byte 24 on
+    tail = _words(tail[i:i + 8] for i in range(0, len(tail), 8))
+    rows = np.empty((len(x), 3 + len(tail)), np.uint64)
+    rows[:, 0] = lead.take(leading + 10 * (x < 0), mode="clip")
+    rows[:, 1] = low.take(quads[0]) | high.take(quads[1])
+    rows[:, 2] = low.take(quads[2]) | high.take(quads[3])
+    rows[:, 3] = exponents.take(e + 308) | tail[0]
+    rows[:, 4:] = tail[1:]
+    form = forms[int(shortest)].take(e + 308)
+    text = rows.view(np.uint8)
+    for fixed in np.flatnonzero(np.bincount(form, minlength=_FORMS)[5:20]) + 5:  # 10 and up
+        exp, group = fixed - 4, np.flatnonzero(form == fixed)
+        text[group, _POINT:_POINT + exp] = text[group, _POINT + 1:_POINT + 1 + exp]
+        text[group, _POINT + exp] = 46  # "."
+    nd = functools.reduce(np.maximum, map(np.take, digits, quads))
+    rows[:, :4] &= masks[int(shortest)].take(form.astype(np.intp) * 18 + nd, axis=0)
+    text = text[:, :_ROW + len(sep)]
     fallback = np.flatnonzero(undecided)
-    text[:, fallback] = _exact_block(x[fallback], shortest)
+    text[fallback] = _text_rows([_exact_text(v, shortest) for v in x[fallback].tolist()],
+                                sep, text.shape[1])
     return text
-
-
-def _joined_rows(blocks, separators) -> str:
-    """The rows of NUL-padded (width, n) text blocks, each cell followed by its
-    separator; no cell holds a NUL."""
-    parts = []
-    for block, sep in zip(blocks, separators):
-        sep = np.frombuffer(sep.encode(), np.uint8)[:, None]
-        parts += [block, np.repeat(sep, block.shape[1], axis=1)]
-    return np.concatenate(parts).T.tobytes().translate(None, b"\0").decode()
 
 
 def _float_array(values):
@@ -588,19 +587,20 @@ def _float_array(values):
     return None
 
 
-def _column_text(values) -> np.ndarray:
+def _column_rows(values, sep: str) -> np.ndarray:
     floats = _float_array(values)
     if floats is not None:
-        return _float_text(floats, shortest=False)
-    cells = np.array([_csv_escape(_format_cell(v)).encode() for v in values], dtype=bytes)
-    return cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize).T
+        return _float_rows(floats, False, sep)
+    return _text_rows([_csv_escape(_format_cell(v)) for v in values], sep)
 
 
 def write_csv(path, columns: dict, header_lines) -> None:
     names = list(columns)
-    blocks = [_column_text(columns[name]) for name in names]
-    rows = _joined_rows(blocks, [","] * (len(names) - 1) + ["\n"])
-    Path(path).write_text("\n".join([*header_lines, ",".join(names)]) + "\n" + rows)
+    seps = [","] * (len(names) - 1) + ["\n"]
+    rows = np.concatenate([_column_rows(columns[name], sep) for name, sep in zip(names, seps)],
+                          axis=1)
+    head = "\n".join([*header_lines, ",".join(names)]) + "\n"
+    Path(path).write_bytes(head.encode() + rows.tobytes().translate(None, b"\0"))
 
 
 def _json_text(value, pad: str = "") -> str:
@@ -612,8 +612,8 @@ def _json_text(value, pad: str = "") -> str:
     floats = _float_array(value)
     if floats is not None and len(floats):
         sep = ",\n" + inner
-        items = _joined_rows([_float_text(floats, shortest=True)], [sep])[:-len(sep)]
-        return "[\n" + inner + items + "\n" + pad + "]"
+        items = _float_rows(floats, True, sep).tobytes().translate(None, b"\0")[:-len(sep)]
+        return "[\n" + inner + items.decode() + "\n" + pad + "]"
     if isinstance(value, np.ndarray) and value.dtype != object:
         value = value.tolist()
     if isinstance(value, dict) and value:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,10 +28,12 @@ from jchsim.cli import main
 from jchsim.experiments import (
     EXPERIMENTS,
     PARAM_DEFAULTS,
-    _float_text,
-    _joined_rows,
+    _csv_escape,
+    _float_rows,
+    _format_cell,
     _json_text,
     _parse_value,
+    write_csv,
 )
 from jchsim.selfcheck import run_selfcheck, selfcheck_report
 
@@ -110,6 +112,35 @@ NUMPY_VALUES = st.one_of(
     st.floats(width=32).map(np.float32), st.lists(INT64, max_size=8).map(np.array),
     hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4)),
 )
+# nested dicts, lists, tuples and 1-d float arrays of floats (NaN, +-inf, -0
+# and subnormals included), ints, bools, None, strings with escapes, empty
+# containers, numpy scalars, integer arrays and 2-d float arrays
+NESTED_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+              FLOAT_ARRAYS, NUMPY_VALUES),
+    lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(st.floats(), max_size=6),
+                            st.lists(inner, max_size=6).map(tuple),
+                            st.lists(st.floats(), max_size=6).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=6)),
+    max_leaves=40,
+)
+# text cells, commas, quotes and newlines included (no NUL: the writer pads
+# with it; no lone surrogate: a file holds UTF-8)
+CSV_TEXT = st.text(st.one_of(st.sampled_from(',"\n'),
+                             st.characters(codec="utf-8", exclude_characters="\0")), max_size=8)
+
+
+def _csv_columns(rows: int):
+    """Columns of ``rows`` cells each: float arrays, lists of floats, and
+    lists mixing floats, ints, numpy ints, bools and text."""
+    cells = st.lists(st.one_of(st.floats(), st.integers(), INT64.map(np.int64), st.booleans(),
+                               CSV_TEXT), min_size=rows, max_size=rows)
+    column = st.one_of(hnp.arrays(np.float64, rows), st.lists(st.floats(), min_size=rows,
+                                                              max_size=rows), cells)
+    return st.dictionaries(st.text("abcxyz", min_size=1, max_size=4), column,
+                           min_size=1, max_size=5)
+
+
 # exact ties (two at 16 digits, where the tied rounding reads back as x),
 # the switches between fixed and exponent form, the smallest normal and
 # subnormal, 2**53 + 1 and the largest double
@@ -133,7 +164,7 @@ def _plain(value):
 
 
 def _csv_lines(values) -> list:
-    return _joined_rows([_float_text(values, shortest=False)], ["\n"]).splitlines()
+    return _float_rows(values, False, "\n").tobytes().translate(None, b"\0").decode().splitlines()
 
 
 @contextlib.contextmanager
@@ -194,21 +225,30 @@ class TestOutputs:
         assert payload["provenance"]["params.cavity_decay"] == 0.5
 
     @settings(deadline=None, max_examples=150)
-    @given(st.recursive(
-        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
-                  FLOAT_ARRAYS, NUMPY_VALUES),
-        lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(st.floats(), max_size=6),
-                                st.lists(inner, max_size=6).map(tuple),
-                                st.lists(st.floats(), max_size=6).map(tuple),
-                                st.dictionaries(st.text(max_size=6), inner, max_size=6)),
-        max_leaves=40,
-    ))
+    @given(NESTED_VALUES)
     def test_json_writer_matches_indented_dumps(self, value):
-        # nested dicts, lists, tuples and 1-d float arrays of floats (NaN,
-        # +-inf, -0 and subnormals included), ints, bools, None, strings with
-        # escapes, empty containers, numpy scalars, integer arrays and 2-d
-        # float arrays
-        assert _json_text(value) == json.dumps(_plain(value), indent=2, sort_keys=True)
+        expected = json.dumps(_plain(value), indent=2, sort_keys=True)
+        assert _json_text(value) == expected
+        # every nested float list again, through the vectorised pass with the
+        # separator of its own indent
+        with _vectorised():
+            assert _json_text(value) == expected
+
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 40).flatmap(_csv_columns))
+    def test_csv_writer_matches_the_cells_one_at_a_time(self, tmp_path, columns):
+        # each example rewrites the same file
+        names, path = list(columns), tmp_path / "table.csv"
+        lines = ["# header", ",".join(names)]
+        lines += [",".join(_csv_escape(_format_cell(columns[name][i])) for name in names)
+                  for i in range(len(columns[names[0]]))]
+        expected = ("\n".join(lines) + "\n").encode()
+        write_csv(path, columns, ["# header"])
+        assert path.read_bytes() == expected
+        with _vectorised():
+            write_csv(path, columns, ["# header"])
+        assert path.read_bytes() == expected
 
     @settings(deadline=None, max_examples=200)
     @given(FLOAT_ARRAYS)
@@ -222,8 +262,15 @@ class TestOutputs:
         # random 64-bit patterns
         powers_of_two = 2.0 ** np.arange(-1074, 1024)
         noise = np.random.default_rng(0).integers(0, 2**64, 4000, dtype=np.uint64)
+        # the doubles nearest the powers of ten and their neighbours, where
+        # floor(log10|x|) can miss, and roundings that carry into the next
+        # power of ten, where the form changes after rounding
+        tens = 10.0 ** np.arange(-307, 309)
+        carries = np.array([9.9999999999999995e-5, 0.99999999999999989, 9.9999999999999995,
+                            99999.999999999985, 9.999999999999999e22, 9.9999999999999991e-300])
         values = np.concatenate([BOUNDARY_FLOATS, -BOUNDARY_FLOATS, powers_of_two,
-                                 noise.view(np.float64)])
+                                 noise.view(np.float64), tens, np.nextafter(tens, 0),
+                                 np.nextafter(tens, np.inf), carries, -carries])
         assert len(values) >= experiments._VECTOR_MIN
         assert _csv_lines(values) == [format(v, ".15g") for v in values.tolist()]
         assert _json_text(values) == json.dumps(values.tolist(), indent=2)
@@ -404,6 +451,20 @@ class TestCli:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         assert f"config error: {key!r} takes " in capsys.readouterr().err
+
+    def test_numeric_ramp_initial_is_read_as_labels(self, tmp_path, capsys):
+        # "0" labels the ground state, so "0,0" names the pair "G,G" does: an
+        # option whose default is text keeps its text, however numeric
+        data = []
+        for name, initial in (("zero", "0,0"), ("ground", "G,G")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"experiment = ramp\nn_points = 3\nhold_samples = 101\n"
+                           f"initial = {initial}\n")
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / name)]) == 0
+            lines = (tmp_path / name / "ramp.csv").read_text().splitlines()
+            data.append([line for line in lines if not line.startswith("#")])
+        capsys.readouterr()
+        assert len(data[0]) == 4 and data[0] == data[1]
 
     @pytest.mark.parametrize(
         "text, flags, code",

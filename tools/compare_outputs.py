@@ -5,9 +5,13 @@
 
 Each argument is a checkout or its ``src`` directory.  For each tree, in
 fresh interpreters, the script runs every ``configs/*.cfg`` of this checkout
-in csv and in json, ``ramp_time_dependent.cfg`` with ``--strict-ramp`` and
-``jchsim selfcheck``.  It prints each file that differs, with the count of
-numbers that differ and the largest absolute difference among them.
+in csv and in json, ``ramp_time_dependent.cfg`` with ``--strict-ramp``,
+``jchsim selfcheck``, and every config that ``perfbench/workloads.py`` of
+this checkout builds for the benchmark's seed 1 (27 configs, whose
+detunings, decays, drives and hoppings are drawn at random), with the
+format and flags of its benchmark job.  It prints each file that differs,
+with the count of numbers that differ and the largest absolute difference
+among them.
 
 Exit status: 0 when the outputs agree up to numeric differences, 1 on a
 structural difference (a run whose exit code differs, a file written on one
@@ -23,8 +27,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+SEED = 1  # the benchmark's seed
 
 
 def source_dir(arg: str) -> Path | None:
@@ -36,21 +42,32 @@ def source_dir(arg: str) -> Path | None:
     return None
 
 
-def runs():
-    """(name, jchsim arguments) of every run; each run writes into its own directory."""
-    for cfg in sorted(CONFIGS.glob("*.cfg")):
-        for fmt in ("csv", "json"):
-            yield f"{cfg.stem}-{fmt}", ["run", str(cfg), "--format", fmt]
-    yield "ramp_time_dependent-strict", [
-        "run", str(CONFIGS / "ramp_time_dependent.cfg"), "--strict-ramp"]
-    yield "selfcheck", ["selfcheck"]
+def runs(config_dir: Path) -> list:
+    """(name, jchsim arguments) of every run; each run writes into its own
+    directory.  The benchmark's configs are written into ``config_dir``."""
+    found = [(f"{cfg.stem}-{fmt}", ["run", str(cfg), "--format", fmt])
+             for cfg in sorted(CONFIGS.glob("*.cfg")) for fmt in ("csv", "json")]
+    found.append(("ramp_time_dependent-strict",
+                  ["run", str(CONFIGS / "ramp_time_dependent.cfg"), "--strict-ramp"]))
+    found.append(("selfcheck", ["selfcheck"]))
+    sys.dont_write_bytecode = True  # perfbench/ is only read
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    for workload in workloads.WORKLOADS:
+        for job in workloads.build(workload, SEED):
+            if job.config is not None:  # selfcheck already runs above
+                path = config_dir / f"{workload}-{job.name}.cfg"
+                path.write_text(job.config_text())
+                found.append((path.stem, ["run", str(path), "--format", job.fmt, *job.flags]))
+    return found
 
 
-def run_tree(src: Path, out: Path) -> dict:
-    """Exit code of each run under ``src``; the files go to out/<run name>/."""
+def run_tree(src: Path, out: Path, jobs: list) -> dict:
+    """Exit code of each of ``jobs`` (see ``runs``) under ``src``; the files
+    go to out/<run name>/."""
     env = {"OPENBLAS_NUM_THREADS": "1", **os.environ, "PYTHONPATH": str(src)}
     codes = {}
-    for name, args in runs():
+    for name, args in jobs:
         target = out / name
         target.mkdir(parents=True)
         if args[0] == "selfcheck":
@@ -87,7 +104,9 @@ def main(argv=None) -> int:
     structural = identical = 0
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / side for side in ("a", "b")]
-        codes = [run_tree(src, out) for src, out in zip(sources, outs)]
+        (Path(tmp) / "configs").mkdir()
+        jobs = runs(Path(tmp) / "configs")
+        codes = [run_tree(src, out, jobs) for src, out in zip(sources, outs)]
         for name in codes[0]:
             if codes[0][name] != codes[1][name]:
                 print(f"STRUCTURE {name}: exit {codes[0][name]} against {codes[1][name]}")

@@ -19,7 +19,6 @@ from .hilbert import (
     bare_ket,
     embed_site,
     excitation_number_at,
-    expect_series,
     fock_annihilation,
     lowering_at,
     partial_trace,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import errno
 import functools
-import itertools
 import json
 import math
 import os
@@ -461,27 +460,27 @@ def _text_tables():
     powers = np.array([f"1e{p}" for p in range(_POWER_LOW, 330)]).astype(np.longdouble)
     lead = _words(sign + b"0.000%d." % d for sign in (b"\0", b"-") for d in range(10))
     exponents = _words(b"e%+04d" % e for e in range(-308, 309))
-    quads = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    quads = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48  # "0000" to "9999"
     low, high = np.zeros((2, 10000, 8), np.uint8)  # 0000 to 9999 in a word's low, high half
     low[:, :4] = high[:, 4:] = quads
     low, high = low.view(np.uint64).ravel(), high.view(np.uint64).ravel()
     last = ((quads != 48) * np.arange(1, 5)).max(axis=1)  # 0 for 0000
     digits = np.array([np.where((last > 0) | (j == 0), 1 + 4 * j + last, 0) for j in range(4)],
                       np.uint8)
-    forms = np.array([[e + 4 if -4 <= e < 15 + shortest else 20 + (abs(e) >= 100)
-                       for e in range(-308, 309)] for shortest in (0, 1)], np.uint8)
-    masks = np.zeros((2, _FORMS * 18, 32), np.uint8)
-    masks[..., _ROW:] = 255  # the separator
-    for shortest, form, nd in itertools.product((0, 1), range(_FORMS), range(1, 18)):
-        exp, kept = form - 4, [0, _LEAD]
-        if form >= 20:  # 1.5e-05, 1e+100
-            kept += [_POINT] * (nd > 1) + [*range(8, 7 + nd), 24, 25, 27, 28] + [26] * (form == 21)
-        elif exp < 0:  # 0.0015
-            kept += [*range(1, 2 - exp), *range(8, 7 + nd)]
-        else:  # 12.5, 1200, repr 1200.0: the integer digits, then the point at 7 + exp
-            kept += [i for i in range(7, 7 + max(nd, exp + 1 + shortest))
-                     if i != 7 + exp or nd > exp + 1 or shortest]
-        masks[shortest, form * 18 + nd, kept] = 255
+    e, shortest = np.arange(-308, 309), np.arange(2)[:, None]
+    forms = np.where((e >= -4) & (e < 15 + shortest), e + 4, 20 + (abs(e) >= 100)).astype(np.uint8)
+    # kept[shortest, form, nd, byte]: the bytes a (form, digit count) writes
+    s, f, nd, i = np.ix_(range(2), range(_FORMS), range(18), range(32))
+    exp, after = f - 4, (i >= 8) & (i < 7 + nd)  # the digits after the point
+    exponent_form = (f >= 20) & (  # 1.5e-05, 1e+100
+        (i == _POINT) & (nd > 1) | after | np.isin(i, [24, 25, 27, 28]) | (i == 26) & (f == 21))
+    below_one = (f < 4) & ((i >= 1) & (i < 2 - exp) | after)  # 0.0015
+    # 12.5, 1200, repr 1200.0: the integer digits, then the point at 7 + exp
+    fixed = (f >= 4) & (f < 20) & (i >= 7) & (i < 7 + np.maximum(nd, exp + 1 + s)) & (
+        (i != 7 + exp) | (nd > exp + 1) | (s == 1))
+    written = (i == 0) | (i == _LEAD) | exponent_form | below_one | fixed
+    kept = (nd > 0) & written | (i >= _ROW)  # the separator in every row
+    masks = (kept * np.uint8(255)).reshape(2, _FORMS * 18, 32)
     tables = powers, lead, low, high, exponents, digits, forms, masks.view(np.uint64)
     for table in tables:  # shared by every caller
         table.flags.writeable = False

@@ -239,18 +239,6 @@ def total_excitation(dims: HilbertDims) -> Operator:
     return sum_over_sites(excitation_number_at(dims.site()), dims)
 
 
-def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
-    """<psi(t)| op |psi(t)> along (T, D) ket amplitudes; a run of density
-    matrices reads them off its propagator tables, ``Trajectory.expect``."""
-    d = op.dims.total_dim
-    if series.ndim != 2 or series.shape[1] != d:
-        raise DimensionMismatchError(f"series shape {series.shape} is not (T, {d})")
-    # sum_i psi_i conj((psi op^T)_i), conjugated: the bits of sum_i conj(psi_i) (psi op^T)_i
-    # up to the sign of a zero imaginary part, with one (T, D) temporary instead of two
-    prod = series @ op.data.T
-    return np.einsum("ti,ti->t", series, np.conjugate(prod, out=prod)).conj()
-
-
 def partial_trace(rho: DensityMatrix, keep_site: int) -> DensityMatrix:
     """Reduced state of one site of a two-cavity system."""
     if rho.dims.n_cavities != 2:

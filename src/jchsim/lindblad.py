@@ -301,7 +301,9 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
         raise ValueError("time grid must be a 1d array with at least two points")
     step = (times[:, -1] - times[:, 0]) / (times.shape[1] - 1)
     stray = np.abs(times - times[:, :1] - step[:, None] * np.arange(times.shape[1])).max(axis=1)
-    if not np.all((step > 0) & (stray <= GRID_UNIFORMITY_TOL * step)):
+    if not np.all(step > 0):
+        raise ValueError(f"time grid must increase uniformly; its step is {step.min():.3g}")
+    if not np.all(stray <= GRID_UNIFORMITY_TOL * step):
         raise ValueError(f"time grid is not uniform within {GRID_UNIFORMITY_TOL:.0e} of its step")
     return step
 

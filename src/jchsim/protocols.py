@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .hamiltonians import (
     rabi_frequency,
     stroboscopic_generator,
 )
-from .hilbert import Operator, expect_series
+from .hilbert import Operator
 from .lindblad import _closed_amplitudes, _ket_reach, build_liouvillian, evolve, evolve_closed
 from .polariton import (
     GROUND,
@@ -108,17 +107,19 @@ def extract_period(times, series):
 def _lower_branch_run(params: SystemParams, h: Operator, n0: int, times) -> dict:
     """Series P_1plus, P_1minus, P_ground and the coherence 2|rho_+-| of one
     cavity started in |n0,-> under ``h`` and the decay channels of ``params``:
-    a ket through :func:`evolve_closed` without loss, a density matrix through
-    :func:`evolve` with it."""
+    without loss, from the (T, 3) dressed amplitudes c_+, c_-, c_G of the kets
+    of :func:`evolve_closed`; with it, from the density matrices of :func:`evolve`."""
     dims = params.dims
     psi0 = site_polariton_ket(dims, n0, "-", params.g, params.delta)
-    channels = decay_channels(params)
-    if channels:
-        expect = evolve(build_liouvillian(h, channels), psi0.density_matrix(), times).expect
-    else:
-        expect = partial(expect_series, series=evolve_closed(h, psi0, times))
     basis = basis_transform(dims, params.g, params.delta)
     up, lo, ground = (basis.column(lbl) for lbl in ("1+", "1-", GROUND))
+    channels = decay_channels(params)
+    if not channels:
+        amps = evolve_closed(h, psi0, times) @ np.stack([up, lo, ground], axis=1).conj()
+        c_up, c_lo, c_g = amps.T
+        return {"P_1plus": np.abs(c_up) ** 2, "P_1minus": np.abs(c_lo) ** 2,
+                "P_ground": np.abs(c_g) ** 2, "coherence": 2.0 * np.abs(c_lo * c_up.conj())}
+    expect = evolve(build_liouvillian(h, channels), psi0.density_matrix(), times).expect
     p_up, p_lo, rho_pm, p_g = (expect(Operator(dims, np.outer(k, b.conj())))
                                for k, b in ((up, up), (lo, lo), (lo, up), (ground, ground)))
     return {"P_1plus": p_up.real, "P_1minus": p_lo.real, "P_ground": p_g.real,

@@ -39,6 +39,8 @@ class Spectrum:
         vals = np.asarray(self.values, dtype=float)
         if freqs.ndim != 1 or freqs.shape != vals.shape:
             raise ValueError("frequency and value grids must be matching 1d arrays")
+        if len(freqs) < 3:
+            raise ValueError(f"need at least three grid points, got {len(freqs)}")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("frequency grid must be strictly increasing")
         if vals.min() < -1e-6:
@@ -197,8 +199,6 @@ def find_peaks(spectrum: Spectrum) -> PeakReport:
     linear interpolation of the half-height crossings.
     """
     x, y = spectrum.frequencies, spectrum.values
-    if len(x) < 3:
-        raise ValueError("need at least three grid points to find peaks")
     floor = PEAK_FLOOR * y.max()
     idx = [i for i in local_maxima(y) if y[i] >= floor]
     if not idx:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from jchsim import DimensionMismatchError, Operator
+
 
 @pytest.fixture
 def rng():
@@ -31,6 +33,18 @@ def random_kets(dim: int, samples: int, rng) -> np.ndarray:
     """``samples`` normalised random kets as a (samples, dim) array."""
     kets = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
     return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
+    """<psi(t)| op |psi(t)> along (T, D) ket amplitudes; a run of density
+    matrices reads them off its propagator tables, ``Trajectory.expect``."""
+    d = op.dims.total_dim
+    if series.ndim != 2 or series.shape[1] != d:
+        raise DimensionMismatchError(f"series shape {series.shape} is not (T, {d})")
+    # sum_i psi_i conj((psi op^T)_i), conjugated: the bits of sum_i conj(psi_i) (psi op^T)_i
+    # up to the sign of a zero imaginary part, with one (T, D) temporary instead of two
+    prod = series @ op.data.T
+    return np.einsum("ti,ti->t", series, np.conjugate(prod, out=prod)).conj()
 
 
 def random_density_matrix(dim: int, rng) -> np.ndarray:

@@ -535,6 +535,23 @@ class TestCli:
         assert "hopping must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("experiment = spectrum\nn_points = 0\n", "need at least three grid points, got 0"),
+            ("experiment = driven_oscillation\nt_final = 0\n", "time grid must increase"),
+            ("experiment = driven_oscillation\nt_final = -1\n", "time grid must increase"),
+        ],
+    )
+    def test_grid_refusals_name_their_cause(self, tmp_path, capsys, text, cause):
+        # an empty frequency grid and a time grid that does not increase are
+        # refused by what is wrong with them, not by a failure further on
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+        assert cause in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # an undamped configuration has no unique steady state
         cfg = tmp_path / "divergent.cfg"

@@ -14,7 +14,6 @@ from jchsim import (
     bare_ket,
     embed_site,
     excitation_number_at,
-    expect_series,
     fock_annihilation,
     lowering_at,
     partial_trace,
@@ -22,7 +21,7 @@ from jchsim import (
 )
 from jchsim.hilbert import ATOM_E, ATOM_G
 
-from conftest import brute_force_embed, random_density_matrix, random_kets
+from conftest import brute_force_embed, expect_series, random_density_matrix, random_kets
 
 
 def test_dims_validation():

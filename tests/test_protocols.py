@@ -12,6 +12,7 @@ from jchsim import (
     EffectiveModel,
     Ket,
     NumericalError,
+    Operator,
     SystemParams,
     analytic_variance,
     basis_transform,
@@ -22,7 +23,6 @@ from jchsim import (
     effective_model,
     evolve_closed,
     excitation_number_at,
-    expect_series,
     extract_period,
     hopping_interchange_probe,
     mechanism_table,
@@ -48,7 +48,7 @@ from jchsim.protocols import (
 from jchsim.selfcheck import run_selfcheck
 from jchsim.spectroscopy import local_maxima
 
-from conftest import pair_amplitudes, random_kets
+from conftest import expect_series, pair_amplitudes, random_kets
 
 TWO_SITE = SystemParams(omega_c=1e4, hopping=0.1, n_fock=3, n_cavities=2)
 # the ramp's column of the time-averaged population of each measured state
@@ -272,6 +272,35 @@ def test_lower_branch_run_agrees_on_its_ket_and_density_matrix_routes(delta, n0,
               "P_ground": np.abs(ground) ** 2, "coherence": 2.0 * np.abs(up * lo.conj())}
     for key in ket:
         assert np.abs(ket[key] - oracle[key]).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.floats(-2.0, 2.0), st.floats(0.0, 60.0), st.floats(0.0, 5.0), st.floats(-600.0, 600.0),
+       st.sampled_from([1, 2]), st.sampled_from([3, 4, 5]), st.integers(2, 8001),
+       st.sampled_from([build_driven, stroboscopic_generator]))
+@example(0.0, 50.0, 0.0, 500.0, 1, 4, 8001, build_driven)
+def test_lower_branch_run_ket_route_matches_the_operator_oracle(
+        delta, atom_drive, cavity_drive, detuning, n0, n_fock, samples, build):
+    # the closed route reads c_+, c_- and c_G off one amplitude table; the
+    # oracle reads <psi|k b^dag|psi> of each rank-1 operator off the same kets
+    p = SystemParams(delta=delta, omega_c=1e4, atom_drive=atom_drive, cavity_drive=cavity_drive,
+                     atom_drive_detuning=delta + detuning, cavity_drive_detuning=detuning,
+                     n_fock=n_fock)
+    times = np.linspace(0.0, 2.0, samples)
+    h = build(p)
+    got = _lower_branch_run(p, h, n0, times)
+    kets = evolve_closed(h, site_polariton_ket(p.dims, n0, "-", p.g, p.delta), times)
+    basis = basis_transform(p.dims, p.g, p.delta)
+    up, lo, ground = (basis.column(lbl) for lbl in ("1+", "1-", "G"))
+
+    def read(k, b):
+        return expect_series(Operator(p.dims, np.outer(k, b.conj())), kets)
+
+    oracle = {"P_1plus": read(up, up).real, "P_1minus": read(lo, lo).real,
+              "P_ground": read(ground, ground).real, "coherence": 2.0 * np.abs(read(lo, up))}
+    assert list(got) == list(oracle)
+    for key in got:
+        assert np.abs(got[key] - oracle[key]).max() < 1e-12
 
 
 class TestEffectiveModel:

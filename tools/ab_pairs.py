@@ -15,9 +15,12 @@ jchsim checkout.  The script
 - runs N pairs of ``perfbench/run.py --workload W`` (untraced, seed 1, the
   benchmark's own run length), one run of each copy per pair, A first in
   the even pairs and B first in the odd ones;
-- prints every run's end-to-end metrics, then for each metric of
-  ``BENCHMARK.json`` each side's median and quartiles, the pairs that B
-  wins (ties count for neither) and two verdicts:
+- prints every run's end-to-end metrics and minor page faults (the whole
+  benchmark process's, from ``resource.RUSAGE_CHILDREN``), then each side's
+  median of the faults, which shows a shift of the allocator's state that no
+  metric names, and for each metric of ``BENCHMARK.json`` each side's median
+  and quartiles, the pairs that B wins (ties count for neither) and two
+  verdicts:
   - "gain" or "no gain": a gain may be claimed when B wins at least nine
     tenths of the pairs and its median beats A's by more than the distance
     between A's quartiles;
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
+import resource
 import shutil
 import signal
 import statistics
@@ -90,9 +94,17 @@ def regression(a: list, b: list, sign: float, bound: float) -> str:
     return "worse" if sign * (mb - ma) > bound * abs(ma) else "held"
 
 
-def report(metrics: list, runs: dict) -> None:
-    """Per metric: each side's median and quartiles, B's wins and the verdicts."""
+def minor_faults() -> int:
+    """Minor page faults of all the finished benchmark runs so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
+def report(metrics: list, runs: dict, faults: dict) -> None:
+    """Each side's median of minor faults, then per metric: each side's
+    median and quartiles, B's wins and the verdicts."""
     pairs = len(runs["a"])
+    print(f"\nminor page faults per run: A median {statistics.median(faults['a']):.0f}, "
+          f"B median {statistics.median(faults['b']):.0f}")
     print(f"\n{'metric':<14} {'unit':<5} {'A median [q1, q3]':>30} {'B median [q1, q3]':>30}"
           f" {'B wins':>7}  verdicts")
     for m in metrics:
@@ -133,7 +145,7 @@ def main(argv=None) -> int:
         print("ab_pairs: the trees' benchmarks differ: " + ", ".join(differ), file=sys.stderr)
         return 2
 
-    runs, failures = {"a": [], "b": []}, 0
+    runs, faults, failures = {"a": [], "b": []}, {"a": [], "b": []}, 0
     # a termination signal unwinds the with block, so the copies are removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
@@ -144,17 +156,20 @@ def main(argv=None) -> int:
         print(f"ab_pairs: {args.workload}, {args.pairs} pairs; A = {trees[0]}, B = {trees[1]}")
         for pair in range(args.pairs):
             for side in ("ab" if pair % 2 == 0 else "ba"):
+                before = minor_faults()
                 try:
                     record = run_once(copies[side], args.workload)
                 except RuntimeError as exc:
                     print(f"ab_pairs: {exc}", file=sys.stderr)
                     return 1
                 runs[side].append(record)
+                faults[side].append(minor_faults() - before)
                 failures += record["failed"] > 0 or not record["correct"]
                 values = ", ".join(f"{k} {v['value']:.5g}" for k, v in record["metrics"].items())
                 print(f"  pair {pair} {side.upper()}: {values}; correct {record['correct']}, "
-                      f"failed {record['failed']}/{record['attempted']}", flush=True)
-    report(spec["end_to_end"], runs)
+                      f"failed {record['failed']}/{record['attempted']}, "
+                      f"minor faults {faults[side][-1]}", flush=True)
+    report(spec["end_to_end"], runs, faults)
     return 1 if failures else 0
 
 

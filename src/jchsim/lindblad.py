@@ -8,8 +8,9 @@ the jumps, D x D each, and formed by the Kronecker formula only on the indices
 a use reaches.  H_eff links Hilbert indices both ways and each jump links them
 forward; no entry of the generator leaves S x S for a set S that no link
 leaves, nor a weak piece of it, a symmetry sector (Buca & Prosen, New J. Phys.
-14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  A spectrum from
-a^dag |0><0| is formed on |k><0|, k one excitation, at any photon cutoff.
+14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  The resolvent of
+a spectrum from a^dag |0><0| is solved on |k><0|, k one excitation, at any
+photon cutoff.
 :func:`steady_state` needs no eigenbasis: a pair block whose field of values
 lies at real part <= -(Gamma_a + Gamma_b) / 2, the smallest loss rates of its
 two components, is nonsingular by that bound alone (Horn & Johnson, Topics in
@@ -52,16 +53,11 @@ def vectorize(mat: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LiouvillianModes:
-    """Spectral decomposition L = V diag(w) V^{-1} of the Liouvillian restricted
-    to the superoperator indices ``index`` (sorted) that its rows and columns span."""
+    """Spectral decomposition L = V diag(w) V^{-1} of the whole Liouvillian."""
 
     eigenvalues: np.ndarray
     right: np.ndarray
     right_inv: np.ndarray
-    index: np.ndarray
-
-    def coefficients(self, mat: np.ndarray) -> np.ndarray:
-        return self.right_inv @ vectorize(mat)[self.index]
 
 
 @dataclass
@@ -92,13 +88,6 @@ class Liouvillian:
     def data(self) -> np.ndarray:
         """The dense D^2 x D^2 generator acting on row-stacked density matrices."""
         return self._block(np.arange(self.dims.total_dim**2))
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        """-i H_eff rho + i rho H_eff^dag + sum_k rate_k L_k rho L_k^dag."""
-        out = -1j * (self.h_eff @ mat) + 1j * (mat @ self.h_eff.conj().T)
-        for jump, rate in self.jumps:
-            out += rate * (jump @ mat @ jump.conj().T)
-        return out
 
     @cached_property
     def _reach(self) -> np.ndarray:
@@ -144,24 +133,18 @@ class Liouvillian:
             links |= np.kron(hop, hop)
         return _transitive(links | links.T).argmax(axis=1)[(label[:, None] * c + label).reshape(-1)]
 
-    def modes(self, seed: np.ndarray | None = None) -> LiouvillianModes:
-        """Eigen-decomposition of the generator on :meth:`_closure` of the
-        support of the matrix ``seed``, a set no entry leaves, so its modes are
-        modes of the generator; without a seed, of the whole, one weak piece
-        (:attr:`_piece`) at a time, so ``index`` is every superoperator index.
-        A closed, anti-Hermitian piece goes through ``eigh``, so its eigenbasis
-        stays unitary at degenerate eigenvalues; the condition number is that
-        of the block-diagonal eigenbasis of the pieces."""
-        if seed is None:
-            index = np.arange(self.dims.total_dim**2)
-            pieces = [(idx, self._block(idx)) for idx in _groups(self._piece)]
-        else:
-            index = self._closure(vectorize(seed) != 0)
-            pieces = [(np.arange(len(index)), self._block(index))] if len(index) else []
-        w = np.empty(len(index), dtype=complex)
-        v, v_inv = np.zeros((2, len(index), len(index)), dtype=complex)
+    def modes(self) -> LiouvillianModes:
+        """Eigen-decomposition of the whole generator, one weak piece
+        (:attr:`_piece`) at a time.  A closed, anti-Hermitian piece goes through
+        ``eigh``, so its eigenbasis stays unitary at degenerate eigenvalues; the
+        condition number is that of the block-diagonal eigenbasis of the pieces.
+        Only selfcheck reads it; a spectrum solves the resolvent instead."""
+        n = self.dims.total_dim**2
+        w = np.empty(n, dtype=complex)
+        v, v_inv = np.zeros((2, n, n), dtype=complex)
         s_max, s_min = 0.0, np.inf
-        for pos, block in pieces:
+        for pos in _groups(self._piece):
+            block = self._block(pos)
             if np.array_equal(block, -block.conj().T):
                 lam, vb = np.linalg.eigh(1j * block)
                 wb = -1j * lam
@@ -175,7 +158,7 @@ class Liouvillian:
             w[pos] = wb
             v[np.ix_(pos, pos)] = vb
             v_inv[np.ix_(pos, pos)] = np.linalg.inv(vb)
-        return LiouvillianModes(w, v, v_inv, index)
+        return LiouvillianModes(w, v, v_inv)
 
 
 def _groups(key: np.ndarray) -> list:

@@ -561,6 +561,22 @@ class TestCli:
         assert "numerical failure" in err
         assert not (tmp_path / "out").exists()
 
+    def test_spectrum_off_its_closed_form_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a closed form moved by one part in 1e6 is 1e3 times the limit off
+        # the engine, so the run refuses to write the spectrum
+        exact = experiments.absorption_spectrum_analytic
+
+        def scaled(params, grid):
+            spectrum = exact(params, grid)
+            return replace(spectrum, values=spectrum.values * (1 + 1e-6))
+
+        monkeypatch.setattr("jchsim.experiments.absorption_spectrum_analytic", scaled)
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text("experiment = spectrum\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+        assert "off the closed form (limit 1e-09)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_spectrum_of_a_defective_generator_matches_the_resolvent(self, tmp_path):
         # resonant atom decay at g = 1, rate 1, no cavity loss: a generator
         # with a Jordan block, whose steady state needs no eigenbasis; the

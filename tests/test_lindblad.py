@@ -38,7 +38,6 @@ from jchsim import (
 )
 from jchsim.lindblad import (GRID_UNIFORMITY_TOL, ZERO_MODE_TOL, _closed_amplitudes, _groups,
                              _loss_floors, vectorize)
-from jchsim.spectroscopy import AMPLITUDE_FLOOR
 
 from conftest import random_density_matrix, random_kets
 
@@ -84,7 +83,7 @@ class TestDissipator:
         d = build_liouvillian(zero_hamiltonian(dims), [(jump, 0.7)])
         rho = random_density_matrix(dims.total_dim, rng)
         direct = brute_force_lindblad(None, [(jump.data, 0.7)], rho)
-        assert np.max(np.abs(d.apply(rho) - direct)) < 1e-13
+        assert np.max(np.abs((d.data @ vectorize(rho)).reshape(rho.shape) - direct)) < 1e-13
 
 
 class TestLiouvillian:
@@ -112,7 +111,7 @@ class TestLiouvillian:
         liouv = build_liouvillian(h, channels)
         rho = random_density_matrix(d, rng)
         direct = brute_force_lindblad(h.data, list(zip(jumps, rates)), rho)
-        assert np.max(np.abs(liouv.apply(rho) - direct)) < 1e-12
+        assert np.max(np.abs((liouv.data @ vectorize(rho)).reshape(d, d) - direct)) < 1e-12
         if not channels:
             # exactly anti-Hermitian, so modes() sends it through eigh
             assert np.array_equal(liouv.data, -liouv.data.conj().T)
@@ -128,7 +127,7 @@ class TestLiouvillian:
         liouv = standard_liouvillian(p)
         x = rng.standard_normal((p.dims.total_dim,) * 2)
         x = x + x.T
-        assert abs(np.trace(liouv.apply(x))) < 1e-10
+        assert abs(np.trace((liouv.data @ vectorize(x)).reshape(x.shape))) < 1e-10
 
     def test_undriven_blocks_are_the_coherence_orders(self, monkeypatch):
         # modes() without a seed decomposes one weakly connected piece at a
@@ -202,13 +201,12 @@ def small_generators(draw, n_cavities):
 
 
 def dense_spectrum(w, v, index, rho_ss, a_op, grid):
-    """The spectrum that ``absorption_spectrum`` sums, from the eigenpairs
-    (w, v) of the generator on the superoperator indices ``index``, with the
-    same zero-mode and weight floors."""
+    """The spectrum as a sum of Lorentzians over the eigenpairs (w, v) of the
+    generator on the superoperator indices ``index``, less the zero mode, the
+    stationary part that ``absorption_spectrum`` leaves out."""
     weights = (vectorize(a_op.data.T)[index] @ v) * np.linalg.solve(
         v, vectorize(a_op.dag().data @ rho_ss.data)[index])
-    keep = ((np.abs(w) >= ZERO_MODE_TOL)
-            & (np.abs(weights) > AMPLITUDE_FLOOR * max(float(np.abs(weights).max()), 1.0)))
+    keep = np.abs(w) >= ZERO_MODE_TOL
     return 2.0 * (weights[keep] / (-w[keep] - 1j * grid[:, None])).real.sum(axis=1)
 
 
@@ -231,7 +229,6 @@ def assert_blocked_modes_match_dense(closed, liouv, a_op, oracle):
     nearest_error = np.abs(w[:, None] - w_ref[None, :]).min(axis=1).max()
     rebuild_error = np.abs(modes.right @ np.diag(w) @ modes.right_inv - oracle).max()
     assert max(sorted_error, nearest_error, rebuild_error) < tol
-    assert np.array_equal(modes.index, np.arange(len(w)))
     if closed:
         unitarity_error = np.abs(modes.right.conj().T @ modes.right - np.eye(len(w))).max()
         assert unitarity_error < 1e-12
@@ -284,7 +281,7 @@ def test_blocked_modes_match_dense_two_cavities(generator):
               for idx in pieces]
         assert max(s[0] for s in sv) / min(s[-1] for s in sv) > 1e6
         return
-    assert np.array_equal(modes.index, np.arange(len(oracle)))
+    assert modes.right.shape == oracle.shape
     across = label[:, None] != label[None, :]
     assert not modes.right[across].any() and not modes.right_inv[across].any()
     # the eigenbasis is block diagonal over the pieces, so its condition
@@ -505,25 +502,19 @@ def closure_oracle(data: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 @settings(deadline=None, max_examples=60)
 @given(small_generators(n_cavities=1), st.integers(0, 2**32 - 1))
-def test_seeded_modes_are_blocks_of_the_unseeded_modes(generator, seed):
-    # a seed decomposes S x S, S the Hilbert sector that its rows and columns
-    # reach, within the oracle's weak pieces that it meets: a set that holds
-    # the closure of its support and that no entry of the oracle leaves, so
-    # its eigenpairs rebuild the oracle there and are eigenpairs of the
-    # unseeded decomposition; either call may refuse an ill-conditioned
-    # eigenbasis (NumericalError), and the seeded one sees a different piece,
-    # so it can refuse alone
+def test_closure_block_is_invariant_and_its_eigenvalues_are_the_generators(generator, seed):
+    # the closure of a support is S x S, S the Hilbert sector that its rows
+    # and columns reach, within the oracle's weak pieces that it meets: a set
+    # that holds the closure of the support and that no entry of the oracle
+    # leaves, so every eigenvalue mu of its block is one of the whole: a
+    # vector with a small residual under the block - mu, padded with zeros,
+    # keeps that residual under the oracle - mu, however defective either is
     _, liouv, _, oracle = generator
     d = liouv.dims.total_dim
     rng = np.random.default_rng(seed)
     support = rng.random((d, d)) < 0.1
     support.flat[rng.integers(d * d)] = True
-    try:
-        full = liouv.modes()
-        modes = liouv.modes(np.where(support, 1.0 + 0.5j, 0.0))
-    except NumericalError:
-        return
-    index = modes.index
+    index = liouv._closure(support.reshape(-1))
     sector = sector_oracle(oracle, support.any(axis=0) | support.any(axis=1))
     square = (sector[:, None] * d + sector).reshape(-1)
     label = oracle_pieces(oracle)
@@ -531,14 +522,11 @@ def test_seeded_modes_are_blocks_of_the_unseeded_modes(generator, seed):
     assert np.isin(closure_oracle(oracle, support.reshape(-1)), index).all()
     outside = np.setdiff1d(np.arange(d * d), index)
     assert not oracle[np.ix_(outside, index)].any()
-    w = modes.eigenvalues
-    cond = max(np.linalg.cond(modes.right), np.linalg.cond(full.right))
-    tol = 1e-13 * cond * max(1.0, float(np.abs(oracle).max()))
-    rebuild_error = np.abs(modes.right @ np.diag(w) @ modes.right_inv
-                           - oracle[np.ix_(index, index)]).max()
-    assert rebuild_error < tol
-    assert np.abs(w[:, None] - full.eigenvalues[None, :]).min(axis=1).max() < tol
-    assert np.array_equal(liouv.modes().right, full.right)
+    mu = np.linalg.eigvals(liouv._block(index))
+    shifted = oracle[None] - mu[:, None, None] * np.eye(d * d)
+    residual = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    # the largest seen in 600 random draws was 5.3e-16 on this scale, a margin of 190
+    assert residual.max() < 1e-13 * max(1.0, float(np.abs(oracle).max())) * len(index)
 
 
 def test_unseeded_modes_keep_the_dense_layout():
@@ -551,32 +539,36 @@ def test_unseeded_modes_keep_the_dense_layout():
     d2 = p.dims.total_dim**2
     assert liouv.data.shape == (d2, d2)
     modes = liouv.modes()
-    assert np.array_equal(modes.index, np.arange(d2))
     assert modes.eigenvalues.shape == (d2,)
     assert modes.right.shape == modes.right_inv.shape == (d2, d2)
 
 
 @pytest.mark.parametrize("n_cavities", [1, 2])
-def test_spectrum_decomposes_the_one_excitation_vacuum_block(n_cavities):
+def test_spectrum_block_is_the_one_excitation_no_jump_hamiltonian(n_cavities):
     # linear absorption from the vacuum: a^dag |0><0| reaches only |k><0| for
-    # the one-excitation states k, 2 per cavity, at any photon cutoff
+    # the one-excitation states k, 2 per cavity, at any photon cutoff, where
+    # the generator is -i H_eff, as no jump leaves the vacuum bra
     for n_fock in (2, 3):
         p = SystemParams(delta=0.0, omega_c=100.0, hopping=1.0 if n_cavities == 2 else 0.0,
                          cavity_decay=0.5, atom_decay=0.5, n_fock=n_fock, n_cavities=n_cavities)
         liouv = standard_liouvillian(p)
         rho_ss = steady_state(liouv)
         a_op = annihilation_at(p.dims, 0)
-        modes = liouv.modes(a_op.dag().data @ rho_ss.data)
+        index = liouv._closure(vectorize(a_op.dag().data @ rho_ss.data) != 0)
         one = np.flatnonzero(np.rint(np.diag(total_excitation(p.dims).data).real) == 1)
         assert len(one) == 2 * n_cavities
-        assert np.array_equal(modes.index, one * p.dims.total_dim)
+        assert np.array_equal(index, one * p.dims.total_dim)
+        block = liouv._block(index)
+        assert np.array_equal(block, -1j * liouv.h_eff[np.ix_(one, one)])
+        assert np.all(np.linalg.eigvals(block).real < 0)
 
 
-def test_ill_conditioned_block_is_refused_only_where_reached():
+def test_defective_block_is_reached_only_from_manifold_two():
     # resonant atom decay at g = 1, rate 1, no cavity loss: the populations
     # of manifolds 1 and 2 share the decay rate 1/2, and the jump from one to
-    # the other makes a Jordan block with no eigenbasis; only a seed that
-    # reaches the populations of manifold 2 decomposes it
+    # the other makes a Jordan block; only a support that reaches the
+    # populations of manifold 2 holds it, and only the unseeded modes() meets
+    # it and refuses an eigenbasis
     p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=1.0, n_fock=2)
     liouv = standard_liouvillian(p)
     d = p.dims.total_dim
@@ -584,19 +576,25 @@ def test_ill_conditioned_block_is_refused_only_where_reached():
     n = np.rint(np.diag(total_excitation(p.dims).data).real)
     low = np.flatnonzero(n <= 1)
     diagonal = (low[:, None] * d + low)[n[low][:, None] == n[low]]
-    reached = {  # seed: the indices it decomposes
+    reached = {  # support: its closure
         (0, 0): [0],
         (1, 0): np.flatnonzero(n == 1) * d,  # |k><0|, k a one-excitation state
         (1, 1): np.sort(diagonal),  # the pair blocks of manifolds 1 and 0 with themselves
     }
     kets = (vacuum, photon)
     for (i, j), index in reached.items():
-        modes = liouv.modes(np.outer(kets[i], kets[j].conj()))
-        assert np.array_equal(modes.index, index)
-    assert np.array_equal(liouv.modes(np.outer(vacuum, vacuum)).eigenvalues, [0])
-    for matrix in (np.outer(two, two), None):
-        with pytest.raises(NumericalError, match="ill-conditioned"):
-            liouv.modes(matrix)
+        assert np.array_equal(liouv._closure(np.outer(kets[i], kets[j].conj()).reshape(-1) != 0),
+                              index)
+    assert np.array_equal(np.linalg.eigvals(liouv._block(np.array([0]))), [0])
+    # -1/2 as often as it has eigenvectors on (1, 1), once more than that on (2, 2)
+    for ket, repeats, vectors in ((photon, 2, 2), (two, 4, 3)):
+        index = liouv._closure(np.outer(ket, ket).reshape(-1) != 0)
+        block = liouv._block(index)
+        assert np.count_nonzero(np.abs(np.linalg.eigvals(block) + 0.5) < 1e-6) == repeats
+        sv = np.linalg.svd(block + 0.5 * np.eye(len(index)), compute_uv=False)
+        assert np.count_nonzero(sv < 1e-12) == vectors
+    with pytest.raises(NumericalError, match="ill-conditioned"):
+        liouv.modes()
 
 
 def spectral_states(liouv, rho0, times):

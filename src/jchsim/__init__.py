@@ -58,7 +58,6 @@ from .lindblad import (
     trace_distance,
 )
 from .spectroscopy import (
-    PeakReport,
     Spectrum,
     absorption_spectrum,
     absorption_spectrum_analytic,
@@ -83,4 +82,4 @@ from .protocols import (
     ramp_experiment,
 )
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
-from .selfcheck import run_selfcheck, selfcheck_report
+from .selfcheck import run_selfcheck

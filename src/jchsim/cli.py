@@ -11,7 +11,7 @@ import sys
 
 from .errors import ConfigError, JchsimError
 from .experiments import EXPERIMENTS, ExperimentConfig, _json_text, run_experiment
-from .selfcheck import selfcheck_report
+from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,7 +55,11 @@ def main(argv=None) -> int:
         if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
             print(f"output error: no directory to hold {args.output!r}", file=sys.stderr)
             return EXIT_CONFIG
-        report = selfcheck_report()
+        try:
+            report = run_selfcheck()
+        except JchsimError as exc:
+            print(f"numerical failure in selfcheck: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
         text = _json_text(report)
         if args.output:
             try:

@@ -56,16 +56,6 @@ PARAM_DEFAULTS = {f.name: f.default for f in fields(SystemParams)}
 SPECTRUM_ERROR_LIMIT = 1e-9
 
 
-def _peak_dict(report, omega_c: float):
-    """The peaks of a spectrum on offsets from ``omega_c``, at absolute positions."""
-    return {
-        "positions": [float(x) for x in report.positions + omega_c],
-        "heights": [float(x) for x in report.heights],
-        "widths": [float(x) for x in report.widths],
-        "asymmetry": report.asymmetry,
-    }
-
-
 # ---------------------------------------------------------------------------
 # experiment runners
 
@@ -83,11 +73,11 @@ def _run_spectrum(params: SystemParams, options: dict) -> tuple:
     if error > SPECTRUM_ERROR_LIMIT:
         raise NumericalError(f"spectrum is {error:.3e} of its peak off the closed form "
                              f"(limit {SPECTRUM_ERROR_LIMIT:.0e})")
-    return {"omega": grid, "S_numeric": numeric.values, "S_analytic": analytic.values}, {
-        "peaks_numeric": _peak_dict(find_peaks(numeric), params.omega_c),
-        "peaks_analytic": _peak_dict(find_peaks(analytic), params.omega_c),
-        "relative_sup_error": error,
-    }
+    summary = {"peaks_numeric": find_peaks(numeric), "peaks_analytic": find_peaks(analytic),
+               "relative_sup_error": error}
+    for key in ("peaks_numeric", "peaks_analytic"):
+        summary[key]["positions"] += params.omega_c  # at absolute positions
+    return {"omega": grid, "S_numeric": numeric.values, "S_analytic": analytic.values}, summary
 
 
 def _run_driven_oscillation(params: SystemParams, options: dict) -> tuple:
@@ -99,19 +89,7 @@ def _run_driven_oscillation(params: SystemParams, options: dict) -> tuple:
 
 
 def _run_rwa_probe(params: SystemParams, options: dict) -> tuple:
-    samples = int(options["samples"])
-    first = hopping_interchange_probe(params, "1-,0", samples=samples)
-    second = hopping_interchange_probe(params, "2-,0", samples=samples)
-    columns = {
-        "t": first["times"],
-        "p_up_from_1minus": first["probability"],
-        "p_up_from_2minus": second["probability"],
-    }
-    return columns, {
-        "max_p_up_from_1minus": first["max_probability"],
-        "max_p_up_from_2minus": second["max_probability"],
-        "targets": {"1-,0": first["target"], "2-,0": second["target"]},
-    }
+    return hopping_interchange_probe(params, samples=int(options["samples"]))
 
 
 def _run_ramp(params: SystemParams, options: dict) -> tuple:
@@ -390,7 +368,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         mapping = {}
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):

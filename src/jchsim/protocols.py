@@ -132,37 +132,31 @@ def _lower_branch_run(params: SystemParams, h: Operator, n0: int, times) -> dict
 PROBE_TARGETS = {"1-,0": "0,1+", "2-,0": "1-,1+"}
 
 
-def hopping_interchange_probe(params: SystemParams, initial: str = "1-,0", samples: int = 8001):
-    """Maximum probability of the branch-interchanged target state.
+def hopping_interchange_probe(params: SystemParams, samples: int = 8001):
+    """Probability of the branch-interchanged target of each initial state.
 
-    Evolves the closed two-site lattice from the named initial state over
-    max(10/|J|, 20) (20 at J = 0) and tracks the upper-branch target reached
-    through the hopping.
+    Evolves the closed two-site lattice from each initial state of
+    ``PROBE_TARGETS`` over max(10/|J|, 20) (20 at J = 0) and tracks the
+    upper-branch target it reaches through the hopping.  Returns ``(columns,
+    summary)``: the grid ``t`` and the target probabilities
+    ``p_up_from_1minus`` and ``p_up_from_2minus``, and the maximum
+    ``max_p_up_from_*`` of each with the ``targets``.
     """
-    if initial not in PROBE_TARGETS:
-        raise ValueError(f"unknown initial state {initial!r}; use one of {sorted(PROBE_TARGETS)}")
     if params.n_cavities != 2:
         raise DimensionMismatchError("the interchange probe runs on two cavities")
     if params.cavity_decay or params.atom_decay:
         raise ValueError("the interchange probe is a closed-system experiment")
     t_final = max(10.0 / abs(params.hopping), 20.0) if params.hopping else 20.0
-    dims = params.dims
-    psi0 = product_polariton_ket(dims, parse_state_spec(initial), params.g, params.delta)
-    target = product_polariton_ket(
-        dims, parse_state_spec(PROBE_TARGETS[initial]), params.g, params.delta
-    )
     times = np.linspace(0.0, t_final, samples)
-    amps = evolve_closed(build_jch(params), psi0, times)
-    prob = np.abs(amps @ target.amplitudes.conj()) ** 2
-    i_max = int(np.argmax(prob))
-    return {
-        "initial": initial,
-        "target": PROBE_TARGETS[initial],
-        "max_probability": float(prob[i_max]),
-        "time_of_max": float(times[i_max]),
-        "times": times,
-        "probability": prob,
-    }
+    h = build_jch(params)
+    columns, summary = {"t": times}, {}
+    for initial, target in PROBE_TARGETS.items():
+        psi0, ket = (product_polariton_ket(params.dims, parse_state_spec(spec), params.g,
+                                           params.delta) for spec in (initial, target))
+        name = "p_up_from_" + initial.split(",")[0].replace("-", "minus")
+        columns[name] = np.abs(evolve_closed(h, psi0, times) @ ket.amplitudes.conj()) ** 2
+        summary["max_" + name] = float(columns[name].max())
+    return columns, {**summary, "targets": dict(PROBE_TARGETS)}
 
 
 # ---------------------------------------------------------------------------

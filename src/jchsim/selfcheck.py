@@ -1,13 +1,13 @@
 """Machine-checkable invariant suite, run at reduced sizes.
 
-Each check returns a named pass/fail record with a one-line detail; the CLI
-serializes the records as JSON.  A corruption hook lets tests verify that a
-broken ingredient is caught and named by the right check.
+The suite returns the report the CLI writes as JSON: whether every check
+passed, and per named check its pass/fail and a one-line detail.  A
+corruption hook lets tests verify that a broken ingredient is caught and
+named by the right check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +36,9 @@ from .perturbation import interaction_elements, unperturbed_energies
 from .protocols import _hold_amplitudes
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _result(name, value, bound):
+def _check(value, bound) -> dict:
     ok = value < bound
-    return CheckResult(name, bool(ok), f"{value:.3e} {'<' if ok else '>='} {bound:.0e}")
+    return {"passed": bool(ok), "detail": f"{value:.3e} {'<' if ok else '>='} {bound:.0e}"}
 
 
 def _random_density(dims: HilbertDims, rng) -> DensityMatrix:
@@ -55,10 +48,11 @@ def _random_density(dims: HilbertDims, rng) -> DensityMatrix:
     return DensityMatrix(dims, rho / np.trace(rho))
 
 
-def run_selfcheck(corruption: str | None = None) -> list:
-    """Run every module's invariant checks at reduced sizes."""
+def run_selfcheck(corruption: str | None = None) -> dict:
+    """Run every module's invariant checks at reduced sizes; returns the report
+    ``{"passed", "checks": {name: {"passed", "detail"}}}``."""
     rng = np.random.default_rng(20240817)
-    results = []
+    checks = {}
     single = SystemParams(delta=0.4, cavity_decay=0.3, atom_decay=0.2, n_fock=3)
     pair = SystemParams(delta=0.4, hopping=0.2, cavity_decay=0.3, atom_decay=0.2, n_fock=2,
                         n_cavities=2)
@@ -67,44 +61,28 @@ def run_selfcheck(corruption: str | None = None) -> list:
     dims = single.dims
     a = fock_annihilation(dims)
     sm = atomic_lowering(dims)
-    results.append(
-        _result(
-            "adjoint_involution",
-            max(
-                float(np.max(np.abs(op.dag().dag().data - op.data)))
-                for op in (a, sm, a.dag() @ sm)
-            ),
-            1e-15,
-        )
+    checks["adjoint_involution"] = _check(
+        max(float(np.max(np.abs(op.dag().dag().data - op.data))) for op in (a, sm, a.dag() @ sm)),
+        1e-15,
     )
     comm = (a @ a.dag() - a.dag() @ a).data
     below = dims.site_dim - 2  # the two top states feel the cutoff
-    results.append(
-        _result(
-            "ladder_commutator_below_cutoff",
-            float(np.max(np.abs(comm[:below, :below] - np.eye(below)))),
-            1e-12,
-        )
+    checks["ladder_commutator_below_cutoff"] = _check(
+        float(np.max(np.abs(comm[:below, :below] - np.eye(below)))), 1e-12
     )
     pdims = pair.dims
     a0, a1 = annihilation_at(pdims, 0), annihilation_at(pdims, 1)
     s1 = lowering_at(pdims, 1)
-    results.append(
-        _result(
-            "site_commutation",
-            max(
-                float(np.max(np.abs((x @ y - y @ x).data)))
-                for x, y in ((a0, a1), (a0, s1.dag()))
-            ),
-            1e-12,
-        )
+    checks["site_commutation"] = _check(
+        max(float(np.max(np.abs((x @ y - y @ x).data))) for x, y in ((a0, a1), (a0, s1.dag()))),
+        1e-12,
     )
     rho2 = _random_density(pdims, rng)
     reduced = partial_trace(rho2, 0)
     trace_err = abs(np.trace(reduced.data) - 1.0)
     min_eig = float(np.linalg.eigvalsh(reduced.data).min())
-    results.append(_result("partial_trace_trace", float(trace_err), 1e-10))
-    results.append(_result("partial_trace_positivity", -min(min_eig, 0.0), 1e-10))
+    checks["partial_trace_trace"] = _check(float(trace_err), 1e-10)
+    checks["partial_trace_positivity"] = _check(-min(min_eig, 0.0), 1e-10)
 
     # --- polariton basis --------------------------------------------------
     worst_diag = 0.0
@@ -122,8 +100,8 @@ def run_selfcheck(corruption: str | None = None) -> list:
         worst_complete = max(
             worst_complete, float(np.max(np.abs(gram - np.eye(p.dims.site_dim))))
         )
-    results.append(_result("polariton_diagonalization", worst_diag, 1e-10))
-    results.append(_result("polariton_completeness", worst_complete, 1e-12))
+    checks["polariton_diagonalization"] = _check(worst_diag, 1e-10)
+    checks["polariton_completeness"] = _check(worst_complete, 1e-12)
 
     # the driven Hamiltonian in the dressed basis is the perturbation report's
     # E0 on the diagonal plus its drive elements, read from the ladder weights
@@ -145,14 +123,14 @@ def run_selfcheck(corruption: str | None = None) -> list:
         keep = [i for i, lbl in enumerate(basis.labels) if lbl != polariton.OVERFLOW]
         block = np.ix_(keep, keep)
         worst_rebuild = max(worst_rebuild, float(np.max(np.abs(dressed[block] - expected[block]))))
-    results.append(_result("ladder_reconstruction", worst_rebuild, 1e-10))
+    checks["ladder_reconstruction"] = _check(worst_rebuild, 1e-10)
 
     sym_err = 0.0
     for n in (2, 3):
         co_pos = polariton.ladder_coefficients_for(n, 1.0, 1.1)
         co_neg = polariton.ladder_coefficients_for(n, 1.0, -1.1)
         sym_err = max(sym_err, abs(co_pos.k_pm - co_neg.k_mp))
-    results.append(_result("coefficient_detuning_symmetry", sym_err, 1e-12))
+    checks["coefficient_detuning_symmetry"] = _check(sym_err, 1e-12)
 
     # --- Hamiltonians -----------------------------------------------------
     builders = [build_jc(pair), build_hopping(pair), build_jch(pair)]
@@ -161,21 +139,13 @@ def run_selfcheck(corruption: str | None = None) -> list:
     )
     builders.append(build_driven(drive))
     builders.append(stroboscopic_generator(single, 1))
-    results.append(
-        _result(
-            "hamiltonian_hermiticity",
-            max(float(np.max(np.abs(h.data - h.data.conj().T))) for h in builders),
-            1e-12,
-        )
+    checks["hamiltonian_hermiticity"] = _check(
+        max(float(np.max(np.abs(h.data - h.data.conj().T))) for h in builders), 1e-12
     )
     n_total = total_excitation(pdims)
     h_latt = build_jch(pair)
-    results.append(
-        _result(
-            "excitation_conservation",
-            float(np.max(np.abs((h_latt @ n_total - n_total @ h_latt).data))),
-            1e-12,
-        )
+    checks["excitation_conservation"] = _check(
+        float(np.max(np.abs((h_latt @ n_total - n_total @ h_latt).data))), 1e-12
     )
 
     worst_rot = 0.0
@@ -188,37 +158,32 @@ def run_selfcheck(corruption: str | None = None) -> list:
                 gt * math.sqrt(n)
             ) * polariton.site_polariton_ket(single.dims, n, "+", single.g, single.delta).amplitudes
             worst_rot = max(worst_rot, float(np.max(np.abs(amps - expected))))
-    results.append(_result("stroboscopic_rotation", worst_rot, 1e-10))
+    checks["stroboscopic_rotation"] = _check(worst_rot, 1e-10)
 
     # --- Lindblad engine ----------------------------------------------------
     liouv = standard_liouvillian(single)
     # Tr L[x] = tr . L vec(x) vanishes for every x when the trace row tr annihilates L
     trace_row = np.eye(dims.total_dim).reshape(-1)
-    results.append(
-        _result("generator_trace_preservation", float(np.max(np.abs(trace_row @ liouv.data))), 1e-10)
+    checks["generator_trace_preservation"] = _check(
+        float(np.max(np.abs(trace_row @ liouv.data))), 1e-10
     )
     modes = liouv.modes()
-    results.append(
-        _result("liouvillian_zero_mode", float(np.min(np.abs(modes.eigenvalues))), 1e-8)
-    )
-    results.append(
-        _result("liouvillian_stability", float(modes.eigenvalues.real.max()), 1e-8)
-    )
+    checks["liouvillian_zero_mode"] = _check(float(np.min(np.abs(modes.eigenvalues))), 1e-8)
+    checks["liouvillian_stability"] = _check(float(modes.eigenvalues.real.max()), 1e-8)
     rho_ss = steady_state(liouv)
-    results.append(
-        _result("steady_state_residual",
-                float(np.max(np.abs(liouv.data @ rho_ss.data.reshape(-1)))), 1e-8)
+    checks["steady_state_residual"] = _check(
+        float(np.max(np.abs(liouv.data @ rho_ss.data.reshape(-1)))), 1e-8
     )
 
     psi0 = bare_ket(dims, [(2, 0)])
     traj = evolve(liouv, psi0.density_matrix(), np.linspace(0.0, 6.0, 121))
-    results.append(_result("evolve_trace_drift", traj.trace_drift(), 1e-8))
-    results.append(_result("snapshot_positivity", -min(traj.min_eigenvalue(), 0.0), 1e-7))
+    checks["evolve_trace_drift"] = _check(traj.trace_drift(), 1e-8)
+    checks["snapshot_positivity"] = _check(-min(traj.min_eigenvalue(), 0.0), 1e-7)
 
     coarse = evolve(liouv, psi0.density_matrix(), np.linspace(0.0, 1.0, 21))
     fine = evolve(liouv, psi0.density_matrix(), np.linspace(0.0, 1.0, 41))
     dist = max(trace_distance(coarse.state(i), fine.state(2 * i)) for i in range(21))
-    results.append(_result("evolve_step_halving", float(dist), 1e-12))
+    checks["evolve_step_halving"] = _check(float(dist), 1e-12)
 
     # --- branch separability (closed lattice, weak hopping) ----------------
     sep = pair.with_(cavity_decay=0.0, atom_decay=0.0, hopping=0.1, delta=0.5)
@@ -227,14 +192,6 @@ def run_selfcheck(corruption: str | None = None) -> list:
     # the upper-branch weight summed over both sites
     upper = np.array([lbl.endswith("+") for lbl in labels], dtype=float)
     up_weight = np.abs(amps) ** 2 @ (upper[pairs[0]] + upper[pairs[1]])
-    results.append(_result("branch_separability", float(up_weight.max()), 0.1))
+    checks["branch_separability"] = _check(float(up_weight.max()), 0.1)
 
-    return results
-
-
-def selfcheck_report(corruption: str | None = None) -> dict:
-    results = run_selfcheck(corruption)
-    return {
-        "passed": all(r.passed for r in results),
-        "checks": {r.name: {"passed": r.passed, "detail": r.detail} for r in results},
-    }
+    return {"passed": all(c["passed"] for c in checks.values()), "checks": checks}

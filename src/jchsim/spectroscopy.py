@@ -54,20 +54,6 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class PeakReport:
-    """Detected spectral peaks, ordered by increasing frequency.
-
-    ``asymmetry`` compares the two tallest peaks A (lower frequency) and B:
-    |h_A - h_B| / (h_A + h_B).
-    """
-
-    positions: np.ndarray
-    heights: np.ndarray
-    widths: np.ndarray
-    asymmetry: float
-
-
 def _cavity_modes(params: SystemParams) -> np.ndarray:
     """Offsets from omega_c of the cavity normal modes in which one excitation
     on site 0 is shared: 0 on one cavity, the antisymmetric and symmetric
@@ -197,11 +183,15 @@ def _half_height_width(x: np.ndarray, y: np.ndarray, i: int, height: float) -> f
     return float(right - left)
 
 
-def find_peaks(spectrum: Spectrum) -> PeakReport:
+def find_peaks(spectrum: Spectrum) -> dict:
     """Local maxima above ``PEAK_FLOOR`` times the global maximum, with FWHM.
 
-    Positions are refined by parabolic interpolation; widths come from
-    linear interpolation of the half-height crossings.
+    Returns the arrays ``positions``, ``heights`` and ``widths`` on the
+    spectrum's grid, ordered by increasing frequency, and the float
+    ``asymmetry``, which compares the two tallest peaks A (lower frequency)
+    and B: |h_A - h_B| / (h_A + h_B), 0 for a single peak.  Positions are
+    refined by parabolic interpolation; widths come from linear interpolation
+    of the half-height crossings.
     """
     x, y = spectrum.frequencies, spectrum.values
     floor = PEAK_FLOOR * y.max()
@@ -219,4 +209,5 @@ def find_peaks(spectrum: Spectrum) -> PeakReport:
         asymmetry = abs(h_a - h_b) / (h_a + h_b)
     else:
         asymmetry = 0.0
-    return PeakReport(positions, heights, widths, float(asymmetry))
+    return {"positions": positions, "heights": heights, "widths": widths,
+            "asymmetry": float(asymmetry)}

@@ -71,8 +71,8 @@ def test_criterion_1_driven_oscillation_period():
 def test_criterion_2_rwa_probe_values():
     start = time.monotonic()
     params = SystemParams(delta=0.0, omega_c=1e4, hopping=0.1, n_fock=3, n_cavities=2)
-    p_first = hopping_interchange_probe(params, "1-,0")["max_probability"]
-    p_second = hopping_interchange_probe(params, "2-,0")["max_probability"]
+    _, summary = hopping_interchange_probe(params)
+    p_first, p_second = summary["max_p_up_from_1minus"], summary["max_p_up_from_2minus"]
     runtime = time.monotonic() - start
 
     ok = 0.01 <= p_first <= 0.03 and 0.06 <= p_second <= 0.10 and runtime < 60.0
@@ -101,9 +101,9 @@ def test_criterion_3_spectrum_peaks():
         np.abs(numeric.values - absorption_spectrum_analytic(res, grid).values)
     ) / absorption_spectrum_analytic(res, grid).values.max()
     resonant_ok = (
-        abs(peaks0.positions[0] + 1.0) < step
-        and abs(peaks0.positions[-1] - 1.0) < step
-        and peaks0.asymmetry < 1e-3
+        abs(peaks0["positions"][0] + 1.0) < step
+        and abs(peaks0["positions"][-1] - 1.0) < step
+        and peaks0["asymmetry"] < 1e-3
         and rel0 < 0.005
     )
 
@@ -119,8 +119,8 @@ def test_criterion_3_spectrum_peaks():
     ) / absorption_spectrum_analytic(det, grid).values.max()
     expected = ((1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2)
     detuned_ok = (
-        abs(peaks_d.positions[0] - expected[0]) < step
-        and abs(peaks_d.positions[-1] - expected[1]) < step
+        abs(peaks_d["positions"][0] - expected[0]) < step
+        and abs(peaks_d["positions"][-1] - expected[1]) < step
         and rel_d < 0.005
     )
 
@@ -138,9 +138,9 @@ def test_criterion_3_spectrum_peaks():
         return find_peaks(spec)
 
     split = two_cavity_peaks(0.0, 1.0)
-    asym_weak = two_cavity_peaks(1.0, 1.0).asymmetry
-    asym_strong = two_cavity_peaks(1.0, 10.0).asymmetry
-    two_cavity_ok = len(split.positions) == 4 and asym_strong < asym_weak
+    asym_weak = two_cavity_peaks(1.0, 1.0)["asymmetry"]
+    asym_strong = two_cavity_peaks(1.0, 10.0)["asymmetry"]
+    two_cavity_ok = len(split["positions"]) == 4 and asym_strong < asym_weak
     runtime = time.monotonic() - start
 
     ok = resonant_ok and detuned_ok and two_cavity_ok and runtime < 120.0
@@ -148,9 +148,9 @@ def test_criterion_3_spectrum_peaks():
         3,
         "absorption spectra",
         ok,
-        f"resonant peaks {np.round(peaks0.positions, 3)} asym {peaks0.asymmetry:.1e} "
-        f"relErr {rel0:.1e}; detuned peaks {np.round(peaks_d.positions, 3)}; "
-        f"J=g gives {len(split.positions)} peaks; asym {asym_weak:.3f} -> {asym_strong:.4f} "
+        f"resonant peaks {np.round(peaks0['positions'], 3)} asym {peaks0['asymmetry']:.1e} "
+        f"relErr {rel0:.1e}; detuned peaks {np.round(peaks_d['positions'], 3)}; "
+        f"J=g gives {len(split['positions'])} peaks; asym {asym_weak:.3f} -> {asym_strong:.4f} "
         f"at J=10g; runtime {runtime:.0f}s",
     )
     assert ok, line
@@ -314,7 +314,7 @@ def test_criterion_8_perturbation_oracle():
 
 def test_criterion_9_invariant_suite():
     start = time.monotonic()
-    results = {r.name: r for r in run_selfcheck()}
+    checks = run_selfcheck()["checks"]
     required = (
         "evolve_trace_drift",
         "snapshot_positivity",
@@ -323,12 +323,12 @@ def test_criterion_9_invariant_suite():
         "liouvillian_zero_mode",
         "branch_separability",
     )
-    missing = [name for name in required if name not in results]
-    failed = [name for name, r in results.items() if not r.passed]
+    missing = [name for name in required if name not in checks]
+    failed = [name for name, check in checks.items() if not check["passed"]]
     runtime = time.monotonic() - start
     ok = not missing and not failed and runtime < 120.0
     line = _report(
         9, "invariant suite", ok,
-        f"{len(results)} checks, failed {failed or 'none'}, runtime {runtime:.1f}s",
+        f"{len(checks)} checks, failed {failed or 'none'}, runtime {runtime:.1f}s",
     )
     assert ok, line

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jchsim import (
     ConfigError,
     ExperimentConfig,
+    NumericalError,
     annihilation_at,
     bare_ket,
     build_jch,
@@ -35,7 +36,7 @@ from jchsim.experiments import (
     _parse_value,
     write_csv,
 )
-from jchsim.selfcheck import run_selfcheck, selfcheck_report
+from jchsim.selfcheck import run_selfcheck
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
@@ -152,6 +153,10 @@ BOUNDARY_FLOATS = np.array([
     0.30000000000000004, 0.0, -0.0, -1.5, np.nan, np.inf, -np.inf,
 ])
 
+# more values than _VECTOR_MIN, spread over 40 decades
+SPREAD_FLOATS = (np.random.default_rng(0).standard_normal(experiments._VECTOR_MIN + 50)
+                 * 10.0 ** np.linspace(-20.0, 20.0, experiments._VECTOR_MIN + 50))
+
 
 def _plain(value):
     """``value`` with every array and tuple as a list and every numpy scalar
@@ -226,6 +231,10 @@ class TestOutputs:
 
     @settings(deadline=None, max_examples=150)
     @given(NESTED_VALUES)
+    # a float array and the list of floats it holds, as a spectrum's peaks,
+    # shorter and longer than _VECTOR_MIN
+    @example({"array": SPREAD_FLOATS[:5], "list": SPREAD_FLOATS[:5].tolist(),
+              "long array": SPREAD_FLOATS, "long list": SPREAD_FLOATS.tolist()})
     def test_json_writer_matches_indented_dumps(self, value):
         expected = json.dumps(_plain(value), indent=2, sort_keys=True)
         assert _json_text(value) == expected
@@ -252,12 +261,12 @@ class TestOutputs:
 
     @settings(deadline=None, max_examples=200)
     @given(FLOAT_ARRAYS)
-    def test_float_text_matches_format_and_repr(self, values):
+    def test_float_rows_matches_format_and_repr(self, values):
         with _vectorised():
             assert _csv_lines(values) == [format(v, ".15g") for v in values.tolist()]
             assert _json_text(values) == json.dumps(values.tolist(), indent=2)
 
-    def test_float_text_at_rounding_and_layout_boundaries(self):
+    def test_float_rows_at_rounding_and_layout_boundaries(self):
         # every power of two, whose gap below is half as wide as above, and
         # random 64-bit patterns
         powers_of_two = 2.0 ** np.arange(-1074, 1024)
@@ -275,7 +284,7 @@ class TestOutputs:
         assert _csv_lines(values) == [format(v, ".15g") for v in values.tolist()]
         assert _json_text(values) == json.dumps(values.tolist(), indent=2)
 
-    def test_float_text_when_no_rounding_is_decided(self):
+    def test_float_rows_when_no_rounding_is_decided(self):
         # a long double no wider than double leaves every value to the
         # fallback; a margin of 1 does the same here
         values = np.concatenate([BOUNDARY_FLOATS, np.linspace(-3.0, 80.0, 101)])
@@ -424,6 +433,17 @@ class TestCli:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfg}: ")
+
+    def test_config_with_a_byte_order_mark_reads_as_without(self, tmp_path, capsys):
+        text = b"experiment = spectrum\nn_points = 101\n"
+        written = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / name)]) == 0
+            written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        capsys.readouterr()
+        assert written[0] and written[0] == written[1]
 
     @pytest.mark.parametrize(
         "line",
@@ -613,6 +633,19 @@ class TestCli:
         assert report["passed"] is True
         capsys.readouterr()
 
+    def test_selfcheck_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # an engine call that refuses ends in one line and exit 3, not a
+        # traceback, and leaves no report behind
+        def refuse(*args):
+            raise NumericalError("steady state is degenerate")
+
+        monkeypatch.setattr("jchsim.selfcheck.steady_state", refuse)
+        out_path = tmp_path / "report.json"
+        assert main(["selfcheck", "--output", str(out_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure in selfcheck: steady state is degenerate\n"
+        assert captured.out == "" and not out_path.exists()
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
         # a path that cannot be written is the caller's error (2): neither an
         # invariant failure (1) nor a traceback
@@ -630,7 +663,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("output error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg", "taken"]
-        monkeypatch.setattr("jchsim.cli.selfcheck_report", never)
+        monkeypatch.setattr("jchsim.cli.run_selfcheck", never)
         assert main(["selfcheck", "--output", str(tmp_path / "missing" / "x.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
@@ -684,16 +717,16 @@ class TestCli:
 
 class TestSelfcheck:
     def test_all_pass_on_fresh_build(self):
-        report = selfcheck_report()
+        report = run_selfcheck()
         assert report["passed"] is True
         failed = [k for k, v in report["checks"].items() if not v["passed"]]
         assert failed == []
 
     def test_corruption_hook_is_caught_and_named(self):
-        results = {r.name: r for r in run_selfcheck(corruption="ladder-coefficients")}
-        assert not results["ladder_reconstruction"].passed
-        others = [r for name, r in results.items() if name != "ladder_reconstruction"]
-        assert all(r.passed for r in others)
+        checks = run_selfcheck(corruption="ladder-coefficients")["checks"]
+        assert not checks["ladder_reconstruction"]["passed"]
+        others = [c for name, c in checks.items() if name != "ladder_reconstruction"]
+        assert all(c["passed"] for c in others)
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
@@ -721,12 +754,13 @@ def _signature_parts(func) -> list:
 
 
 def test_every_function_is_reached_from_the_cli():
-    # A function or non-dunder method that neither ``cli.main`` nor the
-    # module-level code (the experiment registry, for one) reaches by name is
-    # dead weight that only tests and exports keep alive.  Matching by bare
+    # A function, non-dunder method or class that neither ``cli.main`` nor
+    # the module-level code (the experiment registry, for one) reaches by name
+    # is dead weight that only tests and exports keep alive.  Matching by bare
     # name is conservative: a method counts as reached if any attribute of
     # that name is read anywhere reached.
     defined = defaultdict(list)  # name -> [(qualified name, def node)]
+    classes = {}  # class name -> qualified name
     dunders = defaultdict(list)  # class name -> its dunder method nodes
     roots = []
     for path in sorted((REPO / "src" / "jchsim").glob("*.py")):
@@ -737,6 +771,7 @@ def test_every_function_is_reached_from_the_cli():
                 defined[stmt.name].append((f"{path.stem}.{stmt.name}", stmt))
                 roots += _signature_parts(stmt)
             elif isinstance(stmt, ast.ClassDef):
+                classes[stmt.name] = f"{path.stem}.{stmt.name}"
                 roots += [*stmt.decorator_list, *stmt.bases]
                 for item in stmt.body:
                     if not isinstance(item, ast.FunctionDef):
@@ -757,7 +792,8 @@ def test_every_function_is_reached_from_the_cli():
         seen.add(name)
         bodies = [node for _, node in defined[name]] + dunders[name]
         pending |= _referenced(bodies) - seen
-    unreached = sorted(q for name, defs in defined.items() if name not in seen for q, _ in defs)
+    unreached = sorted([q for name, defs in defined.items() if name not in seen for q, _ in defs]
+                       + [q for name, q in classes.items() if name not in seen])
     assert not unreached, f"reached by no runner or selfcheck: {', '.join(unreached)}"
 
 

@@ -142,8 +142,8 @@ def test_selfcheck_branch_separability_matches_the_dense_rotation():
     pops = np.abs(pair_amplitudes(kets, basis)) ** 2
     plus = [i for i, lbl in enumerate(basis.labels) if lbl.endswith("+")]
     up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))
-    result = {r.name: r for r in run_selfcheck()}["branch_separability"]
-    assert result.passed and result.detail == f"{up_weight.max():.3e} < 1e-01"
+    result = run_selfcheck()["checks"]["branch_separability"]
+    assert result["passed"] and result["detail"] == f"{up_weight.max():.3e} < 1e-01"
 
 
 def prominent_maxima_by_scan(series, relative_prominence=0.1):
@@ -192,24 +192,35 @@ class TestExtractPeriod:
 
 
 class TestHoppingProbe:
-    def test_unknown_initial_rejected(self):
-        with pytest.raises(ValueError):
-            hopping_interchange_probe(TWO_SITE, "2+,1-")
-
     def test_no_hopping_no_interchange(self):
         p = TWO_SITE.with_(hopping=0.0)
-        result = hopping_interchange_probe(p, "1-,0", samples=801)
-        assert result["max_probability"] < 1e-20
+        _, summary = hopping_interchange_probe(p, samples=801)
+        assert summary["max_p_up_from_1minus"] < 1e-20
 
     def test_weak_hopping_suppression(self):
-        result = hopping_interchange_probe(TWO_SITE, "1-,0", samples=2001)
+        _, summary = hopping_interchange_probe(TWO_SITE, samples=2001)
         # the branch-interchanged target stays far below the sector bound
-        assert result["max_probability"] < 0.01
-        assert result["target"] == "0,1+"
+        assert summary["max_p_up_from_1minus"] < 0.01
+        assert summary["targets"]["1-,0"] == "0,1+"
+
+    def test_columns_are_the_target_probabilities_of_evolve_closed(self):
+        columns, summary = hopping_interchange_probe(TWO_SITE, samples=501)
+        times = columns["t"]
+        assert times[0] == 0.0 and times[-1] == 10.0 / TWO_SITE.hopping and len(times) == 501
+        for initial, target, name in (("1-,0", "0,1+", "1minus"), ("2-,0", "1-,1+", "2minus")):
+            psi0, target = (product_polariton_ket(TWO_SITE.dims, parse_state_spec(spec),
+                                                  TWO_SITE.g, TWO_SITE.delta)
+                            for spec in (initial, target))
+            amps = evolve_closed(build_jch(TWO_SITE), psi0, times)
+            expected = np.abs(amps @ target.amplitudes.conj()) ** 2
+            assert np.array_equal(columns[f"p_up_from_{name}"], expected)
+            assert summary[f"max_p_up_from_{name}"] == expected.max()
+        assert list(columns) == ["t", "p_up_from_1minus", "p_up_from_2minus"]
+        assert summary["targets"] == {"1-,0": "0,1+", "2-,0": "1-,1+"}
 
     def test_closed_system_required(self):
         with pytest.raises(ValueError):
-            hopping_interchange_probe(TWO_SITE.with_(cavity_decay=0.1), "1-,0")
+            hopping_interchange_probe(TWO_SITE.with_(cavity_decay=0.1))
 
 
 @pytest.fixture(scope="module")
@@ -731,7 +742,7 @@ def test_closed_runs_give_the_same_numbers_at_any_cavity_frequency(small_deltas)
     # up to 1.9e-11 between omega_c = 100 and 1e4
     def closed_runs(omega_c):
         p = TWO_SITE.with_(omega_c=omega_c)
-        probe = hopping_interchange_probe(p, "2-,0", samples=2001)
+        probe, probe_summary = hopping_interchange_probe(p, samples=2001)
         ramps = [ramp_experiment(p, small_deltas, initial="1-,1-", time_dependent=pulsed,
                                  strict_pulses=strict)
                  for pulsed, strict in ((False, False), (True, False), (True, True))]
@@ -741,7 +752,8 @@ def test_closed_runs_give_the_same_numbers_at_any_cavity_frequency(small_deltas)
         config = ExperimentConfig.from_mapping({"experiment": "table1", "omega_c": omega_c})
         _, summary = EXPERIMENTS["table1"].runner(config.params, config.options)
         rows = summary["rows"]
-        return probe["probability"], (probe["max_probability"], ramps, variances, rows)
+        return (np.stack([probe["p_up_from_1minus"], probe["p_up_from_2minus"]]),
+                (probe_summary, ramps, variances, rows))
 
     low, high = closed_runs(100.0), closed_runs(1e4)
     assert np.array_equal(low[0], high[0])

@@ -107,18 +107,18 @@ class TestNumericSpectrum:
         spec = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), offsets(params))
         report = find_peaks(spec)
         step = spec.frequencies[1] - spec.frequencies[0]
-        assert len(report.positions) == 2
-        assert report.positions[0] == pytest.approx(-1.0, abs=step)
-        assert report.positions[1] == pytest.approx(1.0, abs=step)
-        assert report.asymmetry < 1e-3
+        assert len(report["positions"]) == 2
+        assert report["positions"][0] == pytest.approx(-1.0, abs=step)
+        assert report["positions"][1] == pytest.approx(1.0, abs=step)
+        assert report["asymmetry"] < 1e-3
 
     def test_detuned_peak_positions(self, detuned_setup):
         params, liouv, rho_ss = detuned_setup
         spec = absorption_spectrum(liouv, rho_ss, annihilation_at(params.dims, 0), offsets(params))
         report = find_peaks(spec)
         step = spec.frequencies[1] - spec.frequencies[0]
-        assert report.positions[0] == pytest.approx((1 - math.sqrt(5)) / 2, abs=step)
-        assert report.positions[-1] == pytest.approx((1 + math.sqrt(5)) / 2, abs=step)
+        assert report["positions"][0] == pytest.approx((1 - math.sqrt(5)) / 2, abs=step)
+        assert report["positions"][-1] == pytest.approx((1 + math.sqrt(5)) / 2, abs=step)
 
     def test_matches_analytic_form(self, resonant_setup, detuned_setup):
         for params, liouv, rho_ss in (resonant_setup, detuned_setup):
@@ -135,7 +135,7 @@ class TestNumericSpectrum:
         report = find_peaks(spec)
         mode_freqs = -liouv.modes().eigenvalues.imag
         step = spec.frequencies[1] - spec.frequencies[0]
-        for pos in report.positions:
+        for pos in report["positions"]:
             assert np.min(np.abs(mode_freqs - pos)) < step
 
     def test_positive_finite_integral(self, resonant_setup):
@@ -171,8 +171,8 @@ class TestAnalyticSpectrum:
         tail = 2.0 * 0.5 * 0.25 / (4.0 + 0.25**2)
         assert own == pytest.approx(4.0)
         report = find_peaks(spec)
-        assert np.allclose(report.heights, own + tail, rtol=1e-4)
-        assert np.allclose(report.widths, 0.5, rtol=2e-2)  # FWHM ~ 2 gamma
+        assert np.allclose(report["heights"], own + tail, rtol=1e-4)
+        assert np.allclose(report["widths"], 0.5, rtol=2e-2)  # FWHM ~ 2 gamma
 
     def test_asymmetry_from_detuning_only(self):
         # at equal rates both branches have the same width, so only their
@@ -183,16 +183,16 @@ class TestAnalyticSpectrum:
         report = find_peaks(spec)
         theta = mixing_angle(1, 1.0, 1.0)
         expected = abs(math.cos(theta) ** 2 - math.sin(theta) ** 2)
-        assert report.asymmetry == pytest.approx(expected, abs=0.02)
+        assert report["asymmetry"] == pytest.approx(expected, abs=0.02)
 
     def test_dispersive_lower_branch_dominates(self):
         params = SystemParams(omega_c=100.0, delta=30.0, cavity_decay=0.5, atom_decay=0.5)
         grid = np.linspace(-40.0, 40.0, 4001)
         report = find_peaks(absorption_spectrum_analytic(params, grid))
         # the upper-branch peak falls below the reporting floor entirely
-        assert len(report.positions) == 1
+        assert len(report["positions"]) == 1
         e_minus = polariton_energy(1, "-", 1.0, 30.0, 0.0)
-        assert report.positions[0] == pytest.approx(e_minus, abs=0.05)
+        assert report["positions"][0] == pytest.approx(e_minus, abs=0.05)
         theta = mixing_angle(1, 1.0, 30.0)
         assert math.sin(theta) ** 2 / math.cos(theta) ** 2 < 0.01
 
@@ -289,8 +289,8 @@ class TestFindPeaks:
         y = 1.0 / ((x + 1.2) ** 2 + 0.01) + 0.5 / ((x - 0.9) ** 2 + 0.04)
         report = find_peaks(Spectrum(x, y))
         step = x[1] - x[0]
-        assert report.positions[0] == pytest.approx(-1.2, abs=step)
-        assert report.positions[1] == pytest.approx(0.9, abs=step)
+        assert report["positions"][0] == pytest.approx(-1.2, abs=step)
+        assert report["positions"][1] == pytest.approx(0.9, abs=step)
 
     def test_no_peaks_raises(self):
         x = np.linspace(0.0, 1.0, 31)
@@ -374,7 +374,7 @@ def test_default_grid_resolves_both_polaritons_at_any_detuning(delta, rate):
     report = find_peaks(absorption_spectrum_analytic(params, grid))
     split = math.hypot(delta / 2.0, params.g)
     for level in delta / 2.0 + np.array([-split, split]):
-        assert np.abs(report.positions - level).min() <= grid[1] - grid[0]
+        assert np.abs(report["positions"] - level).min() <= grid[1] - grid[0]
 
 
 @settings(deadline=None, max_examples=30)

@@ -27,9 +27,8 @@ from .hilbert import (
 )
 from .polariton import (
     LadderCoefficients,
-    PolaritonBasis,
-    basis_transform,
     branch_splitting,
+    dressed_bases,
     ladder_coefficients,
     ladder_coefficients_for,
     mixing_angle,
@@ -66,9 +65,9 @@ from .spectroscopy import (
 )
 from .perturbation import (
     PerturbationReport,
+    dressed_drive,
     match_exact_energies,
     perturbation_report,
-    unperturbed_energies,
 )
 from .protocols import (
     EffectiveModel,

@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (JchsimError, ValueError) as exc:
+    except (JchsimError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure in {config.experiment}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for path in written:

@@ -324,7 +324,9 @@ def _check_option(key: str, value, default):
     wrong_bool = isinstance(value, bool) and kind is not bool
     if wrong_bool or not isinstance(value, _OPTION_TYPES[kind]):
         raise ConfigError(f"{key!r} takes a {kind.__name__} value, got {value!r}")
-    if kind is not str and not np.all(np.isfinite(value)):
+    # a whole number is finite at any size; only a float can be inf or nan
+    numbers = value if isinstance(value, list) else [value]
+    if not all(math.isfinite(x) for x in numbers if isinstance(x, float)):
         raise ConfigError(f"{key!r} takes finite numbers, got {value!r}")
     return value
 

@@ -116,9 +116,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Operator":
-        return Operator(self.dims, -self.data)
-
 
 @dataclass(frozen=True)
 class Ket:

@@ -2,12 +2,11 @@
 
 Each excitation manifold n >= 1 is spanned by |n,g> and |n-1,e> and splits
 into a lower (-) and upper (+) branch rotated by the mixing angle theta_n.
-:func:`_dressed_matrices` is the one writer of dressed states: it stacks the
-site bases at K detunings.  Its K = 1 case is :func:`basis_transform`, the
-one dressed basis, in which observables and the matrix elements of the
-photon and atom raising operators are read, and the kets of
-:func:`site_polariton_ket` are its columns.  Those elements between
-neighbouring manifolds are the four ladder weights of
+:func:`dressed_bases` is the one writer of dressed states: it stacks the
+site bases at K detunings, whose columns are the kets of
+:func:`site_polariton_ket`.  Observables and the matrix elements of the
+photon and atom raising operators are read in that basis.  Those elements
+between neighbouring manifolds are the four ladder weights of
 :func:`ladder_coefficients`: two that stay within a branch and two that
 interchange branches.
 
@@ -85,9 +84,9 @@ def polariton_energy(n: int, branch: str, g: float, delta: float, omega_c: float
 
 def site_polariton_ket(dims: HilbertDims, n: int, branch: str, g: float, delta: float) -> Ket:
     """Site-level dressed state |n branch>, the ground state for n = 0: a
-    column of :func:`_dressed_matrices`."""
+    column of :func:`dressed_bases`."""
     lbl = label(n, branch)
-    labels, (matrix,) = _dressed_matrices(dims, g, [delta])
+    labels, (matrix,) = dressed_bases(dims, g, [delta])
     if lbl not in labels:
         raise ValueError(f"manifold {n} outside 0..{dims.n_fock}")
     return Ket(dims.site(), matrix[:, labels.index(lbl)])
@@ -99,31 +98,12 @@ def product_polariton_ket(dims: HilbertDims, site_labels, g: float, delta: float
     return product_ket(dims, kets)
 
 
-@dataclass(frozen=True)
-class PolaritonBasis:
-    """Unitary change of basis from the bare site basis to polariton order.
-
-    Column order: ground, (1,-), (1,+), ..., (n_fock,-), (n_fock,+) and the
-    overflow state |n_fock, e> last.
-    """
-
-    dims: HilbertDims
-    g: float
-    delta: float
-    labels: tuple
-    matrix: np.ndarray
-
-    def index(self, lbl: str) -> int:
-        return self.labels.index(lbl)
-
-    def column(self, lbl: str) -> np.ndarray:
-        return self.matrix[:, self.index(lbl)]
-
-
-def _dressed_matrices(dims: HilbertDims, g: float, deltas) -> tuple:
+def dressed_bases(dims: HilbertDims, g: float, deltas) -> tuple:
     """(labels, matrices): the site dressed bases at each detuning, (K, ds, ds),
-    columns in :class:`PolaritonBasis` order; column (n, -) holds cos(theta_n)
-    at |n,g> and -sin(theta_n) at |n-1,e>, column (n, +) sin and cos."""
+    whose columns are the dressed kets in label order G, 1-, 1+, ...,
+    n_fock-, n_fock+ and the overflow state |n_fock, e> last; column (n, -)
+    holds cos(theta_n) at |n,g> and -sin(theta_n) at |n-1,e>, column (n, +)
+    sin and cos."""
     site = dims.site()
     out = np.zeros((len(deltas), site.site_dim, site.site_dim), dtype=complex)
     out[:, site.site_index(0, ATOM_G), 0] = 1.0
@@ -136,13 +116,6 @@ def _dressed_matrices(dims: HilbertDims, g: float, deltas) -> tuple:
     out[:, site.site_index(site.n_fock, ATOM_E), -1] = 1.0
     labels = (GROUND, *(label(n, b) for n in range(1, site.n_fock + 1) for b in "-+"), OVERFLOW)
     return labels, out
-
-
-def basis_transform(dims: HilbertDims, g: float, delta: float) -> PolaritonBasis:
-    """Site-level polariton basis matrix (columns are the dressed kets)."""
-    labels, (matrix,) = _dressed_matrices(dims, g, [delta])
-    matrix.setflags(write=False)
-    return PolaritonBasis(dims.site(), g, delta, labels, matrix)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from .hilbert import Operator
 from .lindblad import _closed_amplitudes, _ket_reach, build_liouvillian, evolve, evolve_closed
 from .polariton import (
     GROUND,
-    _dressed_matrices,
-    basis_transform,
+    dressed_bases,
     label,
     ladder_coefficients_for,
     parse_state_spec,
@@ -111,8 +110,8 @@ def _lower_branch_run(params: SystemParams, h: Operator, n0: int, times) -> dict
     of :func:`evolve_closed`; with it, from the density matrices of :func:`evolve`."""
     dims = params.dims
     psi0 = site_polariton_ket(dims, n0, "-", params.g, params.delta)
-    basis = basis_transform(dims, params.g, params.delta)
-    up, lo, ground = (basis.column(lbl) for lbl in ("1+", "1-", GROUND))
+    labels, (basis,) = dressed_bases(dims, params.g, [params.delta])
+    up, lo, ground = (basis[:, labels.index(lbl)] for lbl in ("1+", "1-", GROUND))
     channels = decay_channels(params)
     if not channels:
         amps = evolve_closed(h, psi0, times) @ np.stack([up, lo, ground], axis=1).conj()
@@ -255,7 +254,7 @@ def _number_variance(times: np.ndarray, marginals: np.ndarray) -> np.ndarray:
     axes, then time; one average per hold, over one grid or one per hold.
 
     N_i = a_i^dag a_i + sigma_i^+ sigma_i^- is diagonal there: it counts n on
-    |n+-> and n_fock + 1 on the overflow state, and ``basis_transform``'s label
+    |n+-> and n_fock + 1 on the overflow state, and ``dressed_bases``' label
     order G, 1-, 1+, ..., overflow puts label k in manifold (k + 1) // 2.
     Var(N_i) is the centred sum sum_k p_k (n_k - <N_i>)^2: <N_i^2> - <N_i>^2
     cancels to about 1e-9 of a variance of 5e-6.
@@ -272,7 +271,7 @@ def _hold_amplitudes(psis, params: SystemParams, deltas, hoppings, hold_times, s
     that the spec psis[k] names at deltas[k], on times[k] = linspace(0, hold_times[k],
     samples); a scalar is shared.  ``amps[k, t, c]`` is the amplitude of the pair of
     site dressed states labels[pairs[0][c]], labels[pairs[1][c]], kept where reached."""
-    labels, site = _dressed_matrices(params.dims, params.g, deltas)
+    labels, site = dressed_bases(params.dims, params.g, deltas)
     if isinstance(psis[0], str):  # the kron of each hold's two named site columns
         cols = np.array([[labels.index(label(*s)) for s in parse_state_spec(x)] for x in psis]).T
         k = np.arange(len(psis))

@@ -53,23 +53,24 @@ def random_density_matrix(dim: int, rng) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def pair_amplitudes(kets: np.ndarray, basis) -> np.ndarray:
+def pair_amplitudes(kets: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """(T, D) two-site kets as (T, ds, ds) amplitudes c[t, i, j] =
-    <labels[i], labels[j]|psi_t> on the product of the site basis ``basis``,
-    by one dense product with kron(B, B)."""
-    ds = len(basis.labels)
-    return (kets @ np.kron(basis.matrix, basis.matrix).conj()).reshape(-1, ds, ds)
+    <labels[i], labels[j]|psi_t> on the product of the site basis B =
+    ``basis``, by one dense product with kron(B, B)."""
+    ds = basis.shape[1]
+    return (kets @ np.kron(basis, basis).conj()).reshape(-1, ds, ds)
 
 
-def ladder_matrix(basis, atomic: bool = False) -> np.ndarray:
-    """a^dag (sigma^+ when ``atomic``) in the dressed basis as the ladder
-    weights place it: <n b|op|n-1 b'> is the weight of the step from branch
-    b' to b, and every other element, the overflow label's included, is 0."""
+def ladder_matrix(labels, g: float, delta: float, atomic: bool = False) -> np.ndarray:
+    """a^dag (sigma^+ when ``atomic``) in the dressed basis of ``labels`` at
+    ``g`` and ``delta`` as the ladder weights place it: <n b|op|n-1 b'> is the
+    weight of the step from branch b' to b, and every other element, the
+    overflow label's included, is 0."""
     from jchsim.polariton import label, ladder_coefficients_for
 
-    out = np.zeros((len(basis.labels),) * 2)
-    for n in range(1, basis.dims.n_fock + 1):
-        co = ladder_coefficients_for(n, basis.g, basis.delta)
+    out = np.zeros((len(labels),) * 2)
+    for n in range(1, len(labels) // 2):  # G, the n_fock doublets and the overflow
+        co = ladder_coefficients_for(n, g, delta)
         if atomic:
             weights = {("+", "+"): co.a_c_plus, ("-", "-"): co.a_c_minus,
                        ("+", "-"): co.a_k_pm, ("-", "+"): co.a_k_mp}
@@ -78,5 +79,5 @@ def ladder_matrix(basis, atomic: bool = False) -> np.ndarray:
                        ("+", "-"): co.k_pm, ("-", "+"): co.k_mp}
         # at n = 1 both lower labels are the ground state and the cross weights are 0
         for (upper, lower), weight in weights.items():
-            out[basis.index(label(n, upper)), basis.index(label(n - 1, lower))] += weight
+            out[labels.index(label(n, upper)), labels.index(label(n - 1, lower))] += weight
     return out

@@ -36,6 +36,7 @@ from jchsim.experiments import (
     _parse_value,
     write_csv,
 )
+from jchsim.perturbation import dressed_drive
 from jchsim.selfcheck import run_selfcheck
 
 REPO = Path(__file__).resolve().parents[1]
@@ -472,6 +473,40 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert f"config error: {key!r} takes " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, line, code",
+        [
+            ("ramp", "n_points = 100000000000000000000", 3),
+            ("ramp", "mode = 100000000000000000000", 0),
+            ("variance_compare", "hopping_values = 100000000000000000000", 0),
+            ("driven_oscillation", "n_fock = 100000000000000000000", 3),
+        ],
+    )
+    def test_whole_number_beyond_int64_is_a_number(self, tmp_path, capsys, experiment, line,
+                                                   code):
+        # a whole number of any size is finite: the config is read, and the
+        # run either completes or refuses the size as a numerical failure
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{line}\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"numerical failure in {experiment}: ")
+            assert not (tmp_path / "out").exists()
+        else:
+            assert err == "" and any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "experiment, line",
+        [("variance_compare", "delta_values = 1e308"), ("driven_oscillation", "atom_drive = 1e200")],
+    )
+    def test_arithmetic_overflow_exits_3(self, tmp_path, capsys, experiment, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{line}\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(f"numerical failure in {experiment}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_ramp_initial_is_read_as_labels(self, tmp_path, capsys):
         # "0" labels the ground state, so "0,0" names the pair "G,G" does: an
         # option whose default is text keeps its text, however numeric
@@ -722,8 +757,14 @@ class TestSelfcheck:
         failed = [k for k, v in report["checks"].items() if not v["passed"]]
         assert failed == []
 
-    def test_corruption_hook_is_caught_and_named(self):
-        checks = run_selfcheck(corruption="ladder-coefficients")["checks"]
+    def test_corrupted_drive_series_is_caught_and_named(self, monkeypatch):
+        # the series' energies moved by 0.01: only the rebuild of B^dag H B fails
+        def shifted(params):
+            labels, e0, v = dressed_drive(params)
+            return labels, e0 + 0.01, v
+
+        monkeypatch.setattr("jchsim.selfcheck.dressed_drive", shifted)
+        checks = run_selfcheck()["checks"]
         assert not checks["ladder_reconstruction"]["passed"]
         others = [c for name, c in checks.items() if name != "ladder_reconstruction"]
         assert all(c["passed"] for c in others)

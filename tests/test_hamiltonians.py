@@ -21,7 +21,7 @@ from jchsim import (
 )
 from jchsim import polariton
 from jchsim.hamiltonians import _jch_over_detunings
-from jchsim.perturbation import interaction_elements, unperturbed_energies
+from jchsim.perturbation import dressed_drive
 from jchsim.lindblad import evolve_closed
 
 from conftest import ladder_matrix
@@ -118,13 +118,13 @@ def dressed_diagonal(p):
     """Cavity-frame levels of one site in the order of its polariton basis:
     ground 0, the dressed doublets, and the cutoff remainder |n_fock, e> (at
     delta) last."""
-    site = polariton.basis_transform(p.dims, p.g, p.delta)
+    labels, (site,) = polariton.dressed_bases(p.dims, p.g, [p.delta])
     levels = [0.0]
-    for lbl in site.labels[1:-1]:
+    for lbl in labels[1:-1]:
         n, branch = polariton.parse_label(lbl)
         levels.append(polariton_energy(n, branch, p.g, p.delta, 0.0))
     levels.append(p.delta)
-    return site, np.array(levels)
+    return labels, site, np.array(levels)
 
 
 class TestPolaritonForms:
@@ -133,18 +133,18 @@ class TestPolaritonForms:
         # B (B (x) B for two cavities) diagonalises build_jc; two sites without
         # hopping carry every sum of two site levels
         p = SystemParams(delta=0.9, n_fock=n_fock, n_cavities=n_cavities)
-        site, levels = dressed_diagonal(p)
-        matrix, diagonal = site.matrix, levels
+        _, matrix, diagonal = dressed_diagonal(p)
         if n_cavities == 2:
-            matrix, diagonal = np.kron(matrix, matrix), np.add.outer(levels, levels).ravel()
+            matrix, diagonal = np.kron(matrix, matrix), np.add.outer(diagonal, diagonal).ravel()
         transformed = matrix.conj().T @ build_jc(p).data @ matrix
         assert np.max(np.abs(transformed - np.diag(diagonal))) < 1e-10
 
     def test_ground_entry_zero_and_trace(self):
         p = SystemParams(delta=0.3, n_fock=3)
-        basis, levels = dressed_diagonal(p)
-        diag = basis.matrix.conj().T @ build_jc(p).data @ basis.matrix
-        assert diag[basis.index(polariton.GROUND), basis.index(polariton.GROUND)] == 0
+        labels, basis, levels = dressed_diagonal(p)
+        diag = basis.conj().T @ build_jc(p).data @ basis
+        ground = labels.index(polariton.GROUND)
+        assert diag[ground, ground] == 0
         # trace = sum of dressed doublets plus the cutoff remainder energy
         doublets = sum(
             polariton_energy(n, b, p.g, p.delta, 0.0)
@@ -161,17 +161,17 @@ class TestPolaritonForms:
         # J (a_0^dag a_1 + h.c.) assembled in the dressed pair basis from the
         # four ladder weights agrees with build_hopping below the cutoff manifold
         p = SystemParams(delta=0.5, omega_c=40.0, hopping=0.4, n_fock=3, n_cavities=2)
-        basis = polariton.basis_transform(p.dims, p.g, p.delta)
-        raise_site = ladder_matrix(basis)
+        labels, (basis,) = polariton.dressed_bases(p.dims, p.g, [p.delta])
+        raise_site = ladder_matrix(labels, p.g, p.delta)
         term = p.hopping * np.kron(raise_site, raise_site.T)
         ladder = term + term.T
         keep_site = np.array([
             lbl != polariton.OVERFLOW
             and (lbl == polariton.GROUND or polariton.parse_label(lbl)[0] < p.n_fock)
-            for lbl in basis.labels
+            for lbl in labels
         ])
         keep = np.flatnonzero(np.kron(keep_site, keep_site))
-        pair = np.kron(basis.matrix, basis.matrix)
+        pair = np.kron(basis, basis)
         diff = pair.conj().T @ build_hopping(p).data @ pair - ladder
         assert np.max(np.abs(diff[np.ix_(keep, keep)])) < 1e-12
 
@@ -199,25 +199,19 @@ class TestDriven:
         # the ladder-sum form: dressed-frame energies on the diagonal plus the
         # drive spread over the four families, on the labelled block (the
         # ladder sums stop at the cutoff manifold, so the overflow is left out)
-        basis = polariton.basis_transform(p.dims, p.g, p.delta)
-        transformed = basis.matrix.conj().T @ build_driven(p).data @ basis.matrix
-        ladder = np.zeros_like(transformed)
-        for lbl, energy in unperturbed_energies(p).items():
-            ladder[basis.index(lbl), basis.index(lbl)] = energy
-        for (upper, lower), amp in interaction_elements(p).items():
-            ladder[basis.index(upper), basis.index(lower)] = amp
-        keep = [i for i, lbl in enumerate(basis.labels) if lbl != polariton.OVERFLOW]
-        block = np.ix_(keep, keep)
-        assert np.max(np.abs(transformed[block] - ladder[block])) < 1e-12
+        _, (basis,) = polariton.dressed_bases(p.dims, p.g, [p.delta])
+        transformed = basis.conj().T @ build_driven(p).data @ basis
+        _, e0, v = dressed_drive(p)
+        assert np.max(np.abs(transformed[:-1, :-1] - (np.diag(e0) + v))) < 1e-12
 
     def test_driven_spectrum_invariant_under_rewrite(self):
         p = SystemParams(
             delta=0.4, omega_c=100.0, atom_drive=0.3, cavity_drive=0.15,
             atom_drive_detuning=1.1, cavity_drive_detuning=0.7, n_fock=4,
         )
-        basis = polariton.basis_transform(p.dims, p.g, p.delta)
+        _, (basis,) = polariton.dressed_bases(p.dims, p.g, [p.delta])
         h = build_driven(p).data
-        rewritten = basis.matrix.conj().T @ h @ basis.matrix
+        rewritten = basis.conj().T @ h @ basis
         assert np.allclose(
             np.sort(np.linalg.eigvalsh(h)), np.sort(np.linalg.eigvalsh(rewritten)), atol=1e-12
         )
@@ -227,10 +221,10 @@ class TestDriven:
             delta=0.2, atom_drive=0.4, cavity_drive=0.3,
             atom_drive_detuning=0.9, cavity_drive_detuning=0.7,
         )
-        elements = interaction_elements(p)
-        assert {polariton.parse_label(upper)[0] for upper, _ in elements} >= {1, 2, 3}
-        for amp in elements.values():
-            assert amp.real == 0.0
+        labels, _, v = dressed_drive(p)
+        rows = np.flatnonzero(v.any(axis=1))
+        assert {polariton.parse_label(labels[i])[0] for i in rows} >= {1, 2, 3}
+        assert np.all(v.real == 0.0)
 
 
 class TestRabiFrequency:

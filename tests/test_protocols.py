@@ -15,10 +15,10 @@ from jchsim import (
     Operator,
     SystemParams,
     analytic_variance,
-    basis_transform,
     build_driven,
     build_hopping,
     build_jch,
+    dressed_bases,
     driven_oscillation_run,
     effective_model,
     evolve_closed,
@@ -58,17 +58,18 @@ STATE_COLUMNS = {"1-,1-": "p_1m_1m", "1+,1+": "p_1p_1p", "2-,0": "p_2m_0",
 
 def coherence(rho: np.ndarray, p: SystemParams) -> float:
     """The n = 1 interbranch coherence 2|rho_+-| of one cavity in one state."""
-    basis = basis_transform(p.dims, p.g, p.delta)
-    return float(2.0 * abs(basis.column("1+").conj() @ rho @ basis.column("1-")))
+    labels, (basis,) = dressed_bases(p.dims, p.g, [p.delta])
+    up, lo = (basis[:, labels.index(lbl)] for lbl in ("1+", "1-"))
+    return float(2.0 * abs(up.conj() @ rho @ lo))
 
 
 def site0_branch_series(kets: np.ndarray, p: SystemParams):
     """P(1+), P(1-) and 2|rho_+-| of site 0 along two-site (T, D) kets, read
     as the hopping row of mechanism_table does: summed over site 1's labels
     of the dressed pair amplitudes."""
-    basis = basis_transform(p.dims, p.g, p.delta)
+    labels, (basis,) = dressed_bases(p.dims, p.g, [p.delta])
     amps = pair_amplitudes(kets, basis)
-    up, lo = amps[:, basis.index("1+")], amps[:, basis.index("1-")]
+    up, lo = amps[:, labels.index("1+")], amps[:, labels.index("1-")]
     return ((np.abs(up) ** 2).sum(axis=1), (np.abs(lo) ** 2).sum(axis=1),
             2.0 * np.abs(np.einsum("tj,tj->t", lo, up.conj())))
 
@@ -124,8 +125,8 @@ def test_mechanism_hopping_row_matches_the_dense_rotation(n_fock, omega_c):
     p = SystemParams(hopping=1.0, omega_c=omega_c, n_fock=n_fock, n_cavities=2)
     psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
     kets = evolve_closed(build_jch(p), psi, np.linspace(0.0, 20.0, 4001))
-    basis = basis_transform(p.dims, p.g, p.delta)
-    target = pair_amplitudes(kets, basis)[:, basis.index("1+"), basis.index("1-")]
+    labels, (basis,) = dressed_bases(p.dims, p.g, [p.delta])
+    target = pair_amplitudes(kets, basis)[:, labels.index("1+"), labels.index("1-")]
     row = mechanism_table(n_fock)[0]
     assert row["mechanism"] == "hopping"
     assert abs(row["interchange_probability"] - (np.abs(target) ** 2).max()) < 1e-13
@@ -137,10 +138,10 @@ def test_selfcheck_branch_separability_matches_the_dense_rotation():
     # against the dense rotation of evolve_closed's kets at its operating point
     p = SystemParams(delta=0.5, omega_c=50.0, hopping=0.1, n_fock=2, n_cavities=2)
     psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
-    basis = basis_transform(p.dims, p.g, p.delta)
+    labels, (basis,) = dressed_bases(p.dims, p.g, [p.delta])
     kets = evolve_closed(build_jch(p), psi, np.linspace(0.0, 10.0 / p.hopping, 201))
     pops = np.abs(pair_amplitudes(kets, basis)) ** 2
-    plus = [i for i, lbl in enumerate(basis.labels) if lbl.endswith("+")]
+    plus = [i for i, lbl in enumerate(labels) if lbl.endswith("+")]
     up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))
     result = run_selfcheck()["checks"]["branch_separability"]
     assert result["passed"] and result["detail"] == f"{up_weight.max():.3e} < 1e-01"
@@ -277,8 +278,8 @@ def test_lower_branch_run_agrees_on_its_ket_and_density_matrix_routes(delta, n0,
     for key in ket:
         assert np.abs(ket[key] - rho[key]).max() < 1e-9
     kets = evolve_closed(build(p), site_polariton_ket(p.dims, n0, "-", p.g, p.delta), times)
-    basis = basis_transform(p.dims, p.g, p.delta)
-    up, lo, ground = (kets @ basis.column(lbl).conj() for lbl in ("1+", "1-", "G"))
+    labels, (basis,) = dressed_bases(p.dims, p.g, [p.delta])
+    up, lo, ground = (kets @ basis[:, labels.index(lbl)].conj() for lbl in ("1+", "1-", "G"))
     oracle = {"P_1plus": np.abs(up) ** 2, "P_1minus": np.abs(lo) ** 2,
               "P_ground": np.abs(ground) ** 2, "coherence": 2.0 * np.abs(up * lo.conj())}
     for key in ket:
@@ -301,8 +302,8 @@ def test_lower_branch_run_ket_route_matches_the_operator_oracle(
     h = build(p)
     got = _lower_branch_run(p, h, n0, times)
     kets = evolve_closed(h, site_polariton_ket(p.dims, n0, "-", p.g, p.delta), times)
-    basis = basis_transform(p.dims, p.g, p.delta)
-    up, lo, ground = (basis.column(lbl) for lbl in ("1+", "1-", "G"))
+    labels, (basis,) = dressed_bases(p.dims, p.g, [p.delta])
+    up, lo, ground = (basis[:, labels.index(lbl)] for lbl in ("1+", "1-", "G"))
 
     def read(k, b):
         return expect_series(Operator(p.dims, np.outer(k, b.conj())), kets)
@@ -405,7 +406,7 @@ def operator_variance(times, expect, dims) -> float:
 def dressed_populations(rhos: np.ndarray, p: SystemParams) -> np.ndarray:
     """Populations of (T, D, D) density matrices in the product of site
     dressed bases, shaped (T, ds) on one cavity and (T, ds, ds) on two."""
-    site = basis_transform(p.dims, p.g, p.delta).matrix
+    _, (site,) = dressed_bases(p.dims, p.g, [p.delta])
     u = site if p.n_cavities == 1 else np.kron(site, site)
     pops = np.einsum("ai,tab,bi->ti", u.conj(), rhos, u).real
     return pops.reshape(len(rhos), *[len(site)] * p.n_cavities)
@@ -456,7 +457,8 @@ def test_hold_measurement_matches_overlap_oracle(delta, hopping, initial):
     for name, value in oracle.items():
         assert abs(point[name] - value) < 1e-12
     # the dressed pair basis is complete: every sample's populations sum to 1
-    pops = np.abs(pair_amplitudes(amps, basis_transform(p.dims, p.g, p.delta))) ** 2
+    _, (basis,) = dressed_bases(p.dims, p.g, [p.delta])
+    pops = np.abs(pair_amplitudes(amps, basis)) ** 2
     assert np.max(np.abs(pops.sum(axis=(1, 2)) - 1.0)) < 1e-12
 
 
@@ -502,7 +504,8 @@ def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
         for name, value in overlap_hold(ket, amps, times, pk).items():
             assert abs(holds[name][k] - value) < 1e-12
         # the kept dressed pairs carry every amplitude of the dense rotation
-        dense = pair_amplitudes(amps, basis_transform(pk.dims, pk.g, delta))
+        _, (basis,) = dressed_bases(pk.dims, pk.g, [delta])
+        dense = pair_amplitudes(amps, basis)
         assert np.max(np.abs(dense[:, pairs[0], pairs[1]] - reached)) < 1e-13
         dense[:, pairs[0], pairs[1]] = 0.0
         assert np.max(np.abs(dense)) < 1e-13
@@ -705,10 +708,10 @@ class TestRampExperiment:
         p = TWO_SITE.with_(delta=0.5)
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
         times = np.linspace(0.0, 10.0 / p.hopping, 401)
-        basis = basis_transform(p.dims, p.g, p.delta)
+        labels, (basis,) = dressed_bases(p.dims, p.g, [p.delta])
         pops = np.abs(pair_amplitudes(evolve_closed(build_jch(p), psi, times), basis)) ** 2
         # the upper-branch weight summed over both sites
-        plus = [i for i, lbl in enumerate(basis.labels) if lbl.endswith("+")]
+        plus = [i for i, lbl in enumerate(labels) if lbl.endswith("+")]
         up_weight = pops[:, plus].sum(axis=(1, 2)) + pops[:, :, plus].sum(axis=(1, 2))
         assert up_weight.max() < 0.1
 

@@ -10,8 +10,10 @@ in csv and in json, ``ramp_time_dependent.cfg`` with ``--strict-ramp``,
 this checkout builds for the benchmark's seed 1 (27 configs, whose
 detunings, decays, drives and hoppings are drawn at random), with the
 format and flags of its benchmark job.  It prints each file that differs,
-with the count of numbers that differ and the largest absolute difference
-among them.
+with the count of numbers that differ and the largest absolute and the
+largest relative difference among them, |a - b| / max(|a|, |b|): a value
+that is itself a difference of nearly equal numbers may move by a tiny
+absolute amount and yet by many ulps.
 
 Exit status: 0 when the outputs agree up to numeric differences, 1 on a
 structural difference (a run whose exit code differs, a file written on one
@@ -82,13 +84,18 @@ def run_tree(src: Path, out: Path, jobs: list) -> dict:
 
 
 def numeric_difference(text_a: str, text_b: str):
-    """(count, largest absolute difference) of the numbers that differ, or
-    None when the texts differ outside their numbers."""
+    """(count, largest absolute difference, largest relative difference) of
+    the numbers that differ, or None when the texts differ outside their
+    numbers."""
     if NUMBER.sub("#", text_a) != NUMBER.sub("#", text_b):
         return None
-    diffs = [abs(float(x) - float(y))
+    pairs = [(float(x), float(y))
              for x, y in zip(NUMBER.findall(text_a), NUMBER.findall(text_b)) if x != y]
-    return len(diffs), max(diffs, default=0.0)
+    # x != y as text, so max(|a|, |b|) is 0 only for two spellings of zero
+    diffs = [(abs(a - b), abs(a - b) / max(abs(a), abs(b)) if a or b else 0.0)
+             for a, b in pairs]
+    return (len(diffs), max((d for d, _ in diffs), default=0.0),
+            max((r for _, r in diffs), default=0.0))
 
 
 def main(argv=None) -> int:
@@ -125,7 +132,8 @@ def main(argv=None) -> int:
                 print(f"STRUCTURE {rel}: text differs outside its numbers")
                 structural += 1
             else:
-                print(f"differs {rel}: {diff[0]} numbers, largest |difference| {diff[1]:.3g}")
+                print(f"differs {rel}: {diff[0]} numbers, largest |difference| {diff[1]:.3g}, "
+                      f"largest relative {diff[2]:.3g}")
     print(f"{identical} files byte-identical, {structural} structural differences")
     return 1 if structural else 0
 

@@ -10,9 +10,7 @@ from .errors import (
     NumericalError,
 )
 from .hilbert import (
-    DensityMatrix,
     HilbertDims,
-    Ket,
     Operator,
     annihilation_at,
     atomic_lowering,

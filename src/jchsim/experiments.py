@@ -621,7 +621,8 @@ def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",
 
     An ``output_dir`` whose nearest existing ancestor is not a directory
     raises ``OSError`` before the experiment runs; nothing is created until
-    the experiment has succeeded.
+    the experiment has succeeded.  The first overflow, invalid value or division
+    by zero of the runner raises ``FloatingPointError`` instead of a warning.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -634,7 +635,8 @@ def run_experiment(config: ExperimentConfig, output_dir=".", fmt: str = "csv",
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     if not existing.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
-    columns, summary = EXPERIMENTS[config.experiment].runner(config.params, options)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        columns, summary = EXPERIMENTS[config.experiment].runner(config.params, options)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     # the provenance records the options actually in effect, so files

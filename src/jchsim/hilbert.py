@@ -7,9 +7,9 @@ Basis conventions, fixed once for the whole package:
   the photon index major: ``|0,g>, |0,e>, |1,g>, |1,e>, ...``;
 * for two sites, site 0 is the leftmost (slowest varying) tensor factor.
 
-All carriers are immutable after construction (their arrays write-locked) and
-every function here is pure, so operators and states can be shared freely
-between threads, and each builder that reads only dims caches what it returns.
+Operators, density matrices among them, are immutable :class:`Operator`s (arrays
+write-locked) that threads can share; kets are plain (D,) arrays.  Every function
+here is pure, and each builder that reads only dims caches what it returns.
 """
 from __future__ import annotations
 
@@ -22,11 +22,6 @@ from .errors import DimensionMismatchError
 
 ATOM_G = 0
 ATOM_E = 1
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-8
-POSITIVITY_TOL = -1e-8
-NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,12 +64,6 @@ class HilbertDims:
         return 2 * photon + atom
 
 
-def _locked(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 def _check_same_dims(a, b):
     if a.dims != b.dims:
         raise DimensionMismatchError(f"dims differ: {a.dims} vs {b.dims}")
@@ -88,7 +77,8 @@ class Operator:
     data: np.ndarray
 
     def __post_init__(self):
-        data = _locked(self.data)
+        data = np.array(self.data, dtype=complex)
+        data.setflags(write=False)
         d = self.dims.total_dim
         if data.shape != (d, d):
             raise DimensionMismatchError(
@@ -115,58 +105,6 @@ class Operator:
         return Operator(self.dims, self.data * complex(scalar))
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class Ket:
-    """Pure state vector with unit norm."""
-
-    dims: HilbertDims
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = _locked(self.amplitudes).reshape(-1)
-        if amps.shape != (self.dims.total_dim,):
-            raise DimensionMismatchError(
-                f"ket length {amps.shape} does not match total_dim {self.dims.total_dim}"
-            )
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("ket is not normalized")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def density_matrix(self) -> "DensityMatrix":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(self.dims, rho)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state matrix."""
-
-    dims: HilbertDims
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = _locked(self.data)
-        d = self.dims.total_dim
-        if data.shape != (d, d):
-            raise DimensionMismatchError(
-                f"density matrix shape {data.shape} does not match total_dim {d}"
-            )
-        object.__setattr__(self, "data", data)
-
-    def validate(self):
-        """Raise if the state violates Hermiticity, trace or positivity."""
-        herm = np.max(np.abs(self.data - self.data.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (residual {herm:.2e})")
-        tr = np.trace(self.data)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        lowest = float(np.linalg.eigvalsh((self.data + self.data.conj().T) / 2).min())
-        if lowest < POSITIVITY_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lowest:.2e}")
-        return self
 
 
 @cache
@@ -236,7 +174,7 @@ def total_excitation(dims: HilbertDims) -> Operator:
     return sum_over_sites(excitation_number_at(dims.site()), dims)
 
 
-def partial_trace(rho: DensityMatrix, keep_site: int) -> DensityMatrix:
+def partial_trace(rho: Operator, keep_site: int) -> Operator:
     """Reduced state of one site of a two-cavity system."""
     if rho.dims.n_cavities != 2:
         raise DimensionMismatchError("partial_trace requires a two-cavity state")
@@ -248,11 +186,11 @@ def partial_trace(rho: DensityMatrix, keep_site: int) -> DensityMatrix:
         reduced = np.einsum("ikjk->ij", blocks)
     else:
         reduced = np.einsum("kikj->ij", blocks)
-    return DensityMatrix(rho.dims.site(), reduced)
+    return Operator(rho.dims.site(), reduced)
 
 
-def bare_ket(dims: HilbertDims, site_states) -> Ket:
-    """Product of bare site states given as (photon, atom) pairs."""
+def bare_ket(dims: HilbertDims, site_states) -> np.ndarray:
+    """(D,) product of bare site states given as (photon, atom) pairs."""
     site_states = list(site_states)
     if len(site_states) != dims.n_cavities:
         raise DimensionMismatchError(
@@ -263,11 +201,11 @@ def bare_ket(dims: HilbertDims, site_states) -> Ket:
         site_vec = np.zeros(dims.site_dim, dtype=complex)
         site_vec[dims.site_index(photon, atom)] = 1.0
         vec = np.kron(vec, site_vec)
-    return Ket(dims, vec)
+    return vec
 
 
-def product_ket(dims: HilbertDims, site_kets) -> Ket:
-    """Tensor product of per-site kets (site 0 first)."""
+def product_ket(dims: HilbertDims, site_kets) -> np.ndarray:
+    """(D,) tensor product of per-site kets of shape (site_dim,), site 0 first."""
     site_kets = list(site_kets)
     if len(site_kets) != dims.n_cavities:
         raise DimensionMismatchError(
@@ -275,7 +213,7 @@ def product_ket(dims: HilbertDims, site_kets) -> Ket:
         )
     vec = np.ones(1, dtype=complex)
     for ket in site_kets:
-        if ket.dims.site_dim != dims.site_dim:
-            raise DimensionMismatchError("site ket does not match dims")
-        vec = np.kron(vec, ket.amplitudes)
-    return Ket(dims, vec)
+        if ket.shape != (dims.site_dim,):
+            raise DimensionMismatchError(f"site ket shape {ket.shape} is not ({dims.site_dim},)")
+        vec = np.kron(vec, ket)
+    return vec

@@ -39,9 +39,13 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError, DimensionMismatchError, NumericalError
 from .hamiltonians import SystemParams, build_jch, decay_channels
-from .hilbert import DensityMatrix, HilbertDims, Ket, Operator
+from .hilbert import HilbertDims, Operator
 
 ZERO_MODE_TOL = 1e-8
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-8
+POSITIVITY_TOL = -1e-8
+NORM_TOL = 1e-10
 TRACE_DRIFT_TOL = 1e-8
 EIGENBASIS_COND_LIMIT = 1e12
 GRID_UNIFORMITY_TOL = 1e-9
@@ -103,9 +107,11 @@ class Liouvillian:
         """Sorted superoperator indices of S x S, S the Hilbert sector that the
         rows and columns of the superoperator mask ``seed`` reach, in the weak
         pieces that ``seed`` meets: a set that no entry leaves and that holds
-        everything ``seed`` leads to."""
+        everything ``seed`` leads to.  Its rows and columns are read off a mask,
+        as ``np.union1d`` would import ``numpy.ma`` on first use."""
         d = self.dims.total_dim
-        ends = np.union1d(*np.divmod(np.flatnonzero(seed), d))  # its rows and columns
+        mask = seed.reshape(d, d)
+        ends = np.flatnonzero(mask.any(axis=1) | mask.any(axis=0))  # its rows and columns
         sector = np.flatnonzero(self._reach[ends].any(axis=0))
         square = (sector[:, None] * d + sector).reshape(-1)
         return square[np.isin(self._piece[square], self._piece[seed])]
@@ -253,12 +259,12 @@ class Trajectory:
         coords = _doubling(self.powers, self.giant, 2 ** len(self.powers)).swapaxes(0, 1)
         return self._matrices(coords.reshape(-1, len(self.index))[: len(self.times)])
 
-    def state(self, i: int) -> DensityMatrix:
-        """Sample i = q w + s alone: giant[q] times the binary powers of P that make up s."""
+    def state(self, i: int) -> Operator:
+        """Density matrix of sample i = q w + s: giant[q] times the binary powers of P in s."""
         q, s = divmod(range(len(self.times))[i], 2 ** len(self.powers))
         powers = (p for k, p in enumerate(self.powers) if s >> k & 1)
         x = reduce(lambda x, p: p @ x, powers, self.giant[q])
-        return DensityMatrix(self.dims, self._matrices(x[None])[0])
+        return Operator(self.dims, self._matrices(x[None])[0])
 
     def expect(self, op: Operator) -> np.ndarray:
         """Tr(op rho(t)) as real dot products: conj(T) vec(op^T) is real for
@@ -320,9 +326,10 @@ def _doubling(powers: list, x0: np.ndarray, count: int) -> np.ndarray:
     return out.reshape(count, *x0.shape)
 
 
-def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
-    """Propagate a density matrix along the uniform grid ``t_grid`` (:func:`_check_grid`;
-    the clock starts at t_grid[0]).
+def evolve(liouv: Liouvillian, rho0: Operator, t_grid) -> Trajectory:
+    """Propagate the density matrix ``rho0``, refused unless Hermitian, of unit trace and
+    positive (``HERMITICITY_TOL``, ``TRACE_TOL``, ``POSITIVITY_TOL``), along the uniform grid
+    ``t_grid`` (:func:`_check_grid`; the clock starts at t_grid[0]).
 
     The generator is formed on :meth:`Liouvillian._closure` of vec(rho0), a set
     closed under (i, j) <-> (j, i) that leaves out the fast coherences between
@@ -335,7 +342,15 @@ def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_grid) -> Trajectory:
     """
     if liouv.dims != rho0.dims:
         raise DimensionMismatchError("initial state dims differ from generator dims")
-    rho0.validate()
+    herm = np.max(np.abs(rho0.data - rho0.data.conj().T))
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian (residual {herm:.2e})")
+    tr = np.trace(rho0.data)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} differs from 1")
+    lowest = float(np.linalg.eigvalsh((rho0.data + rho0.data.conj().T) / 2).min())
+    if lowest < POSITIVITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest:.2e}")
     times = np.asarray(t_grid, dtype=float)
     (step,) = _check_grid(times[None])
     mirror, alpha = _hermitian_frame(liouv.dims.total_dim)
@@ -379,13 +394,16 @@ def _closed_amplitudes(hs: np.ndarray, psis: np.ndarray, times: np.ndarray) -> n
     return amps.reshape(len(hs), -1, energies.shape[1])[:, :t]
 
 
-def evolve_closed(h: Operator, psi0: Ket, t_grid) -> np.ndarray:
+def evolve_closed(h: Operator, psi0: np.ndarray, t_grid) -> np.ndarray:
     """exp(-i H (t - t_grid[0])) psi0 (T, D) on a uniform grid, by the phase tables of
-    :func:`_closed_amplitudes` on the block of H psi0 reaches; exactly 0 outside it."""
-    if h.dims != psi0.dims:
-        raise DimensionMismatchError("state dims differ from Hamiltonian dims")
-    idx = _ket_reach(h.data, psi0.amplitudes[None])
-    out = amps = _closed_amplitudes(h.data[np.ix_(idx, idx)][None], psi0.amplitudes[None, idx],
+    :func:`_closed_amplitudes` on the block of H psi0 reaches; exactly 0 outside it.
+    The ket ``psi0`` (D,) must have unit norm within ``NORM_TOL``."""
+    if psi0.shape != (h.dims.total_dim,):
+        raise DimensionMismatchError(f"ket shape {psi0.shape} is not ({h.dims.total_dim},)")
+    if abs(np.linalg.norm(psi0) - 1.0) > NORM_TOL:
+        raise ValueError("ket is not normalized")
+    idx = _ket_reach(h.data, psi0[None])
+    out = amps = _closed_amplitudes(h.data[np.ix_(idx, idx)][None], psi0[None, idx],
                                     np.asarray(t_grid, dtype=float)[None])[0]
     if len(idx) < h.dims.total_dim:  # exactly 0 elsewhere
         out = np.zeros((len(amps), h.dims.total_dim), dtype=complex)
@@ -411,8 +429,8 @@ def _loss_floors(liouv: Liouvillian) -> np.ndarray:
     return floors
 
 
-def steady_state(liouv: Liouvillian) -> DensityMatrix:
-    """Stationary state from the null space of the generator.
+def steady_state(liouv: Liouvillian) -> Operator:
+    """Stationary density matrix from the null space of the generator.
 
     Only jumps lead from one component of the reach (:attr:`Liouvillian._component`)
     to another, so the generator is block triangular in the pair blocks, the
@@ -474,11 +492,11 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     residual = float(np.max(np.abs(block @ rho.reshape(-1)[index])))
     if residual > 1e-8:
         raise NumericalError(f"steady_state: residual |L[rho]| = {residual:.3e}")
-    return DensityMatrix(liouv.dims, rho)
+    return Operator(liouv.dims, rho)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the nuclear norm of the difference."""
+def trace_distance(a: Operator, b: Operator) -> float:
+    """Half the nuclear norm of the difference of two density matrices."""
     if a.dims != b.dims:
         raise DimensionMismatchError("states live on different spaces")
     diff = (a.data - b.data + (a.data - b.data).conj().T) / 2.0

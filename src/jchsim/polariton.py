@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOM_E, ATOM_G, HilbertDims, Ket, product_ket
+from .hilbert import ATOM_E, ATOM_G, HilbertDims, product_ket
 
 GROUND = "G"
 OVERFLOW = "overflow"
@@ -82,18 +82,19 @@ def polariton_energy(n: int, branch: str, g: float, delta: float, omega_c: float
     return omega_c * n + 0.5 * delta + 0.5 * sign * branch_splitting(n, g, delta)
 
 
-def site_polariton_ket(dims: HilbertDims, n: int, branch: str, g: float, delta: float) -> Ket:
-    """Site-level dressed state |n branch>, the ground state for n = 0: a
-    column of :func:`dressed_bases`."""
+def site_polariton_ket(dims: HilbertDims, n: int, branch: str, g: float,
+                       delta: float) -> np.ndarray:
+    """Site-level dressed state |n branch> (site_dim,), the ground state for n = 0:
+    a column of :func:`dressed_bases`."""
     lbl = label(n, branch)
     labels, (matrix,) = dressed_bases(dims, g, [delta])
     if lbl not in labels:
         raise ValueError(f"manifold {n} outside 0..{dims.n_fock}")
-    return Ket(dims.site(), matrix[:, labels.index(lbl)])
+    return matrix[:, labels.index(lbl)].copy()
 
 
-def product_polariton_ket(dims: HilbertDims, site_labels, g: float, delta: float) -> Ket:
-    """Product of per-site polariton states, e.g. labels [(1,'-'), (0,'g')]."""
+def product_polariton_ket(dims: HilbertDims, site_labels, g: float, delta: float) -> np.ndarray:
+    """(D,) product of per-site polariton states, e.g. labels [(1,'-'), (0,'g')]."""
     kets = [site_polariton_ket(dims, n, b, g, delta) for n, b in site_labels]
     return product_ket(dims, kets)
 

@@ -118,7 +118,8 @@ def _lower_branch_run(params: SystemParams, h: Operator, n0: int, times) -> dict
         c_up, c_lo, c_g = amps.T
         return {"P_1plus": np.abs(c_up) ** 2, "P_1minus": np.abs(c_lo) ** 2,
                 "P_ground": np.abs(c_g) ** 2, "coherence": 2.0 * np.abs(c_lo * c_up.conj())}
-    expect = evolve(build_liouvillian(h, channels), psi0.density_matrix(), times).expect
+    rho0 = Operator(dims, np.outer(psi0, psi0.conj()))
+    expect = evolve(build_liouvillian(h, channels), rho0, times).expect
     p_up, p_lo, rho_pm, p_g = (expect(Operator(dims, np.outer(k, b.conj())))
                                for k, b in ((up, up), (lo, lo), (lo, up), (ground, ground)))
     return {"P_1plus": p_up.real, "P_1minus": p_lo.real, "P_ground": p_g.real,
@@ -153,7 +154,7 @@ def hopping_interchange_probe(params: SystemParams, samples: int = 8001):
         psi0, ket = (product_polariton_ket(params.dims, parse_state_spec(spec), params.g,
                                            params.delta) for spec in (initial, target))
         name = "p_up_from_" + initial.split(",")[0].replace("-", "minus")
-        columns[name] = np.abs(evolve_closed(h, psi0, times) @ ket.amplitudes.conj()) ** 2
+        columns[name] = np.abs(evolve_closed(h, psi0, times) @ ket.conj()) ** 2
         summary["max_" + name] = float(columns[name].max())
     return columns, {**summary, "targets": dict(PROBE_TARGETS)}
 
@@ -356,7 +357,7 @@ def ramp_experiment(
     pulse_time, hold_time = math.pi / (2.0 * params.g), 1.0 / params.hopping
 
     psi = product_polariton_ket(params.dims, parse_state_spec(initial), params.g, deltas[0])
-    psis = np.repeat(psi.amplitudes[None], len(deltas), axis=0)
+    psis = np.repeat(psi[None], len(deltas), axis=0)
     if time_dependent:
         # neither pulse generator depends on the detuning, so the pulsed chain
         # is one grid: hold k starts after k + 1 pulses

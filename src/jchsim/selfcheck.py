@@ -19,8 +19,8 @@ from .hamiltonians import (
     stroboscopic_generator,
 )
 from .hilbert import (
-    DensityMatrix,
     HilbertDims,
+    Operator,
     annihilation_at,
     atomic_lowering,
     bare_ket,
@@ -39,11 +39,11 @@ def _check(value, bound) -> dict:
     return {"passed": bool(ok), "detail": f"{value:.3e} {'<' if ok else '>='} {bound:.0e}"}
 
 
-def _random_density(dims: HilbertDims, rng) -> DensityMatrix:
+def _random_density(dims: HilbertDims, rng) -> Operator:
     d = dims.total_dim
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = raw @ raw.conj().T
-    return DensityMatrix(dims, rho / np.trace(rho))
+    return Operator(dims, rho / np.trace(rho))
 
 
 def run_selfcheck() -> dict:
@@ -146,9 +146,9 @@ def run_selfcheck() -> dict:
         ket = polariton.site_polariton_ket(single.dims, n, "-", single.g, single.delta)
         for gt in (0.3, 1.1):
             amps = evolve_closed(gen, ket, np.array([0.0, gt]))[-1]
-            expected = math.cos(gt * math.sqrt(n)) * ket.amplitudes - math.sin(
+            expected = math.cos(gt * math.sqrt(n)) * ket - math.sin(
                 gt * math.sqrt(n)
-            ) * polariton.site_polariton_ket(single.dims, n, "+", single.g, single.delta).amplitudes
+            ) * polariton.site_polariton_ket(single.dims, n, "+", single.g, single.delta)
             worst_rot = max(worst_rot, float(np.max(np.abs(amps - expected))))
     checks["stroboscopic_rotation"] = _check(worst_rot, 1e-10)
 
@@ -168,12 +168,13 @@ def run_selfcheck() -> dict:
     )
 
     psi0 = bare_ket(dims, [(2, 0)])
-    traj = evolve(liouv, psi0.density_matrix(), np.linspace(0.0, 6.0, 121))
+    rho0 = Operator(dims, np.outer(psi0, psi0.conj()))
+    traj = evolve(liouv, rho0, np.linspace(0.0, 6.0, 121))
     checks["evolve_trace_drift"] = _check(traj.trace_drift(), 1e-8)
     checks["snapshot_positivity"] = _check(-min(traj.min_eigenvalue(), 0.0), 1e-7)
 
-    coarse = evolve(liouv, psi0.density_matrix(), np.linspace(0.0, 1.0, 21))
-    fine = evolve(liouv, psi0.density_matrix(), np.linspace(0.0, 1.0, 41))
+    coarse = evolve(liouv, rho0, np.linspace(0.0, 1.0, 21))
+    fine = evolve(liouv, rho0, np.linspace(0.0, 1.0, 41))
     dist = max(trace_distance(coarse.state(i), fine.state(2 * i)) for i in range(21))
     checks["evolve_step_halving"] = _check(float(dist), 1e-12)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 from .hamiltonians import SystemParams
-from .hilbert import DensityMatrix, Operator
+from .hilbert import Operator
 from .lindblad import ZERO_MODE_TOL, Liouvillian, vectorize
 
 STATIONARITY_TOL = 1e-6
@@ -79,7 +79,7 @@ def default_frequency_grid(params: SystemParams, n_points: int = 2001) -> np.nda
     return np.linspace(params.omega_c - half_width, params.omega_c + half_width, n_points)
 
 
-def absorption_spectrum(liouv: Liouvillian, rho_ss: DensityMatrix, a_op: Operator,
+def absorption_spectrum(liouv: Liouvillian, rho_ss: Operator, a_op: Operator,
                         freq_grid) -> Spectrum:
     """Absorption spectrum from the exact half-line Fourier integral, on the grid
     of offsets omega - omega_c in which the generator is built.

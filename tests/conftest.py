@@ -47,6 +47,11 @@ def expect_series(op: Operator, series: np.ndarray) -> np.ndarray:
     return np.einsum("ti,ti->t", series, np.conjugate(prod, out=prod)).conj()
 
 
+def pure(dims, psi: np.ndarray) -> Operator:
+    """The density matrix |psi><psi| of the (D,) ket ``psi`` on ``dims``."""
+    return Operator(dims, np.outer(psi, psi.conj()))
+
+
 def random_density_matrix(dim: int, rng) -> np.ndarray:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = raw @ raw.conj().T

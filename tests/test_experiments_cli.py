@@ -3,6 +3,9 @@ import contextlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +44,14 @@ from jchsim.selfcheck import run_selfcheck
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports jchsim from this tree;
+    pytest captures warnings in process, so only a subprocess shows what a user sees."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
 
 
 class TestConfigParsing:
@@ -507,6 +518,37 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"numerical failure in {experiment}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "experiment, line",
+        [("variance_compare", "delta_values = 1e308"), ("driven_oscillation", "atom_drive = 1e200")],
+    )
+    def test_arithmetic_overflow_prints_one_line(self, tmp_path, experiment, line):
+        # the first overflow stops the run, before numpy writes any warning
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{line}\n")
+        run = _fresh_python("-m", "jchsim.cli", "run", str(cfg), "--output-dir",
+                            str(tmp_path / "out"))
+        assert run.returncode == 3
+        assert len(run.stderr.splitlines()) == 1, run.stderr
+        assert run.stderr.startswith(f"numerical failure in {experiment}: ")
+
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # numpy.ma costs milliseconds to import on first use; no shipped config
+        # nor selfcheck needs it (np.union1d and np.unique without
+        # return_inverse would load it)
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from jchsim.cli import main",
+            f"commands = [['run', c, '--output-dir', {str(tmp_path)!r} + '/' + str(k)]",
+            f"            for k, c in enumerate({[str(c) for c in SHIPPED_CONFIGS]!r})]",
+            "for argv in commands + [['selfcheck']]:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            "    assert 'numpy.ma' not in sys.modules, argv",
+        ])
+        run = _fresh_python("-c", script)
+        assert run.returncode == 0, run.stderr
+
     def test_numeric_ramp_initial_is_read_as_labels(self, tmp_path, capsys):
         # "0" labels the ground state, so "0,0" names the pair "G,G" does: an
         # option whose default is text keeps its text, however numeric
@@ -653,7 +695,7 @@ class TestCli:
             h_eff -= 0.5j * rate * jump.data.conj().T @ jump.data
         one = np.isclose(total_excitation(p.dims).data.diagonal().real, 1.0)
         h_one = h_eff[np.ix_(one, one)]
-        vacuum = bare_ket(p.dims, [(0, 0)]).amplitudes
+        vacuum = bare_ket(p.dims, [(0, 0)])
         excited = (annihilation_at(p.dims, 0).dag().data @ vacuum)[one]
         eye = np.eye(len(excited))
         resolvent = np.array([excited.conj() @ np.linalg.solve(h_one - w * eye, excited)

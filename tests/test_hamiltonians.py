@@ -76,7 +76,7 @@ class TestBareBuilders:
         p = p.with_(hopping=0.7)
         bra = bare_ket(p.dims, [(0, 0), (1, 0)])
         ket = bare_ket(p.dims, [(1, 0), (0, 0)])
-        element = bra.amplitudes.conj() @ build_hopping(p).data @ ket.amplitudes
+        element = bra.conj() @ build_hopping(p).data @ ket
         assert element == pytest.approx(0.7)
 
     def test_hopping_needs_two_cavities(self):
@@ -256,8 +256,8 @@ class TestStroboscopic:
             kp = site_polariton_ket(p.dims, n, "+", p.g, p.delta)
             for gt in rng.uniform(0.0, 2.0 * math.pi, 20):
                 out = evolve_closed(gen, km, np.array([0.0, gt]))[-1]
-                expected = math.cos(gt * math.sqrt(n)) * km.amplitudes
-                expected -= math.sin(gt * math.sqrt(n)) * kp.amplitudes
+                expected = math.cos(gt * math.sqrt(n)) * km
+                expected -= math.sin(gt * math.sqrt(n)) * kp
                 assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_quarter_period_full_flip(self):
@@ -266,7 +266,7 @@ class TestStroboscopic:
         km = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)
         kp = site_polariton_ket(p.dims, 1, "+", p.g, p.delta)
         out = evolve_closed(gen, km, np.array([0.0, math.pi / 2]))[-1]
-        overlap = kp.amplitudes.conj() @ out
+        overlap = kp.conj() @ out
         assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
         assert overlap.real == pytest.approx(-1.0, abs=1e-12)
 
@@ -275,8 +275,8 @@ class TestStroboscopic:
         assert np.max(np.abs(
             (stroboscopic_generator(p, 1) + stroboscopic_generator(p, 0)).data
         )) == 0.0
-        km = site_polariton_ket(p.dims, 2, "-", p.g, p.delta).amplitudes
-        kp = site_polariton_ket(p.dims, 2, "+", p.g, p.delta).amplitudes
+        km = site_polariton_ket(p.dims, 2, "-", p.g, p.delta)
+        kp = site_polariton_ket(p.dims, 2, "+", p.g, p.delta)
         element = kp.conj() @ stroboscopic_generator(p, 0).data @ km
         assert element == pytest.approx(-1j * math.sqrt(2.0))
 

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jchsim import (
-    DensityMatrix,
     DimensionMismatchError,
     HilbertDims,
-    Ket,
     Operator,
     annihilation_at,
     atomic_lowering,
@@ -21,7 +19,7 @@ from jchsim import (
 )
 from jchsim.hilbert import ATOM_E, ATOM_G
 
-from conftest import brute_force_embed, expect_series, random_density_matrix, random_kets
+from conftest import brute_force_embed, expect_series, pure, random_density_matrix, random_kets
 
 
 def test_dims_validation():
@@ -62,12 +60,12 @@ def test_atomic_lowering():
     dims = HilbertDims(2)
     sm = atomic_lowering(dims)
     excited = bare_ket(dims, [(1, ATOM_E)])
-    lowered = sm.data @ excited.amplitudes
-    expected = bare_ket(dims, [(1, ATOM_G)]).amplitudes
+    lowered = sm.data @ excited
+    expected = bare_ket(dims, [(1, ATOM_G)])
     assert np.allclose(lowered, expected)
     # projector onto excited state
     proj = sm.dag() @ sm
-    assert proj.data @ excited.amplitudes == pytest.approx(excited.amplitudes)
+    assert proj.data @ excited == pytest.approx(excited)
     # nilpotency and adjoint relation
     assert np.all((sm @ sm).data == 0)
     assert np.allclose(sm.dag().data, sm.data.conj().T)
@@ -112,7 +110,7 @@ def test_hopping_matrix_element_against_kron_oracle():
     assert np.max(np.abs(hop.data - oracle)) < 1e-14
     bra = bare_ket(dims, [(0, ATOM_G), (1, ATOM_G)])
     ket = bare_ket(dims, [(1, ATOM_G), (0, ATOM_G)])
-    assert bra.amplitudes.conj() @ hop.data @ ket.amplitudes == pytest.approx(1.0)
+    assert bra.conj() @ hop.data @ ket == pytest.approx(1.0)
 
 
 def test_partial_trace_product_state(rng):
@@ -120,17 +118,17 @@ def test_partial_trace_product_state(rng):
     site = dims.site()
     rho_a = random_density_matrix(site.total_dim, rng)
     rho_b = random_density_matrix(site.total_dim, rng)
-    joint = DensityMatrix(dims, np.kron(rho_a, rho_b))
+    joint = Operator(dims, np.kron(rho_a, rho_b))
     assert np.max(np.abs(partial_trace(joint, 0).data - rho_a)) < 1e-12
     assert np.max(np.abs(partial_trace(joint, 1).data - rho_b)) < 1e-12
 
 
 def test_partial_trace_entangled_pair():
     dims = HilbertDims(2, 2)
-    up = bare_ket(dims, [(0, ATOM_E), (0, ATOM_G)]).amplitudes
-    down = bare_ket(dims, [(0, ATOM_G), (0, ATOM_E)]).amplitudes
-    bell = Ket(dims, (up + down) / np.sqrt(2.0))
-    reduced = partial_trace(bell.density_matrix(), 0)
+    up = bare_ket(dims, [(0, ATOM_E), (0, ATOM_G)])
+    down = bare_ket(dims, [(0, ATOM_G), (0, ATOM_E)])
+    bell = (up + down) / np.sqrt(2.0)
+    reduced = partial_trace(pure(dims, bell), 0)
     evals = np.sort(np.linalg.eigvalsh(reduced.data))[::-1]
     assert evals[0] == pytest.approx(0.5)
     assert evals[1] == pytest.approx(0.5)
@@ -139,19 +137,19 @@ def test_partial_trace_entangled_pair():
 
 def test_partial_trace_properties(rng):
     dims = HilbertDims(2, 2)
-    rho = DensityMatrix(dims, random_density_matrix(dims.total_dim, rng))
+    rho = Operator(dims, random_density_matrix(dims.total_dim, rng))
     for keep in (0, 1):
         reduced = partial_trace(rho, keep)
         assert abs(np.trace(reduced.data) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(reduced.data).min() > -1e-12
     single = HilbertDims(2, 1)
     with pytest.raises(DimensionMismatchError):
-        partial_trace(DensityMatrix(single, random_density_matrix(single.total_dim, rng)), 0)
+        partial_trace(Operator(single, random_density_matrix(single.total_dim, rng)), 0)
 
 
 def test_expectation_examples():
     dims = HilbertDims(2)
-    vac = bare_ket(dims, [(0, ATOM_G)]).amplitudes
+    vac = bare_ket(dims, [(0, ATOM_G)])
     number = excitation_number_at(dims, 0)
     identity = Operator(dims, np.eye(dims.total_dim, dtype=complex))
     assert expect_series(identity, vac[None])[0] == pytest.approx(1.0)
@@ -183,27 +181,14 @@ def test_expect_series_rejects_foreign_shapes():
             expect_series(op, np.zeros(shape, dtype=complex))
 
 
-def test_ket_and_density_validation():
-    dims = HilbertDims(2)
-    with pytest.raises(ValueError):
-        Ket(dims, np.ones(dims.total_dim, dtype=complex))
-    good = bare_ket(dims, [(1, ATOM_G)])
-    rho = good.density_matrix()
-    rho.validate()
-    bad = np.diag(np.linspace(1.0, -0.2, dims.total_dim)).astype(complex)
-    bad /= np.trace(bad)
-    with pytest.raises(ValueError):
-        DensityMatrix(dims, bad).validate()
-
-
 def test_product_ket_matches_bare():
     dims = HilbertDims(2, 2)
     left = bare_ket(dims.site(), [(1, ATOM_G)])
     right = bare_ket(dims.site(), [(0, ATOM_E)])
-    assert np.allclose(
-        product_ket(dims, [left, right]).amplitudes,
-        bare_ket(dims, [(1, ATOM_G), (0, ATOM_E)]).amplitudes,
-    )
+    expected = bare_ket(dims, [(1, ATOM_G), (0, ATOM_E)])
+    assert np.array_equal(product_ket(dims, [left, right]), expected)
+    with pytest.raises(DimensionMismatchError, match="site ket shape"):
+        product_ket(dims, [left, np.append(right, 0.0)])
 
 
 CACHED_BUILDERS = [fock_annihilation, atomic_lowering, annihilation_at, lowering_at,

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from jchsim import (
     DegenerateSteadyStateError,
-    DensityMatrix,
     DimensionMismatchError,
     HilbertDims,
-    Ket,
     Liouvillian,
     NumericalError,
     Operator,
@@ -39,7 +37,7 @@ from jchsim import (
 from jchsim.lindblad import (GRID_UNIFORMITY_TOL, ZERO_MODE_TOL, _closed_amplitudes, _groups,
                              _loss_floors, vectorize)
 
-from conftest import random_density_matrix, random_kets
+from conftest import pure, random_density_matrix, random_kets
 
 
 def brute_force_lindblad(h, channels, rho):
@@ -71,7 +69,7 @@ class TestDissipator:
         # excited-atom population decays as exp(-rate t)
         p = SystemParams(g=1e-9, omega_c=5.0, atom_decay=0.8, n_fock=2)
         liouv = build_liouvillian(build_jc(p), decay_channels(p))
-        excited = bare_ket(p.dims, [(0, 1)]).density_matrix()
+        excited = pure(p.dims, bare_ket(p.dims, [(0, 1)]))
         times = np.linspace(0.0, 4.0, 81)
         traj = evolve(liouv, excited, times)
         pop = traj.states[:, 1, 1].real
@@ -323,7 +321,7 @@ def test_steady_state_matches_the_dense_zero_mode(generator):
     d = liouv.dims.total_dim
     rho = v[:, zero[0]].reshape(d, d)
     rho = (rho + rho.conj().T) / 2.0
-    reference = DensityMatrix(liouv.dims, rho / np.trace(rho))
+    reference = Operator(liouv.dims, rho / np.trace(rho))
     assert trace_distance(steady_state(liouv), reference) < 1e-9
 
 
@@ -346,7 +344,7 @@ def test_steady_state_counts_the_oracle_kernel(generator):
         d = liouv.dims.total_dim
         rho = vh[-1].conj().reshape(d, d)
         rho = rho / np.trace(rho)
-        reference = DensityMatrix(liouv.dims, (rho + rho.conj().T) / 2.0)
+        reference = Operator(liouv.dims, (rho + rho.conj().T) / 2.0)
         assert trace_distance(steady_state(liouv), reference) < 1e-9
 
 
@@ -572,7 +570,7 @@ def test_defective_block_is_reached_only_from_manifold_two():
     p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=1.0, n_fock=2)
     liouv = standard_liouvillian(p)
     d = p.dims.total_dim
-    vacuum, photon, two = (bare_ket(p.dims, [(n, 0)]).amplitudes for n in (0, 1, 2))
+    vacuum, photon, two = (bare_ket(p.dims, [(n, 0)]) for n in (0, 1, 2))
     n = np.rint(np.diag(total_excitation(p.dims).data).real)
     low = np.flatnonzero(n <= 1)
     diagonal = (low[:, None] * d + low)[n[low][:, None] == n[low]]
@@ -633,7 +631,7 @@ def assert_matches_tenth_step(liouv, rho0, times):
 class TestEvolve:
     def test_zero_generator_constant(self, rng):
         dims = HilbertDims(2)
-        rho0 = DensityMatrix(dims, random_density_matrix(dims.total_dim, rng))
+        rho0 = Operator(dims, random_density_matrix(dims.total_dim, rng))
         traj = evolve(build_liouvillian(zero_hamiltonian(dims)), rho0, np.linspace(0.0, 2.0, 11))
         assert np.max(np.abs(traj.states - rho0.data)) < 1e-12
 
@@ -643,7 +641,7 @@ class TestEvolve:
         liouv = build_liouvillian(build_jc(p), [])
         photon = bare_ket(p.dims, [(1, 0)])
         times = np.linspace(0.0, math.pi, 201)
-        traj = evolve(liouv, photon.density_matrix(), times)
+        traj = evolve(liouv, pure(p.dims, photon), times)
         pop = traj.states[:, 2, 2].real  # |1,g> index = 2
         assert pop[0] == pytest.approx(1.0)
         assert pop[100] == pytest.approx(0.0, abs=1e-10)  # half period: fully atomic
@@ -653,7 +651,7 @@ class TestEvolve:
         p = SystemParams(delta=0.3, omega_c=10.0, cavity_decay=0.4, atom_decay=0.3, n_fock=3)
         liouv = standard_liouvillian(p)
         psi = bare_ket(p.dims, [(2, 1)])
-        traj = evolve(liouv, psi.density_matrix(), np.linspace(0.0, 10.0, 101))
+        traj = evolve(liouv, pure(p.dims, psi), np.linspace(0.0, 10.0, 101))
         assert traj.trace_drift() < 1e-8
         assert_exactly_hermitian(traj.states)
         assert traj.min_eigenvalue() > -1e-7
@@ -661,7 +659,7 @@ class TestEvolve:
     def test_spectral_matches_fixed_step(self):
         p = SystemParams(delta=0.3, omega_c=10.0, cavity_decay=0.4, n_fock=2)
         liouv = standard_liouvillian(p)
-        rho0 = bare_ket(p.dims, [(1, 1)]).density_matrix()
+        rho0 = pure(p.dims, bare_ket(p.dims, [(1, 1)]))
         assert_exact_propagation(liouv, rho0, np.linspace(0.0, 1.0, 11))
 
     def test_spectral_matches_fixed_step_strong_drive(self):
@@ -671,7 +669,7 @@ class TestEvolve:
             cavity_drive_detuning=500.0, cavity_decay=0.1, n_fock=4,
         )
         liouv = build_liouvillian(build_driven(p), decay_channels(p))
-        rho0 = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).density_matrix()
+        rho0 = pure(p.dims, site_polariton_ket(p.dims, 1, "-", p.g, p.delta))
         assert_exact_propagation(liouv, rho0, np.linspace(0.0, 0.5, 6))
 
     def test_non_uniform_grid_is_refused(self):
@@ -687,7 +685,7 @@ class TestEvolve:
         psi = bare_ket(dims, [(1, 0)])
         runs = (
             (partial(evolve, build_liouvillian(h, [(annihilation_at(dims, 0), 0.5)]),
-                     psi.density_matrix()), lambda traj: traj.states),
+                     pure(dims, psi)), lambda traj: traj.states),
             (partial(evolve_closed, h, psi), lambda amps: amps),
         )
         times = np.linspace(1.0, 2.0, 11)  # step 0.1
@@ -701,24 +699,43 @@ class TestEvolve:
                 with pytest.raises(ValueError, match="uniform"):
                     propagate(bad)
         # a stack of holds is checked row by row, each against its own step
-        hs, psis = np.stack([h.data] * 2), np.stack([psi.amplitudes] * 2)
+        hs, psis = np.stack([h.data] * 2), np.stack([psi] * 2)
         assert _closed_amplitudes(hs, psis, np.stack([times, 3 * nudged])).shape == (2, 11, 6)
         with pytest.raises(ValueError, match="uniform"):
             _closed_amplitudes(hs, psis, np.stack([times, 3 * strayed]))
 
     def test_grid_validation(self):
         dims = HilbertDims(2)
-        rho0 = bare_ket(dims, [(0, 0)]).density_matrix()
+        rho0 = pure(dims, bare_ket(dims, [(0, 0)]))
         with pytest.raises(ValueError):
             evolve(build_liouvillian(zero_hamiltonian(dims)), rho0, [0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             evolve(build_liouvillian(zero_hamiltonian(dims)), rho0, [0.0])
 
     def test_invalid_initial_state_rejected(self):
+        # a density matrix must be Hermitian, of unit trace and positive
         dims = HilbertDims(2)
-        bad = np.eye(dims.total_dim, dtype=complex)  # trace != 1
-        with pytest.raises(ValueError):
-            evolve(build_liouvillian(zero_hamiltonian(dims)), DensityMatrix(dims, bad), [0.0, 1.0])
+        liouv = build_liouvillian(zero_hamiltonian(dims))
+        evolve(liouv, pure(dims, bare_ket(dims, [(1, 0)])), [0.0, 1.0])
+        negative = np.diag(np.linspace(1.0, -0.2, dims.total_dim)).astype(complex)
+        skew = np.eye(dims.total_dim, dtype=complex) / dims.total_dim
+        skew[0, 1] = 0.1
+        for bad, match in ((negative / np.trace(negative), "negative eigenvalue"),
+                           (skew, "not Hermitian"),
+                           (np.eye(dims.total_dim, dtype=complex), "trace")):
+            with pytest.raises(ValueError, match=match):
+                evolve(liouv, Operator(dims, bad), [0.0, 1.0])
+
+    def test_evolve_closed_refuses_a_foreign_ket(self):
+        dims = HilbertDims(2)
+        h = build_jc(SystemParams(n_fock=2))
+        psi = bare_ket(dims, [(1, 0)])
+        evolve_closed(h, psi, [0.0, 1.0])
+        with pytest.raises(ValueError, match="not normalized"):
+            evolve_closed(h, 2 * psi, [0.0, 1.0])
+        for foreign in (bare_ket(HilbertDims(3), [(1, 0)]), psi[:-1], psi[None]):
+            with pytest.raises(DimensionMismatchError, match="ket shape"):
+                evolve_closed(h, foreign, [0.0, 1.0])
 
     def test_defective_generator_evolves_without_warning(self):
         # at zero detuning, no cavity loss and atom decay 4g the no-jump
@@ -731,7 +748,7 @@ class TestEvolve:
         with pytest.raises(NumericalError):
             liouv.modes()
         times = np.linspace(0.0, 1.0, 5)
-        traj = assert_matches_tenth_step(liouv, bare_ket(p.dims, [(1, 0)]).density_matrix(), times)
+        traj = assert_matches_tenth_step(liouv, pure(p.dims, bare_ket(p.dims, [(1, 0)])), times)
         pop = traj.states[:, 2, 2].real  # |1,g> index = 2
         assert np.abs(pop - (1.0 + times) ** 2 * np.exp(-2.0 * times)).max() < 1e-12
 
@@ -741,7 +758,7 @@ class TestEvolve:
         p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=1.0, n_fock=2)
         amps = np.zeros(p.dims.total_dim, dtype=complex)
         amps[[1, 2]] = 1 / math.sqrt(2)  # |0,e> + |1,g>, so every block is reached
-        rho0 = Ket(p.dims, amps).density_matrix()
+        rho0 = pure(p.dims, amps)
         traj = assert_matches_tenth_step(standard_liouvillian(p), rho0, np.linspace(0.0, 2.0, 21))
         assert traj.trace_drift() < 1e-13
 
@@ -757,11 +774,11 @@ def test_hamiltonian_evolution_matches_mixed_kets(n_kets, seed):
     h = Operator(dims, raw + raw.conj().T)
     kets = random_kets(d, n_kets, rng)
     weights = rng.dirichlet(np.ones(n_kets))
-    rho0 = DensityMatrix(dims, np.einsum("k,ki,kj->ij", weights, kets, kets.conj()))
+    rho0 = Operator(dims, np.einsum("k,ki,kj->ij", weights, kets, kets.conj()))
     times = rng.uniform(0.0, 3.0) + np.linspace(0.0, rng.uniform(0.1, 3.0), 6)
     mixture = 0.0
     for weight, ket in zip(weights, kets):
-        amps = evolve_closed(h, Ket(dims, ket), times)
+        amps = evolve_closed(h, ket, times)
         mixture = mixture + weight * np.einsum("ti,tj->tij", amps, amps.conj())
     traj = evolve(build_liouvillian(h), rho0, times)
     assert np.max(np.abs(traj.states - mixture)) < 1e-10
@@ -778,7 +795,7 @@ def test_evolve_keeps_states_physical_and_composes(generator, tau, samples, seed
     # (trace) and 8.9e-16 (chained states), so 1e-12 leaves a margin of 38
     _, liouv, _, _ = generator
     rng = np.random.default_rng(seed)
-    rho0 = DensityMatrix(liouv.dims, random_density_matrix(liouv.dims.total_dim, rng))
+    rho0 = Operator(liouv.dims, random_density_matrix(liouv.dims.total_dim, rng))
     whole = evolve(liouv, rho0, np.linspace(0.0, 2 * tau, 2 * samples - 1))
     first = evolve(liouv, rho0, np.linspace(0.0, tau, samples))
     second = evolve(liouv, first.state(-1), np.linspace(tau, 2 * tau, samples))
@@ -801,7 +818,7 @@ def test_real_coordinates_match_the_spectral_synthesis(generator, seed):
     _, liouv, _, _ = generator
     d = liouv.dims.total_dim
     rng = np.random.default_rng(seed)
-    rho0 = DensityMatrix(liouv.dims, random_density_matrix(d, rng))
+    rho0 = Operator(liouv.dims, random_density_matrix(d, rng))
     times = np.linspace(0.0, rng.uniform(0.1, 3.0), 7)
     traj = evolve(liouv, rho0, times)
     states = traj.states
@@ -826,7 +843,7 @@ def test_evolve_stays_in_the_closure_of_the_initial_state(generator, seed):
     part = rng.random(d) < 0.3
     part[rng.integers(d)] = True
     amps = np.where(part, rng.standard_normal(d) + 1j * rng.standard_normal(d), 0)
-    rho0 = Ket(liouv.dims, amps / np.linalg.norm(amps)).density_matrix()
+    rho0 = pure(liouv.dims, amps / np.linalg.norm(amps))
     times = np.linspace(0.0, rng.uniform(0.1, 3.0), 7)
     states = evolve(liouv, rho0, times).states.reshape(len(times), -1)
     outside = np.setdiff1d(np.arange(d * d), closure_oracle(oracle, vectorize(rho0.data) != 0))
@@ -862,7 +879,7 @@ def test_table_reads_match_the_dense_oracle(generator, samples, seed):
                       replace=False)
     amps = np.zeros(d, dtype=complex)
     amps[part] = rng.standard_normal(len(part)) + 1j * rng.standard_normal(len(part))
-    rho0 = Ket(liouv.dims, amps / np.linalg.norm(amps)).density_matrix()
+    rho0 = pure(liouv.dims, amps / np.linalg.norm(amps))
     times = np.linspace(0.0, rng.uniform(0.1, 3.0), samples)
     index = closure_oracle(oracle, vectorize(rho0.data) != 0)
     w, v = np.linalg.eig(oracle[np.ix_(index, index)])
@@ -898,7 +915,7 @@ def test_trace_drift_is_refused_at_the_last_sample():
     dims = HilbertDims(2)
     number = annihilation_at(dims, 0).dag() @ annihilation_at(dims, 0)
     leaky = Liouvillian(dims, -0.5j * 1.008e-8 * number.data, ())
-    rho0 = bare_ket(dims, [(1, 0)]).density_matrix()
+    rho0 = pure(dims, bare_ket(dims, [(1, 0)]))
     assert evolve(leaky, rho0, np.linspace(0.0, 63 / 64, 64)).trace_drift() < 1e-8
     with pytest.raises(NumericalError, match="trace drift 1.008e-08 exceeds"):
         evolve(leaky, rho0, np.linspace(0.0, 1.0, 65))
@@ -910,7 +927,7 @@ def test_selfcheck_decay_run_reaches_three_population_blocks():
     # oracle's entries lead to from vec(rho0), the populations of the three
     # manifolds, are ever nonzero: the coherences between them stay exactly 0
     p = SystemParams(delta=0.4, omega_c=50.0, cavity_decay=0.3, atom_decay=0.2, n_fock=3)
-    rho0 = bare_ket(p.dims, [(2, 0)]).density_matrix()
+    rho0 = pure(p.dims, bare_ket(p.dims, [(2, 0)]))
     times = np.linspace(0.0, 6.0, 121)
     states = evolve(standard_liouvillian(p), rho0, times).states.reshape(len(times), -1)
     oracle = kron_liouvillian(build_jch(p), decay_channels(p))
@@ -926,13 +943,13 @@ def test_hamiltonian_takes_no_fixed_step_method():
     h = build_jc(p)
     psi = bare_ket(p.dims, [(1, 0)])
     times = np.linspace(0.0, 1.0, 5)
-    for propagate, state in ((evolve_closed, psi), (evolve, psi.density_matrix())):
+    for propagate, state in ((evolve_closed, psi), (evolve, pure(p.dims, psi))):
         assert "method" not in inspect.signature(propagate).parameters
         generator = h if propagate is evolve_closed else build_liouvillian(h)
         with pytest.raises(TypeError):
             propagate(generator, state, times, method="rk4")
     amps = evolve_closed(h, psi, times)
-    halved = evolve(build_liouvillian(h), psi.density_matrix(), np.linspace(0.0, 1.0, 9))
+    halved = evolve(build_liouvillian(h), pure(p.dims, psi), np.linspace(0.0, 1.0, 9))
     mixture = np.einsum("ti,tj->tij", amps, amps.conj())
     assert np.max(np.abs(halved.states[::2] - mixture)) < 1e-12
 
@@ -974,7 +991,7 @@ def test_evolve_closed_block_route_matches_dense(generator, t_max):
     # 4.1e-14 (entries of H of order 1, t <= 10), so 1e-12 leaves a margin of 24
     dims, h, amps, reach = generator
     times = np.linspace(0.0, t_max, 7)
-    block = evolve_closed(Operator(dims, h), Ket(dims, amps), times)
+    block = evolve_closed(Operator(dims, h), amps, times)
     energies, vectors = np.linalg.eigh(h)
     dense = (np.exp(-1j * np.outer(times, energies)) * (vectors.conj().T @ amps)) @ vectors.T
     assert np.abs(block - dense).max() < 1e-12
@@ -1033,7 +1050,7 @@ class TestSteadyState:
     def test_undriven_decay_reaches_vacuum(self):
         p = SystemParams(delta=0.4, omega_c=9.0, cavity_decay=0.5, atom_decay=0.3, n_fock=3)
         rho_ss = steady_state(standard_liouvillian(p))
-        expected = bare_ket(p.dims, [(0, 0)]).density_matrix()
+        expected = pure(p.dims, bare_ket(p.dims, [(0, 0)]))
         assert trace_distance(rho_ss, expected) < 1e-10
 
     def test_two_cavity_vacuum_and_long_time_oracle(self):
@@ -1043,11 +1060,11 @@ class TestSteadyState:
         )
         liouv = standard_liouvillian(p)
         rho_ss = steady_state(liouv)
-        vacuum = bare_ket(p.dims, [(0, 0), (0, 0)]).density_matrix()
+        vacuum = pure(p.dims, bare_ket(p.dims, [(0, 0), (0, 0)]))
         assert trace_distance(rho_ss, vacuum) < 1e-9
         # long-time evolution oracle from an excited product state
         psi = bare_ket(p.dims, [(1, 0), (0, 1)])
-        traj = evolve(liouv, psi.density_matrix(), np.array([0.0, 60.0]))
+        traj = evolve(liouv, pure(p.dims, psi), np.array([0.0, 60.0]))
         assert trace_distance(traj.state(-1), rho_ss) < 1e-8
 
     def test_degenerate_zero_space_rejected(self):
@@ -1139,7 +1156,7 @@ class TestSteadyState:
         d = liouv.dims.total_dim
         rho = vh[-1].conj().reshape(d, d)
         rho = rho / np.trace(rho)
-        reference = DensityMatrix(liouv.dims, (rho + rho.conj().T) / 2.0)
+        reference = Operator(liouv.dims, (rho + rho.conj().T) / 2.0)
         assert trace_distance(steady_state(liouv), reference) < 1e-9
 
     def test_corrupted_null_vector_is_refused_by_the_residual(self, monkeypatch):
@@ -1165,7 +1182,7 @@ class TestSteadyState:
         # block, whose eigenbasis is singular up to a roundoff that depends on
         # the basis order; its kernel is one-dimensional in every order
         p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=1.0, n_fock=2)
-        vacuum = bare_ket(p.dims, [(0, 0)]).density_matrix().data
+        vacuum = pure(p.dims, bare_ket(p.dims, [(0, 0)])).data
         rng = np.random.default_rng(7)
         for _ in range(50):
             order = rng.permutation(p.dims.total_dim)
@@ -1175,7 +1192,7 @@ class TestSteadyState:
 
             liouv = build_liouvillian(relabel(build_jch(p)),
                                       [(relabel(jump), rate) for jump, rate in decay_channels(p)])
-            expected = DensityMatrix(p.dims, vacuum[np.ix_(order, order)])
+            expected = Operator(p.dims, vacuum[np.ix_(order, order)])
             assert trace_distance(steady_state(liouv), expected) < 1e-12
 
     def test_missing_zero_mode_rejected(self):
@@ -1197,7 +1214,7 @@ class TestPiecewise:
     def test_semigroup_property(self):
         p = SystemParams(delta=0.4, omega_c=9.0, n_fock=2)
         gen = build_liouvillian(build_jc(p))
-        rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
+        rho0 = pure(p.dims, bare_ket(p.dims, [(1, 0)]))
         first = evolve(gen, rho0, [0.0, 1.3])
         double = evolve(gen, first.state(-1), [1.3, 2.6])
         single = evolve(gen, rho0, [0.0, 2.6])
@@ -1207,19 +1224,19 @@ class TestPiecewise:
         p = SystemParams(delta=0.6, omega_c=9.0, n_fock=3)
         pulse = build_liouvillian(stroboscopic_generator(p, 0))
         km = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)
-        flipped = evolve(pulse, km.density_matrix(), np.linspace(0.0, math.pi / 2, 31))
+        flipped = evolve(pulse, pure(p.dims, km), np.linspace(0.0, math.pi / 2, 31))
         free = evolve(
             build_liouvillian(build_jc(p)), flipped.state(-1),
             np.linspace(math.pi / 2, math.pi / 2 + 3.0, 31),
         )
-        kp = site_polariton_ket(p.dims, 1, "+", p.g, p.delta).amplitudes
+        kp = site_polariton_ket(p.dims, 1, "+", p.g, p.delta)
         pop = np.einsum("a,tab,b->t", kp.conj(), free.states, kp).real
         assert np.max(np.abs(pop - 1.0)) < 1e-10
         assert free.times[0] == pytest.approx(math.pi / 2)
 
     def test_dimension_mismatch_across_segments(self):
         p = SystemParams(delta=0.4, omega_c=9.0, n_fock=2)
-        rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
+        rho0 = pure(p.dims, bare_ket(p.dims, [(1, 0)]))
         first = evolve(build_liouvillian(build_jc(p)), rho0, [0.0, 1.0])
         other = build_liouvillian(build_jc(SystemParams(n_fock=3)))
         with pytest.raises(DimensionMismatchError):
@@ -1227,7 +1244,7 @@ class TestPiecewise:
 
     def test_mixed_unitary_and_dissipative_segments(self):
         p = SystemParams(delta=0.4, omega_c=9.0, cavity_decay=0.5, n_fock=2)
-        rho0 = bare_ket(p.dims, [(1, 0)]).density_matrix()
+        rho0 = pure(p.dims, bare_ket(p.dims, [(1, 0)]))
         unitary = evolve(build_liouvillian(build_jc(p)), rho0, np.linspace(0.0, 0.7, 11))
         lossy = evolve(standard_liouvillian(p), unitary.state(-1), np.linspace(0.7, 2.7, 11))
         assert unitary.trace_drift() < 1e-8
@@ -1243,7 +1260,7 @@ class TestPiecewise:
         # second segment after photon loss has mixed the state; it starts
         # from the state it inherits, on its own clock
         p = SystemParams(delta=0.0, omega_c=10.0, atom_decay=4.0, n_fock=2)
-        rho0 = bare_ket(p.dims, [(2, 0)]).density_matrix()
+        rho0 = pure(p.dims, bare_ket(p.dims, [(2, 0)]))
         loss = evolve(build_liouvillian(zero_hamiltonian(p.dims), [(annihilation_at(p.dims, 0), 0.5)]),
                       rho0, [0.0, 1.0])
         traj = assert_matches_tenth_step(standard_liouvillian(p), loss.state(-1),

@@ -7,10 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jchsim import (
-    DensityMatrix,
     DimensionMismatchError,
     EffectiveModel,
-    Ket,
     NumericalError,
     Operator,
     SystemParams,
@@ -48,7 +46,7 @@ from jchsim.protocols import (
 from jchsim.selfcheck import run_selfcheck
 from jchsim.spectroscopy import local_maxima
 
-from conftest import expect_series, pair_amplitudes, random_kets
+from conftest import expect_series, pair_amplitudes, pure, random_kets
 
 TWO_SITE = SystemParams(omega_c=1e4, hopping=0.1, n_fock=3, n_cavities=2)
 # the ramp's column of the time-averaged population of each measured state
@@ -77,13 +75,13 @@ def site0_branch_series(kets: np.ndarray, p: SystemParams):
 class TestCoherence:
     def test_pure_branch_state_has_none(self):
         p = SystemParams(delta=0.4, omega_c=30.0, n_fock=3)
-        rho = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).density_matrix()
+        rho = pure(p.dims, site_polariton_ket(p.dims, 1, "-", p.g, p.delta))
         assert coherence(rho.data, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_balanced_superposition_is_maximal(self):
         p = SystemParams(delta=0.4, omega_c=30.0, n_fock=3)
-        km = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).amplitudes
-        kp = site_polariton_ket(p.dims, 1, "+", p.g, p.delta).amplitudes
+        km = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)
+        kp = site_polariton_ket(p.dims, 1, "+", p.g, p.delta)
         psi = (km + kp) / math.sqrt(2.0)
         rho = np.outer(psi, psi.conj())
         assert coherence(rho, p) == pytest.approx(1.0, abs=1e-12)
@@ -91,10 +89,10 @@ class TestCoherence:
     def test_two_site_states_are_reduced_first(self):
         p = TWO_SITE
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
-        p_up, p_lo, coh = site0_branch_series(psi.amplitudes[None], p)
+        p_up, p_lo, coh = site0_branch_series(psi[None], p)
         assert coh[0] == pytest.approx(0.0, abs=1e-14)
         assert p_up[0] == pytest.approx(0.0, abs=1e-14) and p_lo[0] == pytest.approx(1.0)
-        reduced = partial_trace(psi.density_matrix(), 0)
+        reduced = partial_trace(pure(p.dims, psi), 0)
         assert abs(np.trace(reduced.data) - 1.0) < 1e-12
 
 
@@ -106,9 +104,9 @@ def test_two_site_branch_series_reads_the_reduced_state(delta, samples, seed):
     p = SystemParams(delta=delta, omega_c=30.0, n_fock=2, n_cavities=2)
     kets = random_kets(p.dims.total_dim, samples, np.random.default_rng(seed))
     rhos = np.einsum("ti,tj->tij", kets, kets.conj())
-    up = site_polariton_ket(p.dims, 1, "+", p.g, p.delta).amplitudes
-    lo = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).amplitudes
-    reduced = np.array([partial_trace(DensityMatrix(p.dims, rho), 0).data for rho in rhos])
+    up = site_polariton_ket(p.dims, 1, "+", p.g, p.delta)
+    lo = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)
+    reduced = np.array([partial_trace(Operator(p.dims, rho), 0).data for rho in rhos])
     expected = (
         [(up.conj() @ r @ up).real for r in reduced],
         [(lo.conj() @ r @ lo).real for r in reduced],
@@ -213,7 +211,7 @@ class TestHoppingProbe:
                                                   TWO_SITE.g, TWO_SITE.delta)
                             for spec in (initial, target))
             amps = evolve_closed(build_jch(TWO_SITE), psi0, times)
-            expected = np.abs(amps @ target.amplitudes.conj()) ** 2
+            expected = np.abs(amps @ target.conj()) ** 2
             assert np.array_equal(columns[f"p_up_from_{name}"], expected)
             assert summary[f"max_p_up_from_{name}"] == expected.max()
         assert list(columns) == ["t", "p_up_from_1minus", "p_up_from_2minus"]
@@ -333,12 +331,12 @@ class TestEffectiveModel:
                 )
                 double_left = product_polariton_ket(
                     p.dims, [(2, branch), (0, "g")], p.g, p.delta
-                ).amplitudes
+                )
                 double_right = product_polariton_ket(
                     p.dims, [(0, "g"), (2, branch)], p.g, p.delta
-                ).amplitudes
+                )
                 sym = (double_left + double_right) / math.sqrt(2.0)
-                element = sym.conj() @ build_hopping(p).data @ pair.amplitudes
+                element = sym.conj() @ build_hopping(p).data @ pair
                 assert abs(model.b) == pytest.approx(abs(element), rel=1e-12)
 
     def test_no_hopping_collapses_coupling(self):
@@ -422,7 +420,7 @@ def site_marginals(pops: np.ndarray) -> np.ndarray:
 
 def hold_point(psi, p: SystemParams, hold_time: float, samples: int) -> dict:
     """_measure_holds on the one ket ``psi`` at p.delta, one float per column."""
-    holds = _measure_holds(psi.amplitudes[None], p, [p.delta], p.hopping, hold_time, samples)
+    holds = _measure_holds(psi[None], p, [p.delta], p.hopping, hold_time, samples)
     return {name: column[0] for name, column in holds.items()}
 
 
@@ -431,14 +429,14 @@ def overlap_hold(psi, amps: np.ndarray, times: np.ndarray, p: SystemParams) -> d
     overlaps with the rebuilt product kets of the measured states and the
     operator variance."""
 
-    def pure(spec):
-        return product_polariton_ket(p.dims, parse_state_spec(spec), p.g, p.delta).amplitudes
+    def named(spec):
+        return product_polariton_ket(p.dims, parse_state_spec(spec), p.g, p.delta)
 
     oracle = {"var": operator_variance(times, partial(expect_series, series=amps), p.dims),
-              "p_lp": abs(psi.amplitudes.conj() @ pure("1-,1-")) ** 2,
-              "p_up": abs(psi.amplitudes.conj() @ pure("1+,1+")) ** 2}
+              "p_lp": abs(psi.conj() @ named("1-,1-")) ** 2,
+              "p_up": abs(psi.conj() @ named("1+,1+")) ** 2}
     for spec in MEASUREMENT_STATES:
-        population = np.abs(amps @ pure(spec).conj()) ** 2
+        population = np.abs(amps @ named(spec).conj()) ** 2
         oracle[STATE_COLUMNS[spec]] = np.trapezoid(population, times) / times[-1]
     return oracle
 
@@ -465,9 +463,9 @@ def test_hold_measurement_matches_overlap_oracle(delta, hopping, initial):
 def stepwise_chain(psi, pulse, pulse_time: float, count: int) -> np.ndarray:
     """(count, D) carried states of a pulsed ramp built one two-point pulse
     at a time, renormalised after each."""
-    states = [psi.amplitudes]
+    states = [psi]
     for _ in range(count):
-        amps = evolve_closed(pulse, Ket(psi.dims, states[-1]), np.array([0.0, pulse_time]))[-1]
+        amps = evolve_closed(pulse, states[-1], np.array([0.0, pulse_time]))[-1]
         states.append(amps / np.linalg.norm(amps))
     return np.array(states[1:])
 
@@ -489,7 +487,7 @@ def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
     p = TWO_SITE.with_(hopping=hopping, delta=deltas[0])
     psi = product_polariton_ket(p.dims, parse_state_spec(initial), p.g, p.delta)
     if chain == "static":
-        psis = np.repeat(psi.amplitudes[None], len(deltas), axis=0)
+        psis = np.repeat(psi[None], len(deltas), axis=0)
     else:
         pulse = ramp_pulse(p, 1, chain == "strict")
         psis = stepwise_chain(psi, pulse, math.pi / (2.0 * p.g), len(deltas))
@@ -499,9 +497,8 @@ def test_batched_holds_match_separate_oracles(deltas, hopping, initial, chain):
     _, _, pairs, kept = _hold_amplitudes(psis, p, deltas, hopping, times[-1], len(times))
     for k, (delta, start, reached) in enumerate(zip(deltas, psis, kept)):
         pk = p.with_(delta=delta)
-        ket = Ket(pk.dims, start)
-        amps = evolve_closed(build_jch(pk), ket, times)
-        for name, value in overlap_hold(ket, amps, times, pk).items():
+        amps = evolve_closed(build_jch(pk), start, times)
+        for name, value in overlap_hold(start, amps, times, pk).items():
             assert abs(holds[name][k] - value) < 1e-12
         # the kept dressed pairs carry every amplitude of the dense rotation
         _, (basis,) = dressed_bases(pk.dims, pk.g, [delta])
@@ -586,7 +583,7 @@ class TestOrderParameter:
         # hopping strength
         p = SystemParams(delta=0.2, omega_c=9.0, cavity_decay=0.3, n_fock=2)
         liouv = build_liouvillian(build_jch(p), [])
-        rho0 = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).density_matrix()
+        rho0 = pure(p.dims, site_polariton_ket(p.dims, 1, "-", p.g, p.delta))
         times = np.linspace(0.0, 2.0, 301)
         traj = evolve(liouv, rho0, times)
         value = _number_variance(traj.times, site_marginals(dressed_populations(traj.states, p)))
@@ -618,7 +615,7 @@ class TestOrderParameter:
         psi = product_polariton_ket(p.dims, parse_state_spec("1+,1+"), p.g, p.delta)
         # the populations the hold kernel reads, scattered into (T, ds, ds)
         (times,), labels, pairs, (reached,) = _hold_amplitudes(
-            psi.amplitudes[None], p, [p.delta], p.hopping, 1.0 / p.hopping, 401)
+            psi[None], p, [p.delta], p.hopping, 1.0 / p.hopping, 401)
         pops = np.zeros((len(times), len(labels), len(labels)))
         pops[:, pairs[0], pairs[1]] = np.abs(reached) ** 2
         counts = ((np.arange(pops.shape[1]) + 1) // 2).astype(np.longdouble)
@@ -701,7 +698,7 @@ class TestRampExperiment:
         psi = product_polariton_ket(p.dims, parse_state_spec("1-,1-"), p.g, p.delta)
         gen = stroboscopic_generator(p, 0)
         amps = evolve_closed(gen, psi, np.array([0.0, math.pi]))[-1]
-        overlap = abs(psi.amplitudes.conj() @ amps)
+        overlap = abs(psi.conj() @ amps)
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_separability_bound(self):

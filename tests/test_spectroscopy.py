@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jchsim import (
-    DensityMatrix,
     NumericalError,
+    Operator,
     Spectrum,
     SystemParams,
     absorption_spectrum,
@@ -27,6 +27,8 @@ from jchsim import (
 )
 from jchsim.experiments import _run_spectrum
 from jchsim.spectroscopy import local_maxima, parabolic_refine
+
+from conftest import pure
 
 
 def offsets(params):
@@ -56,14 +58,14 @@ class TestCorrelationFunction:
         liouv = standard_liouvillian(p)
         vac = site_polariton_ket(p.dims, 1, "-", p.g, p.delta)  # stationary eigenstate
         with pytest.raises(NumericalError, match="does not decay"):
-            absorption_spectrum(liouv, vac.density_matrix(), annihilation_at(p.dims, 0), offsets(p))
+            absorption_spectrum(liouv, pure(p.dims, vac), annihilation_at(p.dims, 0), offsets(p))
 
     def test_nonstationary_state_rejected(self, resonant_setup):
         params, liouv, _ = resonant_setup
         moving = site_polariton_ket(params.dims, 2, "-", params.g, params.delta)
         with pytest.raises(NumericalError, match="absorption_spectrum: state is not stationary"):
             absorption_spectrum(
-                liouv, moving.density_matrix(), annihilation_at(params.dims, 0), offsets(params)
+                liouv, pure(params.dims, moving), annihilation_at(params.dims, 0), offsets(params)
             )
 
     def test_state_moving_only_off_its_support_is_rejected(self, resonant_setup):
@@ -73,8 +75,8 @@ class TestCorrelationFunction:
         # the check reads on the closure of that support
         params, liouv, rho_ss = resonant_setup
         p = 1.5e-6
-        photon = bare_ket(params.dims, [(1, 0)]).density_matrix().data
-        rho = DensityMatrix(params.dims, (1 - p) * rho_ss.data + p * photon)
+        photon = pure(params.dims, bare_ket(params.dims, [(1, 0)])).data
+        rho = Operator(params.dims, (1 - p) * rho_ss.data + p * photon)
         with pytest.raises(NumericalError, match="not stationary .* = 1.500e-06"):
             absorption_spectrum(liouv, rho, annihilation_at(params.dims, 0), offsets(params))
 
@@ -342,7 +344,7 @@ class TestPeakPrimitives:
 def test_spectrum_rejects_undamped_generator():
     p = SystemParams(omega_c=100.0, delta=0.0, n_fock=3)
     liouv = standard_liouvillian(p)
-    stationary = site_polariton_ket(p.dims, 1, "-", p.g, p.delta).density_matrix()
+    stationary = pure(p.dims, site_polariton_ket(p.dims, 1, "-", p.g, p.delta))
     with pytest.raises(NumericalError, match="does not decay"):
         absorption_spectrum(liouv, stationary, annihilation_at(p.dims, 0), np.linspace(-4, 4, 11))
 

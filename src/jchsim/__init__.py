@@ -24,11 +24,9 @@ from .hilbert import (
     total_excitation,
 )
 from .polariton import (
-    LadderCoefficients,
     branch_splitting,
     dressed_bases,
-    ladder_coefficients,
-    ladder_coefficients_for,
+    dressed_ladders,
     mixing_angle,
     polariton_energy,
     product_polariton_ket,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericalError
 from .hilbert import (
     HilbertDims,
     Operator,
@@ -153,8 +153,13 @@ def rabi_frequency(params: SystemParams):
     """
     if params.cavity_drive_detuning == 0:
         raise ValueError("cavity drive detuning must be nonzero for the Rabi estimate")
-    shift = params.atom_drive**2 / params.cavity_drive_detuning
-    omega_r = 2.0 * math.sqrt(params.g**2 + shift**2)
+    try:
+        shift = params.atom_drive**2 / params.cavity_drive_detuning
+        omega_r = 2.0 * math.sqrt(params.g**2 + shift**2)
+    except OverflowError:  # float ** raises on overflow where float / returns inf
+        omega_r = math.inf
+    if math.isinf(omega_r):
+        raise NumericalError(f"rabi_frequency overflows at atom_drive = {params.atom_drive!r}")
     return omega_r, 2.0 * math.pi / omega_r
 
 

@@ -1,19 +1,19 @@
 """Weak-drive perturbation series of the driven cavity in the dressed basis.
 
 :func:`dressed_drive` gives the dressed energies E0 as one vector and the
-drive V as one matrix, both in the label order of :func:`dressed_bases`; the
-series works on them by index.  The drive only connects neighbouring
-excitation manifolds, so V is strictly off-diagonal: first-order energy
-shifts vanish for every label.  Labels joined by a drive coupling that is
-not small against their level gap (|V|/gap above :data:`CLUSTER_RATIO`)
-form a quasi-degenerate cluster; every other label is a cluster of its own.  One
-formula gives every shift through second order: the eigenvalues of the
-cluster's second-order Loewdin effective Hamiltonian (Loewdin, J. Chem.
-Phys. 19, 1396 (1951)), which on a lone label k is the Rayleigh-Schroedinger
-sum sum_l |V_lk|^2 / (E0[k] - E0[l]).  Every coupling left between two
-clusters has a gap of at least |V| / CLUSTER_RATIO, so no denominator of
-the series is small and no separate degeneracy guard is needed.  Every
-contributing term of a lone label, and one line per cluster, is also
+drive V, read off :func:`dressed_ladders`, as one matrix, both in the label
+order of :func:`dressed_bases`; the series works on them by index.  The drive
+only connects neighbouring excitation manifolds, so V is strictly
+off-diagonal: first-order energy shifts vanish for every label.  Labels joined
+by a drive coupling that is not small against their level gap (|V|/gap above
+:data:`CLUSTER_RATIO`) form a quasi-degenerate cluster; every other label is a
+cluster of its own.  One formula gives every shift through second order: the
+eigenvalues of the cluster's second-order Loewdin effective Hamiltonian
+(Loewdin, J. Chem. Phys. 19, 1396 (1951)), which on a lone label k is the
+Rayleigh-Schroedinger sum sum_l |V_lk|^2 / (E0[k] - E0[l]).  Every coupling
+left between two clusters has a gap of at least |V| / CLUSTER_RATIO, so no
+denominator of the series is small and no separate degeneracy guard is needed.
+Every contributing term of a lone label, and one line per cluster, is also
 recorded in a human-readable table so the sign and denominator of each
 contribution can be audited one by one.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonians import SystemParams, build_driven
-from .polariton import GROUND, dressed_bases, label, ladder_coefficients_for, polariton_energy
+from .polariton import GROUND, dressed_bases, dressed_ladders, polariton_energy
 
 REPORT_LABELS = (GROUND, "1-", "1+", "2-", "2+")
 # |V|/gap above which two coupled labels join one quasi-degenerate cluster
@@ -38,27 +38,15 @@ def dressed_drive(params: SystemParams):
     <m|V|k>`` between them.
 
     The step from manifold n-1 to n carries i (atom_drive w_atom + cavity_drive
-    w_cavity) for each ladder family, with the weights of
-    :func:`ladder_coefficients_for`; the two interchanging families start at
-    n = 2.
+    w_cavity) for each ladder family, with the weights w read off
+    :func:`dressed_ladders`; the two interchanging families start at n = 2.
     """
     g, delta, n_fock = params.g, params.delta, params.n_fock
-    labels = (GROUND, *(label(n, b) for n in range(1, n_fock + 1) for b in "-+"))
+    labels, a_dag, s_plus = dressed_ladders(params.dims, g, delta)
     e0 = np.array([0.0, *(polariton_energy(n, b, g, delta, params.cavity_drive_detuning)
                           for n in range(1, n_fock + 1) for b in "-+")])
-    v = np.zeros((len(labels), len(labels)), dtype=complex)
-    om, al = params.atom_drive, params.cavity_drive
-    for n in range(1, n_fock + 1):
-        co = ladder_coefficients_for(n, g, delta)
-        families = [("+", "+", co.a_c_plus, co.c_plus), ("-", "-", co.a_c_minus, co.c_minus)]
-        if n >= 2:
-            families += [("+", "-", co.a_k_pm, co.k_pm), ("-", "+", co.a_k_mp, co.k_mp)]
-        for upper, lower, atom_weight, cavity_weight in families:
-            amp = 1j * (om * atom_weight + al * cavity_weight)
-            i, j = labels.index(label(n, upper)), labels.index(label(n - 1, lower))
-            # V is Hermitian and amp imaginary: <lower|V|upper> = conj(amp) = -amp
-            v[i, j], v[j, i] = amp, -amp
-    return labels, e0, v
+    up = (params.atom_drive * s_plus + params.cavity_drive * a_dag)[:-1, :-1]
+    return labels[:-1], e0, 1j * (up - up.T)
 
 
 def _clusters(e0: np.ndarray, v: np.ndarray):

@@ -4,11 +4,10 @@ Each excitation manifold n >= 1 is spanned by |n,g> and |n-1,e> and splits
 into a lower (-) and upper (+) branch rotated by the mixing angle theta_n.
 :func:`dressed_bases` is the one writer of dressed states: it stacks the
 site bases at K detunings, whose columns are the kets of
-:func:`site_polariton_ket`.  Observables and the matrix elements of the
-photon and atom raising operators are read in that basis.  Those elements
-between neighbouring manifolds are the four ladder weights of
-:func:`ladder_coefficients`: two that stay within a branch and two that
-interchange branches.
+:func:`site_polariton_ket`.  Observables are read in that basis, and
+:func:`dressed_ladders` writes the photon and atom raising operators in it.
+Their elements between neighbouring manifolds are the four ladder weights of
+each step: two that stay within a branch and two that interchange branches.
 
 The truncated space has one leftover state |n_fock, e> (its would-be partner
 |n_fock + 1, g> is cut off); it is carried as the explicit ``OVERFLOW`` label
@@ -17,11 +16,10 @@ so that basis transforms stay unitary on the whole space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOM_E, ATOM_G, HilbertDims, product_ket
+from .hilbert import ATOM_E, ATOM_G, HilbertDims, atomic_lowering, fock_annihilation, product_ket
 
 GROUND = "G"
 OVERFLOW = "overflow"
@@ -106,76 +104,29 @@ def dressed_bases(dims: HilbertDims, g: float, deltas) -> tuple:
     holds cos(theta_n) at |n,g> and -sin(theta_n) at |n-1,e>, column (n, +)
     sin and cos."""
     site = dims.site()
+    ns = np.arange(1, site.n_fock + 1)
+    trig = np.array([(math.cos(t), math.sin(t)) for t in
+                     (mixing_angle(n, g, delta) for delta in deltas for n in ns.tolist())])
+    cos, sin = trig.reshape(len(deltas), site.n_fock, 2).transpose(2, 0, 1)
+    # rows |n,g> and |n-1,e>; columns (n, -) and (n, +)
+    row_g, row_e, minus, plus = 2 * ns + ATOM_G, 2 * (ns - 1) + ATOM_E, 2 * ns - 1, 2 * ns
     out = np.zeros((len(deltas), site.site_dim, site.site_dim), dtype=complex)
     out[:, site.site_index(0, ATOM_G), 0] = 1.0
-    for n in range(1, site.n_fock + 1):
-        rows = [site.site_index(n, ATOM_G), site.site_index(n - 1, ATOM_E)]
-        theta = [mixing_angle(n, g, delta) for delta in deltas]
-        cos, sin = np.array([(math.cos(t), math.sin(t)) for t in theta]).T
-        out[:, rows, 2 * n - 1] = np.column_stack([cos, -sin])
-        out[:, rows, 2 * n] = np.column_stack([sin, cos])
+    out[:, row_g, minus], out[:, row_e, minus] = cos, -sin
+    out[:, row_g, plus], out[:, row_e, plus] = sin, cos
     out[:, site.site_index(site.n_fock, ATOM_E), -1] = 1.0
     labels = (GROUND, *(label(n, b) for n in range(1, site.n_fock + 1) for b in "-+"), OVERFLOW)
     return labels, out
 
 
-@dataclass(frozen=True)
-class LadderCoefficients:
-    """Weights of the four polariton ladder families in one manifold step.
-
-    ``c_plus``/``c_minus`` keep the branch; ``k_pm`` raises |n-1,-> to |n,+>
-    and ``k_mp`` raises |n-1,+> to |n,->.  The ``a_*`` set plays the same
-    role for the atomic raising operator.
-    """
-
-    n: int
-    c_plus: float
-    c_minus: float
-    k_pm: float
-    k_mp: float
-    a_c_plus: float
-    a_c_minus: float
-    a_k_pm: float
-    a_k_mp: float
-
-
-def ladder_coefficients(n: int, theta_n: float, theta_prev: float) -> LadderCoefficients:
-    """Ladder weights for the step from manifold n-1 to n.
-
-    For n = 1 pass any ``theta_prev``; the cross-family weights vanish there
-    because the ground state has no branch structure.
-    """
-    if n < 1:
-        raise ValueError("ladder coefficients are defined for n >= 1")
-    sin_n, cos_n = math.sin(theta_n), math.cos(theta_n)
-    if n == 1:
-        return LadderCoefficients(
-            n=1,
-            c_plus=sin_n,
-            c_minus=cos_n,
-            k_pm=0.0,
-            k_mp=0.0,
-            a_c_plus=cos_n,
-            a_c_minus=-sin_n,
-            a_k_pm=0.0,
-            a_k_mp=0.0,
-        )
-    sin_p, cos_p = math.sin(theta_prev), math.cos(theta_prev)
-    rt_n, rt_m = math.sqrt(n), math.sqrt(n - 1)
-    return LadderCoefficients(
-        n=n,
-        c_plus=rt_n * sin_n * sin_p + rt_m * cos_n * cos_p,
-        c_minus=rt_n * cos_n * cos_p + rt_m * sin_n * sin_p,
-        k_pm=rt_n * sin_n * cos_p - rt_m * cos_n * sin_p,
-        k_mp=rt_n * cos_n * sin_p - rt_m * sin_n * cos_p,
-        a_c_plus=cos_n * sin_p,
-        a_c_minus=-sin_n * cos_p,
-        a_k_pm=cos_n * cos_p,
-        a_k_mp=-sin_n * sin_p,
-    )
-
-
-def ladder_coefficients_for(n: int, g: float, delta: float) -> LadderCoefficients:
-    theta_n = mixing_angle(n, g, delta)
-    theta_prev = mixing_angle(n - 1, g, delta) if n >= 2 else 0.0
-    return ladder_coefficients(n, theta_n, theta_prev)
+def dressed_ladders(dims: HilbertDims, g: float, delta: float) -> tuple:
+    """(labels, a_dag, s_plus): the site's photon and atom raising operators as
+    real (ds, ds) matrices B^dag op B, B from :func:`dressed_bases` at ``delta``,
+    in its label order.  The element from (n-1, b') to (n, b) is a ladder
+    weight that keeps the branch for b = b' and interchanges it otherwise;
+    every element within a manifold or between manifolds that are not
+    neighbours is exactly 0."""
+    labels, (basis,) = dressed_bases(dims, g, [delta])
+    basis = basis.real
+    a, sm = fock_annihilation(dims).data.real, atomic_lowering(dims).data.real
+    return labels, basis.T @ a.T @ basis, basis.T @ sm.T @ basis

@@ -33,8 +33,8 @@ from .lindblad import _closed_amplitudes, _ket_reach, build_liouvillian, evolve,
 from .polariton import (
     GROUND,
     dressed_bases,
+    dressed_ladders,
     label,
-    ladder_coefficients_for,
     parse_state_spec,
     polariton_energy,
     product_polariton_ket,
@@ -399,12 +399,9 @@ def effective_model(params: SystemParams, branch: str) -> EffectiveModel:
     """Effective 2x2 Hamiltonian for the |1b,1b> <-> (|2b,0>+|0,2b>)/sqrt(2) pair."""
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    co1 = ladder_coefficients_for(1, params.g, params.delta)
-    co2 = ladder_coefficients_for(2, params.g, params.delta)
-    if branch == "-":
-        pair_product = co2.c_minus * co1.c_minus
-    else:
-        pair_product = co2.c_plus * co1.c_plus
+    labels, a_dag, _ = dressed_ladders(params.dims, params.g, params.delta)
+    one, two = labels.index(label(1, branch)), labels.index(label(2, branch))
+    pair_product = float(a_dag[two, one] * a_dag[one, labels.index(GROUND)])
     e1 = polariton_energy(1, branch, params.g, params.delta, 0.0)
     e2 = polariton_energy(2, branch, params.g, params.delta, 0.0)
     b = -math.sqrt(2.0) * params.hopping * pair_product

@@ -103,7 +103,7 @@ def run_selfcheck() -> dict:
 
     # the driven Hamiltonian in the dressed basis, the overflow left out, is the
     # perturbation series' E0 on the diagonal plus its drive, read from the
-    # ladder weights
+    # raising operators of dressed_ladders
     worst_rebuild = 0.0
     for delta in (0.0, 1.3):
         p = single.with_(
@@ -117,12 +117,13 @@ def run_selfcheck() -> dict:
         worst_rebuild = max(worst_rebuild, float(np.max(np.abs(rebuilt))))
     checks["ladder_reconstruction"] = _check(worst_rebuild, 1e-10)
 
-    sym_err = 0.0
-    for n in (2, 3):
-        co_pos = polariton.ladder_coefficients_for(n, 1.0, 1.1)
-        co_neg = polariton.ladder_coefficients_for(n, 1.0, -1.1)
-        sym_err = max(sym_err, abs(co_pos.k_pm - co_neg.k_mp))
-    checks["coefficient_detuning_symmetry"] = _check(sym_err, 1e-12)
+    # k_pm = a^dag[n+, (n-1)-] at delta equals k_mp = a^dag[n-, (n-1)+] at -delta
+    labels, a_pos, _ = polariton.dressed_ladders(dims, 1.0, 1.1)
+    _, a_neg, _ = polariton.dressed_ladders(dims, 1.0, -1.1)
+    at = labels.index
+    sym_err = max(abs(a_pos[at(f"{n}+"), at(f"{n - 1}-")] - a_neg[at(f"{n}-"), at(f"{n - 1}+")])
+                  for n in (2, 3))
+    checks["coefficient_detuning_symmetry"] = _check(float(sym_err), 1e-12)
 
     # --- Hamiltonians -----------------------------------------------------
     builders = [build_jc(pair), build_hopping(pair), build_jch(pair)]

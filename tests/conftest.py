@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,21 +70,40 @@ def pair_amplitudes(kets: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def ladder_matrix(labels, g: float, delta: float, atomic: bool = False) -> np.ndarray:
     """a^dag (sigma^+ when ``atomic``) in the dressed basis of ``labels`` at
-    ``g`` and ``delta`` as the ladder weights place it: <n b|op|n-1 b'> is the
-    weight of the step from branch b' to b, and every other element, the
-    overflow label's included, is 0."""
-    from jchsim.polariton import label, ladder_coefficients_for
+    ``g`` and ``delta`` from the closed-form ladder weights: <n b|op|n-1 b'> is
+    the weight of the step from branch b' to b, and every other element, the
+    overflow label's included, is 0.  With s_n, c_n the sine and cosine of the
+    mixing angle theta_n and s_p, c_p those of theta_(n-1), the step n-1 -> n
+    (n >= 2) has the a^dag weights
+
+        ++ sqrt(n) s_n s_p + sqrt(n-1) c_n c_p    +- sqrt(n) s_n c_p - sqrt(n-1) c_n s_p
+        -- sqrt(n) c_n c_p + sqrt(n-1) s_n s_p    -+ sqrt(n) c_n s_p - sqrt(n-1) s_n c_p
+
+    and the sigma^+ weights ++ c_n s_p, -- -s_n c_p, +- c_n c_p, -+ -s_n s_p;
+    from the ground state a^dag reaches 1+ with s_1 and 1- with c_1, sigma^+
+    reaches them with c_1 and -s_1."""
+    from jchsim.polariton import label, mixing_angle
 
     out = np.zeros((len(labels),) * 2)
     for n in range(1, len(labels) // 2):  # G, the n_fock doublets and the overflow
-        co = ladder_coefficients_for(n, g, delta)
-        if atomic:
-            weights = {("+", "+"): co.a_c_plus, ("-", "-"): co.a_c_minus,
-                       ("+", "-"): co.a_k_pm, ("-", "+"): co.a_k_mp}
+        theta = mixing_angle(n, g, delta)
+        sin_n, cos_n = math.sin(theta), math.cos(theta)
+        if n == 1:
+            # the ground state has no branch: only the branch-keeping families step from it
+            weights = ({("+", "+"): cos_n, ("-", "-"): -sin_n} if atomic
+                       else {("+", "+"): sin_n, ("-", "-"): cos_n})
         else:
-            weights = {("+", "+"): co.c_plus, ("-", "-"): co.c_minus,
-                       ("+", "-"): co.k_pm, ("-", "+"): co.k_mp}
-        # at n = 1 both lower labels are the ground state and the cross weights are 0
+            theta_prev = mixing_angle(n - 1, g, delta)
+            sin_p, cos_p = math.sin(theta_prev), math.cos(theta_prev)
+            rt_n, rt_m = math.sqrt(n), math.sqrt(n - 1)
+            if atomic:
+                weights = {("+", "+"): cos_n * sin_p, ("-", "-"): -sin_n * cos_p,
+                           ("+", "-"): cos_n * cos_p, ("-", "+"): -sin_n * sin_p}
+            else:
+                weights = {("+", "+"): rt_n * sin_n * sin_p + rt_m * cos_n * cos_p,
+                           ("-", "-"): rt_n * cos_n * cos_p + rt_m * sin_n * sin_p,
+                           ("+", "-"): rt_n * sin_n * cos_p - rt_m * cos_n * sin_p,
+                           ("-", "+"): rt_n * cos_n * sin_p - rt_m * sin_n * cos_p}
         for (upper, lower), weight in weights.items():
-            out[labels.index(label(n, upper)), labels.index(label(n - 1, lower))] += weight
+            out[labels.index(label(n, upper)), labels.index(label(n - 1, lower))] = weight
     return out

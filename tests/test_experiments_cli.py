@@ -519,11 +519,22 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "experiment, line",
-        [("variance_compare", "delta_values = 1e308"), ("driven_oscillation", "atom_drive = 1e200")],
+        "experiment, line, fragment",
+        [
+            pytest.param("variance_compare", "delta_values = 1e308", "overflow encountered",
+                         id="variance_compare-delta_values = 1e308"),
+            # the closed-form Rabi estimate overflows in atom_drive**2, then in shift**2
+            pytest.param("driven_oscillation", "atom_drive = 1e200",
+                         "rabi_frequency overflows at atom_drive = 1e+200",
+                         id="driven_oscillation-atom_drive = 1e200"),
+            pytest.param("driven_oscillation", "atom_drive = 1e100",
+                         "rabi_frequency overflows at atom_drive = 1e+100",
+                         id="driven_oscillation-atom_drive = 1e100"),
+        ],
     )
-    def test_arithmetic_overflow_prints_one_line(self, tmp_path, experiment, line):
-        # the first overflow stops the run, before numpy writes any warning
+    def test_arithmetic_overflow_prints_one_line(self, tmp_path, experiment, line, fragment):
+        # the first overflow stops the run, before numpy writes any warning,
+        # with a message that names what overflowed
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"experiment = {experiment}\n{line}\n")
         run = _fresh_python("-m", "jchsim.cli", "run", str(cfg), "--output-dir",
@@ -531,6 +542,7 @@ class TestCli:
         assert run.returncode == 3
         assert len(run.stderr.splitlines()) == 1, run.stderr
         assert run.stderr.startswith(f"numerical failure in {experiment}: ")
+        assert fragment in run.stderr, run.stderr
 
     def test_no_command_imports_numpy_ma(self, tmp_path):
         # numpy.ma costs milliseconds to import on first use; no shipped config

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jchsim import (
@@ -14,10 +14,11 @@ from jchsim import (
     build_jc,
     build_jch,
     dressed_bases,
+    dressed_drive,
+    dressed_ladders,
+    effective_model,
     evolve_closed,
     fock_annihilation,
-    ladder_coefficients,
-    ladder_coefficients_for,
     mixing_angle,
     polariton_energy,
     product_polariton_ket,
@@ -117,76 +118,92 @@ class TestEnergies:
         assert e_up - e_lo == pytest.approx(branch_splitting(2, 1.0, 0.7))
 
 
+def weight(op: str, upper: str, lower: str, delta: float) -> float:
+    """The ladder weight <upper|op|lower> of :func:`dressed_ladders` on ``DIMS``
+    at g = 1, op ``'a'`` for a^dag and ``'s'`` for sigma^+."""
+    labels, a_dag, s_plus = dressed_ladders(DIMS, 1.0, delta)
+    return {"a": a_dag, "s": s_plus}[op][labels.index(upper), labels.index(lower)]
+
+
 class TestLadderCoefficients:
+    """The ladder weights read off dressed_ladders: <n b|a^dag|n-1 b'> keeps
+    the branch for b = b', and k_pm (1- to 2+) and k_mp (1+ to 2-) interchange it."""
+
     def test_resonant_step_two_values(self):
-        co = ladder_coefficients_for(2, 1.0, 0.0)
-        assert co.c_minus == pytest.approx((math.sqrt(2) + 1) / 2, abs=1e-12)
-        assert co.k_pm == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-12)
-        assert co.k_mp == pytest.approx(co.k_pm, abs=1e-15)
+        assert weight("a", "2-", "1-", 0.0) == pytest.approx((math.sqrt(2) + 1) / 2, abs=1e-12)
+        k_pm = weight("a", "2+", "1-", 0.0)
+        assert k_pm == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-12)
+        assert weight("a", "2-", "1+", 0.0) == pytest.approx(k_pm, abs=1e-15)
 
     def test_first_step_specials(self):
+        # the ground state has no branch: a^dag and sigma^+ take it to 1- and
+        # 1+ alone, with the branch-keeping weights
         theta = mixing_angle(1, 1.0, 0.9)
-        co = ladder_coefficients(1, theta, 0.0)
-        assert co.k_pm == 0.0 and co.k_mp == 0.0
-        assert co.c_plus == pytest.approx(math.sin(theta))
-        assert co.c_minus == pytest.approx(math.cos(theta))
-        assert co.a_c_plus == pytest.approx(math.cos(theta))
-        assert co.a_c_minus == pytest.approx(-math.sin(theta))
-
-    def test_matrix_element_oracle(self):
-        # every coefficient is a matrix element of a^dag or sigma^+ between
-        # dressed states (the n = 1 cross weights are zero by convention:
-        # the branch-keeping families already own the step from the ground)
-        a_dag = fock_annihilation(DIMS).dag().data
-        s_plus = atomic_lowering(DIMS).dag().data
-        for delta in (0.0, 1.3, -2.0):
-            for n in (1, 2, 3):
-                co = ladder_coefficients_for(n, 1.0, delta)
-                kets = {
-                    (m, b): site_polariton_ket(DIMS, m, b, 1.0, delta)
-                    for m in (n - 1, n)
-                    for b in ("-", "+")
-                }
-                pairs = [
-                    (co.c_plus, kets[(n, "+")], kets[(n - 1, "+")], a_dag),
-                    (co.c_minus, kets[(n, "-")], kets[(n - 1, "-")], a_dag),
-                    (co.a_c_plus, kets[(n, "+")], kets[(n - 1, "+")], s_plus),
-                    (co.a_c_minus, kets[(n, "-")], kets[(n - 1, "-")], s_plus),
-                ]
-                if n >= 2:
-                    pairs += [
-                        (co.k_pm, kets[(n, "+")], kets[(n - 1, "-")], a_dag),
-                        (co.k_mp, kets[(n, "-")], kets[(n - 1, "+")], a_dag),
-                        (co.a_k_pm, kets[(n, "+")], kets[(n - 1, "-")], s_plus),
-                        (co.a_k_mp, kets[(n, "-")], kets[(n - 1, "+")], s_plus),
-                    ]
-                for coeff, upper, lower, op in pairs:
-                    element = (upper.conj() @ op @ lower).real
-                    assert coeff == pytest.approx(element, abs=1e-12)
+        labels, a_dag, s_plus = dressed_ladders(DIMS, 1.0, 0.9)
+        ground, lo, up = (labels.index(k) for k in (polariton.GROUND, "1-", "1+"))
+        for op in (a_dag, s_plus):
+            assert set(np.flatnonzero(op[:, ground])) == {lo, up}
+        assert a_dag[up, ground] == pytest.approx(math.sin(theta))
+        assert a_dag[lo, ground] == pytest.approx(math.cos(theta))
+        assert s_plus[up, ground] == pytest.approx(math.cos(theta))
+        assert s_plus[lo, ground] == pytest.approx(-math.sin(theta))
 
     def test_cross_weights_split_with_detuning(self):
         # decay |2+> -> |1-> dominates |2-> -> |1+> away from resonance
-        co = ladder_coefficients_for(2, 1.0, 40.0)
-        assert co.k_pm > 10 * abs(co.k_mp)
+        assert weight("a", "2+", "1-", 40.0) > 10 * abs(weight("a", "2-", "1+", 40.0))
 
     def test_cross_weights_decrease_with_manifold(self):
         # the dominant cross weight falls off with n at any detuning; the
         # subdominant one is only guaranteed to do so at resonance (it stays
         # far below the dominant weight elsewhere)
+        dims = HilbertDims(6)
+
+        def cross(upper, lower, delta):
+            labels, a_dag, _ = dressed_ladders(dims, 1.0, delta)
+            return np.array([a_dag[labels.index(f"{n}{upper}"), labels.index(f"{n - 1}{lower}")]
+                             for n in range(2, 7)])
+
         for delta in (0.0, 0.5, 2.0, 10.0):
-            k_pm = [ladder_coefficients_for(n, 1.0, delta).k_pm for n in range(2, 7)]
-            assert np.all(np.diff(k_pm) < 0)
-        k_mp = [ladder_coefficients_for(n, 1.0, 0.0).k_mp for n in range(2, 7)]
-        assert np.all(np.diff(k_mp) < 0)
-        for n in range(2, 7):
-            co = ladder_coefficients_for(n, 1.0, 2.0)
-            assert abs(co.k_mp) < co.k_pm
+            assert np.all(np.diff(cross("+", "-", delta)) < 0)
+        assert np.all(np.diff(cross("-", "+", 0.0)) < 0)
+        assert np.all(np.abs(cross("-", "+", 2.0)) < cross("+", "-", 2.0))
 
     def test_detuning_symmetry(self):
         for n in (2, 3, 4):
-            assert ladder_coefficients_for(n, 1.0, 1.7).k_pm == pytest.approx(
-                ladder_coefficients_for(n, 1.0, -1.7).k_mp, abs=1e-13
+            assert weight("a", f"{n}+", f"{n - 1}-", 1.7) == pytest.approx(
+                weight("a", f"{n}-", f"{n - 1}+", -1.7), abs=1e-13
             )
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(2, 6), st.floats(0.0, 1e3, exclude_min=True), st.floats(-1e3, 1e3))
+@example(4, 1.0, 0.0)
+@example(4, 1.0, 1.3)
+@example(4, 1.0, -2.0)
+def test_ladder_weights_match_closed_forms(n_fock, g, delta):
+    # every ladder weight is a matrix element of a^dag or sigma^+ between
+    # dressed states: dressed_ladders on every column below the cutoff, the
+    # drive of the perturbation series and the effective model's pair
+    # product all agree with the closed forms
+    dims = HilbertDims(n_fock)
+    labels, a_dag, s_plus = dressed_ladders(dims, g, delta)
+    cavity = ladder_matrix(labels, g, delta)
+    atom = ladder_matrix(labels, g, delta, atomic=True)
+    keep = below_cutoff(labels, n_fock)
+    assert np.max(np.abs(a_dag[:, keep] - cavity[:, keep])) < 1e-12
+    assert np.max(np.abs(s_plus[:, keep] - atom[:, keep])) < 1e-12
+
+    p = SystemParams(g=g, delta=delta, atom_drive=0.3, cavity_drive=0.1, n_fock=n_fock)
+    _, _, v = dressed_drive(p)
+    up = (p.atom_drive * atom + p.cavity_drive * cavity)[:-1, :-1]
+    assert np.max(np.abs(v - 1j * (up - up.T))) < 1e-12
+
+    pair = SystemParams(g=g, delta=delta, hopping=0.1, n_fock=n_fock, n_cavities=2)
+    for b in "-+":
+        one, two = labels.index(f"1{b}"), labels.index(f"2{b}")
+        pair_product = cavity[two, one] * cavity[one, labels.index(polariton.GROUND)]
+        assert effective_model(pair, b).b == pytest.approx(
+            -math.sqrt(2.0) * pair.hopping * pair_product, rel=1e-12, abs=1e-15)
 
 
 class TestDecompositions:
@@ -213,7 +230,7 @@ class TestDecompositions:
         delta = 0.9
         labels, _ = dressed_bases(DIMS, 1.0, [delta])
         a_dag = dressed(fock_annihilation(DIMS).dag().data, delta)
-        k_pm = ladder_coefficients_for(2, 1.0, delta).k_pm
+        k_pm = ladder_matrix(labels, 1.0, delta)[labels.index("2+"), labels.index("1-")]
         assert abs(a_dag[labels.index("2+"), labels.index("1-")] - k_pm) < 1e-13
 
     def test_dispersive_suppression_of_cross_families(self):
@@ -239,8 +256,7 @@ class TestDecompositions:
         assert amp.real == pytest.approx(-math.sin(theta), abs=1e-12)
 
     def test_resonant_atomic_cross_weight(self):
-        co = ladder_coefficients_for(2, 1.0, 0.0)
-        assert co.a_k_pm == pytest.approx(0.5, abs=1e-12)
+        assert weight("s", "2+", "1-", 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBasisInvariants:
@@ -337,16 +353,15 @@ class TestInteractionPictureFrequencies:
         assert abs(element) > 0.01
 
     def test_cross_family_weightless_in_first_manifold(self):
-        co = ladder_coefficients_for(1, 1.0, 0.0)
-        assert co.k_pm == 0.0 and co.k_mp == 0.0
         # a^dag takes the ground state to 1- and 1+ only, with the branch-keeping
         # weights; the interchanging families carry weight from n = 2 on
+        theta = mixing_angle(1, 1.0, 0.0)
         labels, _ = dressed_bases(DIMS, 1.0, [0.0])
         a_dag = dressed(fock_annihilation(DIMS).dag().data, 0.0)
         from_ground = a_dag[:, labels.index(polariton.GROUND)]
         lo, up = labels.index("1-"), labels.index("1+")
-        assert from_ground[lo] == pytest.approx(co.c_minus, abs=1e-15)
-        assert from_ground[up] == pytest.approx(co.c_plus, abs=1e-15)
+        assert from_ground[lo] == pytest.approx(math.cos(theta), abs=1e-15)
+        assert from_ground[up] == pytest.approx(math.sin(theta), abs=1e-15)
         assert np.max(np.abs(np.delete(from_ground, [lo, up]))) == 0.0
         assert abs(a_dag[labels.index("2+"), lo]) > 0.1
 
